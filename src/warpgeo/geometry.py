@@ -19,6 +19,7 @@ algebraic compatibilities are exercised by the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 
+def _finite(x) -> bool:
+    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x))
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """Tangent vector in coordinate components (dr, dt) at a base point.
@@ -53,7 +58,7 @@ class TangentVector:
     base: Point
 
     def __post_init__(self):
-        if not (np.isfinite(self.dr) and np.isfinite(self.dt)):
+        if not (_finite(self.dr) and _finite(self.dt)):
             raise ValueError("tangent vector components must be finite")
 
 

@@ -13,7 +13,10 @@ map may or may not preserve are measured separately:
 
 For the featured warps h = r and h = 1/r both residuals vanish exactly when
 k = 1 (pure transverse translations) and only then, which
-:func:`classify` witnesses over a sample grid.
+:func:`classify` witnesses over a sample grid.  :func:`classify` evaluates
+both residuals as array expressions over the whole grid; the pointwise
+:func:`cr_residual` and :func:`pullback_residual` are the reference it
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -194,6 +197,19 @@ def classify(
     r in [0.1, 5], t in [-3, 3] with a 20 x 20 lattice (clipped to the
     warp's domain); vectors per point are the two frame vectors plus one
     random vector drawn from the seeded generator.
+
+    h is evaluated once on the array of grid radii and once on their
+    images, so the warp's evaluator must accept arrays (as every warp
+    checked by ``make_warp`` or ``warp_custom`` does).  The residuals equal
+    ``max(cr_residual(w, m, p))`` and ``pullback_residual(w, m, points,
+    seed=seed)`` over the same grid.
+
+    Raises
+    ------
+    DomainError
+        If the grid misses the warp's domain or an image radius leaves it.
+    ValueError
+        If a grid or image coordinate, or a sample vector, is not finite.
     """
     lo = max(r_range[0], w.domain.lo * (1.0 + 1e-9) + 1e-9)
     hi = min(r_range[1], w.domain.hi * (1.0 - 1e-9) if math.isfinite(w.domain.hi) else r_range[1])
@@ -201,10 +217,32 @@ def classify(
         raise DomainError("sample grid does not intersect the warp domain")
     rs = np.linspace(lo, hi, grid_shape[0])
     ts = np.linspace(t_range[0], t_range[1], grid_shape[1])
-    points = [Point(float(r), float(t)) for r in rs for t in ts]
+    # Row-major grid, the point order of the pointwise reference.
+    r = np.repeat(rs, ts.size)
+    t = np.tile(ts, rs.size)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("point coordinates must be finite")
+    # broadcast_to keeps a warp whose h returns one scalar for a constant.
+    hr = np.broadcast_to(w.h(r), r.shape)
+    if not np.all(np.isfinite(m.k * t + m.l)):
+        raise ValueError("point coordinates must be finite")
+    hu = np.broadcast_to(w.h(m.k * r), r.shape)
 
-    holo = max(cr_residual(w, m, p) for p in points)
-    iso = pullback_residual(w, m, points, seed=seed)
+    holo = float(np.max(np.abs(m.k * hr - m.k * hu)))
+
+    # The vectors of _default_vectors at every point: e1, e2 = (0, h(r))
+    # and (z0, z1), with the random components drawn in point order.
+    z = np.random.default_rng(seed).standard_normal(2 * r.size).reshape(r.size, 2)
+    ones, zeros = np.ones_like(r), np.zeros_like(r)
+    dr = np.column_stack((ones, zeros, z[:, 0]))
+    dt = np.column_stack((zeros, hr, z[:, 1]))
+    kdr, kdt = m.k * dr, m.k * dt
+    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(kdt))):
+        raise ValueError("tangent vector components must be finite")
+    # The operations of metric_at, in its order.
+    gu = dr * dr + (dt * dt) / (hr * hr)[:, None]
+    gpu = kdr * kdr + (kdt * kdt) / (hu * hu)[:, None]
+    iso = float(np.max(np.abs(gpu - gu)))
 
     if holo < tol and iso < tol:
         verdict = "holomorphic_isometry"

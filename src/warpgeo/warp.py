@@ -74,6 +74,8 @@ class Domain:
 
     def contains(self, r, margin: float = DOMAIN_MARGIN):
         """Strict membership with a safety margin off both endpoints."""
+        if isinstance(r, float):
+            return bool(math.isfinite(r) and self.lo + margin < r < self.hi - margin)
         r = np.asarray(r, dtype=float)
         inside = (r > self.lo + margin) & np.isfinite(r)
         if math.isfinite(self.hi):
@@ -82,10 +84,15 @@ class Domain:
 
     def require(self, r, margin: float = DOMAIN_MARGIN) -> None:
         ok = self.contains(r, margin)
-        if not np.all(ok):
-            raise DomainError(
-                f"radius {r!r} outside open domain ({self.lo}, {self.hi})"
-            )
+        if isinstance(ok, bool):
+            if ok:
+                return
+        elif np.all(ok):
+            return
+        else:
+            # Name the first radius outside, not the whole array.
+            r = float(np.asarray(r, dtype=float)[~ok][0])
+        raise DomainError(f"radius {r!r} outside open domain ({self.lo}, {self.hi})")
 
     def intersect(self, other: "Domain") -> "Domain":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "warpgeo.cli"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, env_extra=None):
@@ -55,6 +58,17 @@ class TestGeodesic:
         summary = res.stdout.strip().split("\n")[-1]
         assert summary.startswith("# escaped=true length=")
         assert abs(float(summary.split("length=")[1]) - 1.0) < 1e-6
+
+    def test_readme_inward_ray_escapes(self):
+        # The README example as written: an angle short of pi by 2.7e-6
+        # swings past the origin instead of escaping.
+        line = next(ln for ln in README.read_text().splitlines()
+                    if ln.startswith("warpgeo --warp one_over_r geodesic "))
+        res = run_cli(*shlex.split(line, comments=True)[1:])
+        assert res.returncode == 0
+        summary = res.stdout.strip().split("\n")[-1]
+        assert summary.startswith("# escaped=true length=")
+        assert abs(float(summary.split("length=")[1]) - 1.0) < 1e-8
 
     def test_quarter_turn_endpoint(self):
         res = run_cli("--warp", "one_over_r", "geodesic", "1", "0", str(math.pi / 2), "1",

@@ -13,16 +13,20 @@ from warpgeo import (
     connect_flat,
     cr_residual,
     distance_flat,
+    make_warp,
     pullback_residual,
     sectional_curvature,
     transitivity_witness,
     warp_custom,
+    warp_flat,
     warp_one_over_r,
     warp_r,
 )
 
 K_SWEEP = (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0)
 L_SWEEP = (-2.0, 0.0, 3.0)
+# The C11 warps plus the other built-in families.
+SWEEP_WARPS = ("one_over_r", "r", "flat:2,5", "neg2:1,1,1", "exp")
 
 
 class TestAction:
@@ -173,6 +177,45 @@ class TestClassify:
         )
         rep = classify(w, AffineMap(2.0, 0.0))
         assert rep.verdict == "holomorphic_only"
+        # An h that returns one scalar even for an array input.
+        w_scalar = warp_custom(lambda r: 1.0, domain=(0.0, 1000.0))
+        assert classify(w_scalar, AffineMap(2.0, 0.0)).verdict == "holomorphic_only"
+
+    @pytest.mark.parametrize("spec", SWEEP_WARPS)
+    def test_matches_pointwise_reference_exactly(self, spec, rng):
+        w = make_warp(spec)
+        grid = classify(w, AffineMap(1.0, 0.0))
+        rs = np.linspace(*grid.r_range, grid.grid_shape[0])
+        ts = np.linspace(*grid.t_range, grid.grid_shape[1])
+        points = [Point(float(r), float(t)) for r in rs for t in ts]
+        for k in K_SWEEP:
+            m = AffineMap(k, float(rng.uniform(-3.0, 3.0)))
+            seed = int(rng.integers(2**31))
+            try:
+                holo = max(cr_residual(w, m, p) for p in points)
+            except DomainError:
+                # The image leaves the domain (flat:2,5 with k > 1).
+                with pytest.raises(DomainError):
+                    classify(w, m, seed=seed)
+                continue
+            rep = classify(w, m, seed=seed)
+            assert rep.holomorphy_residual == holo
+            assert rep.isometry_residual == pullback_residual(w, m, points, seed=seed)
+
+    def test_image_leaving_domain_raises(self):
+        with pytest.raises(DomainError):
+            classify(warp_flat(1.0, 5.0), AffineMap(3.0, 0.0))
+
+    def test_grid_missing_domain_raises(self):
+        with pytest.raises(DomainError):
+            classify(warp_flat(1.0, 5.0), AffineMap(1.0, 0.0), r_range=(6.0, 8.0))
+
+    # linspace itself warns while spreading an infinite range.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("t_range", [(-3.0, math.inf), (math.nan, 3.0)])
+    def test_nonfinite_t_range_raises(self, flat_warp, t_range):
+        with pytest.raises(ValueError, match="finite"):
+            classify(flat_warp, AffineMap(1.0, 0.0), t_range=t_range)
 
     def test_report_serialization(self, flat_warp):
         d = classify(flat_warp, AffineMap(1.0, 1.0), seed=7).to_dict()
