@@ -10,148 +10,21 @@ connectivity and distance, finite-length inextendible rays, and the
 classification of affine holomorphic isometries.
 """
 
-from .warp import (
-    DOMAIN_MARGIN,
-    Domain,
-    DomainError,
-    Point,
-    WarpFunction,
-    WarpSpec,
-    make_warp,
-    warp_custom,
-    warp_exp,
-    warp_flat,
-    warp_neg2,
-    warp_one_over_r,
-    warp_r,
-)
-from .geometry import (
-    ConnectionCoeffs,
-    TangentVector,
-    apply_J,
-    connection,
-    curvature_oracle,
-    frame_components,
-    kahler_form,
-    metric_at,
-    sectional_curvature,
-    vector_from_frame,
-)
-from .riccati import (
-    BLOWUP_CAP,
-    CurvatureProfile,
-    HField,
-    RiccatiReport,
-    analytic_flat,
-    analytic_neg2,
-    constant_profile,
-    inverse_square_profile,
-    solve_prescribed,
-    verify_riccati,
-)
-from .geodesics import (
-    ESCAPE_MARGIN,
-    FlatGeodesic,
-    GeodesicPath,
-    GeodesicState,
-    Neg2Geodesic,
-    escape_length,
-    geodesic_field,
-    integrate,
-    path_length,
-    path_length_quadrature,
-    transverse_unit_b_form,
-)
-from .connect import (
-    ChordCandidate,
-    ChordParam,
-    ConnectResult,
-    GeodesicHit,
-    SameRCandidate,
-    chord_angle,
-    connect_flat,
-    connect_neg2,
-    connect_neg2_same_r,
-    distance_flat,
-    flat_chord_candidates,
-    projected_distance,
-    same_r_candidates,
-)
-from .isometry import (
-    AffineMap,
-    IsometryReport,
-    affine_act,
-    classify,
-    cr_residual,
-    pullback_residual,
-    transitivity_witness,
-)
+from . import connect, geodesics, geometry, isometry, riccati, warp
+from .warp import *
+from .geometry import *
+from .riccati import *
+from .geodesics import *
+from .connect import *
+from .isometry import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain",
-    "DomainError",
-    "Point",
-    "WarpFunction",
-    "WarpSpec",
-    "make_warp",
-    "warp_custom",
-    "warp_exp",
-    "warp_flat",
-    "warp_neg2",
-    "warp_one_over_r",
-    "warp_r",
-    "DOMAIN_MARGIN",
-    "TangentVector",
-    "ConnectionCoeffs",
-    "metric_at",
-    "apply_J",
-    "kahler_form",
-    "connection",
-    "sectional_curvature",
-    "curvature_oracle",
-    "frame_components",
-    "vector_from_frame",
-    "CurvatureProfile",
-    "HField",
-    "RiccatiReport",
-    "solve_prescribed",
-    "analytic_flat",
-    "analytic_neg2",
-    "verify_riccati",
-    "constant_profile",
-    "inverse_square_profile",
-    "BLOWUP_CAP",
-    "GeodesicState",
-    "GeodesicPath",
-    "FlatGeodesic",
-    "Neg2Geodesic",
-    "geodesic_field",
-    "integrate",
-    "escape_length",
-    "path_length",
-    "path_length_quadrature",
-    "transverse_unit_b_form",
-    "ESCAPE_MARGIN",
-    "ConnectResult",
-    "GeodesicHit",
-    "ChordParam",
-    "ChordCandidate",
-    "SameRCandidate",
-    "connect_flat",
-    "connect_neg2",
-    "connect_neg2_same_r",
-    "distance_flat",
-    "flat_chord_candidates",
-    "chord_angle",
-    "projected_distance",
-    "same_r_candidates",
-    "AffineMap",
-    "IsometryReport",
-    "affine_act",
-    "transitivity_witness",
-    "cr_residual",
-    "pullback_residual",
-    "classify",
+    *warp.__all__,
+    *geometry.__all__,
+    *riccati.__all__,
+    *geodesics.__all__,
+    *connect.__all__,
+    *isometry.__all__,
 ]

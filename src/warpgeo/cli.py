@@ -27,15 +27,15 @@ import sys
 
 import numpy as np
 
-from .connect import connect_flat, connect_neg2, connect_neg2_same_r
+from .connect import DEFAULT_TOL, connect_flat, connect_neg2, connect_neg2_same_r
 from .geodesics import GeodesicState, integrate
 from .geometry import curvature_oracle, sectional_curvature
 from .isometry import AffineMap, classify
 from .riccati import (
-    RiccatiReport,
     constant_profile,
     inverse_square_profile,
     solve_prescribed,
+    verify_field,
 )
 from .warp import DomainError, Point, WarpSpec, make_warp
 
@@ -106,7 +106,7 @@ class RunConfig:
             raise UsageError(f"unknown output format {self.format!r}")
         self.out = args.out if args.out is not None else out_cfg.get("path")
         self.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
-        self.tol = args.tol
+        self.tol = args.tol if args.tol is not None else DEFAULT_TOL
 
     def warp(self):
         return make_warp(self.warp_spec)
@@ -212,16 +212,9 @@ def _metric_tag(cfg: RunConfig, flag: str | None) -> str:
 def cmd_connect(cfg: RunConfig, args) -> int:
     p0 = _parse_point(args.p0)
     p1 = _parse_point(args.p1)
-    if p0 == p1:
-        raise UsageError("the two points must be distinct")
     metric = _metric_tag(cfg, args.metric)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    if metric == "flat":
-        res = connect_flat(p0, p1, tol)
-    elif metric == "neg2":
-        res = connect_neg2(p0, p1, tol)
-    else:
-        raise UsageError(f"unknown metric {metric!r} (expected flat or neg2)")
+    solver = connect_flat if metric == "flat" else connect_neg2
+    res = solver(p0, p1, cfg.tol)
     doc = res.to_dict()
     doc["metric"] = metric
     if res.path is not None and args.path_out:
@@ -233,51 +226,43 @@ def cmd_connect(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     metric = _metric_tag(cfg, args.metric)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
     header = ["r0", "t0", "r1", "t1", "exists", "length", "iterations"]
-    rows: list[tuple] = []
     if args.same_r:
         if args.dt is None:
             raise UsageError("--same-r sweep requires --dt lo:hi:n")
         lo, hi, n = _parse_range(args.dt)
-        r0 = args.r0
-        for dt in np.linspace(lo, hi, n):
-            if dt == 0.0:
-                continue
-            res = connect_neg2_same_r(r0, float(dt), tol)
-            rows.append(
-                (
-                    r0,
-                    0.0,
-                    r0,
-                    float(dt),
-                    int(res.found),
-                    res.length if res.length is not None else "",
-                    res.iterations,
-                )
-            )
+        # The start is (r0, 0) and the swept target (r0, dt).
+        r0, t0, r1 = args.r0, 0.0, args.r0
+
+        def solve(t1):
+            return connect_neg2_same_r(r0, t1, cfg.tol)
     else:
         if args.t1 is None:
             raise UsageError("sweep requires --t1 lo:hi:n")
         p0 = _parse_point(args.p0)
         lo, hi, n = _parse_range(args.t1)
+        r0, t0, r1 = p0.r, p0.t, args.r1
         solver = connect_flat if metric == "flat" else connect_neg2
-        for t1 in np.linspace(lo, hi, n):
-            p1 = Point(args.r1, float(t1))
-            if p1 == p0:
-                continue
-            res = solver(p0, p1, tol)
-            rows.append(
-                (
-                    p0.r,
-                    p0.t,
-                    p1.r,
-                    p1.t,
-                    int(res.found),
-                    res.length if res.length is not None else "",
-                    res.iterations,
-                )
+
+        def solve(t1):
+            return solver(p0, Point(r1, t1), cfg.tol)
+    rows: list[tuple] = []
+    for t1 in np.linspace(lo, hi, n):
+        t1 = float(t1)
+        if (r1, t1) == (r0, t0):
+            continue  # the start point itself
+        res = solve(t1)
+        rows.append(
+            (
+                r0,
+                t0,
+                r1,
+                t1,
+                int(res.found),
+                res.length if res.length is not None else "",
+                res.iterations,
             )
+        )
     _table(cfg, header, rows)
     return EXIT_OK
 
@@ -312,25 +297,7 @@ def cmd_riccati(cfg: RunConfig, args) -> int:
     )
     rows = [(float(r), float(H), float(h)) for r, H, h in zip(field.grid, field.H, field.h)]
     csv_text = _rows_to_csv(["r", "H", "h"], rows)
-
-    # Derivative-consistency residual of the solved field: a finite
-    # difference of H on the solution grid against H^2 + f, relative to the
-    # local scale and away from the 5% margins (the estimate is limited by
-    # grid resolution, not by the integrator).
-    g_lo, g_hi = field.grid[0], field.grid[-1]
-    span = g_hi - g_lo
-    dH = np.gradient(field.H, field.grid)
-    rhs_vals = field.H**2 + np.asarray(profile.f(field.grid))
-    rel = np.abs(dH - rhs_vals) / np.maximum(1.0, np.abs(rhs_vals))
-    interior = (field.grid >= g_lo + 0.05 * span) & (field.grid <= g_hi - 0.05 * span)
-    max_resid = float(np.max(rel[interior])) if np.any(interior) else 0.0
-    report = RiccatiReport(
-        max_residual=max_resid,
-        grid_size=int(field.grid.size),
-        passed=bool(max_resid <= args.report_tol),
-        tol=args.report_tol,
-        blowup_location=field.blowup,
-    )
+    report = verify_field(field, profile, args.report_tol)
     doc = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=float) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -346,8 +313,7 @@ def cmd_isometry(cfg: RunConfig, args) -> int:
     if args.k <= 0.0:
         raise UsageError("isometry requires k > 0")
     w = cfg.warp()
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    report = classify(w, AffineMap(args.k, args.l), tol=tol, seed=cfg.seed)
+    report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol, seed=cfg.seed)
     _emit(cfg, json.dumps(report.to_dict(), indent=2, sort_keys=True, default=float) + "\n")
     return EXIT_OK
 
@@ -425,10 +391,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = RunConfig(args)
         return args.func(cfg, args)
-    except UsageError as exc:
-        print(f"warpgeo: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, ValueError) as exc:
+    except (UsageError, DomainError, ValueError) as exc:
         print(f"warpgeo: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, integrate
-from .warp import Point, warp_one_over_r, warp_r
+from .warp import Point, WarpFunction, warp_one_over_r, warp_r
 
 __all__ = [
     "ConnectResult",
@@ -120,6 +120,23 @@ class ConnectResult:
 def _check_distinct(p0: Point, p1: Point) -> None:
     if p0.r == p1.r and p0.t == p1.t:
         raise ValueError("the two points must be distinct")
+
+
+def _replay(
+    w: WarpFunction, init: GeodesicState, s: float, p1: Point, tol: float
+) -> GeodesicPath | None:
+    """Integrate a shot and return its path if it ends within ``tol`` of p1.
+
+    A missed replay is retried once with a tighter integrator: near the
+    half-turn wall a flat geodesic whips around a turning radius of order
+    (pi - |dt|) r, which the default tolerances cannot follow.
+    """
+    for opts in ({}, {"rtol": 1e-12, "atol": 1e-14}):
+        path = integrate(w, init, s, **opts)
+        end = path.endpoint
+        if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
+            return path
+    return None
 
 
 # -- flat metric (h = 1/r) ----------------------------------------------------
@@ -217,18 +234,11 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     a = (r1 * r1 - r0 * r0 - s_star * s_star) / (2.0 * s_star)
     a = max(-r0 + 1e-300, min(r0 - 1e-300, a))
     geo = FlatGeodesic(r0=r0, t0=t0, a=a, sign=sigma)
-    path = integrate(_FLAT, geo.initial_state(), s_star)
-    end = path.endpoint
-    if abs(end.r - r1) > tol or abs(end.t - t1) > tol:
-        # Near the half-turn wall the geodesic whips around a turning
-        # radius of order (pi - |dt|) r; retry the replay with a tighter
-        # integrator before giving up.
-        path = integrate(_FLAT, geo.initial_state(), s_star, rtol=1e-12, atol=1e-14)
-        end = path.endpoint
-        if abs(end.r - r1) > tol or abs(end.t - t1) > tol:
-            return ConnectResult(
-                variant="no_geodesic", reason="search_exhausted", iterations=evals
-            )
+    path = _replay(_FLAT, geo.initial_state(), s_star, p1, tol)
+    if path is None:
+        return ConnectResult(
+            variant="no_geodesic", reason="search_exhausted", iterations=evals
+        )
     return ConnectResult(
         variant="found",
         length=s_star,
@@ -458,13 +468,8 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
         last_s = s_root
         f0 = sigma * math.sqrt(max(0.0, 1.0 - (b_root * r0) ** 2))
         g0 = mirror * b_root * r0
-        init = GeodesicState(r0, t0, f0, g0)
-        path = integrate(_NEG2, init, s_root)
-        end = path.endpoint
-        if abs(end.r - r1) > tol or abs(end.t - t1) > tol:
-            path = integrate(_NEG2, init, s_root, rtol=1e-12, atol=1e-14)
-            end = path.endpoint
-        if abs(end.r - r1) <= tol and abs(end.t - t1) <= tol:
+        path = _replay(_NEG2, GeodesicState(r0, t0, f0, g0), s_root, p1, tol)
+        if path is not None:
             confirmed.append((s_root, b_root, sigma, path))
 
     if not confirmed:

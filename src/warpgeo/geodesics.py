@@ -141,7 +141,6 @@ class GeodesicPath:
 
 def geodesic_field(w: WarpFunction, state: GeodesicState) -> tuple[float, float, float, float]:
     """Right-hand side (r', t', f', g') of the geodesic system at a state."""
-    w.domain.require(state.r)
     H = float(w.log_deriv(state.r))
     hr = float(w.h(state.r))
     return (
@@ -180,7 +179,6 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     n_samples: int = 129,
-    renormalize: bool = False,
     max_step: float = math.inf,
 ) -> GeodesicPath:
     """Integrate the geodesic system from ``init`` up to arc length ``s_max``.
@@ -190,10 +188,9 @@ def integrate(
     crossing is located by the solver's root finder on the dense output and
     ``total_length`` is the arc length at the event.
 
-    With ``renormalize`` the velocity is propagated through its angle
-    (f, g) = (cos, sin), which keeps the unit-speed constraint exact by
-    construction; by default the redundant 4-component system is integrated
-    so that unit-speed drift remains observable as a quality measure.
+    The redundant 4-component system (r, t, f, g) is integrated, without
+    renormalizing (f, g), so that the unit-speed drift |f^2 + g^2 - 1| of
+    the returned samples remains observable as a quality measure.
 
     Raises
     ------
@@ -229,28 +226,16 @@ def integrate(
 
     # Trial stages of a rejected step can overshoot wildly near the escape
     # event; their products may overflow before the step is discarded.
-    if renormalize:
-        y0 = [init.r, init.t, math.atan2(init.g, init.f)]
-
-        def rhs(s, y):
-            with np.errstate(all="ignore"):
-                r, _, th = y
-                H = safe_H(r)
-                sin_th = np.sin(th)
-                return [np.cos(th), safe_h(r) * sin_th, H * sin_th]
-    else:
-        y0 = [init.r, init.t, init.f, init.g]
-
-        def rhs(s, y):
-            with np.errstate(all="ignore"):
-                r, _, f, g = y
-                H = safe_H(r)
-                return [f, safe_h(r) * g, -g * g * H, f * g * H]
+    def rhs(s, y):
+        with np.errstate(all="ignore"):
+            r, _, f, g = y
+            H = safe_H(r)
+            return [f, safe_h(r) * g, -g * g * H, f * g * H]
 
     sol = solve_ivp(
         rhs,
         (0.0, float(s_max)),
-        y0,
+        [init.r, init.t, init.f, init.g],
         method="DOP853",
         rtol=rtol,
         atol=atol,
@@ -264,12 +249,7 @@ def integrate(
     escaped = sol.status == 1
     s_end = float(sol.t[-1])
     grid = np.linspace(0.0, s_end, max(2, int(n_samples)))
-    ys = sol.sol(grid)
-    if renormalize:
-        r_v, t_v, th = ys
-        f_v, g_v = np.cos(th), np.sin(th)
-    else:
-        r_v, t_v, f_v, g_v = ys
+    r_v, t_v, f_v, g_v = sol.sol(grid)
     # The event is located at lo + ESCAPE_MARGIN; interpolation noise may put
     # the final sample a hair below it.  Clamp to keep states constructible.
     r_v = np.maximum(r_v, w.domain.lo + 0.5 * ESCAPE_MARGIN)

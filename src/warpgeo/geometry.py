@@ -84,7 +84,6 @@ def metric_at(w: WarpFunction, u: TangentVector, v: TangentVector) -> float:
     Both vectors must sit at the same base point, inside the warp's domain.
     """
     p = _same_base(u, v)
-    w.require_point(p)
     hr = w.h(p.r)
     return u.dr * v.dr + (u.dt * v.dt) / (hr * hr)
 
@@ -94,7 +93,6 @@ def apply_J(w: WarpFunction, u: TangentVector) -> TangentVector:
 
     Applying twice returns the negated vector exactly.
     """
-    w.require_point(u.base)
     hr = w.h(u.base.r)
     return TangentVector(dr=-u.dt / hr, dt=hr * u.dr, base=u.base)
 
@@ -105,7 +103,6 @@ def kahler_form(w: WarpFunction, u: TangentVector, v: TangentVector) -> float:
     Antisymmetric, and equal to g(J u, v) for every pair at the same point.
     """
     p = _same_base(u, v)
-    w.require_point(p)
     return (u.dr * v.dt - u.dt * v.dr) / w.h(p.r)
 
 
@@ -128,7 +125,6 @@ class ConnectionCoeffs:
 
 def connection(w: WarpFunction, p: Point) -> ConnectionCoeffs:
     """Frame connection coefficients at p, all expressed through H = h'/h."""
-    w.require_point(p)
     H = float(w.log_deriv(p.r))
     return ConnectionCoeffs(
         point=p,
@@ -159,7 +155,6 @@ def sectional_curvature(w: WarpFunction, r, *, method: str = "auto"):
         exact = w.exact_curvature(r)
         if exact is not None:
             return exact
-    w.domain.require(r)
     hv = w.h(r)
     return (w.d2h(r) * hv - 2.0 * w.dh(r) ** 2) / (hv * hv)
 

@@ -66,9 +66,8 @@ class AffineMap:
         return TangentVector(self.k * u.dr, self.k * u.dt, base=self.apply(u.base))
 
 
-def affine_act(m: AffineMap, p: Point) -> Point:
-    """Apply the map: (r, t) -> (k r, k t + l)."""
-    return m.apply(p)
+# affine_act(m, p) applies the map m to the point p.
+affine_act = AffineMap.apply
 
 
 def transitivity_witness(p: Point) -> AffineMap:
@@ -97,11 +96,8 @@ def cr_residual(w: WarpFunction, m: AffineMap, p: Point) -> float:
     DomainError
         If p or its image leaves the warp's domain.
     """
-    w.require_point(p)
-    q = m.apply(p)
-    w.require_point(q)
     hr = float(w.h(p.r))
-    hu = float(w.h(q.r))
+    hu = float(w.h(m.apply(p).r))
     return abs(m.k * hr - m.k * hu)
 
 
@@ -138,14 +134,14 @@ def pullback_residual(
     rng = np.random.default_rng(seed)
     if vectors is None:
         vectors = [v for p in points for v in _default_vectors(w, p, rng)]
-    worst = 0.0
+    diffs = [0.0]
     for u in vectors:
         gu = metric_at(w, u, u)
         pu = m.push_vector(u)
-        w.require_point(pu.base)
         gpu = metric_at(w, pu, pu)
-        worst = max(worst, abs(gpu - gu))
-    return worst
+        diffs.append(abs(gpu - gu))
+    # np.max, unlike the builtin max, propagates a NaN in any position.
+    return float(np.max(diffs))
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,15 @@ __all__ = [
     "analytic_flat",
     "analytic_neg2",
     "verify_riccati",
+    "verify_field",
     "constant_profile",
     "inverse_square_profile",
     "BLOWUP_CAP",
-    "MIN_STEP",
 ]
 
-# Declared solver constants; both overridable per call.
+# Default cap on |H| past which the solver reports a blow-up; the ``cap``
+# argument of solve_prescribed overrides it per call.
 BLOWUP_CAP = 1e8
-MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,21 +206,10 @@ def solve_prescribed(
     return HField(grid=grid, H=H, h=h, blowup=blow, r0=float(r0), H0=float(H0))
 
 
-def analytic_flat(a0: float, a1: float) -> WarpFunction:
-    """Closed-form solution family of H' - H^2 = 0: h(r) = a0/(a1 - r).
-
-    The returned warp has identically zero curvature on its positivity
-    interval.  Raises ValueError when no subinterval of (0, inf) has h > 0.
-    """
-    return warp_flat(a0, a1)
-
-
-def analytic_neg2(c0: float, c1: float, c2: float) -> WarpFunction:
-    """Closed-form solution family of H' - H^2 = -2/r^2: h = c0 r/(c1 + c2 r^3).
-
-    The returned warp has curvature -2/r^2 on its positivity interval.
-    """
-    return warp_neg2(c0, c1, c2)
+# The closed-form solution families of H' - H^2 = 0 and H' - H^2 = -2/r^2
+# are the warp families of the same name.
+analytic_flat = warp_flat
+analytic_neg2 = warp_neg2
 
 
 @dataclass(frozen=True)
@@ -268,4 +257,29 @@ def verify_riccati(
         grid_size=int(grid.size),
         passed=bool(max_res <= tol),
         tol=float(tol),
+    )
+
+
+def verify_field(field: HField, profile: CurvatureProfile, tol: float) -> RiccatiReport:
+    """Derivative-consistency residual of a solved field against its profile.
+
+    A finite difference of H on the solution grid is compared with
+    H^2 + f, relative to the local scale max(1, |H^2 + f|) and away from
+    the 5% margins of the grid (the estimate is limited by grid resolution,
+    not by the integrator).  The report carries the field's blow-up
+    location.
+    """
+    g_lo, g_hi = field.grid[0], field.grid[-1]
+    span = g_hi - g_lo
+    dH = np.gradient(field.H, field.grid)
+    rhs_vals = field.H**2 + np.asarray(profile.f(field.grid))
+    rel = np.abs(dH - rhs_vals) / np.maximum(1.0, np.abs(rhs_vals))
+    interior = (field.grid >= g_lo + 0.05 * span) & (field.grid <= g_hi - 0.05 * span)
+    max_resid = float(np.max(rel[interior])) if np.any(interior) else 0.0
+    return RiccatiReport(
+        max_residual=max_resid,
+        grid_size=int(field.grid.size),
+        passed=bool(max_resid <= tol),
+        tol=tol,
+        blowup_location=field.blowup,
     )

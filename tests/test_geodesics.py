@@ -92,14 +92,6 @@ class TestIntegrate:
             assert np.all(path.t == 1.3)
             assert np.max(np.abs(path.r - (r0 + path.s))) < 1e-9
 
-    def test_renormalized_variant_matches(self, neg2_warp):
-        init = GeodesicState.from_angle(1.0, 0.0, 1.0)
-        plain = integrate(neg2_warp, init, 1.2)
-        renorm = integrate(neg2_warp, init, 1.2, renormalize=True)
-        assert np.max(np.abs(renorm.f**2 + renorm.g**2 - 1.0)) < 1e-15
-        assert np.max(np.abs(plain.r - renorm.r)) < 1e-8
-        assert np.max(np.abs(plain.t - renorm.t)) < 1e-8
-
     def test_escape_at_upper_boundary(self):
         w = warp_flat(1.0, 5.0)  # domain (0, 5)
         path = integrate(w, GeodesicState(4.0, 0.0, 1.0, 0.0), 5.0)

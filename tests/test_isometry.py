@@ -181,26 +181,47 @@ class TestClassify:
         w_scalar = warp_custom(lambda r: 1.0, domain=(0.0, 1000.0))
         assert classify(w_scalar, AffineMap(2.0, 0.0)).verdict == "holomorphic_only"
 
+    @staticmethod
+    def pointwise_reference(w, m, seed, r_range):
+        """max(cr_residual) and pullback_residual over classify's default grid
+        clipped to r_range; np.max, unlike max, keeps a NaN in any position."""
+        rs = np.linspace(*r_range, 20)
+        ts = np.linspace(-3.0, 3.0, 20)
+        points = [Point(float(r), float(t)) for r in rs for t in ts]
+        holo = np.max([cr_residual(w, m, p) for p in points])
+        return holo, pullback_residual(w, m, points, seed=seed)
+
     @pytest.mark.parametrize("spec", SWEEP_WARPS)
     def test_matches_pointwise_reference_exactly(self, spec, rng):
         w = make_warp(spec)
-        grid = classify(w, AffineMap(1.0, 0.0))
-        rs = np.linspace(*grid.r_range, grid.grid_shape[0])
-        ts = np.linspace(*grid.t_range, grid.grid_shape[1])
-        points = [Point(float(r), float(t)) for r in rs for t in ts]
+        r_range = classify(w, AffineMap(1.0, 0.0)).r_range
         for k in K_SWEEP:
             m = AffineMap(k, float(rng.uniform(-3.0, 3.0)))
             seed = int(rng.integers(2**31))
             try:
-                holo = max(cr_residual(w, m, p) for p in points)
+                ref = self.pointwise_reference(w, m, seed, r_range)
             except DomainError:
                 # The image leaves the domain (flat:2,5 with k > 1).
                 with pytest.raises(DomainError):
                     classify(w, m, seed=seed)
                 continue
             rep = classify(w, m, seed=seed)
-            assert rep.holomorphy_residual == holo
-            assert rep.isometry_residual == pullback_residual(w, m, points, seed=seed)
+            assert (rep.holomorphy_residual, rep.isometry_residual) == ref
+
+    def test_nan_image_matches_pointwise_reference(self):
+        # h is NaN past r = 3, where half of the images land: both residuals
+        # must be NaN on both sides, not the max over the finite entries.
+        w = warp_custom(
+            lambda r: np.where(np.asarray(r) > 3.0, np.nan, 1.0 / np.asarray(r)),
+            domain=(0.0, math.inf),
+            check=False,
+        )
+        m = AffineMap(2.0, 0.5)
+        rep = classify(w, m, r_range=(0.1, 2.9))
+        ref = self.pointwise_reference(w, m, 0, rep.r_range)
+        np.testing.assert_equal((rep.holomorphy_residual, rep.isometry_residual), ref)
+        assert math.isnan(rep.isometry_residual)
+        assert rep.verdict == "neither"
 
     def test_image_leaving_domain_raises(self):
         with pytest.raises(DomainError):
