@@ -107,6 +107,8 @@ class RunConfig:
         self.out = args.out if args.out is not None else out_cfg.get("path")
         self.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
         self.tol = args.tol if args.tol is not None else DEFAULT_TOL
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise UsageError("--tol must be positive and finite")
 
     def warp(self):
         return make_warp(self.warp_spec)
@@ -163,12 +165,11 @@ def cmd_curvature(cfg: RunConfig, args) -> int:
         raise UsageError("curvature requires 0 < r_min < r_max and n >= 2")
     w = cfg.warp()
     rs = np.linspace(args.r_min, args.r_max, args.n)
-    w.domain.require(rs)
+    ks = sectional_curvature(w, rs)
     rows = []
-    for r in rs:
-        k = float(sectional_curvature(w, float(r)))
-        ko = curvature_oracle(w, float(r), args.step)
-        rows.append((float(r), k, ko, abs(k - ko)))
+    for r, k in zip(rs.tolist(), ks.tolist()):
+        ko = curvature_oracle(w, r, args.step)
+        rows.append((r, k, ko, abs(k - ko)))
     _table(cfg, ["r", "K", "K_oracle", "abs_diff"], rows)
     return EXIT_OK
 

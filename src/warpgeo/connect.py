@@ -199,13 +199,6 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     # scan and are reported as such.
     pad = max(4.0 * np.spacing(s_hi), span * 1e-16)
 
-    evals = 0
-
-    def residual(s):
-        nonlocal evals
-        evals += 1
-        return float(_flat_sweep_angle(s, r0, r1)) - target
-
     # Sign-bracketing scan; the law-of-cosines candidate is inserted among
     # the seeds so a refined bracket surrounds it when it is the true root.
     seed = math.sqrt(max(r0 * r0 + r1 * r1 - 2.0 * r0 * r1 * math.cos(dt), 0.0))
@@ -213,23 +206,25 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     edge = span * np.float_power(10.0, -np.arange(3.0, 16.0))
     grid = np.concatenate([grid, s_lo + edge, s_hi - edge, [seed]])
     grid = np.unique(np.clip(grid, s_lo + pad, s_hi - pad))
-    vals = [residual(x) for x in grid]
-    bracket = None
-    for x0, x1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if v0 == 0.0:
-            bracket = (x0, x0)
-            break
-        if v0 * v1 < 0.0:
-            bracket = (x0, x1)
-            break
-    if bracket is None:  # pragma: no cover - the sweep is monotone onto (0, pi)
+    vals = _flat_sweep_angle(grid, r0, r1) - target
+    evals = grid.size
+
+    def residual(s):
+        nonlocal evals
+        evals += 1
+        return float(_flat_sweep_angle(s, r0, r1)) - target
+
+    # First seed that is a root or opens a sign change to its successor.
+    brackets = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    if brackets.size == 0:  # pragma: no cover - the sweep is monotone onto (0, pi)
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
         )
-    if bracket[0] == bracket[1]:
-        s_star = bracket[0]
+    i = brackets[0]
+    if vals[i] == 0.0:
+        s_star = grid[i]
     else:
-        s_star = brentq(residual, *bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+        s_star = brentq(residual, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
     a = (r1 * r1 - r0 * r0 - s_star * s_star) / (2.0 * s_star)
     a = max(-r0 + 1e-300, min(r0 - 1e-300, a))

@@ -151,26 +151,6 @@ def geodesic_field(w: WarpFunction, state: GeodesicState) -> tuple[float, float,
     )
 
 
-def _clamped_evaluators(w: WarpFunction):
-    """h and H evaluators clamped just inside the domain.
-
-    Trial steps of the adaptive integrator may probe marginally past the
-    terminal escape event; clamping keeps those evaluations finite without
-    affecting any state the solver actually keeps (the clamp engages beyond
-    the event threshold).
-    """
-    lo = w.domain.lo + 0.25 * ESCAPE_MARGIN
-    hi = w.domain.hi - 0.25 * ESCAPE_MARGIN if math.isfinite(w.domain.hi) else math.inf
-
-    def safe_h(r):
-        return w.h_unchecked(min(max(r, lo), hi))
-
-    def safe_H(r):
-        return w.log_deriv_unchecked(min(max(r, lo), hi))
-
-    return safe_h, safe_H
-
-
 def integrate(
     w: WarpFunction,
     init: GeodesicState,
@@ -206,7 +186,6 @@ def integrate(
         )
     w.domain.require(init.r)
 
-    safe_h, safe_H = _clamped_evaluators(w)
     events = []
 
     def hit_lower(s, y):
@@ -224,13 +203,21 @@ def integrate(
         hit_upper.direction = 1
         events.append(hit_upper)
 
+    # Trial steps of the adaptive integrator may probe marginally past the
+    # terminal escape event; clamping r just inside the domain keeps those
+    # evaluations finite without affecting any state the solver actually
+    # keeps (the clamp engages beyond the event threshold).
+    lo = w.domain.lo + 0.25 * ESCAPE_MARGIN
+    hi = w.domain.hi - 0.25 * ESCAPE_MARGIN if math.isfinite(w.domain.hi) else math.inf
+
     # Trial stages of a rejected step can overshoot wildly near the escape
     # event; their products may overflow before the step is discarded.
     def rhs(s, y):
         with np.errstate(all="ignore"):
             r, _, f, g = y
-            H = safe_H(r)
-            return [f, safe_h(r) * g, -g * g * H, f * g * H]
+            r = min(max(r, lo), hi)
+            H = w.log_deriv_unchecked(r)
+            return [f, w.h_unchecked(r) * g, -g * g * H, f * g * H]
 
     sol = solve_ivp(
         rhs,

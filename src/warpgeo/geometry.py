@@ -173,13 +173,15 @@ def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
     if step <= 0.0:
         raise ValueError("step must be positive")
     r = float(r)
+    # The two outer stencil points bound the other three, so checking them
+    # is the whole domain check.
     for probe in (r - 2 * step, r + 2 * step):
         if not w.domain.contains(probe):
             raise DomainError(
                 f"finite-difference stencil [{r - 2 * step}, {r + 2 * step}] "
                 f"leaves domain ({w.domain.lo}, {w.domain.hi})"
             )
-    width = lambda x: 1.0 / w.h(x)  # noqa: E731
+    width = lambda x: 1.0 / w.h_unchecked(x)  # noqa: E731
     w0 = width(r)
     wpp = (
         -width(r + 2 * step)

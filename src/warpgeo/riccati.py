@@ -18,14 +18,13 @@ detects the finite-radius blow-up that Riccati equations are prone to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .warp import Domain, WarpFunction, warp_flat, warp_neg2
+from .warp import Domain, WarpFunction, _constant, warp_flat, warp_neg2
 
 __all__ = [
     "CurvatureProfile",
@@ -58,11 +57,7 @@ class CurvatureProfile:
 
 
 def constant_profile(value: float, domain: Domain = Domain(0.0)) -> CurvatureProfile:
-    v = float(value)
-    return CurvatureProfile(
-        f=lambda r: np.full_like(np.asarray(r, dtype=float), v) if np.ndim(r) else v,
-        domain=domain,
-    )
+    return CurvatureProfile(f=_constant(float(value)), domain=domain)
 
 
 def inverse_square_profile(coeff: float = -2.0, domain: Domain = Domain(0.0)) -> CurvatureProfile:
@@ -102,12 +97,17 @@ class HField:
         return np.interp(r, self.grid, self.H)
 
 
-def _integrate_side(f, r0, H0, r_end, rtol, atol, cap, max_step, refine):
+# Each adaptive step of the Riccati solver is cut into this many grid
+# intervals through the dense output.
+_REFINE = 16
+
+
+def _integrate_side(f, r0, H0, r_end, rtol, atol, cap):
     """One-directional integration of H' = H^2 + f with a |H| >= cap event.
 
-    The solver's adaptive nodes are refined ``refine``-fold through the dense
-    output, which keeps the later trapezoidal reconstruction of h accurate
-    (the smooth-regime steps of a high-order method are large).
+    The solver's adaptive nodes are refined ``_REFINE``-fold through the
+    dense output, which keeps the later trapezoidal reconstruction of h
+    accurate (the smooth-regime steps of a high-order method are large).
     """
     if r_end == r0:
         return np.array([]), np.array([]), None
@@ -127,7 +127,6 @@ def _integrate_side(f, r0, H0, r_end, rtol, atol, cap, max_step, refine):
         method="DOP853",
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
         events=hit_cap,
         dense_output=True,
     )
@@ -143,7 +142,7 @@ def _integrate_side(f, r0, H0, r_end, rtol, atol, cap, max_step, refine):
     if nodes.size < 2:
         return np.array([]), np.array([]), blow
     pieces = [
-        np.linspace(a, b, refine + 1)[1:] for a, b in zip(nodes[:-1], nodes[1:])
+        np.linspace(a, b, _REFINE + 1)[1:] for a, b in zip(nodes[:-1], nodes[1:])
     ]
     grid = np.concatenate(pieces)
     H = sol.sol(grid)[0]
@@ -159,22 +158,21 @@ def solve_prescribed(
     rtol: float = 1e-10,
     atol: float = 1e-10,
     cap: float = BLOWUP_CAP,
-    max_step: float = math.inf,
-    refine: int = 16,
 ) -> HField:
     """Integrate H' = H^2 + f from H(r0) = H0 across ``r_range``.
 
     Integration proceeds in both directions from r0 until the range
     endpoints, halting gracefully where |H| exceeds ``cap`` and recording
     the blow-up location.  The reconstructed h uses trapezoidal integration
-    of H on the adaptive grid (refined ``refine``-fold through the dense
+    of H on the adaptive grid (each step refined 16-fold through the dense
     output) with h(r0) = 1.
 
     Raises
     ------
     ValueError
         If r0 lies outside ``r_range``, the range leaves the profile's
-        domain, or tolerances are not positive.
+        domain, tolerances are not positive, or ``cap`` does not exceed
+        |H0| (the blow-up event would fire at the start).
     """
     lo, hi = float(r_range[0]), float(r_range[1])
     if not (lo <= r0 <= hi) or lo >= hi:
@@ -185,13 +183,11 @@ def solve_prescribed(
         raise ValueError("range must lie inside the profile domain")
     if rtol <= 0.0 or atol <= 0.0:
         raise ValueError("tolerances must be positive")
+    if not cap > abs(H0):
+        raise ValueError(f"blow-up cap {cap!r} must exceed |H0| = {abs(H0)!r}")
 
-    g_b, H_b, blow_b = _integrate_side(
-        profile.f, r0, H0, lo, rtol, atol, cap, max_step, refine
-    )
-    g_f, H_f, blow_f = _integrate_side(
-        profile.f, r0, H0, hi, rtol, atol, cap, max_step, refine
-    )
+    g_b, H_b, blow_b = _integrate_side(profile.f, r0, H0, lo, rtol, atol, cap)
+    g_f, H_f, blow_f = _integrate_side(profile.f, r0, H0, hi, rtol, atol, cap)
 
     grid = np.concatenate([g_b[::-1], [r0], g_f])
     H = np.concatenate([H_b[::-1], [H0], H_f])

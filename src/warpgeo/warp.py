@@ -26,7 +26,7 @@ automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -183,7 +183,7 @@ class WarpFunction:
     _h: Callable = field(repr=False)
     _dh: Callable = field(repr=False)
     _d2h: Callable = field(repr=False)
-    _logderiv: Callable | None = field(default=None, repr=False)
+    _logderiv: Callable = field(repr=False)
     _curvature: Callable | None = field(default=None, repr=False)
 
     # -- evaluation ---------------------------------------------------------
@@ -203,19 +203,16 @@ class WarpFunction:
     def log_deriv(self, r):
         """H(r) = h'(r)/h(r), the logarithmic derivative of the warp."""
         self.domain.require(r)
-        if self._logderiv is not None:
-            return self._logderiv(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
-        return self._dh(r) / self._h(r)
+        return self._logderiv(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
 
-    # Unchecked variants for use inside ODE right-hand sides, where trial
-    # steps may momentarily probe past the stopping event.
+    # Unchecked variants for callers that have checked the domain already,
+    # and for ODE right-hand sides, where trial steps may momentarily probe
+    # past the stopping event.
     def h_unchecked(self, r):
         return self._h(r)
 
     def log_deriv_unchecked(self, r):
-        if self._logderiv is not None:
-            return self._logderiv(r)
-        return self._dh(r) / self._h(r)
+        return self._logderiv(r)
 
     def exact_curvature(self, r):
         """Family-exact curvature evaluator, or None if not available."""
@@ -231,6 +228,11 @@ class WarpFunction:
 # -- family constructors ------------------------------------------------------
 
 
+def _constant(v: float) -> Callable:
+    """Evaluator of the constant v: a float at a scalar, a filled array at an array."""
+    return lambda r: np.full_like(np.asarray(r, dtype=float), v) if np.ndim(r) else v
+
+
 def warp_one_over_r() -> WarpFunction:
     """h(r) = 1/r on (0, inf); the flat transverse-shrinking warp."""
     return WarpFunction(
@@ -241,7 +243,7 @@ def warp_one_over_r() -> WarpFunction:
         _dh=lambda r: -1.0 / (r * r),
         _d2h=lambda r: 2.0 / (r * r * r),
         _logderiv=lambda r: -1.0 / r,
-        _curvature=lambda r: np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0,
+        _curvature=_constant(0.0),
     )
 
 
@@ -252,8 +254,8 @@ def warp_r() -> WarpFunction:
         params=(),
         domain=Domain(0.0),
         _h=lambda r: r if np.ndim(r) else float(r),
-        _dh=lambda r: np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0,
-        _d2h=lambda r: np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0,
+        _dh=_constant(1.0),
+        _d2h=_constant(0.0),
         _logderiv=lambda r: 1.0 / r,
         _curvature=lambda r: -2.0 / (r * r),
     )
@@ -268,8 +270,8 @@ def warp_exp() -> WarpFunction:
         _h=np.exp,
         _dh=np.exp,
         _d2h=np.exp,
-        _logderiv=lambda r: np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0,
-        _curvature=lambda r: np.full_like(np.asarray(r, dtype=float), -1.0) if np.ndim(r) else -1.0,
+        _logderiv=_constant(1.0),
+        _curvature=_constant(-1.0),
     )
 
 
@@ -325,7 +327,7 @@ def warp_flat(a0: float, a1: float) -> WarpFunction:
         _d2h=d2h,
         _logderiv=H,
         # The family is defined by H' = H^2, hence exactly zero curvature.
-        _curvature=lambda r: np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0,
+        _curvature=_constant(0.0),
     )
 
 
@@ -380,26 +382,25 @@ def warp_custom(
     d2h: Callable | None = None,
     *,
     domain: tuple[float, float] | Domain,
-    fd_step: float | None = None,
     check: bool = True,
-    check_tol: float = CONSISTENCY_TOL,
 ) -> WarpFunction:
     """Wrap caller-supplied evaluators as a warp function.
 
     Missing derivatives are built by central differences with step
-    ``fd_step * max(1, r)`` (default 1e-6 relative); the second difference
+    ``FD_STEP_SCALE * max(1, r)`` (1e-6 relative); the second difference
     uses the square root of that step, which balances its rounding error
-    (eps/step^2) against truncation.  The domain must be an explicit open
-    subinterval of (0, inf).  Positivity of h and consistency of supplied
-    derivatives are sampled unless ``check`` is false.
+    (eps/step^2) against truncation.  The logarithmic derivative is
+    dh(r)/h(r).  The domain must be an explicit open subinterval of
+    (0, inf).  Positivity of h and consistency of supplied derivatives (at
+    relative tolerance ``CONSISTENCY_TOL``) are sampled unless ``check`` is
+    false.
     """
     dom = domain if isinstance(domain, Domain) else Domain(*domain)
-    step = FD_STEP_SCALE if fd_step is None else float(fd_step)
-    step2 = math.sqrt(step)
+    step2 = math.sqrt(FD_STEP_SCALE)
     supplied = (dh is not None, d2h is not None)
 
     if dh is None:
-        def dh(r, _h=h, _s=step):  # noqa: E731 - closure over the raw h
+        def dh(r, _h=h, _s=FD_STEP_SCALE):  # noqa: E731 - closure over the raw h
             d = _s * np.maximum(1.0, np.abs(r)) if np.ndim(r) else _s * max(1.0, abs(r))
             return (_h(r + d) - _h(r - d)) / (2.0 * d)
 
@@ -415,26 +416,18 @@ def warp_custom(
         _h=h,
         _dh=dh,
         _d2h=d2h,
+        _logderiv=lambda r: dh(r) / h(r),
     )
     if not check:
         return w
     # FD-built derivatives are consistent by construction; only cross-check
     # what the caller actually supplied.
-    return _validate(
-        w,
-        check_tol if any(supplied) else None,
-        check_dh=supplied[0],
-        check_d2h=supplied[0] and supplied[1],
-    )
+    return _validate(w, check_dh=supplied[0], check_d2h=supplied[0] and supplied[1])
 
 
-def _validate(
-    w: WarpFunction,
-    check_tol: float | None,
-    check_dh: bool = True,
-    check_d2h: bool = True,
-) -> WarpFunction:
-    """Reject non-positive h and inconsistent derivative evaluators."""
+def _validate(w: WarpFunction, check_dh: bool, check_d2h: bool) -> WarpFunction:
+    """Reject non-positive h and derivative evaluators that differ from
+    central differences by more than ``CONSISTENCY_TOL`` (relative)."""
     grid = w.domain.sample()
     hv = np.asarray(w._h(grid), dtype=float)
     if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):
@@ -445,19 +438,18 @@ def _validate(
     Hv = np.asarray(w.log_deriv(grid), dtype=float)
     if not np.all(np.isfinite(Hv)):
         raise ValueError(f"warp {w.kind!r} has a non-finite logarithmic derivative")
-    if check_tol is not None:
-        # Central-difference cross-check of dh against h, and d2h against dh.
-        step = FD_STEP_SCALE * np.maximum(1.0, grid)
-        if check_dh:
-            fd1 = (w._h(grid + step) - w._h(grid - step)) / (2.0 * step)
-            got1 = np.asarray(w._dh(grid), dtype=float)
-            if np.max(np.abs(got1 - fd1) / np.maximum(1.0, np.abs(fd1))) > check_tol:
-                raise ValueError(f"warp {w.kind!r}: h' evaluator inconsistent with h")
-        if check_d2h:
-            fd2 = (w._dh(grid + step) - w._dh(grid - step)) / (2.0 * step)
-            got2 = np.asarray(w._d2h(grid), dtype=float)
-            if np.max(np.abs(got2 - fd2) / np.maximum(1.0, np.abs(fd2))) > check_tol:
-                raise ValueError(f"warp {w.kind!r}: h'' evaluator inconsistent with h'")
+    # Central-difference cross-check of dh against h, and d2h against dh.
+    step = FD_STEP_SCALE * np.maximum(1.0, grid)
+    if check_dh:
+        fd1 = (w._h(grid + step) - w._h(grid - step)) / (2.0 * step)
+        got1 = np.asarray(w._dh(grid), dtype=float)
+        if np.max(np.abs(got1 - fd1) / np.maximum(1.0, np.abs(fd1))) > CONSISTENCY_TOL:
+            raise ValueError(f"warp {w.kind!r}: h' evaluator inconsistent with h")
+    if check_d2h:
+        fd2 = (w._dh(grid + step) - w._dh(grid - step)) / (2.0 * step)
+        got2 = np.asarray(w._d2h(grid), dtype=float)
+        if np.max(np.abs(got2 - fd2) / np.maximum(1.0, np.abs(fd2))) > CONSISTENCY_TOL:
+            raise ValueError(f"warp {w.kind!r}: h'' evaluator inconsistent with h'")
     return w
 
 
@@ -466,7 +458,6 @@ def make_warp(
     *,
     domain: tuple[float, float] | Domain | None = None,
     check: bool = True,
-    check_tol: float = CONSISTENCY_TOL,
 ) -> WarpFunction:
     """Build a warp function from a spec (or its string form).
 
@@ -477,10 +468,10 @@ def make_warp(
         ``"flat:2,5"``.
     domain
         Optional restriction; intersected with the family's natural domain.
-    check, check_tol
-        When ``check`` is true (default), h is sampled to confirm positivity
-        and the derivative evaluators are cross-checked by central
-        differences at relative tolerance ``check_tol``.
+    check
+        h is always sampled to confirm positivity.  When ``check`` is true
+        (default), the derivative evaluators are also cross-checked by
+        central differences at relative tolerance ``CONSISTENCY_TOL``.
 
     Raises
     ------
@@ -500,14 +491,5 @@ def make_warp(
     w = builders[spec.kind](*spec.params)
     if domain is not None:
         dom = domain if isinstance(domain, Domain) else Domain(*domain)
-        w = WarpFunction(
-            kind=w.kind,
-            params=w.params,
-            domain=w.domain.intersect(dom),
-            _h=w._h,
-            _dh=w._dh,
-            _d2h=w._d2h,
-            _logderiv=w._logderiv,
-            _curvature=w._curvature,
-        )
-    return _validate(w, check_tol if check else None)
+        w = replace(w, domain=w.domain.intersect(dom))
+    return _validate(w, check_dh=check, check_d2h=check)

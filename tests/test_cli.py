@@ -49,6 +49,12 @@ class TestCurvature:
         assert res.returncode == 1
         assert "error" in res.stderr
 
+    def test_radius_outside_domain(self):
+        res = run_cli("--warp", "flat:2,5", "curvature", "0.5", "7", "3")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "warpgeo: error: radius 7.0 outside open domain (0.0, 5.0)\n"
+
 
 class TestGeodesic:
     def test_inward_ray_summary(self):
@@ -187,6 +193,13 @@ class TestRiccati:
     def test_unknown_profile(self):
         assert run_cli("riccati", "cubic", "1", "1", "0.5", "3").returncode == 1
 
+    @pytest.mark.parametrize("cap", ["0.5", "nan"])
+    def test_cap_not_above_H0_usage_error(self, cap):
+        res = run_cli("riccati", "zero", "1", "1", "0.5", "3", "--cap", cap)
+        assert res.returncode == 1
+        assert res.stderr.startswith("warpgeo: error: blow-up cap")
+        assert "Traceback" not in res.stderr
+
 
 class TestIsometry:
     def test_translation_verdict(self):
@@ -245,6 +258,19 @@ class TestDeterminismAndConfig:
 
     def test_unknown_subcommand(self):
         assert run_cli("teleport").returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tol", "-1", "connect", "1,0", "1,1.5707963267948966"],
+            ["--tol", "nan", "isometry", "1", "0"],
+        ],
+    )
+    def test_bad_tol_usage_error(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "warpgeo: error: --tol must be positive and finite\n"
 
     def test_warp_parse_error(self):
         assert run_cli("--warp", "flat:1", "curvature", "1", "2", "3").returncode == 1

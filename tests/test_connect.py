@@ -85,6 +85,18 @@ class TestConnectFlat:
             res = connect_flat(p0, p1)
             assert res.length == pytest.approx(euclid_chord(p0, p1), abs=1e-9)
 
+    def test_array_sweep_matches_scalar_reference(self, rng):
+        # connect_flat scans its seeds with one array call; the bracket and
+        # the iteration count stay those of a per-seed scalar loop only if
+        # the two agree bit for bit.
+        from warpgeo.connect import _flat_sweep_angle
+
+        for _ in range(50):
+            r0, r1 = rng.uniform(0.05, 8.0, size=2)
+            grid = np.sort(rng.uniform(abs(r1 - r0), r0 + r1, size=97))
+            scalar = [float(_flat_sweep_angle(x, r0, r1)) for x in grid]
+            assert _flat_sweep_angle(grid, r0, r1).tolist() == scalar
+
 
 class TestChordCandidates:
     def test_quarter_turn_versions_coincide(self):

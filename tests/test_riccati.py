@@ -75,6 +75,14 @@ class TestSolvePrescribed:
         with pytest.raises(ValueError):
             solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 2.0), rtol=-1.0)
 
+    @pytest.mark.parametrize(
+        "cap, H0", [(0.5, 1.0), (1.0, 1.0), (math.nan, 1.0), (0.5, -1.0), (-5.0, -1.0)]
+    )
+    def test_cap_not_above_initial_value_rejected(self, cap, H0):
+        # The blow-up event |H| >= cap would hold at r0 itself.
+        with pytest.raises(ValueError, match="must exceed"):
+            solve_prescribed(constant_profile(0.0), 1.0, H0, (0.5, 3.0), cap=cap)
+
     def test_blow_up_location_property(self, rng):
         # For f = 0 and H0 > 0 the pole sits at r0 + 1/H0.
         for _ in range(5):

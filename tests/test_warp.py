@@ -168,6 +168,16 @@ class TestCustomWarp:
                 domain=(0.0, 20.0),
             )
 
+    @pytest.mark.parametrize("supplied", [True, False], ids=["supplied_dh", "fd_dh"])
+    def test_log_deriv_is_dh_over_h(self, supplied):
+        w = warp_custom(
+            lambda r: 2.0 + np.sin(r), dh=np.cos if supplied else None, domain=(0.0, 20.0)
+        )
+        for r in (1.7, np.linspace(0.5, 9.0, 7)):
+            want = w.dh(r) / w.h(r)
+            assert np.all(w.log_deriv(r) == want)
+            assert np.all(w.log_deriv_unchecked(r) == want)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             warp_custom(lambda r: np.sin(r), domain=(0.0, 20.0))
