@@ -61,15 +61,19 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _require_positive(value: float, flag: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be positive and finite")
+
+
 class RunConfig:
-    """Resolved run configuration: warp, integrator, output and seed.
+    """Resolved run configuration: warp, output, seed and solver tolerance.
 
     Built from defaults, then the JSON file named by ``WARPGEO_CONFIG``
-    (schema below), then command-line flags::
+    (an object with no keys but those below), then command-line flags::
 
         {
           "warp": {"kind": "flat", "params": [2, 5]},
-          "integrator": {"abs_tol": 1e-12, "rel_tol": 1e-10, "max_step": 0.1},
           "output": {"format": "json", "path": null},
           "seed": 0
         }
@@ -84,31 +88,32 @@ class RunConfig:
                     file_cfg = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"cannot read config {cfg_path}: {exc}") from exc
+            if not isinstance(file_cfg, dict):
+                raise UsageError(f"config {cfg_path} must hold a JSON object")
+            for key in file_cfg:
+                if key not in ("warp", "output", "seed"):
+                    raise UsageError(f"unknown config key {key!r}; expected warp, output or seed")
 
-        warp_text = args.warp
-        if warp_text is not None:
-            self.warp_spec = WarpSpec.from_string(warp_text)
+        if args.warp is not None:
+            self.warp_spec = WarpSpec.from_string(args.warp)
         elif "warp" in file_cfg:
-            self.warp_spec = WarpSpec.from_dict(file_cfg["warp"])
+            try:
+                self.warp_spec = WarpSpec.from_dict(file_cfg["warp"])
+            except (TypeError, KeyError) as exc:
+                raise UsageError(f"malformed config warp {file_cfg['warp']!r}") from exc
         else:
             self.warp_spec = WarpSpec("one_over_r")
 
-        integ = dict(file_cfg.get("integrator", {}))
-        self.rel_tol = float(integ.get("rel_tol", 1e-10))
-        self.abs_tol = float(integ.get("abs_tol", 1e-12))
-        self.max_step = float(integ.get("max_step", math.inf))
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
-            raise UsageError("integrator tolerances must be positive")
-
-        out_cfg = dict(file_cfg.get("output", {}))
+        out_cfg = file_cfg.get("output", {})
+        if not (isinstance(out_cfg, dict) and isinstance(out_cfg.get("path"), (str, type(None)))):
+            raise UsageError("config output must be an object whose path is a string or null")
         self.format = args.format or out_cfg.get("format", "json")
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown output format {self.format!r}")
         self.out = args.out if args.out is not None else out_cfg.get("path")
         self.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
         self.tol = args.tol if args.tol is not None else DEFAULT_TOL
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise UsageError("--tol must be positive and finite")
+        _require_positive(self.tol, "--tol")
 
     def warp(self):
         return make_warp(self.warp_spec)
@@ -129,9 +134,12 @@ def _rows_to_csv(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
+
+
 def _rows_to_json(header: list[str], rows: list[tuple]) -> str:
-    recs = [dict(zip(header, row)) for row in rows]
-    return json.dumps(recs, indent=2, sort_keys=True, default=float) + "\n"
+    return _json([dict(zip(header, row)) for row in rows])
 
 
 def _table(cfg: RunConfig, header: list[str], rows: list[tuple]) -> None:
@@ -177,15 +185,7 @@ def cmd_curvature(cfg: RunConfig, args) -> int:
 def cmd_geodesic(cfg: RunConfig, args) -> int:
     w = cfg.warp()
     init = GeodesicState.from_angle(args.r0, args.t0, args.angle)
-    path = integrate(
-        w,
-        init,
-        args.s_max,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        n_samples=args.samples,
-    )
+    path = integrate(w, init, args.s_max, n_samples=args.samples)
     csv_text = path.to_csv_string()
     summary = f"# escaped={str(path.escaped).lower()} length={_fmt(path.total_length)}\n"
     _emit(cfg, csv_text + summary)
@@ -202,31 +202,28 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _metric_tag(cfg: RunConfig, flag: str | None) -> str:
-    if flag is not None:
-        return flag
-    if cfg.warp_spec.kind == "r":
-        return "neg2"
-    return "flat"
+def _metric(cfg: RunConfig, flag: str | None):
+    """The metric tag (``--metric``, else inferred from the warp) and its solver."""
+    if flag is None:
+        flag = "neg2" if cfg.warp_spec.kind == "r" else "flat"
+    return flag, connect_flat if flag == "flat" else connect_neg2
 
 
 def cmd_connect(cfg: RunConfig, args) -> int:
     p0 = _parse_point(args.p0)
     p1 = _parse_point(args.p1)
-    metric = _metric_tag(cfg, args.metric)
-    solver = connect_flat if metric == "flat" else connect_neg2
+    metric, solver = _metric(cfg, args.metric)
     res = solver(p0, p1, cfg.tol)
     doc = res.to_dict()
     doc["metric"] = metric
     if res.path is not None and args.path_out:
         res.path.to_csv(args.path_out)
         doc["path_file"] = args.path_out
-    _emit(cfg, json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
+    _emit(cfg, _json(doc))
     return EXIT_OK if res.found else EXIT_NO_GEODESIC
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    metric = _metric_tag(cfg, args.metric)
     header = ["r0", "t0", "r1", "t1", "exists", "length", "iterations"]
     if args.same_r:
         if args.dt is None:
@@ -243,7 +240,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         p0 = _parse_point(args.p0)
         lo, hi, n = _parse_range(args.t1)
         r0, t0, r1 = p0.r, p0.t, args.r1
-        solver = connect_flat if metric == "flat" else connect_neg2
+        _, solver = _metric(cfg, args.metric)
 
         def solve(t1):
             return solver(p0, Point(r1, t1), cfg.tol)
@@ -285,21 +282,14 @@ def _parse_profile(text: str):
 
 
 def cmd_riccati(cfg: RunConfig, args) -> int:
+    _require_positive(args.report_tol, "--report-tol")
     profile = _parse_profile(args.profile)
-    lo, hi = args.r_lo, args.r_hi
-    field = solve_prescribed(
-        profile,
-        args.r0,
-        args.H0,
-        (lo, hi),
-        rtol=cfg.rel_tol,
-        atol=max(cfg.abs_tol, 1e-14),
-        cap=args.cap,
-    )
+    r_range = (args.r_lo, args.r_hi)
+    field = solve_prescribed(profile, args.r0, args.H0, r_range, atol=1e-12, cap=args.cap)
     rows = [(float(r), float(H), float(h)) for r, H, h in zip(field.grid, field.H, field.h)]
     csv_text = _rows_to_csv(["r", "H", "h"], rows)
     report = verify_field(field, profile, args.report_tol)
-    doc = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=float) + "\n"
+    doc = _json(report.to_dict())
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -315,7 +305,7 @@ def cmd_isometry(cfg: RunConfig, args) -> int:
         raise UsageError("isometry requires k > 0")
     w = cfg.warp()
     report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol, seed=cfg.seed)
-    _emit(cfg, json.dumps(report.to_dict(), indent=2, sort_keys=True, default=float) + "\n")
+    _emit(cfg, _json(report.to_dict()))
     return EXIT_OK
 
 

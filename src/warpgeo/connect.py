@@ -29,6 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, integrate
+from .geodesics import _flat_param, _flat_sweep
 from .warp import Point, WarpFunction, warp_one_over_r, warp_r
 
 __all__ = [
@@ -150,10 +151,7 @@ def _flat_sweep_angle(s, r0: float, r1: float):
     :class:`FlatGeodesic`.  On s in (|r1 - r0|, r0 + r1) the parameter stays
     in (-r0, r0) and the sweep increases strictly from 0 to pi.
     """
-    s = np.asarray(s, dtype=float)
-    a = (r1 * r1 - r0 * r0 - s * s) / (2.0 * s)
-    beta = np.maximum(r0 * r0 - a * a, 0.0)
-    return np.arctan2(s * np.sqrt(beta), r0 * r0 + a * s)
+    return _flat_sweep(s, r0, _flat_param(s, r0, r1))
 
 
 def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResult:
@@ -226,8 +224,7 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     else:
         s_star = brentq(residual, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
-    a = (r1 * r1 - r0 * r0 - s_star * s_star) / (2.0 * s_star)
-    a = max(-r0 + 1e-300, min(r0 - 1e-300, a))
+    a = max(-r0 + 1e-300, min(r0 - 1e-300, _flat_param(s_star, r0, r1)))
     geo = FlatGeodesic(r0=r0, t0=t0, a=a, sign=sigma)
     path = _replay(_FLAT, geo.initial_state(), s_star, p1, tol)
     if path is None:
@@ -306,7 +303,7 @@ def flat_chord_candidates(p0: Point, p1: Point) -> list[ChordCandidate]:
                         ChordCandidate(source, inner, outer, s, math.nan, math.inf)
                     )
                     continue
-                a = (r1 * r1 - r0 * r0 - s * s) / (2.0 * s)
+                a = _flat_param(s, r0, r1)
                 if abs(a) >= r0:
                     out.append(ChordCandidate(source, inner, outer, s, a, math.inf))
                     continue
@@ -552,13 +549,9 @@ def connect_neg2_same_r(r0: float, dt: float, tol: float = DEFAULT_TOL) -> Conne
     ValueError
         If r0 <= 0 or dt == 0.
     """
-    if r0 <= 0.0:
-        raise ValueError("r0 must be positive")
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
+    candidates = same_r_candidates(r0, dt, tol)
     if math.pi * r0 > abs(dt):
         return ConnectResult(variant="no_geodesic", reason="threshold_violated")
-    candidates = same_r_candidates(r0, dt, tol)
     for cand in candidates:
         if cand.confirmed:
             return ConnectResult(

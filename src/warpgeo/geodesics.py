@@ -105,13 +105,6 @@ class GeodesicPath:
     total_length: float
 
     @property
-    def samples(self) -> list[tuple[float, GeodesicState]]:
-        return [
-            (float(si), GeodesicState(float(ri), float(ti), float(fi), float(gi)))
-            for si, ri, ti, fi, gi in zip(self.s, self.r, self.t, self.f, self.g)
-        ]
-
-    @property
     def endpoint(self) -> GeodesicState:
         return GeodesicState(
             float(self.r[-1]), float(self.t[-1]), float(self.f[-1]), float(self.g[-1])
@@ -159,9 +152,10 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     n_samples: int = 129,
-    max_step: float = math.inf,
 ) -> GeodesicPath:
     """Integrate the geodesic system from ``init`` up to arc length ``s_max``.
+
+    DOP853 runs at ``rtol`` and ``atol`` with no cap on its step size.
 
     Integration stops early, with ``escaped`` set, when the radius reaches
     either domain boundary to within :data:`ESCAPE_MARGIN`; the boundary
@@ -226,7 +220,6 @@ def integrate(
         method="DOP853",
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
         events=events,
         dense_output=True,
     )
@@ -285,6 +278,19 @@ def path_length_quadrature(w: WarpFunction, path: GeodesicPath) -> float:
 # -- closed forms for h = 1/r -------------------------------------------------
 
 
+def _flat_param(s, r0: float, r1: float):
+    """Family parameter a of the flat geodesic from radius r0 that reaches
+    radius r1 at arc length s: the radial relation s^2 + 2 a s + r0^2 = r1^2."""
+    return (r1 * r1 - r0 * r0 - s * s) / (2.0 * s)
+
+
+def _flat_sweep(s, r0: float, a):
+    """Continuous transverse angle swept by the flat geodesic (r0, a) at s."""
+    s = np.asarray(s, dtype=float)
+    beta = np.maximum(r0 * r0 - a * a, 0.0)
+    return np.arctan2(s * np.sqrt(beta), r0 * r0 + a * s)
+
+
 @dataclass(frozen=True)
 class FlatGeodesic:
     """Non-horizontal geodesic of the h = 1/r metric through (r0, t0).
@@ -335,8 +341,7 @@ class FlatGeodesic:
         the ratio would jump by pi), and confined to (-pi, pi): the sweep of
         any one geodesic of this family never reaches a half turn.
         """
-        s = np.asarray(s, dtype=float)
-        return np.arctan2(s * math.sqrt(self.beta), self.r0 * self.r0 + self.a * s)
+        return _flat_sweep(s, self.r0, self.a)
 
     def point(self, s):
         """Position (r, t) at arc length s (s may be an array)."""

@@ -39,6 +39,9 @@ __all__ = [
     "classify",
 ]
 
+# Sample lattice of classify: radii by transverse coordinates.
+GRID_SHAPE = (20, 20)
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -182,7 +185,6 @@ def classify(
     tol: float = 1e-9,
     r_range: tuple[float, float] = (0.1, 5.0),
     t_range: tuple[float, float] = (-3.0, 3.0),
-    grid_shape: tuple[int, int] = (20, 20),
     seed: int = 0,
 ) -> IsometryReport:
     """Classify an affine map by its residual maxima over a sample grid.
@@ -190,9 +192,9 @@ def classify(
     The verdict is ``holomorphic_isometry`` when both residual maxima fall
     below ``tol``, ``isometry_only`` / ``holomorphic_only`` when exactly one
     does, and ``neither`` otherwise.  The default grid covers
-    r in [0.1, 5], t in [-3, 3] with a 20 x 20 lattice (clipped to the
-    warp's domain); vectors per point are the two frame vectors plus one
-    random vector drawn from the seeded generator.
+    r in [0.1, 5], t in [-3, 3] with a ``GRID_SHAPE`` (20 x 20) lattice
+    (clipped to the warp's domain); vectors per point are the two frame
+    vectors plus one random vector drawn from the seeded generator.
 
     h is evaluated once on the array of grid radii and once on their
     images, so the warp's evaluator must accept arrays (as every warp
@@ -211,8 +213,8 @@ def classify(
     hi = min(r_range[1], w.domain.hi * (1.0 - 1e-9) if math.isfinite(w.domain.hi) else r_range[1])
     if not lo < hi:
         raise DomainError("sample grid does not intersect the warp domain")
-    rs = np.linspace(lo, hi, grid_shape[0])
-    ts = np.linspace(t_range[0], t_range[1], grid_shape[1])
+    rs = np.linspace(lo, hi, GRID_SHAPE[0])
+    ts = np.linspace(t_range[0], t_range[1], GRID_SHAPE[1])
     # Row-major grid, the point order of the pointwise reference.
     r = np.repeat(rs, ts.size)
     t = np.tile(ts, rs.size)
@@ -257,6 +259,6 @@ def classify(
         l=m.l,
         r_range=(lo, hi),
         t_range=tuple(t_range),
-        grid_shape=tuple(grid_shape),
+        grid_shape=GRID_SHAPE,
         seed=seed,
     )

@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .warp import Domain, WarpFunction, _constant, warp_flat, warp_neg2
+from .geometry import sectional_curvature
+from .warp import DOMAIN_MARGIN, WarpFunction, _constant, warp_flat, warp_neg2
 
 __all__ = [
     "CurvatureProfile",
@@ -47,22 +48,18 @@ BLOWUP_CAP = 1e8
 
 @dataclass(frozen=True, eq=False)
 class CurvatureProfile:
-    """Target curvature r -> f(r) on an open radial interval."""
+    """Target curvature r -> f(r) on the half line r > 0."""
 
     f: Callable
-    domain: Domain = Domain(0.0)
-
-    def __call__(self, r):
-        return self.f(r)
 
 
-def constant_profile(value: float, domain: Domain = Domain(0.0)) -> CurvatureProfile:
-    return CurvatureProfile(f=_constant(float(value)), domain=domain)
+def constant_profile(value: float) -> CurvatureProfile:
+    return CurvatureProfile(f=_constant(float(value)))
 
 
-def inverse_square_profile(coeff: float = -2.0, domain: Domain = Domain(0.0)) -> CurvatureProfile:
+def inverse_square_profile(coeff: float = -2.0) -> CurvatureProfile:
     c = float(coeff)
-    return CurvatureProfile(f=lambda r: c / (r * r), domain=domain)
+    return CurvatureProfile(f=lambda r: c / (r * r))
 
 
 @dataclass(frozen=True)
@@ -171,15 +168,14 @@ def solve_prescribed(
     ------
     ValueError
         If r0 lies outside ``r_range``, the range leaves the profile's
-        domain, tolerances are not positive, or ``cap`` does not exceed
-        |H0| (the blow-up event would fire at the start).
+        domain r > 0 (an endpoint may be 0 itself, but not within
+        ``DOMAIN_MARGIN`` above it), tolerances are not positive, or ``cap``
+        does not exceed |H0| (the blow-up event would fire at the start).
     """
     lo, hi = float(r_range[0]), float(r_range[1])
     if not (lo <= r0 <= hi) or lo >= hi:
         raise ValueError(f"r0={r0} not inside range ({lo}, {hi})")
-    if not (profile.domain.contains(lo) or lo == profile.domain.lo) or not (
-        profile.domain.contains(hi) or hi == profile.domain.hi
-    ):
+    if not (lo == 0.0 or lo > DOMAIN_MARGIN) or not hi > DOMAIN_MARGIN:
         raise ValueError("range must lie inside the profile domain")
     if rtol <= 0.0 or atol <= 0.0:
         raise ValueError("tolerances must be positive")
@@ -241,11 +237,8 @@ def verify_riccati(
     Never raises on mismatch; the report carries the maximal residual and
     the pass/fail verdict against ``tol``.
     """
-    from .geometry import sectional_curvature
-
     grid = np.asarray(grid, dtype=float)
     w.domain.require(grid)
-    profile.domain.require(grid)
     residual = np.abs(np.asarray(sectional_curvature(w, grid)) - np.asarray(profile.f(grid)))
     max_res = float(np.max(residual)) if grid.size else 0.0
     return RiccatiReport(

@@ -72,18 +72,19 @@ class Domain:
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"invalid domain ({self.lo}, {self.hi})")
 
-    def contains(self, r, margin: float = DOMAIN_MARGIN):
-        """Strict membership with a safety margin off both endpoints."""
+    def contains(self, r):
+        """Strict membership, ``DOMAIN_MARGIN`` off both endpoints."""
         if isinstance(r, float):
-            return bool(math.isfinite(r) and self.lo + margin < r < self.hi - margin)
+            # NaN and infinities fail the chained comparison.
+            return bool(self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN)
         r = np.asarray(r, dtype=float)
-        inside = (r > self.lo + margin) & np.isfinite(r)
+        inside = (r > self.lo + DOMAIN_MARGIN) & np.isfinite(r)
         if math.isfinite(self.hi):
-            inside &= r < self.hi - margin
+            inside &= r < self.hi - DOMAIN_MARGIN
         return bool(inside) if inside.ndim == 0 else inside
 
-    def require(self, r, margin: float = DOMAIN_MARGIN) -> None:
-        ok = self.contains(r, margin)
+    def require(self, r) -> None:
+        ok = self.contains(r)
         if isinstance(ok, bool):
             if ok:
                 return
@@ -134,16 +135,13 @@ class WarpSpec:
     kind: str
     params: tuple = ()
 
-    _KNOWN = ("one_over_r", "r", "exp", "flat", "neg2")
-    _ARITY = {"one_over_r": 0, "r": 0, "exp": 0, "flat": 2, "neg2": 3}
-
     def __post_init__(self):
-        if self.kind not in self._KNOWN:
+        if self.kind not in _FAMILIES:
             raise ValueError(
-                f"unknown warp kind {self.kind!r}; expected one of {self._KNOWN}"
+                f"unknown warp kind {self.kind!r}; expected one of {tuple(_FAMILIES)}"
             )
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        want = self._ARITY[self.kind]
+        want = _FAMILIES[self.kind][1]
         if len(self.params) != want:
             raise ValueError(
                 f"warp kind {self.kind!r} takes {want} parameters, "
@@ -188,22 +186,23 @@ class WarpFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def h(self, r):
+    # The checked evaluators: the domain check, then fn at a float or float array.
+    def _checked(self, fn: Callable, r):
         self.domain.require(r)
-        return self._h(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
+        return fn(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
+
+    def h(self, r):
+        return self._checked(self._h, r)
 
     def dh(self, r):
-        self.domain.require(r)
-        return self._dh(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
+        return self._checked(self._dh, r)
 
     def d2h(self, r):
-        self.domain.require(r)
-        return self._d2h(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
+        return self._checked(self._d2h, r)
 
     def log_deriv(self, r):
         """H(r) = h'(r)/h(r), the logarithmic derivative of the warp."""
-        self.domain.require(r)
-        return self._logderiv(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
+        return self._checked(self._logderiv, r)
 
     # Unchecked variants for callers that have checked the domain already,
     # and for ODE right-hand sides, where trial steps may momentarily probe
@@ -218,8 +217,7 @@ class WarpFunction:
         """Family-exact curvature evaluator, or None if not available."""
         if self._curvature is None:
             return None
-        self.domain.require(r)
-        return self._curvature(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
+        return self._checked(self._curvature, r)
 
     def require_point(self, p: Point) -> None:
         self.domain.require(p.r)
@@ -302,7 +300,6 @@ def warp_flat(a0: float, a1: float) -> WarpFunction:
     a0, a1 = float(a0), float(a1)
     if a0 == 0.0:
         raise ValueError("flat warp requires a0 != 0 (h would vanish identically)")
-    dom = _positive_side(lambda r: a0 / (a1 - r), a1)
 
     def h(r):
         return a0 / (a1 - r)
@@ -321,7 +318,7 @@ def warp_flat(a0: float, a1: float) -> WarpFunction:
     return WarpFunction(
         kind="flat",
         params=(a0, a1),
-        domain=dom,
+        domain=_positive_side(h, a1),
         _h=h,
         _dh=dh,
         _d2h=d2h,
@@ -347,7 +344,6 @@ def warp_neg2(c0: float, c1: float, c2: float) -> WarpFunction:
         root = -c1 / c2
         if root > 0.0:
             pole = root ** (1.0 / 3.0)
-    dom = _positive_side(lambda r: c0 * r / (c1 + c2 * r * r * r), pole)
 
     def h(r):
         return c0 * r / (c1 + c2 * r * r * r)
@@ -366,7 +362,7 @@ def warp_neg2(c0: float, c1: float, c2: float) -> WarpFunction:
     return WarpFunction(
         kind="neg2",
         params=(c0, c1, c2),
-        domain=dom,
+        domain=_positive_side(h, pole),
         _h=h,
         _dh=dh,
         _d2h=d2h,
@@ -400,13 +396,13 @@ def warp_custom(
     supplied = (dh is not None, d2h is not None)
 
     if dh is None:
-        def dh(r, _h=h, _s=FD_STEP_SCALE):  # noqa: E731 - closure over the raw h
-            d = _s * np.maximum(1.0, np.abs(r)) if np.ndim(r) else _s * max(1.0, abs(r))
+        def dh(r, _h=h):  # closure over the raw h
+            d = _fd_step(r, FD_STEP_SCALE)
             return (_h(r + d) - _h(r - d)) / (2.0 * d)
 
     if d2h is None:
-        def d2h(r, _h=h, _s=step2):
-            d = _s * np.maximum(1.0, np.abs(r)) if np.ndim(r) else _s * max(1.0, abs(r))
+        def d2h(r, _h=h):
+            d = _fd_step(r, step2)
             return (_h(r + d) - 2.0 * _h(r) + _h(r - d)) / (d * d)
 
     w = WarpFunction(
@@ -425,6 +421,21 @@ def warp_custom(
     return _validate(w, check_dh=supplied[0], check_d2h=supplied[0] and supplied[1])
 
 
+# The families a WarpSpec may name: kind -> (constructor, parameter count).
+_FAMILIES = {
+    "one_over_r": (warp_one_over_r, 0),
+    "r": (warp_r, 0),
+    "exp": (warp_exp, 0),
+    "flat": (warp_flat, 2),
+    "neg2": (warp_neg2, 3),
+}
+
+
+def _fd_step(r, scale: float):
+    """Central-difference step ``scale * max(1, |r|)`` at a scalar or array r."""
+    return scale * np.maximum(1.0, np.abs(r)) if np.ndim(r) else scale * max(1.0, abs(r))
+
+
 def _validate(w: WarpFunction, check_dh: bool, check_d2h: bool) -> WarpFunction:
     """Reject non-positive h and derivative evaluators that differ from
     central differences by more than ``CONSISTENCY_TOL`` (relative)."""
@@ -439,7 +450,7 @@ def _validate(w: WarpFunction, check_dh: bool, check_d2h: bool) -> WarpFunction:
     if not np.all(np.isfinite(Hv)):
         raise ValueError(f"warp {w.kind!r} has a non-finite logarithmic derivative")
     # Central-difference cross-check of dh against h, and d2h against dh.
-    step = FD_STEP_SCALE * np.maximum(1.0, grid)
+    step = _fd_step(grid, FD_STEP_SCALE)
     if check_dh:
         fd1 = (w._h(grid + step) - w._h(grid - step)) / (2.0 * step)
         got1 = np.asarray(w._dh(grid), dtype=float)
@@ -481,14 +492,7 @@ def make_warp(
     """
     if isinstance(spec, str):
         spec = WarpSpec.from_string(spec)
-    builders = {
-        "one_over_r": warp_one_over_r,
-        "r": warp_r,
-        "exp": warp_exp,
-        "flat": warp_flat,
-        "neg2": warp_neg2,
-    }
-    w = builders[spec.kind](*spec.params)
+    w = _FAMILIES[spec.kind][0](*spec.params)
     if domain is not None:
         dom = domain if isinstance(domain, Domain) else Domain(*domain)
         w = replace(w, domain=w.domain.intersect(dom))

@@ -9,17 +9,37 @@ from pathlib import Path
 import pytest
 
 CLI = [sys.executable, "-m", "warpgeo.cli"]
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("WARPGEO_CONFIG", None)
+    # An absolute source path, so the package imports from any cwd.
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
+        CLI + list(args), capture_output=True, text=True, env=env, cwd=cwd
     )
+
+
+def readme_blocks(lang: str) -> list[str]:
+    """The bodies of README's fenced code blocks tagged ``lang``."""
+    parts = README.read_text().split("```")
+    return [body[len(lang) + 1:] for body in parts[1::2] if body.startswith(lang + "\n")]
+
+
+# Every ``warpgeo ...`` line of README's shell examples.
+README_COMMANDS = [
+    ln for block in readme_blocks("sh") for ln in block.splitlines() if ln.startswith("warpgeo ")
+]
+
+
+def readme_exit_status(line: str) -> int:
+    """The exit status a README command's comment states: 2 where it says so, else 0."""
+    return 2 if "exit status 2" in line.partition("#")[2] else 0
 
 
 class TestCurvature:
@@ -68,7 +88,7 @@ class TestGeodesic:
     def test_readme_inward_ray_escapes(self):
         # The README example as written: an angle short of pi by 2.7e-6
         # swings past the origin instead of escaping.
-        line = next(ln for ln in README.read_text().splitlines()
+        line = next(ln for ln in README_COMMANDS
                     if ln.startswith("warpgeo --warp one_over_r geodesic "))
         res = run_cli(*shlex.split(line, comments=True)[1:])
         assert res.returncode == 0
@@ -264,13 +284,57 @@ class TestDeterminismAndConfig:
         [
             ["--tol", "-1", "connect", "1,0", "1,1.5707963267948966"],
             ["--tol", "nan", "isometry", "1", "0"],
+            ["riccati", "zero", "1", "0.5", "0.5", "3", "--report-tol", "nan"],
+            ["riccati", "zero", "1", "0.5", "0.5", "3", "--report-tol", "-1"],
         ],
     )
     def test_bad_tol_usage_error(self, argv):
         res = run_cli(*argv)
+        flag = "--report-tol" if "--report-tol" in argv else "--tol"
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr == "warpgeo: error: --tol must be positive and finite\n"
+        assert res.stderr == f"warpgeo: error: {flag} must be positive and finite\n"
 
     def test_warp_parse_error(self):
         assert run_cli("--warp", "flat:1", "curvature", "1", "2", "3").returncode == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"warp": "r"}', "malformed config warp 'r'"),
+            ('{"warp": {"params": []}}', "malformed config warp {'params': []}"),
+            ("[1, 2]", "must hold a JSON object"),
+            ('{"warp": {"kind": "flat", "params": 5}}', "malformed config warp"),
+            ('{"output": {"path": 5}}', "path is a string or null"),
+            ('{"integrator": {"rel_tol": 1e-10}}', "unknown config key 'integrator'"),
+        ],
+        ids=["warp-string", "warp-no-kind", "list", "params-number", "path-number", "integrator"],
+    )
+    def test_malformed_config_usage_error(self, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        res = run_cli("curvature", "1", "2", "3", env_extra={"WARPGEO_CONFIG": str(cfg)})
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("warpgeo: error: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
+
+
+class TestReadme:
+    def test_commands_found(self):
+        assert len(README_COMMANDS) >= 8
+        assert any(readme_exit_status(ln) == 2 for ln in README_COMMANDS)
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_command_exit_status(self, line, tmp_path):
+        res = run_cli(*shlex.split(line, comments=True)[1:], cwd=tmp_path)
+        assert res.returncode == readme_exit_status(line), res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_config_block(self, tmp_path):
+        (block,) = [b for b in readme_blocks("json") if "warp" in b]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(block)
+        res = run_cli("curvature", "1", "2", "3", env_extra={"WARPGEO_CONFIG": str(cfg)})
+        assert res.returncode == 0, res.stderr
+        assert [row["K"] for row in json.loads(res.stdout)] == [0.0, 0.0, 0.0]

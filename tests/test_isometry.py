@@ -242,6 +242,7 @@ class TestClassify:
         d = classify(flat_warp, AffineMap(1.0, 1.0), seed=7).to_dict()
         assert d["verdict"] == "holomorphic_isometry"
         assert d["seed"] == 7 and d["map"] == {"k": 1.0, "l": 1.0}
+        assert d["grid"]["shape"] == [20, 20]
 
 
 def coordinate_geodesic_residual(w, r_arr, t_arr, s_arr) -> float:

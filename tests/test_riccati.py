@@ -71,6 +71,16 @@ class TestSolvePrescribed:
         with pytest.raises(ValueError):
             solve_prescribed(constant_profile(0.0), 5.0, 1.0, (1.0, 2.0))
 
+    def test_range_on_half_line_accepted(self):
+        field = solve_prescribed(constant_profile(-1.0), 1.0, 1.0, (0.0, 3.0))
+        assert field.grid[0] == 0.0
+
+    @pytest.mark.parametrize("r_range", [(-1.0, 3.0), (1e-13, 3.0)])
+    def test_range_off_half_line_rejected(self, r_range):
+        # The range may start at 0 itself, but not inside the margin above it.
+        with pytest.raises(ValueError, match="range must lie inside the profile domain"):
+            solve_prescribed(constant_profile(-1.0), 1.0, 1.0, r_range)
+
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ValueError):
             solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 2.0), rtol=-1.0)
