@@ -68,7 +68,7 @@ def main():
     inward = GeodesicState(1.0, 0.0, -1.0, 0.0)
     print("Inward horizontal ray from (1, 0):")
     for name, w in (("flat", flat), ("h=r ", neg2)):
-        ell = escape_length(w, inward, cap=10.0)
+        ell = escape_length(w, inward, 10.0)
         print(f"  {name} metric: escape length = {ell:.9f} (finite -> incomplete)")
     outward = GeodesicState(1.0, 0.0, 1.0, 0.0)
     print(f"  outward ray exceeds any cap: {escape_length(flat, outward, 50.0)!r}")

@@ -1,13 +1,14 @@
 """Prescribing the curvature of a half-plane metric.
 
 Choosing a target curvature profile f(r) and solving the Riccati equation
-H' = H^2 + f produces a warp function realizing it, h = exp(int H).  Three
-runs illustrate the behavior:
+H' = H^2 + f produces a warp function realizing it.  The solver integrates
+the equivalent linear equation u'' + f u = 0 and returns h = 1/u and
+H = -u'/u.  Three runs illustrate the behavior:
 
 1. f = -1 from H(1) = 1: the initial condition sits exactly at the
    equilibrium of H' = H^2 - 1, so H stays constant and h = e^(r-1).
-2. f = 0 from H(1) = 1: H' = H^2 blows up at finite radius (r = 2); the
-   solver detects the blow-up, stops gracefully, and reports its location.
+2. f = 0 from H(1) = 1: H' = H^2 blows up at finite radius (r = 2), where
+   u = 2 - r has its zero; the solver stops there and reports its location.
 3. f = -2/r^2 from H(1) = 1: the solution is H = 1/r, i.e. the featured
    metric dr^2 + dt^2/r^2, recovered here numerically and compared with the
    closed-form solution family.
@@ -55,7 +56,8 @@ def main():
     sel = field.grid <= 1.9
     err = np.max(np.abs(field.H[sel] - 1.0 / (2.0 - field.grid[sel])))
     print(f"   closed-form check H = 1/(2-r): max err {err:.2e} up to r = 1.9")
-    print(f"   blow-up located at r = {field.blowup:.10f} (exact pole: 2)\n")
+    print(f"   blow-up (zero of u) at r = {field.blowup!r},"
+          f" {field.blowup - 2.0:.1e} from the exact pole 2\n")
 
     print("3) curvature -2/r^2 from H(1) = 1")
     field = solve_prescribed(inverse_square_profile(-2.0), 1.0, 1.0, (0.3, 5.0))

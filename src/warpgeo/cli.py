@@ -111,7 +111,10 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown output format {self.format!r}")
         self.out = args.out if args.out is not None else out_cfg.get("path")
-        self.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+        try:
+            self.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"malformed config seed {file_cfg['seed']!r}") from exc
         self.tol = args.tol if args.tol is not None else DEFAULT_TOL
         _require_positive(self.tol, "--tol")
 
@@ -285,7 +288,7 @@ def cmd_riccati(cfg: RunConfig, args) -> int:
     _require_positive(args.report_tol, "--report-tol")
     profile = _parse_profile(args.profile)
     r_range = (args.r_lo, args.r_hi)
-    field = solve_prescribed(profile, args.r0, args.H0, r_range, atol=1e-12, cap=args.cap)
+    field = solve_prescribed(profile, args.r0, args.H0, r_range, atol=1e-12)
     rows = [(float(r), float(H), float(h)) for r, H, h in zip(field.grid, field.H, field.h)]
     csv_text = _rows_to_csv(["r", "H", "h"], rows)
     report = verify_field(field, profile, args.report_tol)
@@ -357,13 +360,12 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", default=None, help="dt sweep as 'lo:hi:n' for --same-r")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("riccati", help="solve the prescribed-curvature equation")
-    p.add_argument("profile", help="'zero', 'neg2_over_r2' or 'const:VALUE'")
+    p = sub.add_parser("riccati", help="solve H' = H^2 + f as u'' + f u = 0, h = 1/u")
+    p.add_argument("profile", help="f: 'zero', 'neg2_over_r2' or 'const:VALUE'")
     p.add_argument("r0", type=float)
     p.add_argument("H0", type=float)
     p.add_argument("r_lo", type=float)
     p.add_argument("r_hi", type=float)
-    p.add_argument("--cap", type=float, default=1e8, help="blow-up cap on |H|")
     p.add_argument("--report-tol", type=float, default=1e-3,
                    help="relative derivative-consistency tolerance")
     p.set_defaults(func=cmd_riccati)

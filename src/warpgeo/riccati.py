@@ -3,17 +3,17 @@
 Asking a warped half plane to have curvature f(r) means solving the scalar
 Riccati equation
 
-    H'(r) = H(r)^2 + f(r),        H = (log h)',
+    H'(r) = H(r)^2 + f(r),        H = (log h)'.
 
-after which the warp is recovered (up to a positive scale that curvature
-cannot see) as h = exp(int H dr).  Two profiles admit elementary solution
-families and are provided in closed form:
+With h = 1/u it is the linear equation u'' + f u = 0 (the classical
+linearization), which fixes h up to a positive scale that curvature cannot
+see.  Two profiles admit elementary solution families, in closed form:
 
-* f = 0        ->  h(r) = a0 / (a1 - r)          (:func:`analytic_flat`)
-* f = -2/r^2   ->  h(r) = c0 r / (c1 + c2 r^3)   (:func:`analytic_neg2`)
+* f = 0        ->  u ~ a1 - r,          h(r) = a0 / (a1 - r)          (:func:`analytic_flat`)
+* f = -2/r^2   ->  u ~ c1/r + c2 r^2,   h(r) = c0 r / (c1 + c2 r^3)   (:func:`analytic_neg2`)
 
-The numeric solver integrates any profile from an initial condition and
-detects the finite-radius blow-up that Riccati equations are prone to.
+The numeric solver integrates u from an initial condition for any profile;
+a finite-radius blow-up of H is a simple zero of the smooth u.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .geometry import sectional_curvature
 from .warp import DOMAIN_MARGIN, WarpFunction, _constant, warp_flat, warp_neg2
@@ -38,12 +38,7 @@ __all__ = [
     "verify_field",
     "constant_profile",
     "inverse_square_profile",
-    "BLOWUP_CAP",
 ]
-
-# Default cap on |H| past which the solver reports a blow-up; the ``cap``
-# argument of solve_prescribed overrides it per call.
-BLOWUP_CAP = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,15 +64,15 @@ class HField:
     Attributes
     ----------
     grid
-        Strictly increasing radii (the solver's adaptive steps).
+        Strictly increasing radii (the solver's refined adaptive steps).
     H
-        Values of the logarithmic derivative on the grid.
+        Values of the logarithmic derivative -u'/u on the grid.
     h
-        Warp values reconstructed by trapezoidal integration of H, with the
-        normalization h(r0) = 1 (a warp is only determined up to a positive
-        scale).
+        Warp values 1/u on the grid, with the normalization h(r0) = 1 (a
+        warp is only determined up to a positive scale).
     blowup
-        Radius at which |H| crossed the blow-up cap, or None.  When set,
+        Radius of the first zero of u beyond r0 (the forward one when both
+        directions have one), where H and h blow up, or None.  When set,
         samples stop short of it.
     r0, H0
         The initial condition the field was integrated from.
@@ -94,56 +89,64 @@ class HField:
         return np.interp(r, self.grid, self.H)
 
 
-# Each adaptive step of the Riccati solver is cut into this many grid
-# intervals through the dense output.
+# Each adaptive step of the solver is cut into _REFINE grid intervals, and
+# an interval is halved while |H| dr exceeds _MAX_H_STEP at one of its ends:
+# the steps follow the smooth u, which is too coarse where H changes fast
+# for the finite-difference residual of verify_field.
 _REFINE = 16
+_MAX_H_STEP = 1.0 / (4 * _REFINE)
 
 
-def _integrate_side(f, r0, H0, r_end, rtol, atol, cap):
-    """One-directional integration of H' = H^2 + f with a |H| >= cap event.
+def _integrate_side(f, r0, H0, r_end, rtol, atol):
+    """One-directional integration of u'' + f u = 0 from u = 1, u' = -H0.
 
-    The solver's adaptive nodes are refined ``_REFINE``-fold through the
-    dense output, which keeps the later trapezoidal reconstruction of h
-    accurate (the smooth-regime steps of a high-order method are large).
+    Returns the rows r, u, u' of the ascending samples from r0 to ``r_end``
+    and the first zero of u between them (the blow-up of H = -u'/u) or
+    None.  The samples stop short of that zero, where u falls to atol.
     """
-    if r_end == r0:
-        return np.array([]), np.array([]), None
 
     def rhs(r, y):
-        return [y[0] * y[0] + f(r)]
+        return [y[1], -f(r) * y[0]]
 
-    def hit_cap(r, y):
-        return cap - abs(y[0])
+    def u_zero(r, y):
+        return y[0]
 
-    hit_cap.terminal = True
+    u_zero.terminal = True
 
-    sol = solve_ivp(
-        rhs,
-        (r0, r_end),
-        [H0],
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        events=hit_cap,
-        dense_output=True,
-    )
-    if sol.status < 0:  # pragma: no cover - step-size underflow safeguard
-        raise RuntimeError(f"Riccati integration failed: {sol.message}")
-    blow = None
-    if sol.status == 1 and sol.t_events[0].size:
-        blow = float(sol.t_events[0][0])
-    nodes = sol.t
-    if blow is not None:
-        # Drop the event sample itself so the field stops before the blow-up.
-        nodes = nodes[:-1]
-    if nodes.size < 2:
-        return np.array([]), np.array([]), blow
-    pieces = [
-        np.linspace(a, b, _REFINE + 1)[1:] for a, b in zip(nodes[:-1], nodes[1:])
-    ]
-    grid = np.concatenate(pieces)
-    H = sol.sol(grid)[0]
-    return grid, H, blow
+    # u can overflow before r_end (h underflows); the failure is raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (r0, r_end),
+            [1.0, -H0],
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+            events=u_zero,
+            dense_output=True,
+        )
+    if sol.status < 0:
+        raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {sol.message}")
+    blow = float(sol.t_events[0][0]) if sol.status == 1 else None
+
+    # unique sorts and drops the repeats of a step shorter than _REFINE
+    # floating-point spacings.
+    r = np.unique([np.linspace(a, b, _REFINE + 1) for a, b in zip(sol.t[:-1], sol.t[1:])])
+    y = np.vstack([r, sol.sol(r)])
+    while True:
+        r, u, du = y
+        # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
+        # a blow-up node.  A midpoint that rounds to an end is no split.
+        dr, lim, slope = np.diff(r), _MAX_H_STEP * np.abs(u), np.abs(du)
+        mid = 0.5 * (r[:-1] + r[1:])
+        split = (slope[:-1] * dr > lim[:-1]) | (slope[1:] * dr > lim[1:])
+        split &= (mid != r[:-1]) & (mid != r[1:])
+        if not split.any():
+            # Where u falls to atol, next to a zero, H keeps no digit the
+            # solver controls.
+            return y[:, u > atol], blow
+        mid = mid[split]
+        y = np.insert(y, np.flatnonzero(split) + 1, np.vstack([mid, sol.sol(mid)]), axis=1)
 
 
 def solve_prescribed(
@@ -154,48 +157,40 @@ def solve_prescribed(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-10,
-    cap: float = BLOWUP_CAP,
 ) -> HField:
-    """Integrate H' = H^2 + f from H(r0) = H0 across ``r_range``.
+    """Solve H' = H^2 + f from H(r0) = H0 across ``r_range``.
 
-    Integration proceeds in both directions from r0 until the range
-    endpoints, halting gracefully where |H| exceeds ``cap`` and recording
-    the blow-up location.  The reconstructed h uses trapezoidal integration
-    of H on the adaptive grid (each step refined 16-fold through the dense
-    output) with h(r0) = 1.
+    Integrates the linear equation u'' + f u = 0 from u(r0) = 1,
+    u'(r0) = -H0 in both directions up to the range endpoints, stopping at
+    the first zero of u, where H = -u'/u blows up, and recording its
+    location.  H and h = 1/u come from the solver's dense output on its
+    refined grid, so h(r0) = 1.
 
     Raises
     ------
     ValueError
-        If r0 lies outside ``r_range``, the range leaves the profile's
-        domain r > 0 (an endpoint may be 0 itself, but not within
-        ``DOMAIN_MARGIN`` above it), tolerances are not positive, or ``cap``
-        does not exceed |H0| (the blow-up event would fire at the start).
+        If r0, H0 or an endpoint of ``r_range`` is not finite, r0 lies
+        outside ``r_range``, the range leaves the profile's domain r > 0
+        (an endpoint may be 0 itself, but not within ``DOMAIN_MARGIN``
+        above it), tolerances are not positive, or u overflows.
     """
     lo, hi = float(r_range[0]), float(r_range[1])
+    if not np.isfinite([r0, H0, lo, hi]).all():
+        raise ValueError(f"r0={r0}, H0={H0} and range ({lo}, {hi}) must be finite")
     if not (lo <= r0 <= hi) or lo >= hi:
         raise ValueError(f"r0={r0} not inside range ({lo}, {hi})")
     if not (lo == 0.0 or lo > DOMAIN_MARGIN) or not hi > DOMAIN_MARGIN:
         raise ValueError("range must lie inside the profile domain")
     if rtol <= 0.0 or atol <= 0.0:
         raise ValueError("tolerances must be positive")
-    if not cap > abs(H0):
-        raise ValueError(f"blow-up cap {cap!r} must exceed |H0| = {abs(H0)!r}")
 
-    g_b, H_b, blow_b = _integrate_side(profile.f, r0, H0, lo, rtol, atol, cap)
-    g_f, H_f, blow_f = _integrate_side(profile.f, r0, H0, hi, rtol, atol, cap)
+    back, blow_b = _integrate_side(profile.f, r0, H0, lo, rtol, atol)
+    fwd, blow_f = _integrate_side(profile.f, r0, H0, hi, rtol, atol)
+    grid, u, du = np.hstack([back[:, back[0] < r0], fwd])
 
-    grid = np.concatenate([g_b[::-1], [r0], g_f])
-    H = np.concatenate([H_b[::-1], [H0], H_f])
-
-    log_h = cumulative_trapezoid(H, grid, initial=0.0)
-    i0 = int(np.searchsorted(grid, r0))
-    log_h -= log_h[i0]
-    h = np.exp(log_h)
-
-    # Report the forward blow-up when both directions hit the cap.
+    # Report the forward blow-up when both directions have one.
     blow = blow_f if blow_f is not None else blow_b
-    return HField(grid=grid, H=H, h=h, blowup=blow, r0=float(r0), H0=float(H0))
+    return HField(grid=grid, H=-du / u, h=1.0 / u, blowup=blow, r0=float(r0), H0=float(H0))
 
 
 # The closed-form solution families of H' - H^2 = 0 and H' - H^2 = -2/r^2

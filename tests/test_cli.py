@@ -186,7 +186,8 @@ class TestRiccati:
         res = run_cli("--out", out, "riccati", "zero", "1", "1", "0.5", "3")
         assert res.returncode == 0
         report = json.loads(res.stdout)
-        assert report["blowup_location"] == pytest.approx(2.0, abs=1e-4)
+        assert report["blowup_location"] == pytest.approx(2.0, abs=1e-12)
+        assert report["pass"] is True
         with open(out) as fh:
             assert fh.readline().strip() == "r,H,h"
 
@@ -205,6 +206,7 @@ class TestRiccati:
         out = str(tmp_path / "field.csv")
         res = run_cli("--out", out, "riccati", "const:-1", "1", "1", "0.5", "4")
         assert res.returncode == 0
+        assert json.loads(res.stdout)["pass"] is True
         with open(out) as fh:
             fh.readline()
             for ln in fh:
@@ -213,12 +215,18 @@ class TestRiccati:
     def test_unknown_profile(self):
         assert run_cli("riccati", "cubic", "1", "1", "0.5", "3").returncode == 1
 
-    @pytest.mark.parametrize("cap", ["0.5", "nan"])
-    def test_cap_not_above_H0_usage_error(self, cap):
-        res = run_cli("riccati", "zero", "1", "1", "0.5", "3", "--cap", cap)
+    @pytest.mark.parametrize(
+        "argv",
+        [("const:-1", "1", "1", "0.5", "inf"), ("zero", "1", "nan", "0.5", "3"),
+         ("zero", "nan", "1", "0.5", "3")],
+        ids=["r_hi-inf", "H0-nan", "r0-nan"],
+    )
+    def test_non_finite_input_usage_error(self, argv):
+        res = run_cli("riccati", *argv)
         assert res.returncode == 1
-        assert res.stderr.startswith("warpgeo: error: blow-up cap")
-        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert res.stderr.startswith("warpgeo: error: ") and res.stderr.count("\n") == 1
+        assert "must be finite" in res.stderr
 
 
 class TestIsometry:
@@ -307,8 +315,11 @@ class TestDeterminismAndConfig:
             ('{"warp": {"kind": "flat", "params": 5}}', "malformed config warp"),
             ('{"output": {"path": 5}}', "path is a string or null"),
             ('{"integrator": {"rel_tol": 1e-10}}', "unknown config key 'integrator'"),
+            ('{"seed": null}', "malformed config seed None"),
+            ('{"seed": 1e999}', "malformed config seed inf"),
         ],
-        ids=["warp-string", "warp-no-kind", "list", "params-number", "path-number", "integrator"],
+        ids=["warp-string", "warp-no-kind", "list", "params-number", "path-number", "integrator",
+             "seed-null", "seed-overflow"],
     )
     def test_malformed_config_usage_error(self, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"

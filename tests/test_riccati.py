@@ -11,6 +11,7 @@ from warpgeo import (
     inverse_square_profile,
     sectional_curvature,
     solve_prescribed,
+    verify_field,
     verify_riccati,
     warp_custom,
     warp_one_over_r,
@@ -24,13 +25,14 @@ class TestSolvePrescribed:
         field = solve_prescribed(constant_profile(-1.0), 1.0, 1.0, (0.5, 4.0))
         assert field.blowup is None
         assert np.max(np.abs(field.H - 1.0)) < 1e-9
-        # h = exp(r - r0) up to quadrature error
-        assert np.max(np.abs(field.h - np.exp(field.grid - 1.0))) < 1e-5
+        # h = 1/u = exp(r - r0) to integrator accuracy
+        assert np.max(np.abs(field.h - np.exp(field.grid - 1.0))) < 1e-7
 
     def test_zero_curvature_blow_up(self):
         # H' = H^2 from H(1) = 1 has the pole solution 1/(2 - r).
         field = solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 3.0))
-        assert field.blowup == pytest.approx(2.0, abs=1e-4)
+        # u = 2 - r: DOP853 follows the linear u exactly up to rounding.
+        assert field.blowup == pytest.approx(2.0, abs=1e-12)
         sel = (field.grid <= 1.9) & (field.grid >= 1.0)
         exact = 1.0 / (2.0 - field.grid[sel])
         assert np.max(np.abs(field.H[sel] - exact)) < 1e-7
@@ -41,9 +43,8 @@ class TestSolvePrescribed:
         field = solve_prescribed(inverse_square_profile(-2.0), 1.0, 1.0, (0.3, 5.0))
         assert field.blowup is None
         assert np.max(np.abs(field.H - 1.0 / field.grid)) < 1e-8
-        # Reconstructed h is r itself (normalized at r0 = 1 already); the
-        # trapezoidal reconstruction is second order in the refined step.
-        assert np.max(np.abs(field.h - field.grid)) < 5e-4
+        # h = 1/u is r itself (normalized at r0 = 1 already).
+        assert np.max(np.abs(field.h - field.grid)) < 1e-8
 
     def test_normalization_at_r0(self):
         field = solve_prescribed(constant_profile(-0.5), 2.0, 0.3, (1.0, 4.0))
@@ -53,13 +54,31 @@ class TestSolvePrescribed:
         assert np.all(np.diff(field.grid) > 0)
         assert np.all(field.h > 0)
 
+    @pytest.mark.parametrize("r_range", [(2.0, 4.0), (1.0, 2.0)])
+    def test_r0_at_range_end(self, r_range):
+        field = solve_prescribed(constant_profile(-0.5), 2.0, 0.3, r_range)
+        i0 = int(np.searchsorted(field.grid, 2.0))
+        assert field.grid[i0] == 2.0 and field.h[i0] == 1.0 and field.H[i0] == 0.3
+        assert (field.grid[0], field.grid[-1]) == r_range
+        assert np.all(np.diff(field.grid) > 0)
+
     def test_backward_blow_up_recorded(self):
-        # H' = H^2 from H(1) = -1 blows up going backward at r = 0... the
-        # mirrored pole sits at r0 - 1/|H0| = 0; within (0.05, 2) the cap is
-        # reached near the left end.
+        # H' = H^2 from H(1) = -1e6 has its pole behind r0, where
+        # u = 1 + 1e6 (r - 1) vanishes: r = 1 - 1e-6.
         field = solve_prescribed(constant_profile(0.0), 1.0, -1e6, (0.5, 2.0))
-        assert field.blowup is not None
-        assert field.blowup < 1.0
+        assert field.blowup == pytest.approx(1.0 - 1e-6, abs=1e-15)
+        assert field.grid[0] > field.blowup
+        assert verify_field(field, constant_profile(0.0), 1e-3).passed
+
+    def test_positive_curvature_blow_up_at_quarter_period(self):
+        # f = 1 from H(1) = 0: u = cos(r - 1) first vanishes at 1 + pi/2.
+        profile = constant_profile(1.0)
+        field = solve_prescribed(profile, 1.0, 0.0, (0.5, 4.0))
+        assert field.blowup == pytest.approx(1.0 + math.pi / 2, abs=1e-9)
+        assert field.grid[-1] < 1.0 + math.pi / 2
+        sel = field.grid <= 2.4
+        assert np.max(np.abs(field.H[sel] - np.tan(field.grid[sel] - 1.0))) < 1e-8
+        assert verify_field(field, profile, 1e-3).passed
 
     def test_interpolation_helper(self):
         field = solve_prescribed(inverse_square_profile(-2.0), 1.0, 1.0, (0.5, 3.0))
@@ -86,12 +105,18 @@ class TestSolvePrescribed:
             solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 2.0), rtol=-1.0)
 
     @pytest.mark.parametrize(
-        "cap, H0", [(0.5, 1.0), (1.0, 1.0), (math.nan, 1.0), (0.5, -1.0), (-5.0, -1.0)]
+        "r0, H0, r_range",
+        [
+            (math.nan, 1.0, (0.5, 3.0)),
+            (1.0, math.nan, (0.5, 3.0)),
+            (1.0, -math.inf, (0.5, 3.0)),
+            (1.0, 1.0, (-math.inf, 3.0)),
+            (1.0, 1.0, (0.5, math.inf)),
+        ],
     )
-    def test_cap_not_above_initial_value_rejected(self, cap, H0):
-        # The blow-up event |H| >= cap would hold at r0 itself.
-        with pytest.raises(ValueError, match="must exceed"):
-            solve_prescribed(constant_profile(0.0), 1.0, H0, (0.5, 3.0), cap=cap)
+    def test_non_finite_input_rejected(self, r0, H0, r_range):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_prescribed(constant_profile(-1.0), r0, H0, r_range)
 
     def test_blow_up_location_property(self, rng):
         # For f = 0 and H0 > 0 the pole sits at r0 + 1/H0.
@@ -99,7 +124,7 @@ class TestSolvePrescribed:
             r0 = rng.uniform(0.5, 2.0)
             H0 = rng.uniform(0.8, 4.0)
             field = solve_prescribed(constant_profile(0.0), r0, H0, (r0 - 0.2, r0 + 2.0 / H0))
-            assert field.blowup == pytest.approx(r0 + 1.0 / H0, abs=1e-4)
+            assert field.blowup == pytest.approx(r0 + 1.0 / H0, abs=1e-12)
 
 
 class TestAnalyticFamilies:
