@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, integrate
 from .geodesics import _flat_param, _flat_sweep
@@ -55,6 +54,13 @@ _SCAN_SEEDS = 64
 
 _FLAT = warp_one_over_r()
 _NEG2 = warp_r()
+
+
+# Exists for perfbench's tracer to patch; ROADMAP item 4 makes it a plain in-function import.
+def brentq(*args, **kwargs):
+    from scipy.optimize import brentq
+
+    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from warpgeo import (
     DomainError,
+    HField,
     analytic_flat,
     analytic_neg2,
     constant_profile,
@@ -195,6 +197,34 @@ class TestVerifyRiccati:
         w = analytic_flat(1.0, 5.0)
         with pytest.raises(DomainError):
             verify_riccati(w, constant_profile(0.0), [4.0, 6.0])
+
+
+class TestVerifyField:
+    def test_overflow_next_to_blow_up_stays_silent(self):
+        # H0 = 1e300 puts the pole a rounding error past r0 = 1: H^2 and its
+        # differences overflow in the excluded margin, not in the interior.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = solve_prescribed(constant_profile(0.0), 1.0, 1e300, (0.5, 3.0), atol=1e-12)
+            report = verify_field(field, constant_profile(0.0), 1e-3)
+        assert abs(field.H[-1]) > np.sqrt(np.finfo(float).max)
+        assert report.passed and report.blowup_location == 1.0
+        assert report.max_residual == pytest.approx(2.367313464484741e-4, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [1e200, math.inf, math.nan])
+    def test_non_finite_interior_residual_fails(self, bad):
+        # H = 1/(3 - r) solves H' = H^2 exactly; one corrupt interior sample
+        # must fail the report, without a warning.
+        grid = np.linspace(1.0, 2.0, 101)
+        H = 1.0 / (3.0 - grid)
+        field = HField(grid=grid, H=H, h=2.0 * H, blowup=None, r0=1.0, H0=0.5)
+        assert verify_field(field, constant_profile(0.0), 1e-3).passed
+        H[50] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_field(field, constant_profile(0.0), 1e-3)
+        assert not report.passed
+        assert not math.isfinite(report.max_residual)
 
 
 class TestProperties:
