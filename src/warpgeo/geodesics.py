@@ -6,11 +6,19 @@ first-order system
 
     r' = f,   t' = h(r) g,   f' = -g^2 H(r),   g' = f g H(r),
 
-with H = h'/h.  The system conserves f^2 + g^2 exactly, and g/h(r) is a
-Clairaut-type first integral (the transverse momentum).  Horizontal rays
-(g = 0) are geodesics for every warp, which makes the distance to the
-boundary r -> 0 an upper bound for the length of inward rays: both featured
-metrics possess finite-length inextendible geodesics.
+with H = h'/h (:func:`geodesic_field`).  Every metric dr^2 + dt^2/h(r)^2 is
+invariant under the translations t -> t + c, so the transverse momentum
+b = g/h(r) is conserved (Clairaut's integral).  :func:`integrate` therefore
+solves the reduced system
+
+    r' = f,   t' = b h(r)^2,   f' = -b^2 h(r) h'(r),
+
+in which the singular H cancels (for h = r the force is -b^2 r), and
+returns g = b h(r): the momentum is exact by construction, and the drift of
+the conserved energy, |f^2 + b^2 h^2 - 1|, is the measure of quality.
+Horizontal rays (b = 0) are geodesics for every warp, which makes the
+distance to the boundary r -> 0 an upper bound for the length of inward
+rays: both featured metrics possess finite-length inextendible geodesics.
 
 Closed-form families are provided for the two featured warps:
 
@@ -36,6 +44,7 @@ from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
     "GeodesicState",
+    "IntegrationStats",
     "GeodesicPath",
     "geodesic_field",
     "integrate",
@@ -93,13 +102,31 @@ class GeodesicState:
 
 
 @dataclass(frozen=True)
+class IntegrationStats:
+    """How :func:`integrate` obtained a path, and how good it is.
+
+    ``rhs_evals`` and ``accepted_steps`` are the solver's right-hand-side
+    evaluations and accepted steps; ``max_speed_drift`` is the largest
+    |f^2 + b^2 h^2 - 1| over the returned samples; ``stop`` says why the
+    integration ended: ``"s_max"``, ``"escaped_lower"`` or
+    ``"escaped_upper"``.
+    """
+
+    rhs_evals: int
+    accepted_steps: int
+    max_speed_drift: float
+    stop: str
+
+
+@dataclass(frozen=True)
 class GeodesicPath:
     """Arc-length-sampled trajectory with escape metadata.
 
     ``s`` strictly increases from 0 to ``total_length``; ``escaped`` is set
     when integration halted because the radius reached the domain boundary
     (within :data:`ESCAPE_MARGIN`), in which case ``total_length`` is the
-    event location rather than the requested span.
+    event location rather than the requested span.  ``stats`` is set on
+    paths returned by :func:`integrate`.
     """
 
     s: np.ndarray
@@ -109,6 +136,7 @@ class GeodesicPath:
     g: np.ndarray
     escaped: bool
     total_length: float
+    stats: IntegrationStats | None = None
 
     @property
     def endpoint(self) -> GeodesicState:
@@ -139,7 +167,10 @@ class GeodesicPath:
 
 
 def geodesic_field(w: WarpFunction, state: GeodesicState) -> tuple[float, float, float, float]:
-    """Right-hand side (r', t', f', g') of the geodesic system at a state."""
+    """Right-hand side (r', t', f', g') of the geodesic system at a state.
+
+    This is the frame form; :func:`integrate` solves its Clairaut reduction.
+    """
     H = float(w.log_deriv(state.r))
     hr = float(w.h(state.r))
     return (
@@ -155,22 +186,28 @@ def integrate(
     init: GeodesicState,
     s_max: float,
     *,
-    rtol: float = 1e-10,
+    rtol: float = 5e-11,
     atol: float = 1e-12,
     n_samples: int = 129,
 ) -> GeodesicPath:
-    """Integrate the geodesic system from ``init`` up to arc length ``s_max``.
+    """Integrate the geodesic from ``init`` up to arc length ``s_max``.
 
-    DOP853 runs at ``rtol`` and ``atol`` with no cap on its step size.
+    The transverse momentum b = g/h(r) is conserved (Clairaut's integral),
+    so DOP853 solves the reduced system
+
+        r' = f,   t' = b h(r)^2,   f' = -b^2 h(r) h'(r),
+
+    at ``rtol`` and ``atol`` with no cap on its step size, and the returned
+    g is b h(r) on the samples: the momentum is exact by construction.  The
+    system conserves f^2 + b^2 h^2, and f is integrated rather than
+    recomputed from that energy, so the unit-speed drift
+    |f^2 + b^2 h^2 - 1| of the samples is the quality measure, reported
+    with the solver counts and the stop reason in ``stats``.
 
     Integration stops early, with ``escaped`` set, when the radius reaches
     either domain boundary to within :data:`ESCAPE_MARGIN`; the boundary
     crossing is located by the solver's root finder on the dense output and
     ``total_length`` is the arc length at the event.
-
-    The redundant 4-component system (r, t, f, g) is integrated, without
-    renormalizing (f, g), so that the unit-speed drift |f^2 + g^2 - 1| of
-    the returned samples remains observable as a quality measure.
 
     Raises
     ------
@@ -184,7 +221,7 @@ def integrate(
         raise ValueError(
             f"initial state is not unit speed: f^2+g^2 = {init.speed_sq!r}"
         )
-    w.domain.require(init.r)
+    b = init.g / w.h(init.r)
 
     events = []
 
@@ -203,42 +240,73 @@ def integrate(
         hit_upper.direction = 1
         events.append(hit_upper)
 
-    # Trial steps of the adaptive integrator may probe marginally past the
-    # terminal escape event; clamping r just inside the domain keeps those
-    # evaluations finite without affecting any state the solver actually
-    # keeps (the clamp engages beyond the event threshold).
-    lo = w.domain.lo + 0.25 * ESCAPE_MARGIN
-    hi = w.domain.hi - 0.25 * ESCAPE_MARGIN if math.isfinite(w.domain.hi) else math.inf
+    # Trial stages of the step that crosses the escape event probe past the
+    # boundary.  Where h h' is finite on the boundary (h = r or e^r at
+    # r = 0) the warp is evaluated there as written: its continuation keeps
+    # the force smooth across that step (h = r gives -b^2 r on both sides),
+    # so the step's dense output stays accurate.  Past a pole of h (1/r at
+    # r = 0, flat:2,5 at r = 5), and wherever the continuation is not
+    # finite (the root of a negative radius), r is clamped just inside the
+    # domain instead: there t' = b h^2 is huge, so the solver shrinks its
+    # step and resolves the layer next to the pole instead of stepping over
+    # it.  The clamp engages beyond the event threshold, so no state the
+    # solver keeps depends on it.
+    h, dh = w._h, w._dh  # raw evaluators: the probes leave the domain on purpose
+    inner_lo = w.domain.lo + 0.25 * ESCAPE_MARGIN
+    inner_hi = w.domain.hi - 0.25 * ESCAPE_MARGIN
 
-    # Trial stages of a rejected step can overshoot wildly near the escape
-    # event; their products may overflow before the step is discarded.
-    def rhs(s, y):
-        with np.errstate(all="ignore"):
-            r, _, f, g = y
-            r = min(max(r, lo), hi)
-            H = w.log_deriv_unchecked(r)
-            return [f, w.h_unchecked(r) * g, -g * g * H, f * g * H]
+    def extends(edge: float) -> bool:
+        return math.isfinite(h(np.float64(edge)) * dh(np.float64(edge)))
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(s_max)),
-        [init.r, init.t, init.f, init.g],
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        events=events,
-        dense_output=True,
-    )
+    # Evaluations on and past the boundary may divide by zero or take the
+    # root of a negative number; the clamp replaces those values, so their
+    # warnings carry no information.
+    with np.errstate(all="ignore"):
+        lo = -math.inf if extends(w.domain.lo) else inner_lo
+        hi = math.inf if extends(w.domain.hi) else inner_hi
+
+        def rhs(s, y):
+            r = y[0]
+            hr, dhr = h(r), dh(r)
+            if not (lo <= r <= hi and math.isfinite(hr * dhr)):
+                r = min(max(r, inner_lo), inner_hi)
+                hr, dhr = h(r), dh(r)
+            return [y[2], b * hr * hr, -b * b * hr * dhr]
+
+        sol = solve_ivp(
+            rhs,
+            (0.0, float(s_max)),
+            [init.r, init.t, init.f],
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+            events=events,
+            dense_output=True,
+        )
     if sol.status < 0:  # pragma: no cover - integrator failure safeguard
         raise RuntimeError(f"geodesic integration failed: {sol.message}")
 
     escaped = sol.status == 1
     s_end = float(sol.t[-1])
     grid = np.linspace(0.0, s_end, max(2, int(n_samples)))
-    r_v, t_v, f_v, g_v = sol.sol(grid)
-    # The event is located at lo + ESCAPE_MARGIN; interpolation noise may put
-    # the final sample a hair below it.  Clamp to keep states constructible.
-    r_v = np.maximum(r_v, w.domain.lo + 0.5 * ESCAPE_MARGIN)
+    r_v, t_v, f_v = sol.sol(grid)
+    # The event is located ESCAPE_MARGIN inside the boundary; interpolation
+    # noise may put the final sample a hair past it.  Clamp to keep states
+    # constructible and h inside its domain.
+    r_v = np.clip(r_v, w.domain.lo + 0.5 * ESCAPE_MARGIN, w.domain.hi - 0.5 * ESCAPE_MARGIN)
+    g_v = b * np.asarray(h(r_v), dtype=float)
+    if not escaped:
+        stop = "s_max"
+    elif sol.t_events[0].size:
+        stop = "escaped_lower"
+    else:
+        stop = "escaped_upper"
+    stats = IntegrationStats(
+        rhs_evals=int(sol.nfev),
+        accepted_steps=len(sol.t) - 1,
+        max_speed_drift=float(np.max(np.abs(f_v * f_v + g_v * g_v - 1.0))),
+        stop=stop,
+    )
     return GeodesicPath(
         s=grid,
         r=r_v,
@@ -247,6 +315,7 @@ def integrate(
         g=g_v,
         escaped=escaped,
         total_length=s_end,
+        stats=stats,
     )
 
 

@@ -96,6 +96,19 @@ class TestGeodesic:
         assert summary.startswith("# escaped=true length=")
         assert abs(float(summary.split("length=")[1]) - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("argv", [
+        # README's inward ray, and an h = r arch that ends at r -> 0.
+        ["--warp", "one_over_r", "geodesic", "1", "0", "3.141592653589793", "5"],
+        ["--warp", "r", "geodesic", "1", "0", "1", "5"],
+    ], ids=["one_over_r-inward", "r-arch"])
+    def test_escape_leaves_stderr_empty(self, argv):
+        # The escape step's trial stages probe past r = 0; none may reach
+        # the solver as NaN and print its RuntimeWarnings.
+        res = run_cli(*argv)
+        assert res.returncode == 0
+        assert res.stdout.strip().split("\n")[-1].startswith("# escaped=true length=")
+        assert res.stderr == ""
+
     def test_quarter_turn_endpoint(self):
         res = run_cli("--warp", "one_over_r", "geodesic", "1", "0", str(math.pi / 2), "1",
                       "--samples", "3")

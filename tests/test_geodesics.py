@@ -8,6 +8,7 @@ from warpgeo import (
     FlatGeodesic,
     GeodesicPath,
     GeodesicState,
+    IntegrationStats,
     Neg2Geodesic,
     escape_length,
     geodesic_field,
@@ -15,8 +16,12 @@ from warpgeo import (
     path_length,
     path_length_quadrature,
     transverse_unit_b_form,
+    warp_custom,
     warp_flat,
+    warp_one_over_r,
+    warp_r,
 )
+from warpgeo import geodesics
 
 
 class TestField:
@@ -92,11 +97,116 @@ class TestIntegrate:
             assert np.all(path.t == 1.3)
             assert np.max(np.abs(path.r - (r0 + path.s))) < 1e-9
 
+    @pytest.mark.parametrize("g0", [math.sin(math.pi), 1e-13])
+    def test_near_radial_escape_keeps_transverse_sweep(self, flat_warp, g0):
+        # h = 1/r: the ray passes the origin at distance p = |g0| and sweeps
+        # asin(p/r) - asin(p/r0); t' = b/r^2 grows 1e20-fold on the way in,
+        # a layer a step through the pole of 1/r at r = 0 would skip.
+        init = GeodesicState(1.0, 0.0, -math.sqrt(1.0 - g0 * g0), g0)
+        path = integrate(flat_warp, init, 5.0)
+        assert path.escaped
+        sweep = math.asin(g0 / path.r[-1]) - math.asin(g0)
+        assert sweep > 1e-6
+        assert abs(path.t[-1] - sweep) <= 1e-9
+
     def test_escape_at_upper_boundary(self):
         w = warp_flat(1.0, 5.0)  # domain (0, 5)
         path = integrate(w, GeodesicState(4.0, 0.0, 1.0, 0.0), 5.0)
         assert path.escaped
         assert path.total_length == pytest.approx(1.0, abs=1e-6)
+
+
+def _record_solutions(monkeypatch) -> list:
+    """Keep every scipy solution that ``integrate`` obtains."""
+    sols = []
+
+    def recording(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    real = geodesics.solve_ivp
+    monkeypatch.setattr(geodesics, "solve_ivp", recording)
+    return sols
+
+
+class TestIntegrationStats:
+    def test_neg2_escape(self, monkeypatch, neg2_warp):
+        sols = _record_solutions(monkeypatch)
+        init = GeodesicState.from_angle(1.0, 0.0, 1.0)
+        path = integrate(neg2_warp, init, 5.0)
+        st = path.stats
+        assert isinstance(st, IntegrationStats)
+        assert st.rhs_evals == sols[0].nfev
+        assert st.accepted_steps == len(sols[0].t) - 1
+        # The four-component system needed 785 evaluations for this ray.
+        assert st.rhs_evals <= 200
+        assert st.stop == "escaped_lower" and path.escaped
+        b = init.g / 1.0
+        drift = np.abs(path.f**2 + (b * path.r) ** 2 - 1.0)
+        assert st.max_speed_drift == float(drift.max())
+        assert 0.0 < st.max_speed_drift <= 1e-9
+
+    def test_flat_full_span(self, monkeypatch, flat_warp):
+        sols = _record_solutions(monkeypatch)
+        path = integrate(flat_warp, GeodesicState.from_angle(1.0, 0.0, 2.0), 5.0)
+        st = path.stats
+        assert st.rhs_evals == sols[0].nfev
+        assert st.accepted_steps == len(sols[0].t) - 1 > 0
+        assert st.stop == "s_max" and not path.escaped and path.total_length == 5.0
+        drift = np.abs(path.f**2 + path.g**2 - 1.0)
+        assert st.max_speed_drift == float(drift.max())
+        assert 0.0 < st.max_speed_drift <= 1e-9
+
+    def test_upper_escape(self):
+        path = integrate(warp_flat(1.0, 5.0), GeodesicState(4.0, 0.0, 1.0, 0.0), 5.0)
+        assert path.stats.stop == "escaped_upper"
+
+    def test_momentum_exact_by_construction(self, warp_family):
+        for w in warp_family.values():
+            init = GeodesicState.from_angle(1.0, 0.0, 2.0)
+            path = integrate(w, init, 1.5)
+            assert np.array_equal(path.g, init.g / w.h(1.0) * np.asarray(w.h(path.r)))
+
+
+# name: (warp, initial state).  Each escape step probes past r = 0.  h = r
+# is evaluated on its continuation; 1/r has a pole and np.sqrt an infinite
+# h' at 0, so both are clamped; r^1.5 continues smoothly across 0 but is NaN
+# below it, so its probes fall back to the clamp one by one.
+ESCAPING = {
+    "r": (warp_r(), GeodesicState.from_angle(1.0, 0.0, 1.0)),
+    "one_over_r": (warp_one_over_r(), GeodesicState(1.0, 0.0, -1.0, 0.0)),
+    "custom-sqrt": (
+        warp_custom(np.sqrt, lambda r: 0.5 / np.sqrt(r), domain=(0.0, math.inf)),
+        GeodesicState.from_angle(1.0, 0.0, 2.0),
+    ),
+    "custom-pow1.5": (
+        warp_custom(lambda r: r**1.5, lambda r: 1.5 * np.sqrt(r), domain=(0.0, math.inf)),
+        GeodesicState.from_angle(1.0, 0.0, 2.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPING))
+def test_right_hand_side_stays_finite(monkeypatch, name):
+    w, init = ESCAPING[name]
+    probes = []
+
+    def checking(fun, *args, **kwargs):
+        def checked(s, y):
+            out = fun(s, y)
+            probes.append(y[0])
+            assert all(math.isfinite(v) for v in out), (y, out)
+            return out
+
+        # At r = 0 exactly, 1/r and the root's derivative are infinite.
+        checked(0.0, np.array([0.0, 0.0, -1.0]))
+        return real(checked, *args, **kwargs)
+
+    real = geodesics.solve_ivp
+    monkeypatch.setattr(geodesics, "solve_ivp", checking)
+    path = integrate(w, init, 5.0)
+    assert path.escaped and min(probes[1:]) < 0.0
+    assert path.stats.max_speed_drift <= 1e-9
 
 
 class TestEscapeLength:

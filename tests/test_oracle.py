@@ -1,16 +1,36 @@
-"""Symbolic oracle, independent of the solver: the linearized Riccati families.
+"""Oracles independent of the solvers.
 
-With h = 1/u, the prescribed-curvature equation H' = H^2 + f for
-H = (log h)' becomes u'' + f u = 0.  sympy checks both equations for the
-closed-form u of each family, and the library's closed forms against 1/u.
+The linearized Riccati families: with h = 1/u, the prescribed-curvature
+equation H' = H^2 + f for H = (log h)' becomes u'' + f u = 0.  sympy checks
+both equations for the closed-form u of each family, and the library's
+closed forms against 1/u.
+
+Escape lengths: mpmath's Taylor-series ODE solver integrates the geodesic
+equation r'' = -b^2 h h' at 30 digits, and its root finder locates the arc
+length where r reaches ESCAPE_MARGIN, which :func:`escape_length` must match
+to 1e-10.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 sp = pytest.importorskip("sympy")
+mp = pytest.importorskip("mpmath")
 
-from warpgeo import analytic_flat, analytic_neg2  # noqa: E402
+from warpgeo import (  # noqa: E402
+    ESCAPE_MARGIN,
+    GeodesicState,
+    Neg2Geodesic,
+    analytic_flat,
+    analytic_neg2,
+    escape_length,
+    make_warp,
+    warp_custom,
+    warp_exp,
+    warp_r,
+)
 
 r = sp.symbols("r", positive=True)
 a0, a1, c0, c1, c2 = sp.symbols("a0 a1 c0 c1 c2", nonzero=True)
@@ -46,3 +66,60 @@ def test_library_closed_form_is_one_over_u(name):
     rs = np.linspace(0.2, 1.8, 9)
     h = sp.lambdify(r, (1 / u).subs(values), "numpy")(rs)
     np.testing.assert_allclose(np.asarray(w.h(rs)), h, rtol=1e-14, atol=0.0)
+
+
+# -- escape lengths against mpmath.odefun ---------------------------------------
+
+
+def mp_escape_length(h, h_dh, r0, angle, guess):
+    """Arc length at which the geodesic from (r0, angle) reaches r = ESCAPE_MARGIN.
+
+    ``h`` and ``h_dh`` (the product h h') are mpmath expressions of r; the
+    momentum is b = sin(angle)/h(r0) and r'' = -b^2 h h'.
+    """
+    with mp.workdps(30):
+        b = mp.sin(angle) / h(mp.mpf(r0))
+        sol = mp.odefun(lambda s, y: [y[1], -b * b * h_dh(y[0])], 0, [mp.mpf(r0), mp.cos(angle)])
+        return float(mp.findroot(lambda s: sol(s)[0] - ESCAPE_MARGIN, mp.mpf(guess)))
+
+
+# name: (warp, h, h h', r0, angle).  The np.sqrt warp has no finite
+# continuation past r = 0, so its escape step takes the clamped fallback.
+ESCAPES = {
+    "exp": (warp_exp(), mp.exp, lambda r: mp.exp(2 * r), 1.0, 2.5),
+    "neg2:1,1,1": (
+        make_warp("neg2:1,1,1"),
+        lambda r: r / (1 + r**3),
+        lambda r: r * (1 - 2 * r**3) / (1 + r**3) ** 3,
+        1.2,
+        2.2,
+    ),
+    "custom-sqrt": (
+        warp_custom(np.sqrt, lambda r: 0.5 / np.sqrt(r), domain=(0.0, math.inf)),
+        mp.sqrt,
+        lambda r: mp.mpf(0.5),
+        1.0,
+        2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPES))
+def test_escape_length_matches_mpmath(name):
+    w, h, h_dh, r0, angle = ESCAPES[name]
+    got = escape_length(w, GeodesicState.from_angle(r0, 0.0, angle), 50.0)
+    assert got is not None
+    assert abs(got - mp_escape_length(h, h_dh, r0, angle, got)) <= 1e-10
+
+
+def test_neg2_arch_escape_matches_mpmath_and_closed_form():
+    # h = r: r = sin(b s + asin(b r0))/b reaches ESCAPE_MARGIN asin(b m)/b
+    # before the end of the arch.
+    r0, angle = 1.0, 1.0
+    init = GeodesicState.from_angle(r0, 0.0, angle)
+    geo = Neg2Geodesic(r0=r0, t0=0.0, b=init.g / r0, sign=1.0)
+    closed = geo.arch()[1] - math.asin(geo.b * ESCAPE_MARGIN) / geo.b
+    got = escape_length(warp_r(), init, 50.0)
+    ref = mp_escape_length(lambda r: r, lambda r: r, r0, angle, got)
+    assert abs(ref - closed) <= 1e-13
+    assert abs(got - ref) <= 1e-10
