@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._dop853 import solve_ivp
 from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
@@ -63,13 +64,6 @@ ESCAPE_MARGIN = 1e-10
 
 # Maximum deviation of f^2 + g^2 from 1 accepted in an initial state.
 UNIT_SPEED_TOL = 1e-6
-
-
-# Exists for perfbench's tracer to patch; ROADMAP item 4 makes it a plain in-function import.
-def solve_ivp(*args, **kwargs):
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -105,15 +99,17 @@ class GeodesicState:
 class IntegrationStats:
     """How :func:`integrate` obtained a path, and how good it is.
 
-    ``rhs_evals`` and ``accepted_steps`` are the solver's right-hand-side
-    evaluations and accepted steps; ``max_speed_drift`` is the largest
-    |f^2 + b^2 h^2 - 1| over the returned samples; ``stop`` says why the
-    integration ended: ``"s_max"``, ``"escaped_lower"`` or
-    ``"escaped_upper"``.
+    ``rhs_evals``, ``accepted_steps`` and ``rejected_steps`` are the
+    solver's right-hand-side evaluations and accepted and rejected step
+    attempts, so rhs_evals = 2 + 15 accepted_steps + 12 rejected_steps;
+    ``max_speed_drift`` is the largest |f^2 + b^2 h^2 - 1| over the
+    returned samples; ``stop`` says why the integration ended:
+    ``"s_max"``, ``"escaped_lower"`` or ``"escaped_upper"``.
     """
 
     rhs_evals: int
     accepted_steps: int
+    rejected_steps: int
     max_speed_drift: float
     stop: str
 
@@ -197,7 +193,8 @@ def integrate(
 
         r' = f,   t' = b h(r)^2,   f' = -b^2 h(r) h'(r),
 
-    at ``rtol`` and ``atol`` with no cap on its step size, and the returned
+    at ``rtol`` and ``atol`` with no cap on its step size (the package's
+    own kernel, scipy's DOP853 on Python floats), and the returned
     g is b h(r) on the samples: the momentum is exact by construction.  The
     system conserves f^2 + b^2 h^2, and f is integrated rather than
     recomputed from that energy, so the unit-speed drift
@@ -228,7 +225,6 @@ def integrate(
     def hit_lower(s, y):
         return y[0] - (w.domain.lo + ESCAPE_MARGIN)
 
-    hit_lower.terminal = True
     hit_lower.direction = -1
     events.append(hit_lower)
 
@@ -236,7 +232,6 @@ def integrate(
         def hit_upper(s, y):
             return y[0] - (w.domain.hi - ESCAPE_MARGIN)
 
-        hit_upper.terminal = True
         hit_upper.direction = 1
         events.append(hit_upper)
 
@@ -252,6 +247,7 @@ def integrate(
     # it.  The clamp engages beyond the event threshold, so no state the
     # solver keeps depends on it.
     h, dh = w._h, w._dh  # raw evaluators: the probes leave the domain on purpose
+    f64 = np.float64
     inner_lo = w.domain.lo + 0.25 * ESCAPE_MARGIN
     inner_hi = w.domain.hi - 0.25 * ESCAPE_MARGIN
 
@@ -265,23 +261,19 @@ def integrate(
         lo = -math.inf if extends(w.domain.lo) else inner_lo
         hi = math.inf if extends(w.domain.hi) else inner_hi
 
+        # The solver's state is Python floats; the warp sees np.float64, as
+        # it would from an array, so r**1.5 at r < 0 gives nan, not a complex.
         def rhs(s, y):
-            r = y[0]
+            r = f64(y[0])
             hr, dhr = h(r), dh(r)
             if not (lo <= r <= hi and math.isfinite(hr * dhr)):
-                r = min(max(r, inner_lo), inner_hi)
+                r = f64(min(max(r, inner_lo), inner_hi))
                 hr, dhr = h(r), dh(r)
-            return [y[2], b * hr * hr, -b * b * hr * dhr]
+            return (y[2], b * hr * hr, -b * b * hr * dhr)
 
         sol = solve_ivp(
-            rhs,
-            (0.0, float(s_max)),
-            [init.r, init.t, init.f],
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            events=events,
-            dense_output=True,
+            rhs, (0.0, float(s_max)), (init.r, init.t, init.f),
+            rtol=rtol, atol=atol, events=events,
         )
     if sol.status < 0:  # pragma: no cover - integrator failure safeguard
         raise RuntimeError(f"geodesic integration failed: {sol.message}")
@@ -302,8 +294,9 @@ def integrate(
     else:
         stop = "escaped_upper"
     stats = IntegrationStats(
-        rhs_evals=int(sol.nfev),
+        rhs_evals=sol.nfev,
         accepted_steps=len(sol.t) - 1,
+        rejected_steps=sol.nrej,
         max_speed_drift=float(np.max(np.abs(f_v * f_v + g_v * g_v - 1.0))),
         stop=stop,
     )

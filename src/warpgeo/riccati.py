@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._dop853 import solve_ivp
 from .geometry import sectional_curvature
 from .warp import DOMAIN_MARGIN, WarpFunction, _constant, warp_flat, warp_neg2
 
@@ -96,41 +97,27 @@ _REFINE = 16
 _MAX_H_STEP = 1.0 / (4 * _REFINE)
 
 
-# Exists for perfbench's tracer to patch; ROADMAP item 4 makes it a plain in-function import.
-def solve_ivp(*args, **kwargs):
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
-
-
 def _integrate_side(f, r0, H0, r_end, rtol, atol):
-    """One-directional integration of u'' + f u = 0 from u = 1, u' = -H0.
+    """One-directional DOP853 integration of u'' + f u = 0 from u = 1,
+    u' = -H0, backward where ``r_end`` < r0.
 
     Returns the rows r, u, u' of the ascending samples from r0 to ``r_end``
     and the first zero of u between them (the blow-up of H = -u'/u) or
     None.  The samples stop short of that zero, where u falls to atol.
     """
 
+    f64 = np.float64
+
+    # The profile sees np.float64 radii, as it would from an array.
     def rhs(r, y):
-        return [y[1], -f(r) * y[0]]
+        return (y[1], -f(f64(r)) * y[0])
 
     def u_zero(r, y):
         return y[0]
 
-    u_zero.terminal = True
-
     # u can overflow before r_end (h underflows); the failure is raised.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (r0, r_end),
-            [1.0, -H0],
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            events=u_zero,
-            dense_output=True,
-        )
+        sol = solve_ivp(rhs, (r0, r_end), (1.0, -H0), rtol=rtol, atol=atol, events=[u_zero])
     if sol.status < 0:
         raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {sol.message}")
     blow = float(sol.t_events[0][0]) if sol.status == 1 else None

@@ -384,7 +384,8 @@ def warp_custom(
     """Wrap caller-supplied evaluators as a warp function.
 
     Missing derivatives are built by central differences with step
-    ``FD_STEP_SCALE * max(1, r)`` (1e-6 relative); the second difference
+    ``FD_STEP_SCALE * max(1, r)`` (1e-6 relative), for h' cut to half the
+    distance to the nearer domain edge; the second difference
     uses the square root of that step, which balances its rounding error
     (eps/step^2) against truncation.  The logarithmic derivative is
     dh(r)/h(r).  The domain must be an explicit open subinterval of
@@ -397,8 +398,12 @@ def warp_custom(
     supplied = (dh is not None, d2h is not None)
 
     if dh is None:
+        lo, hi = dom.lo, dom.hi
+
         def dh(r, _h=h):  # closure over the raw h
-            d = _fd_step(r, FD_STEP_SCALE)
+            # Both probes stay inside the domain: the step is at most half
+            # the distance to either edge.
+            d = np.minimum(_fd_step(r, FD_STEP_SCALE), 0.5 * np.minimum(r - lo, hi - r))
             return (_h(r + d) - _h(r - d)) / (2.0 * d)
 
     if d2h is None:

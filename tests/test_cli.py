@@ -228,6 +228,17 @@ class TestRiccati:
     def test_unknown_profile(self):
         assert run_cli("riccati", "cubic", "1", "1", "0.5", "3").returncode == 1
 
+    def test_overflowing_u_is_one_error_line(self):
+        # u = e^(r - 1) overflows near r = 710; the solver's step then
+        # shrinks below the spacing of the floats.
+        res = run_cli("riccati", "const:-1", "1", "-1", "0.5", "800")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == (
+            "warpgeo: error: u'' + f u = 0 not integrable from 1.0 to 800.0: "
+            "Required step size is less than spacing between numbers.\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [("const:-1", "1", "1", "0.5", "inf"), ("zero", "1", "nan", "0.5", "3"),

@@ -10,6 +10,8 @@ from warpgeo import (
     GeodesicState,
     IntegrationStats,
     Neg2Geodesic,
+    Point,
+    connect_flat,
     escape_length,
     geodesic_field,
     integrate,
@@ -117,7 +119,7 @@ class TestIntegrate:
 
 
 def _record_solutions(monkeypatch) -> list:
-    """Keep every scipy solution that ``integrate`` obtains."""
+    """Keep every solver solution that ``integrate`` obtains."""
     sols = []
 
     def recording(*args, **kwargs):
@@ -156,6 +158,18 @@ class TestIntegrationStats:
         drift = np.abs(path.f**2 + path.g**2 - 1.0)
         assert st.max_speed_drift == float(drift.max())
         assert 0.0 < st.max_speed_drift <= 1e-9
+
+    def test_counts_add_up_without_rejections(self, neg2_warp):
+        # Two evaluations start the solve (f0 and the initial step); an
+        # accepted step costs 12 stages and 3 for its dense output, a
+        # rejected attempt 12.
+        st = integrate(neg2_warp, GeodesicState.from_angle(1.0, 0.0, 1.0), 5.0).stats
+        assert (st.rhs_evals, st.accepted_steps, st.rejected_steps) == (152, 10, 0)
+
+    def test_counts_add_up_with_rejections(self):
+        st = connect_flat(Point(1.0, 0.0), Point(1.0, math.pi / 2)).path.stats
+        assert st.rejected_steps > 0
+        assert st.rhs_evals == 2 + 15 * st.accepted_steps + 12 * st.rejected_steps
 
     def test_upper_escape(self):
         path = integrate(warp_flat(1.0, 5.0), GeodesicState(4.0, 0.0, 1.0, 0.0), 5.0)
@@ -207,6 +221,21 @@ def test_right_hand_side_stays_finite(monkeypatch, name):
     path = integrate(w, init, 5.0)
     assert path.escaped and min(probes[1:]) < 0.0
     assert path.stats.max_speed_drift <= 1e-9
+
+
+def test_power_warp_probes_below_zero_as_nan():
+    # The solver keeps Python floats but hands the warp np.float64, so r**1.5
+    # at a probe r < 0 is nan (and clamped), not a complex number.
+    w, init = ESCAPING["custom-pow1.5"]
+    assert escape_length(w, init, 5.0) == pytest.approx(1.0535515232434798, abs=1e-12)
+
+
+def test_finite_difference_dh_escapes_like_exact_dh():
+    # The central difference of sqrt next to r = 0 stays inside the domain.
+    init = GeodesicState.from_angle(1.0, 0.0, 2.0)
+    fd = escape_length(warp_custom(np.sqrt, domain=(0.0, math.inf)), init, 5.0)
+    exact = escape_length(ESCAPING["custom-sqrt"][0], init, 5.0)
+    assert fd == pytest.approx(exact, abs=1e-9)
 
 
 class TestEscapeLength:

@@ -160,6 +160,13 @@ class TestCustomWarp:
             assert w.dh(r) == pytest.approx(math.cos(r), abs=1e-8)
             assert w.d2h(r) == pytest.approx(-math.sin(r), abs=1e-4)
 
+    def test_fd_step_stays_inside_domain(self):
+        # A step of 1e-6 at r = 5e-7 would probe sqrt at a negative radius.
+        w = warp_custom(np.sqrt, domain=(0.0, math.inf))
+        d = w.dh(5e-7)
+        assert math.isfinite(d) and d > 0.0
+        assert np.all(np.isfinite(w.dh(np.array([1e-8, 5e-7, 1.0]))))
+
     def test_supplied_derivatives_checked(self):
         with pytest.raises(ValueError, match="inconsistent"):
             warp_custom(
