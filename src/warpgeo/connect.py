@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
 from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, integrate
 from .geodesics import _flat_param, _flat_sweep
 from .warp import Point, WarpFunction, warp_one_over_r, warp_r
@@ -54,13 +55,6 @@ _SCAN_SEEDS = 64
 
 _FLAT = warp_one_over_r()
 _NEG2 = warp_r()
-
-
-# Exists for perfbench's tracer to patch; ROADMAP item 4 makes it a plain in-function import.
-def brentq(*args, **kwargs):
-    from scipy.optimize import brentq
-
-    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

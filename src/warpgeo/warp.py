@@ -384,10 +384,10 @@ def warp_custom(
     """Wrap caller-supplied evaluators as a warp function.
 
     Missing derivatives are built by central differences with step
-    ``FD_STEP_SCALE * max(1, r)`` (1e-6 relative), for h' cut to half the
-    distance to the nearer domain edge; the second difference
+    ``FD_STEP_SCALE * max(1, r)`` (1e-6 relative); the second difference
     uses the square root of that step, which balances its rounding error
-    (eps/step^2) against truncation.  The logarithmic derivative is
+    (eps/step^2) against truncation.  Both steps are cut to half the
+    distance to the nearer domain edge.  The logarithmic derivative is
     dh(r)/h(r).  The domain must be an explicit open subinterval of
     (0, inf).  Positivity of h and consistency of supplied derivatives (at
     relative tolerance ``CONSISTENCY_TOL``) are sampled unless ``check`` is
@@ -397,18 +397,19 @@ def warp_custom(
     step2 = math.sqrt(FD_STEP_SCALE)
     supplied = (dh is not None, d2h is not None)
 
-    if dh is None:
-        lo, hi = dom.lo, dom.hi
+    def step(r, scale):
+        # Both probes stay inside the domain: the step is at most half the
+        # distance to the nearer edge.
+        return np.minimum(_fd_step(r, scale), 0.5 * np.minimum(r - dom.lo, dom.hi - r))
 
+    if dh is None:
         def dh(r, _h=h):  # closure over the raw h
-            # Both probes stay inside the domain: the step is at most half
-            # the distance to either edge.
-            d = np.minimum(_fd_step(r, FD_STEP_SCALE), 0.5 * np.minimum(r - lo, hi - r))
+            d = step(r, FD_STEP_SCALE)
             return (_h(r + d) - _h(r - d)) / (2.0 * d)
 
     if d2h is None:
         def d2h(r, _h=h):
-            d = _fd_step(r, step2)
+            d = step(r, step2)
             return (_h(r + d) - 2.0 * _h(r) + _h(r - d)) / (d * d)
 
     w = WarpFunction(

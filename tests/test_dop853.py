@@ -1,5 +1,6 @@
 """The DOP853 kernel against scipy's solver, which it follows step for step.
 
+The tableau written out in the kernel must be scipy's, double for double.
 Each case runs the library with its solver calls recorded, solves every
 recorded problem again with ``scipy.integrate.solve_ivp`` and requires the
 same outcome and step counts (status, RHS evaluations, accepted steps, event
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from test_geodesics import ESCAPING
 
@@ -26,8 +28,28 @@ from warpgeo import (
     solve_prescribed,
     warp_one_over_r,
 )
+from warpgeo import _dop853
 
 TOL = 1e-12
+
+
+def _padded(rows, width: int) -> np.ndarray:
+    """Trimmed tableau rows as a square block, zero above the diagonal."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def test_tableau_is_scipys():
+    n = DOP853.n_stages
+    assert [len(row) for row in _dop853.A] == list(range(n))
+    assert [len(row) for row in _dop853.A_EXTRA] == list(range(n + 1, n + 4))
+    assert np.all(_padded(_dop853.A, n) == DOP853.A)
+    assert np.all(_padded(_dop853.A_EXTRA, DOP853.A_EXTRA.shape[1]) == DOP853.A_EXTRA)
+    for name in ("B", "C", "E3", "E5", "D", "C_EXTRA"):
+        ours, theirs = np.asarray(getattr(_dop853, name)), getattr(DOP853, name)
+        assert ours.shape == theirs.shape and np.all(ours == theirs), name
 
 
 def _with_scipy(monkeypatch, module, run) -> list:

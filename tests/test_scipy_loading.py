@@ -1,9 +1,11 @@
-"""scipy loads on first use.
+"""warpgeo runs without scipy.
 
-The commands that need no ODE or root finder run on numpy alone, and the
-three functions that load scipy stay module attributes that the solvers
-call through, because perfbench's tracer counts solver work by patching
-them.
+A child interpreter in which every scipy import fails runs every README
+command, the solver commands on both featured metrics and every demo, each
+with its usual exit status.  The three solver entry points stay module
+attributes that the solvers call through, because perfbench's tracer counts
+solver work by patching them; ``connect.brentq`` keeps scipy's
+``full_output`` record.
 """
 
 import json
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 import scipy.optimize
+from test_cli import README_COMMANDS, readme_exit_status
 
 from warpgeo import (
     GeodesicState,
@@ -28,61 +31,67 @@ from warpgeo import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Each step runs in one fresh interpreter, in this order, and reports the
-# scipy modules loaded so far and the CLI exit status.
+# One interpreter with scipy blocked (a None entry in sys.modules makes its
+# import raise) runs each step, a CLI argv or a demo script, and reports
+# the exit status and whether stderr shows a traceback or names scipy.
 CHILD = r"""
-import contextlib, io, json, math, sys
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-report = {}
-import warpgeo
-report["import warpgeo"] = [None, scipy_modules()]
+import contextlib, io, json, runpy, shlex, sys
+sys.modules["scipy"] = None
 import warpgeo.cli
-report["import warpgeo.cli"] = [None, scipy_modules()]
-for step, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = warpgeo.cli.main(argv)
-    report[step] = [code, scipy_modules()]
-print(json.dumps(report))
+
+def run(step):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            if step.endswith(".py"):
+                sys.argv = [step, "--out", "demo_output"]
+                runpy.run_path(step, run_name="__main__")
+                code = 0
+            else:
+                code = warpgeo.cli.main(shlex.split(step, comments=True)[1:])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+    return [code, "Traceback" in err.getvalue() or "scipy" in err.getvalue()]
+
+print(json.dumps({step: run(step) for step in json.loads(sys.argv[1])}))
 """
 
-COLD_STEPS = [
-    ("curvature", ["--warp", "one_over_r", "curvature", "1", "2", "5"]),
-    ("isometry", ["--warp", "r", "isometry", "1", "2"]),
-    ("blocked connect", ["connect", "1,0", f"1,{math.pi}"]),
-    ("horizontal connect", ["connect", "1,0", "2,0"]),
-    ("same-r sweep", ["--format", "csv", "sweep", "--same-r", "--r0", "1", "--dt", "0.5:7:14"]),
+SOLVER_COMMANDS = [
+    "warpgeo --warp r geodesic 1 0 2 5",
+    "warpgeo --warp r connect 1,0 2,0.5",
+    "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-1:1:5",
+    "warpgeo riccati const:-1 1 -1 0.5 800  # exit status 1: not integrable",
 ]
-FOUND_STEP = ("found connect", ["connect", "1,0", f"1,{math.pi / 2}"])
+DEMOS = sorted(str(p) for p in (ROOT / "demos").glob("*.py"))
 
 
-@pytest.fixture(scope="module")
-def cold_report():
+def _without_scipy(steps: list[str], cwd: Path) -> dict:
     env = dict(os.environ)
     env.pop("WARPGEO_CONFIG", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(COLD_STEPS + [FOUND_STEP])],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", CHILD, json.dumps(steps)],
+        capture_output=True, text=True, env=env, cwd=cwd, check=True,
     )
     return json.loads(proc.stdout)
 
 
-def test_cold_path_loads_no_scipy(cold_report):
-    expected_codes = {"blocked connect": 2}
-    for step in ["import warpgeo", "import warpgeo.cli"] + [s for s, _ in COLD_STEPS]:
-        code, loaded = cold_report[step]
-        assert loaded == [], step
-        if code is not None:
-            assert code == expected_codes.get(step, 0), step
+def test_cold_path_loads_no_scipy(tmp_path):
+    report = _without_scipy(README_COMMANDS + SOLVER_COMMANDS, tmp_path)
+    expected = {line: [readme_exit_status(line), False] for line in README_COMMANDS}
+    expected.update({line: [1 if "exit status 1" in line else 0, False]
+                     for line in SOLVER_COMMANDS})
+    assert report == expected
+    assert (tmp_path / "field.csv").stat().st_size > 0  # README's riccati --out
 
 
-def test_found_connect_loads_scipy(cold_report):
-    code, loaded = cold_report[FOUND_STEP[0]]
-    assert code == 0
-    assert "scipy.optimize" in loaded and "scipy.integrate" in loaded
+def test_demos_run_without_scipy(tmp_path):
+    report = _without_scipy(DEMOS, tmp_path)
+    assert len(report) == 5
+    assert report == {demo: [0, False] for demo in DEMOS}
+    assert len(list((tmp_path / "demo_output").glob("*.csv"))) == 18
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -127,7 +136,11 @@ def test_connect_calls_connect_brentq(monkeypatch, solver, p1):
 
 
 def test_brentq_full_output_is_scipys():
-    root, info = connect.brentq(lambda x: x * x - 2.0, 0.0, 2.0, full_output=True)
-    assert isinstance(info, scipy.optimize.RootResults)
+    args = (lambda x: x * x - 2.0, 0.0, 2.0)
+    root, info = connect.brentq(*args, full_output=True)
+    ref_root, ref = scipy.optimize.brentq(*args, full_output=True)
+    assert root == info.root == ref_root == ref.root
+    assert (info.iterations, info.function_calls, info.converged) == (
+        ref.iterations, ref.function_calls, ref.converged)
     assert info.converged and info.iterations > 0
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from warpgeo import (
     Point,
     WarpSpec,
     make_warp,
+    sectional_curvature,
     warp_custom,
     warp_flat,
     warp_neg2,
     warp_one_over_r,
     warp_r,
 )
+from warpgeo.warp import FD_STEP_SCALE
 
 
 class TestPoint:
@@ -166,6 +169,25 @@ class TestCustomWarp:
         d = w.dh(5e-7)
         assert math.isfinite(d) and d > 0.0
         assert np.all(np.isfinite(w.dh(np.array([1e-8, 5e-7, 1.0]))))
+
+    @pytest.mark.parametrize("r", [5e-4, 5e-7])
+    def test_second_difference_stays_inside_domain(self, r):
+        # The second difference's step of 1e-3 would probe sqrt at a negative
+        # radius; cut to r / 2, its error on sqrt is 9.04 % at every r.
+        w = warp_custom(np.sqrt, domain=(0.0, math.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d2 = w.d2h(r)
+            k = sectional_curvature(w, r)
+        assert math.isfinite(d2) and math.isfinite(k)
+        assert d2 == pytest.approx(-(r**-1.5) / 4, rel=0.1)
+
+    def test_second_difference_unclipped_step_unchanged(self):
+        w = warp_custom(np.sqrt, domain=(0.0, math.inf))
+        for r in (0.0025, 1.0, 7.5, np.array([0.5, 2.0, 40.0])):
+            d = math.sqrt(FD_STEP_SCALE) * np.maximum(1.0, r)
+            want = (np.sqrt(r + d) - 2.0 * np.sqrt(r) + np.sqrt(r - d)) / (d * d)
+            assert np.all(w.d2h(r) == want)
 
     def test_supplied_derivatives_checked(self):
         with pytest.raises(ValueError, match="inconsistent"):
