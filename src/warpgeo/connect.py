@@ -9,15 +9,20 @@ one geodesic (the chord, of length given by the law of cosines); for
 closed form: it shoots over the one-parameter geodesic family and lets a
 bracketing root-finder produce the connection, so the algebraic candidate
 formulas in :func:`flat_chord_candidates` can be adjudicated against it.
+Near |t1 - t0| = pi the connecting geodesic passes close to r = 0; once it
+would pass within the integrator's escape margin the replay cannot confirm
+it, and the result is ``search_exhausted``.
 
 For h = r (:func:`connect_neg2`) shooting works through the closed-form
-arches; :func:`connect_neg2_same_r` implements, separately, the classical
-same-radius candidate enumeration b s = 2 k pi with its pi r0 <= |dt|
-threshold.  The two operations intentionally disagree below that threshold:
-the enumeration's candidates close up only at formula level (their
-trajectories cross r = 0, leaving the half plane), while honest shooting
-finds in-chart connections through the apex branch for every transverse
-separation.  See the docstrings for details.
+arches.  Both solvers run one scan-bracket-replay routine over an angle of
+the geodesic at one endpoint, in which the transverse gain is smooth over
+the whole family.  :func:`connect_neg2_same_r` implements, separately, the
+classical same-radius candidate enumeration b s = 2 k pi with its
+pi r0 <= |dt| threshold.  The two operations intentionally disagree below
+that threshold: the enumeration's candidates close up only at formula level
+(their trajectories cross r = 0, leaving the half plane), while honest
+shooting finds in-chart connections through the apex branch for every
+transverse separation.  See the docstrings for details.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
-from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, integrate
-from .geodesics import _flat_param, _flat_sweep
+from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, _flat_param, integrate
 from .warp import Point, WarpFunction, warp_one_over_r, warp_r
 
 __all__ = [
@@ -52,6 +56,12 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 _SCAN_SEEDS = 64
+
+# Arch phases scanned by connect_neg2: asin(x) on the rising half and
+# pi - asin(x) on the falling half, with x spread over 16 decades so that
+# both very small and very large transverse gaps are bracketed.
+_RISE = [math.asin(x) for x in np.geomspace(1e-16, 1.0, _SCAN_SEEDS)]
+_FALL = sorted({math.pi - x for x in _RISE})
 
 _FLAT = warp_one_over_r()
 _NEG2 = warp_r()
@@ -123,53 +133,74 @@ def _check_distinct(p0: Point, p1: Point) -> None:
         raise ValueError("the two points must be distinct")
 
 
-def _replay(
-    w: WarpFunction, init: GeodesicState, s: float, p1: Point, tol: float
-) -> GeodesicPath | None:
-    """Integrate a shot and return its path if it ends within ``tol`` of p1.
+def _shoot(
+    w: WarpFunction, p0: Point, p1: Point, tol: float, gain, start, nodes: list[float]
+) -> tuple[list[tuple[float, float, float, GeodesicPath]], int]:
+    """Shoot from p0 to p1 over a one-parameter family of geodesics.
 
-    A missed replay is retried once with a tighter integrator: near the
-    half-turn wall a flat geodesic whips around a turning radius of order
-    (pi - |dt|) r, which the default tolerances cannot follow.
+    ``gain(x)`` is the closed-form arc length s and transverse gain |dt| of
+    the family member x at the radius of p1, and ``start(x)`` its initial
+    (f, |g|) at p0.  Every sign change of the gain miss over ``nodes`` is
+    bracketed and refined; roots with s <= 1e-12 and repeats are dropped, and
+    each remaining root is replayed once through the integrator, which must
+    end within ``tol`` of p1 in both coordinates.  Returns the confirmed
+    shots (s, x, f0, path) sorted by s, and the number of gain evaluations.
     """
-    for opts in ({}, {"rtol": 1e-12, "atol": 1e-14}):
-        path = integrate(w, init, s, **opts)
+    target = abs(p1.t - p0.t)
+    mirror = math.copysign(1.0, p1.t - p0.t)
+    evals = 0
+
+    def miss(x):
+        nonlocal evals
+        evals += 1
+        return gain(x)[1] - target
+
+    vals = [miss(x) for x in nodes]
+    roots = []
+    for x0, x1, v0, v1 in zip(nodes, nodes[1:], vals, vals[1:]):
+        if not (math.isfinite(v0) and math.isfinite(v1)):
+            continue
+        if v0 == 0.0:
+            roots.append(x0)
+        elif v0 * v1 < 0.0:
+            roots.append(brentq(miss, x0, x1, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+
+    confirmed = []
+    last_s = None
+    for s, x in sorted((gain(x)[0], x) for x in roots):
+        if s <= 1e-12 or (last_s is not None and s - last_s <= 1e-9 * max(1.0, s)):
+            continue
+        last_s = s
+        f0, g0 = start(x)
+        path = integrate(w, GeodesicState(p0.r, p0.t, f0, mirror * g0), s)
         end = path.endpoint
         if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
-            return path
-    return None
+            confirmed.append((s, x, f0, path))
+    return confirmed, evals
 
 
 # -- flat metric (h = 1/r) ----------------------------------------------------
-
-
-def _flat_sweep_angle(s, r0: float, r1: float):
-    """Transverse sweep of the flat-family geodesic whose chord length is s.
-
-    The family parameter follows from the radial relation
-    s^2 + 2 a s + r0^2 = r1^2, and the sweep is the continuous angle of
-    :class:`FlatGeodesic`.  On s in (|r1 - r0|, r0 + r1) the parameter stays
-    in (-r0, r0) and the sweep increases strictly from 0 to pi.
-    """
-    return _flat_sweep(s, r0, _flat_param(s, r0, r1))
 
 
 def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResult:
     """Solve the two-point problem for the h = 1/r metric.
 
     Equal transverse coordinates give the horizontal segment.  For
-    0 < |t1 - t0| < pi the connection is obtained by root-finding over the
-    chord length (the one-parameter shooting family), after a sign-bracketing
-    scan; the result is replayed through the integrator and must hit the
-    target within ``tol`` in both coordinates.  For |t1 - t0| >= pi the
-    transverse sweep of the whole family stays below pi, and the result is
-    ``no_geodesic`` with reason ``threshold_violated``.
+    0 < |t1 - t0| < pi the connection is obtained by shooting over the
+    angle psi in (0, pi) that the geodesic makes at the inner point with
+    the inward radial direction.  With k = r_in/r_out and
+    q = asin(k sin psi), the angle at the outer point, the transverse sweep
+    pi - psi - q falls from pi to 0, so one bracket holds the root; the
+    shot is replayed through the integrator and must hit the target within
+    ``tol`` in both coordinates.  For |t1 - t0| >= pi the transverse sweep
+    of the whole family stays below pi, and the result is ``no_geodesic``
+    with reason ``threshold_violated``.
 
-    Resolution note: gaps within roughly 1e-7 of pi put the solution beyond
-    what double precision can represent in the family parameter (the
-    geodesic's turning radius shrinks like pi - |dt|); such targets return
-    ``search_exhausted``, an honest "not found" rather than a nonexistence
-    claim.
+    Resolution note: the connecting geodesic passes the origin at a
+    distance of about (pi - |dt|) r0 r1 / (r0 + r1).  When that perihelion
+    falls inside the integrator's :data:`~warpgeo.geodesics.ESCAPE_MARGIN`
+    the replay escapes, and the result is ``search_exhausted``, an honest
+    "not found" rather than a nonexistence claim.
 
     Raises
     ------
@@ -177,8 +208,8 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
         If the points coincide.
     """
     _check_distinct(p0, p1)
-    r0, t0, r1, t1 = p0.r, p0.t, p1.r, p1.t
-    dt = t1 - t0
+    r0, r1 = p0.r, p1.r
+    dt = p1.t - p0.t
     if dt == 0.0:
         return ConnectResult(
             variant="horizontal", length=abs(r1 - r0), sign=0.0, in_chart=True
@@ -186,57 +217,31 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     if abs(dt) >= math.pi:
         return ConnectResult(variant="no_geodesic", reason="threshold_violated")
 
-    target = abs(dt)
-    sigma = 1.0 if dt > 0 else -1.0
-    s_lo, s_hi = abs(r1 - r0), r0 + r1
-    span = s_hi - s_lo
-    # The sweep approaches its limits 0 and pi like a square root of the
-    # distance to the endpoints, so the guard pad is kept at float
-    # resolution and extra seeds cluster geometrically near both ends;
-    # targets closer to pi than the resolution wall (~1e-8) exhaust the
-    # scan and are reported as such.
-    pad = max(4.0 * np.spacing(s_hi), span * 1e-16)
+    r_in, r_out = min(r0, r1), max(r0, r1)
+    k = r_in / r_out
 
-    # Sign-bracketing scan; the law-of-cosines candidate is inserted among
-    # the seeds so a refined bracket surrounds it when it is the true root.
-    seed = math.sqrt(max(r0 * r0 + r1 * r1 - 2.0 * r0 * r1 * math.cos(dt), 0.0))
-    grid = np.linspace(s_lo + pad, s_hi - pad, _SCAN_SEEDS)
-    edge = span * np.float_power(10.0, -np.arange(3.0, 16.0))
-    grid = np.concatenate([grid, s_lo + edge, s_hi - edge, [seed]])
-    grid = np.unique(np.clip(grid, s_lo + pad, s_hi - pad))
-    vals = _flat_sweep_angle(grid, r0, r1) - target
-    evals = grid.size
+    def gain(psi):
+        q = math.asin(k * math.sin(psi))
+        return r_in * math.cos(psi) + r_out * math.cos(q), math.pi - psi - q
 
-    def residual(s):
-        nonlocal evals
-        evals += 1
-        return float(_flat_sweep_angle(s, r0, r1)) - target
+    def start(psi):
+        if r0 <= r1:
+            return -math.cos(psi), math.sin(psi)
+        q = math.asin(k * math.sin(psi))
+        return -math.cos(q), math.sin(q)
 
-    # First seed that is a root or opens a sign change to its successor.
-    brackets = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    if brackets.size == 0:  # pragma: no cover - the sweep is monotone onto (0, pi)
+    confirmed, evals = _shoot(_FLAT, p0, p1, tol, gain, start, [0.0, math.pi])
+    if not confirmed:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
         )
-    i = brackets[0]
-    if vals[i] == 0.0:
-        s_star = grid[i]
-    else:
-        s_star = brentq(residual, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16, maxiter=200)
-
-    a = max(-r0 + 1e-300, min(r0 - 1e-300, _flat_param(s_star, r0, r1)))
-    geo = FlatGeodesic(r0=r0, t0=t0, a=a, sign=sigma)
-    path = _replay(_FLAT, geo.initial_state(), s_star, p1, tol)
-    if path is None:
-        return ConnectResult(
-            variant="no_geodesic", reason="search_exhausted", iterations=evals
-        )
+    s, _, f0, path = confirmed[0]
     return ConnectResult(
         variant="found",
-        length=s_star,
-        s=s_star,
-        param=a,
-        sign=sigma,
+        length=s,
+        s=s,
+        param=r0 * f0,
+        sign=math.copysign(1.0, dt),
         path=path,
         in_chart=True,
         iterations=evals,
@@ -362,39 +367,18 @@ def projected_distance(p0: Point, p1: Point, alpha: float) -> float:
 # -- h = r metric -------------------------------------------------------------
 
 
-def _neg2_arrival(b: float, r0: float, r1: float, branch: str) -> tuple[float, float]:
-    """Arc length and transverse gain when the arch first reaches r1.
-
-    ``branch`` distinguishes the three ways a closed-form arch can meet the
-    target radius: descending directly (initial inward motion), ascending
-    past it, or coming back down after the apex.
-    """
-    phi0 = math.asin(min(1.0, b * r0))
-    psi1 = math.asin(min(1.0, b * r1))
-    if branch == "direct_down":
-        sigma, psi = -1.0, psi1
-    elif branch == "ascending":
-        sigma, psi = 1.0, psi1
-    elif branch == "over_apex":
-        sigma, psi = 1.0, math.pi - psi1
-    else:  # pragma: no cover
-        raise ValueError(branch)
-    s = sigma * (psi - phi0) / b
-    dt = s / (2.0 * b) - sigma * (math.sin(2.0 * psi) - math.sin(2.0 * phi0)) / (
-        4.0 * b * b
-    )
-    return s, dt
-
-
 def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResult:
     """Best-effort two-point solver for the h = r metric.
 
     Horizontal pairs use the horizontal ray.  Otherwise the solver shoots
-    over the conserved transverse momentum b of the closed-form arches,
-    bracketing the transverse miss on each arrival branch (direct descent,
-    ascent, and return past the apex) and confirming every hit by replaying
-    the integrator.  The shortest confirmed connection is returned, the rest
-    as ``alternates``.  ``search_exhausted`` is an honest "not found", not a
+    over the phase theta in (0, pi) of the closed-form arch at the outer
+    point, where the conserved transverse momentum is b = sin(theta)/r_out.
+    Below pi/2 the arch meets the outer point while rising (an ascent from
+    the inner point, or a direct descent from the outer one); above pi/2 it
+    has passed the apex.  The transverse miss is bracketed over the whole
+    phase range, every hit is confirmed by replaying the integrator, and
+    the shortest confirmed connection is returned, the rest as
+    ``alternates``.  ``search_exhausted`` is an honest "not found", not a
     nonexistence proof.
 
     Note: because the apex branch sweeps every positive transverse gap, a
@@ -404,84 +388,50 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     docstring).
     """
     _check_distinct(p0, p1)
-    r0, t0, r1, t1 = p0.r, p0.t, p1.r, p1.t
-    dt = t1 - t0
-    if dt == 0.0:
+    r0, r1 = p0.r, p1.r
+    if p1.t == p0.t:
         return ConnectResult(
             variant="horizontal", length=abs(r1 - r0), sign=0.0, in_chart=True
         )
-    target = abs(dt)
-    mirror = 1.0 if dt > 0 else -1.0
+    r_in, r_out = min(r0, r1), max(r0, r1)
 
-    evals = 0
-    hits: list[tuple[float, float, float]] = []  # (s, b, sigma)
+    # With u = 1/b = r_out/sin(theta), finite on (0, pi) where b may
+    # underflow: s = (theta - phi) u and the gain is
+    # s u/2 - (sin 2 theta - sin 2 phi) u^2/4, phi the inner point's phase.
+    def arch(theta):
+        u = r_out / math.sin(theta)
+        return u, math.asin(min(1.0, r_in / u))
 
-    def scan_branch(branch: str, b_hi: float) -> None:
-        nonlocal evals
-        if branch == "direct_down" and not r1 < r0:
-            return
-        if branch == "ascending" and not r1 > r0:
-            return
+    def gain(theta):
+        u, phi = arch(theta)
+        s = (theta - phi) * u
+        return s, (s - (math.sin(2.0 * theta) - math.sin(2.0 * phi)) * u / 2.0) * u / 2.0
 
-        def miss(b):
-            nonlocal evals
-            evals += 1
-            return _neg2_arrival(b, r0, r1, branch)[1] - target
+    def start(theta):
+        u, phi = arch(theta)
+        return (math.cos(phi) if r0 <= r1 else -math.cos(theta)), r0 / u
 
-        # The apex gain grows like 1/b^2 for small b while direct arrivals
-        # shrink linearly, so sample b logarithmically across many decades
-        # to bracket both very large and very small transverse gaps.
-        grid = np.geomspace(b_hi * 1e-16, b_hi, _SCAN_SEEDS)
-        vals = [miss(b) for b in grid]
-        for x0, x1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-            if not (math.isfinite(v0) and math.isfinite(v1)):
-                continue
-            if v0 == 0.0:
-                b_root = x0
-            elif v0 * v1 < 0.0:
-                b_root = brentq(miss, x0, x1, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-            else:
-                continue
-            s_root, _ = _neg2_arrival(b_root, r0, r1, branch)
-            if s_root > 1e-12:
-                sigma = -1.0 if branch == "direct_down" else 1.0
-                hits.append((s_root, b_root, sigma))
-
-    b_cap = 1.0 / max(r0, r1)
-    scan_branch("direct_down", 1.0 / r0)
-    scan_branch("ascending", b_cap)
-    scan_branch("over_apex", b_cap)
-
-    confirmed: list[tuple[float, float, float, GeodesicPath]] = []
-    last_s = None
-    for s_root, b_root, sigma in sorted(hits):
-        if last_s is not None and abs(s_root - last_s) <= 1e-9 * max(1.0, s_root):
-            continue  # the same geodesic found from both sides of a branch glue
-        last_s = s_root
-        f0 = sigma * math.sqrt(max(0.0, 1.0 - (b_root * r0) ** 2))
-        g0 = mirror * b_root * r0
-        path = _replay(_NEG2, GeodesicState(r0, t0, f0, g0), s_root, p1, tol)
-        if path is not None:
-            confirmed.append((s_root, b_root, sigma, path))
-
+    # Equal radii have no rising arrival: it would have zero length.
+    nodes = _FALL if r0 == r1 else _RISE[:-1] + _FALL
+    confirmed, evals = _shoot(_NEG2, p0, p1, tol, gain, start, nodes)
     if not confirmed:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
         )
-    s_best, b_best, sig_best, path_best = confirmed[0]
-    alternates = tuple(
-        GeodesicHit(s=s, param=b, sign=sig, length=s) for s, b, sig, _ in confirmed[1:]
-    )
+    hits = [
+        GeodesicHit(s=s, param=math.sin(x) / r_out, sign=math.copysign(1.0, f0), length=s)
+        for s, x, f0, _ in confirmed
+    ]
     return ConnectResult(
         variant="found",
-        length=s_best,
-        s=s_best,
-        param=b_best,
-        sign=sig_best,
-        path=path_best,
+        length=hits[0].s,
+        s=hits[0].s,
+        param=hits[0].param,
+        sign=hits[0].sign,
+        path=confirmed[0][3],
         in_chart=True,
         iterations=evals,
-        alternates=alternates,
+        alternates=tuple(hits[1:]),
     )
 
 

@@ -161,6 +161,20 @@ class TestConnect:
         with open(target) as fh:
             assert fh.readline().strip() == "s,r,t,f,g"
 
+    def test_near_half_turn_found(self):
+        res = run_cli("connect", "4,0", "0.5,3.1415926")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["variant"] == "found"
+
+    @pytest.mark.parametrize("t1", ["2.9604205", "2.960420506177634", "2.96042051"])
+    def test_neg2_gap_near_apex_arrival_found(self, t1):
+        # (1, 0) to (2, 2 pi/3 + sqrt(3)/2): the arch reaches r = 2 at its apex.
+        res = run_cli("--warp", "r", "connect", "1,0", f"2,{t1}")
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert doc["variant"] == "found"
+        assert doc["s"] == pytest.approx(2.0 * math.pi / 3.0, abs=1e-7)
+
     def test_identical_points_usage_error(self):
         res = run_cli("connect", "1,0", "1,0")
         assert res.returncode == 1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from warpgeo import (
+    DEFAULT_TOL,
+    ESCAPE_MARGIN,
     FlatGeodesic,
     Point,
     chord_angle,
@@ -15,6 +17,7 @@ from warpgeo import (
     projected_distance,
     same_r_candidates,
 )
+from warpgeo import connect as connect_module
 
 
 def euclid_chord(p0: Point, p1: Point) -> float:
@@ -46,8 +49,8 @@ class TestConnectFlat:
     def test_quarter_turn_solution(self):
         res = connect_flat(Point(1.0, 0.0), Point(1.0, math.pi / 2.0))
         assert res.variant == "found"
-        assert res.s == pytest.approx(math.sqrt(2.0), abs=1e-10)
-        assert res.param == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-10)
+        assert res.s == math.sqrt(2.0)
+        assert res.param == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-15)
         assert res.sign == 1.0
 
     def test_identical_points_rejected(self):
@@ -85,17 +88,59 @@ class TestConnectFlat:
             res = connect_flat(p0, p1)
             assert res.length == pytest.approx(euclid_chord(p0, p1), abs=1e-9)
 
-    def test_array_sweep_matches_scalar_reference(self, rng):
-        # connect_flat scans its seeds with one array call; the bracket and
-        # the iteration count stay those of a per-seed scalar loop only if
-        # the two agree bit for bit.
-        from warpgeo.connect import _flat_sweep_angle
+    def test_near_half_turn_target(self):
+        # The chord passes r = 0 at about 0.44 (pi - dt) = 2.4e-8.
+        p0, p1 = Point(4.0, 0.0), Point(0.5, 3.1415926)
+        res = connect_flat(p0, p1)
+        assert res.variant == "found"
+        assert res.s == pytest.approx(euclid_chord(p0, p1), abs=1e-12)
 
-        for _ in range(50):
-            r0, r1 = rng.uniform(0.05, 8.0, size=2)
-            grid = np.sort(rng.uniform(abs(r1 - r0), r0 + r1, size=97))
-            scalar = [float(_flat_sweep_angle(x, r0, r1)) for x in grid]
-            assert _flat_sweep_angle(grid, r0, r1).tolist() == scalar
+    def test_near_half_turn_found_outside_escape_margin(self, rng):
+        # The connecting chord passes the origin at a distance of about
+        # gap r0 r1 / (r0 + r1).  Outside the integrator's escape margin the
+        # connection is found; inside it the replay escapes and the verdict
+        # is search_exhausted, never an error.
+        verdicts = set()
+        for _ in range(80):
+            r0, r1 = rng.uniform(0.2, 5.0, size=2)
+            gap = 10.0 ** rng.uniform(-10.0, -6.0)
+            res = connect_flat(Point(r0, 0.0), Point(r1, math.pi - gap))
+            perihelion = gap * r0 * r1 / (r0 + r1)
+            if perihelion > 2.0 * ESCAPE_MARGIN:
+                assert res.variant == "found"
+            elif perihelion < 0.5 * ESCAPE_MARGIN:
+                assert res.reason == "search_exhausted"
+            verdicts.add(res.variant)
+        assert verdicts == {"found", "no_geodesic"}
+
+    @pytest.mark.parametrize("decade", [-9, -8, -7])
+    def test_small_gaps_to_half_turn_match_law_of_cosines(self, decade, rng):
+        mp = pytest.importorskip("mpmath")
+        for _ in range(15):
+            r0, r1 = rng.uniform(0.5, 5.0, size=2)
+            t0 = rng.uniform(-3.0, 3.0)
+            gap = 10.0 ** rng.uniform(decade, decade + 1)
+            p0 = Point(r0, t0)
+            p1 = Point(r1, t0 + float(rng.choice([-1.0, 1.0])) * (math.pi - gap))
+            res = connect_flat(p0, p1)
+            assert res.variant == "found"
+            with mp.workdps(30):
+                a, b = mp.mpf(p0.r), mp.mpf(p1.r)
+                chord = mp.sqrt(a * a + b * b - 2 * a * b * mp.cos(mp.mpf(p1.t) - p0.t))
+                assert abs(res.s - chord) <= 1e-12
+
+    def test_escape_margin_edge_replays_once(self, monkeypatch):
+        # README's target 3.2e-15 short of a half turn: the chord would pass
+        # r = 0 well inside the escape margin.  One replay escapes, and the
+        # verdict is an honest search_exhausted.
+        calls = []
+        replay = connect_module.integrate
+        monkeypatch.setattr(
+            connect_module, "integrate", lambda *a, **kw: calls.append(kw) or replay(*a, **kw)
+        )
+        res = connect_flat(Point(1.0, 0.0), Point(1.0, 3.14159265358979))
+        assert res.reason == "search_exhausted"
+        assert calls == [{}]
 
 
 class TestChordCandidates:
@@ -335,6 +380,30 @@ class TestConnectNeg2:
     def test_identical_points_rejected(self):
         with pytest.raises(ValueError):
             connect_neg2(Point(1.0, 0.0), Point(1.0, 0.0))
+
+    def test_huge_radii_exhaust_cleanly(self):
+        # At r ~ 1e200 the gain of the flattest arches overflows; the scan
+        # skips those nodes instead of bracketing through infinities.
+        res = connect_neg2(Point(1e200, 0.0), Point(2e200, 1.0))
+        assert res.reason == "search_exhausted"
+
+    @pytest.mark.parametrize("r0, r1", [(1.0, 2.0), (2.0, 1.0)])
+    def test_gaps_near_the_apex_arrival(self, r0, r1):
+        # The arch with b = 1/r_out meets the outer point at its apex; it
+        # separates the rising arrivals from the over-apex ones.  There the
+        # phase asin(b r_out) has infinite slope in b, but the gain is
+        # smooth in the phase.  For (1, 2) that gap is 2 pi/3 + sqrt(3)/2.
+        r_in, r_out = min(r0, r1), max(r0, r1)
+        phi = math.asin(r_in / r_out)
+        s_apex = (math.pi / 2.0 - phi) * r_out
+        apex_gap = (s_apex + math.sin(2.0 * phi) * r_out / 2.0) * r_out / 2.0
+        for offset in [0.0] + [sign * 10.0**e for e in range(-12, -5) for sign in (-1, 1)]:
+            p1 = Point(r1, apex_gap + offset)
+            res = connect_neg2(Point(r0, 0.0), p1)
+            assert res.variant == "found"
+            assert res.s == pytest.approx(s_apex, abs=1e-5)
+            end = res.path.endpoint
+            assert abs(end.r - p1.r) <= DEFAULT_TOL and abs(end.t - p1.t) <= DEFAULT_TOL
 
 
 class TestTranslationInvariance:

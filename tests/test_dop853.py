@@ -113,7 +113,7 @@ def test_escaping_ray(monkeypatch, name):
 
 
 def test_flat_replay_at_retry_tolerances(monkeypatch):
-    # The tolerances of connect's second replay; the shot whips around a
+    # Kernel parity at tight tolerances, where the shot whips around a
     # turning radius of 0.14.
     init = FlatGeodesic(r0=1.0, t0=0.0, a=-0.99).initial_state()
     run = lambda: integrate(warp_one_over_r(), init, 3.0, rtol=1e-12, atol=1e-14)  # noqa: E731
