@@ -134,17 +134,18 @@ def _check_distinct(p0: Point, p1: Point) -> None:
 
 
 def _shoot(
-    w: WarpFunction, p0: Point, p1: Point, tol: float, gain, start, nodes: list[float]
+    w: WarpFunction, p0: Point, p1: Point, tol: float, shot, nodes: list[float]
 ) -> tuple[list[tuple[float, float, float, GeodesicPath]], int]:
     """Shoot from p0 to p1 over a one-parameter family of geodesics.
 
-    ``gain(x)`` is the closed-form arc length s and transverse gain |dt| of
-    the family member x at the radius of p1, and ``start(x)`` its initial
+    ``shot(x)`` returns the closed-form arc length s and transverse gain
+    |dt| of the family member x at the radius of p1, and its initial
     (f, |g|) at p0.  Every sign change of the gain miss over ``nodes`` is
-    bracketed and refined; roots with s <= 1e-12 and repeats are dropped, and
-    each remaining root is replayed once through the integrator, which must
-    end within ``tol`` of p1 in both coordinates.  Returns the confirmed
-    shots (s, x, f0, path) sorted by s, and the number of gain evaluations.
+    bracketed and refined to a few ulps of x; zero-length roots and repeats
+    are dropped, and each remaining root is replayed once through the
+    integrator, which must end within ``tol`` of p1 in both coordinates.
+    Returns the confirmed shots (s, x, f0, path) sorted by s, and the
+    number of gain evaluations.
     """
     target = abs(p1.t - p0.t)
     mirror = math.copysign(1.0, p1.t - p0.t)
@@ -153,7 +154,7 @@ def _shoot(
     def miss(x):
         nonlocal evals
         evals += 1
-        return gain(x)[1] - target
+        return shot(x)[1] - target
 
     vals = [miss(x) for x in nodes]
     roots = []
@@ -163,15 +164,15 @@ def _shoot(
         if v0 == 0.0:
             roots.append(x0)
         elif v0 * v1 < 0.0:
-            roots.append(brentq(miss, x0, x1, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+            roots.append(brentq(miss, x0, x1, xtol=1e-300, rtol=8.9e-16, maxiter=200))
 
     confirmed = []
     last_s = None
-    for s, x in sorted((gain(x)[0], x) for x in roots):
-        if s <= 1e-12 or (last_s is not None and s - last_s <= 1e-9 * max(1.0, s)):
+    shots = sorted((s, x, f0, g0) for x in roots for s, _, f0, g0 in [shot(x)])
+    for s, x, f0, g0 in shots:
+        if s <= 0.0 or (last_s is not None and s - last_s <= 1e-9 * max(1.0, s)):
             continue
         last_s = s
-        f0, g0 = start(x)
         path = integrate(w, GeodesicState(p0.r, p0.t, f0, mirror * g0), s)
         end = path.endpoint
         if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
@@ -187,14 +188,14 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
 
     Equal transverse coordinates give the horizontal segment.  For
     0 < |t1 - t0| < pi the connection is obtained by shooting over the
-    angle psi in (0, pi) that the geodesic makes at the inner point with
-    the inward radial direction.  With k = r_in/r_out and
-    q = asin(k sin psi), the angle at the outer point, the transverse sweep
-    pi - psi - q falls from pi to 0, so one bracket holds the root; the
-    shot is replayed through the integrator and must hit the target within
-    ``tol`` in both coordinates.  For |t1 - t0| >= pi the transverse sweep
-    of the whole family stays below pi, and the result is ``no_geodesic``
-    with reason ``threshold_violated``.
+    elevation x in (-pi/2, pi/2) of the geodesic at the inner point, the
+    angle between it and the circle r = r_in, positive outward.  The
+    transverse sweep falls from pi at x = -pi/2 to 0 at x = pi/2, so one
+    of two brackets, split at x = 0, holds the root; the shot is replayed
+    through the integrator and must hit the target within ``tol`` in both
+    coordinates.  For |t1 - t0| >= pi the transverse sweep of the whole
+    family stays below pi, and the result is ``no_geodesic`` with reason
+    ``threshold_violated``.
 
     Resolution note: the connecting geodesic passes the origin at a
     distance of about (pi - |dt|) r0 r1 / (r0 + r1).  When that perihelion
@@ -217,20 +218,26 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     if abs(dt) >= math.pi:
         return ConnectResult(variant="no_geodesic", reason="threshold_violated")
 
+    # With the inner point at radius r_in and the chord leaving it at
+    # elevation x, the chord reaches r_out after s, where
+    # s^2 + 2 c s = d for c = r_in sin(x) and d = r_out^2 - r_in^2; e = c + s
+    # is r_out times the outward radial speed there.  Each form of s below
+    # is free of cancellation on its side of x = 0, and the scan splits
+    # there: for equal radii the sweep is 0 for all x >= 0, and a bracket
+    # straddling that kink would converge only linearly.
     r_in, r_out = min(r0, r1), max(r0, r1)
-    k = r_in / r_out
+    d = (r_out - r_in) * (r_out + r_in)
 
-    def gain(psi):
-        q = math.asin(k * math.sin(psi))
-        return r_in * math.cos(psi) + r_out * math.cos(q), math.pi - psi - q
-
-    def start(psi):
+    def shot(x):
+        c = r_in * math.sin(x)
+        e = math.hypot(math.sqrt(d), c)
+        s = e - c if c <= 0.0 else d / (e + c)
+        sweep = math.atan2(s * math.cos(x), r_in + s * math.sin(x))
         if r0 <= r1:
-            return -math.cos(psi), math.sin(psi)
-        q = math.asin(k * math.sin(psi))
-        return -math.cos(q), math.sin(q)
+            return s, sweep, math.sin(x), math.cos(x)
+        return s, sweep, -e / r_out, r_in * math.cos(x) / r_out
 
-    confirmed, evals = _shoot(_FLAT, p0, p1, tol, gain, start, [0.0, math.pi])
+    confirmed, evals = _shoot(_FLAT, p0, p1, tol, shot, [-math.pi / 2.0, 0.0, math.pi / 2.0])
     if not confirmed:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
@@ -398,22 +405,16 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     # With u = 1/b = r_out/sin(theta), finite on (0, pi) where b may
     # underflow: s = (theta - phi) u and the gain is
     # s u/2 - (sin 2 theta - sin 2 phi) u^2/4, phi the inner point's phase.
-    def arch(theta):
+    def shot(theta):
         u = r_out / math.sin(theta)
-        return u, math.asin(min(1.0, r_in / u))
-
-    def gain(theta):
-        u, phi = arch(theta)
+        phi = math.asin(min(1.0, r_in / u))
         s = (theta - phi) * u
-        return s, (s - (math.sin(2.0 * theta) - math.sin(2.0 * phi)) * u / 2.0) * u / 2.0
-
-    def start(theta):
-        u, phi = arch(theta)
-        return (math.cos(phi) if r0 <= r1 else -math.cos(theta)), r0 / u
+        gain = (s - (math.sin(2.0 * theta) - math.sin(2.0 * phi)) * u / 2.0) * u / 2.0
+        return s, gain, (math.cos(phi) if r0 <= r1 else -math.cos(theta)), r0 / u
 
     # Equal radii have no rising arrival: it would have zero length.
     nodes = _FALL if r0 == r1 else _RISE[:-1] + _FALL
-    confirmed, evals = _shoot(_NEG2, p0, p1, tol, gain, start, nodes)
+    confirmed, evals = _shoot(_NEG2, p0, p1, tol, shot, nodes)
     if not confirmed:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals

@@ -166,6 +166,14 @@ class TestConnect:
         assert res.returncode == 0
         assert json.loads(res.stdout)["variant"] == "found"
 
+    def test_equal_radii_small_gap_found(self):
+        res = run_cli("connect", "1,0", "1,2e-8")
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert doc["variant"] == "found"
+        assert doc["s"] == pytest.approx(2e-8, rel=1e-15)
+        assert doc["param"] == pytest.approx(-1e-8, rel=1e-12)
+
     @pytest.mark.parametrize("t1", ["2.9604205", "2.960420506177634", "2.96042051"])
     def test_neg2_gap_near_apex_arrival_found(self, t1):
         # (1, 0) to (2, 2 pi/3 + sqrt(3)/2): the arch reaches r = 2 at its apex.
