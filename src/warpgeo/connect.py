@@ -221,10 +221,11 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     # With the inner point at radius r_in and the chord leaving it at
     # elevation x, the chord reaches r_out after s, where
     # s^2 + 2 c s = d for c = r_in sin(x) and d = r_out^2 - r_in^2; e = c + s
-    # is r_out times the outward radial speed there.  Each form of s below
-    # is free of cancellation on its side of x = 0, and the scan splits
-    # there: for equal radii the sweep is 0 for all x >= 0, and a bracket
-    # straddling that kink would converge only linearly.
+    # is r_out times the outward radial speed there (hypot, because c^2
+    # underflows at the tiniest gaps).  Each form of s below is free of
+    # cancellation on its side of x = 0, and the scan splits there: for
+    # equal radii the sweep is 0 for all x >= 0, and a bracket straddling
+    # that kink would converge only linearly.
     r_in, r_out = min(r0, r1), max(r0, r1)
     d = (r_out - r_in) * (r_out + r_in)
 
@@ -237,7 +238,8 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
             return s, sweep, math.sin(x), math.cos(x)
         return s, sweep, -e / r_out, r_in * math.cos(x) / r_out
 
-    confirmed, evals = _shoot(_FLAT, p0, p1, tol, shot, [-math.pi / 2.0, 0.0, math.pi / 2.0])
+    nodes = [-math.pi / 2.0, 0.0, math.pi / 2.0]
+    confirmed, evals = _shoot(_FLAT, p0, p1, tol, shot, nodes)
     if not confirmed:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals

@@ -138,11 +138,11 @@ class TestConnectFlat:
         # The chord 2 r sin(dt/2) leaves the inner point at an elevation of
         # -dt/2, which the solver resolves to a few ulps however small dt is.
         mp = pytest.importorskip("mpmath")
-        for dt in np.geomspace(1e-12, 1e-6, 25):
-            res = connect_flat(Point(r, 0.0), Point(r, float(dt)))
+        for dt in [1e-300, 1e-100, 1e-16, *np.geomspace(1e-12, 1e-6, 25).tolist()]:
+            res = connect_flat(Point(r, 0.0), Point(r, dt))
             assert res.variant == "found"
             with mp.workdps(30):
-                chord = 2 * mp.mpf(r) * mp.sin(mp.mpf(float(dt)) / 2)
+                chord = 2 * mp.mpf(r) * mp.sin(mp.mpf(dt) / 2)
                 assert abs(res.s - chord) <= 1e-15 * chord
             assert res.param == pytest.approx(-res.s / 2.0, rel=1e-12)
 
