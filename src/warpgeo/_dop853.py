@@ -174,13 +174,7 @@ class DenseSolution:
         else:
             seg = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
         x = ((t - t_old[seg]) / h[seg])[:, None]
-        coef = F[seg]
-        y = np.zeros((len(t), coef.shape[2]))
-        for i in range(7):
-            y += coef[:, 6 - i]
-            y *= x if i % 2 == 0 else 1 - x
-        y += y_old[seg]
-        return y.T
+        return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
 
 
 def _stage_array(K: list) -> np.ndarray:
@@ -197,20 +191,22 @@ def _stage_array(K: list) -> np.ndarray:
     return np.asfortranarray(K)
 
 
-def _interpolant(t_old: float, h: float, y_old: list, F: list):
-    """Scalar dense output of one step, for the event root finder."""
+def _interpolate(x, y_old, rows):
+    """The DOP853 interpolation polynomial at x = (t - t_old)/h from a step's
+    start ``y_old`` and its seven coefficient ``rows``, on floats (events) or
+    arrays (samples) by the same operations, so the two agree bit for bit."""
+    y = 0.0
+    for i in range(7):
+        y = (y + rows[6 - i]) * (x if i % 2 == 0 else 1 - x)
+    return y + y_old
+
+
+def _segment_at(segment: tuple, t: float) -> list:
+    """State at ``t`` on one step's interpolant, as the event root finder sees it."""
+    t_old, h, y_old, F = segment
+    x = (t - t_old) / h
     n = len(y_old)
-    rows = [F[i * n:(i + 1) * n] for i in reversed(range(7))]
-
-    def at(t):
-        x = (t - t_old) / h
-        y = [0.0] * n
-        for i, row in enumerate(rows):
-            w = x if i % 2 == 0 else 1 - x
-            y = [(yj + fj) * w for yj, fj in zip(y, row)]
-        return [yj + y0 for yj, y0 in zip(y, y_old)]
-
-    return at
+    return [_interpolate(x, y0, F[j::n]) for j, y0 in enumerate(y_old)]
 
 
 def _rms(v) -> float:
@@ -289,7 +285,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # true for a nan step too
                 status, message = -1, TOO_SMALL_STEP
                 break
             t_new = t + h_abs * direction
@@ -351,18 +347,17 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         for row in np.dot(D, _stage_array(K).T).tolist():
             F += [h * v for v in row]
 
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        segment = (t, h, y, F)
+        t_old, t, y, f = t, t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
         if events:
             g_new = [ev(t, y) for ev in events]
             active = _active(g, g_new, directions)
             if active:
-                at = _interpolant(t_old, h, y_old, F)
                 roots = [
-                    (brentq(lambda s, ev=events[i]: ev(s, at(s)), t_old, t,
-                            xtol=4 * EPS, rtol=4 * EPS), i)
+                    (brentq(lambda s, ev=events[i]: ev(s, _segment_at(segment, s)),
+                            t_old, t, xtol=4 * EPS, rtol=4 * EPS), i)
                     for i in active
                 ]
                 pick = min if direction > 0 else max
@@ -373,7 +368,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         if len(ts) > 1 and ts[-1] == t:
             continue  # an event root on the previous step end adds no segment
         ts.append(t)
-        segments.append((t_old, h, y_old, F))
+        segments.append(segment)
 
     return Solution(
         status=status,

@@ -143,9 +143,9 @@ def _shoot(
     (f, |g|) at p0.  Every sign change of the gain miss over ``nodes`` is
     bracketed and refined to a few ulps of x; zero-length roots and repeats
     are dropped, and each remaining root is replayed once through the
-    integrator, which must end within ``tol`` of p1 in both coordinates.
-    Returns the confirmed shots (s, x, f0, path) sorted by s, and the
-    number of gain evaluations.
+    integrator, which must succeed and end within ``tol`` of p1 in both
+    coordinates.  Returns the confirmed shots (s, x, f0, path) sorted by s,
+    and the number of gain evaluations.
     """
     target = abs(p1.t - p0.t)
     mirror = math.copysign(1.0, p1.t - p0.t)
@@ -173,7 +173,11 @@ def _shoot(
         if s <= 0.0 or (last_s is not None and s - last_s <= 1e-9 * max(1.0, s)):
             continue
         last_s = s
-        path = integrate(w, GeodesicState(p0.r, p0.t, f0, mirror * g0), s)
+        init = GeodesicState(p0.r, p0.t, f0, mirror * g0)
+        try:
+            path = integrate(w, init, s)
+        except ValueError:  # the step size underflowed: nothing to confirm
+            continue
         end = path.endpoint
         if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
             confirmed.append((s, x, f0, path))

@@ -6,10 +6,10 @@ first-order system
 
     r' = f,   t' = h(r) g,   f' = -g^2 H(r),   g' = f g H(r),
 
-with H = h'/h (:func:`geodesic_field`).  Every metric dr^2 + dt^2/h(r)^2 is
-invariant under the translations t -> t + c, so the transverse momentum
-b = g/h(r) is conserved (Clairaut's integral).  :func:`integrate` therefore
-solves the reduced system
+with H = h'/h.  Every metric dr^2 + dt^2/h(r)^2 is invariant under the
+translations t -> t + c, so the transverse momentum b = g/h(r) is conserved
+(Clairaut's integral).  :func:`integrate` therefore solves the reduced
+system
 
     r' = f,   t' = b h(r)^2,   f' = -b^2 h(r) h'(r),
 
@@ -34,7 +34,6 @@ Closed-form families are provided for the two featured warps:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ __all__ = [
     "GeodesicState",
     "IntegrationStats",
     "GeodesicPath",
-    "geodesic_field",
     "integrate",
     "escape_length",
     "path_length",
@@ -140,41 +138,21 @@ class GeodesicPath:
             float(self.r[-1]), float(self.t[-1]), float(self.f[-1]), float(self.g[-1])
         )
 
-    def to_csv(self, target) -> None:
-        """Write rows (s, r, t, f, g) with a one-line header.
-
-        ``target`` may be a path or an open text file.  Values carry 17
-        significant digits so a double round-trips losslessly.
-        """
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
-            fh.write("s,r,t,f,g\n")
-            for row in zip(self.s, self.r, self.t, self.f, self.g):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if own:
-                fh.close()
+    def to_csv(self, path) -> None:
+        """Write :meth:`to_csv_string` to the file at ``path``."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.to_csv_string())
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        """Rows (s, r, t, f, g) under a one-line header.
 
-
-def geodesic_field(w: WarpFunction, state: GeodesicState) -> tuple[float, float, float, float]:
-    """Right-hand side (r', t', f', g') of the geodesic system at a state.
-
-    This is the frame form; :func:`integrate` solves its Clairaut reduction.
-    """
-    H = float(w.log_deriv(state.r))
-    hr = float(w.h(state.r))
-    return (
-        state.f,
-        hr * state.g,
-        -state.g * state.g * H,
-        state.f * state.g * H,
-    )
+        Values carry 17 significant digits so a double round-trips
+        losslessly.
+        """
+        rows = zip(self.s, self.r, self.t, self.f, self.g)
+        return "s,r,t,f,g\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows
+        )
 
 
 def integrate(
@@ -210,7 +188,8 @@ def integrate(
     ------
     ValueError
         If ``init`` violates the unit-speed constraint by more than
-        :data:`UNIT_SPEED_TOL`, or ``s_max`` is not positive.
+        :data:`UNIT_SPEED_TOL`, ``s_max`` is not positive, or the step size
+        underflows (the message is the solver's).
     """
     if s_max <= 0.0:
         raise ValueError("s_max must be positive")
@@ -275,8 +254,8 @@ def integrate(
             rhs, (0.0, float(s_max)), (init.r, init.t, init.f),
             rtol=rtol, atol=atol, events=events,
         )
-    if sol.status < 0:  # pragma: no cover - integrator failure safeguard
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
+    if sol.status < 0:
+        raise ValueError(f"geodesic integration failed: {sol.message}")
 
     escaped = sol.status == 1
     s_end = float(sol.t[-1])

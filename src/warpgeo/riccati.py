@@ -226,7 +226,6 @@ def verify_riccati(
     the pass/fail verdict against ``tol``.
     """
     grid = np.asarray(grid, dtype=float)
-    w.domain.require(grid)
     residual = np.abs(np.asarray(sectional_curvature(w, grid)) - np.asarray(profile.f(grid)))
     max_res = float(np.max(residual)) if grid.size else 0.0
     return RiccatiReport(

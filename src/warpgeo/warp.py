@@ -475,9 +475,12 @@ def make_warp(
     spec: WarpSpec | str,
     *,
     domain: tuple[float, float] | Domain | None = None,
-    check: bool = True,
 ) -> WarpFunction:
     """Build a warp function from a spec (or its string form).
+
+    h is sampled to confirm positivity, and the derivative evaluators are
+    cross-checked by central differences at relative tolerance
+    ``CONSISTENCY_TOL``.
 
     Parameters
     ----------
@@ -486,10 +489,6 @@ def make_warp(
         ``"flat:2,5"``.
     domain
         Optional restriction; intersected with the family's natural domain.
-    check
-        h is always sampled to confirm positivity.  When ``check`` is true
-        (default), the derivative evaluators are also cross-checked by
-        central differences at relative tolerance ``CONSISTENCY_TOL``.
 
     Raises
     ------
@@ -503,4 +502,4 @@ def make_warp(
     if domain is not None:
         dom = domain if isinstance(domain, Domain) else Domain(*domain)
         w = replace(w, domain=w.domain.intersect(dom))
-    return _validate(w, check_dh=check, check_d2h=check)
+    return _validate(w, check_dh=True, check_d2h=True)

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ)
     env.pop("WARPGEO_CONFIG", None)
     # An absolute source path, so the package imports from any cwd.
@@ -21,7 +21,7 @@ def run_cli(*args, env_extra=None, cwd=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, cwd=cwd
+        CLI + list(args), capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout
     )
 
 
@@ -109,6 +109,16 @@ class TestGeodesic:
         assert res.stdout.strip().split("\n")[-1].startswith("# escaped=true length=")
         assert res.stderr == ""
 
+    def test_failed_solve_is_one_error_line(self):
+        # At r = 1e200 the ray's initial derivative and step are nan, and the
+        # solver stops on them; the timeout fails a hang instead of the suite.
+        res = run_cli("--warp", "one_over_r", "geodesic", "1e200", "0", "2", "1e200",
+                      timeout=60)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("warpgeo: error: geodesic integration failed: ")
+        assert res.stderr.count("\n") == 1
+
     def test_quarter_turn_endpoint(self):
         res = run_cli("--warp", "one_over_r", "geodesic", "1", "0", str(math.pi / 2), "1",
                       "--samples", "3")
@@ -131,6 +141,14 @@ class TestConnect:
         doc = json.loads(res.stdout)
         assert doc["variant"] == "no_geodesic"
         assert doc["reason"] == "threshold_violated"
+
+    def test_huge_radii_exhaust_without_hanging(self):
+        # The replay's solver fails at r = 1e200; that shot is unconfirmed.
+        # The timeout fails a hang instead of the suite.
+        res = run_cli("connect", "1e200,0", "1e200,1", timeout=60)
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["reason"] == "search_exhausted"
+        assert res.stderr == ""
 
     def test_horizontal_exit_code(self):
         res = run_cli("connect", "1,0", "2,0")

@@ -159,6 +159,17 @@ class TestConnectFlat:
         assert res.reason == "search_exhausted"
         assert not any(kw for kw in calls)
 
+    @pytest.mark.parametrize("solver", [connect_flat, connect_neg2])
+    def test_failed_replay_is_unconfirmed(self, monkeypatch, solver):
+        # A replay whose solver fails (its step size underflows) confirms
+        # nothing; the verdict is search_exhausted, not the solver's error.
+        def failing(*args, **kwargs):
+            raise ValueError("geodesic integration failed")
+
+        monkeypatch.setattr(connect_module, "integrate", failing)
+        res = solver(Point(1.0, 0.0), Point(1.0, 1.0))
+        assert res.reason == "search_exhausted"
+
 
 class TestChordCandidates:
     def test_quarter_turn_versions_coincide(self):

@@ -11,6 +11,10 @@ sums, and so does the next step size.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +116,49 @@ def test_escaping_ray(monkeypatch, name):
         _assert_same(sol, ref, same_steps=name != "custom-sqrt")
 
 
-def test_flat_replay_at_retry_tolerances(monkeypatch):
+@pytest.mark.parametrize("name", sorted(ESCAPING))
+def test_event_location_and_dense_output_share_the_interpolant(monkeypatch, name):
+    # The root finder evaluates a step's interpolant on floats, the samples
+    # on arrays; both must give the same doubles, or an event root would
+    # not be where the returned path crosses the boundary.
+    w, init = ESCAPING[name]
+    sols = []
+    kernel = geodesics.solve_ivp
+
+    def recording(*args, **kwargs):
+        sols.append(kernel(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(geodesics, "solve_ivp", recording)
+    integrate(w, init, 5.0)
+    (sol,) = sols
+    assert sol.status == 1
+    ts, segments = sol.sol._lists
+    picked = sorted({0, len(segments) // 2, len(segments) - 1})
+    for segment in (segments[k] for k in picked):
+        t_old, h = segment[:2]
+        for t in (t_old + x * h for x in (0.125, 0.5, 0.875)):
+            assert _dop853._segment_at(segment, t) == sol.sol(np.array([t]))[:, 0].tolist()
+
+
+def test_nan_initial_step_ends_the_solve():
+    # A nan derivative gives a nan initial step, which no comparison with
+    # the minimum step rejects.  The solve must stop with scipy's message;
+    # the child process turns a hang into a failure.
+    code = (
+        "import math; from warpgeo._dop853 import solve_ivp; "
+        "sol = solve_ivp(lambda t, y: (math.nan,), (0.0, 1.0), (1.0,), rtol=1e-6, atol=1e-9); "
+        "print(sol.status, sol.message)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.stdout == f"-1 {_dop853.TOO_SMALL_STEP}\n"
+
+
+def test_parity_at_tight_tolerances(monkeypatch):
     # Kernel parity at tight tolerances, where the shot whips around a
     # turning radius of 0.14.
     init = FlatGeodesic(r0=1.0, t0=0.0, a=-0.99).initial_state()

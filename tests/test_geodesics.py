@@ -13,7 +13,6 @@ from warpgeo import (
     Point,
     connect_flat,
     escape_length,
-    geodesic_field,
     integrate,
     path_length,
     path_length_quadrature,
@@ -24,27 +23,6 @@ from warpgeo import (
     warp_r,
 )
 from warpgeo import geodesics
-
-
-class TestField:
-    def test_horizontal_ray_flat(self, flat_warp):
-        ds = geodesic_field(flat_warp, GeodesicState(1.0, 0.0, 1.0, 0.0))
-        assert ds == (1.0, 0.0, 0.0, 0.0)
-
-    def test_vertical_shot_flat(self, flat_warp):
-        # H(1) = -1 for h = 1/r, so the radial acceleration is +g^2.
-        ds = geodesic_field(flat_warp, GeodesicState(1.0, 0.0, 0.0, 1.0))
-        assert ds == (0.0, 1.0, 1.0, 0.0)
-
-    def test_transverse_rest_is_equilibrium(self, warp_family):
-        for w in warp_family.values():
-            ds = geodesic_field(w, GeodesicState(1.5, 0.7, 1.0, 0.0))
-            assert ds[2] == 0.0 and ds[3] == 0.0
-
-    def test_outside_domain(self):
-        w = warp_flat(1.0, 5.0)
-        with pytest.raises(DomainError):
-            geodesic_field(w, GeodesicState(6.0, 0.0, 1.0, 0.0))
 
 
 class TestIntegrate:

@@ -16,8 +16,8 @@ PUBLIC_NAMES = (
     "analytic_flat", "analytic_neg2", "apply_J", "chord_angle", "classify",
     "connect_flat", "connect_neg2", "connect_neg2_same_r", "connection",
     "constant_profile", "cr_residual", "curvature_oracle", "distance_flat",
-    "escape_length", "flat_chord_candidates", "frame_components", "geodesic_field",
-    "integrate", "inverse_square_profile", "kahler_form", "make_warp", "metric_at",
+    "escape_length", "flat_chord_candidates", "frame_components", "integrate",
+    "inverse_square_profile", "kahler_form", "make_warp", "metric_at",
     "path_length", "path_length_quadrature", "projected_distance",
     "pullback_residual", "same_r_candidates", "sectional_curvature",
     "solve_prescribed", "transitivity_witness", "transverse_unit_b_form",
@@ -39,7 +39,7 @@ def test_every_name_resolves_to_its_module_binding():
 
 
 def test_no_public_name_lost():
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 62
     assert set(PUBLIC_NAMES) <= set(warpgeo.__all__)
     assert {"DEFAULT_TOL", "UNIT_SPEED_TOL"} <= set(warpgeo.__all__)
 
