@@ -10,23 +10,26 @@ tableau is written out below and events are located by the Brent port in
 scipy runs the method on numpy arrays: for the two- and three-component
 systems of this package most of its time goes to numpy calls on tiny
 arrays, the ``fun`` wrappers and one interpolant object per step.  Here the
-state is a list of floats, every stage sum is one ``sum(map(mul, ...))``
-over a column of stages, and only the three sums that close a step (the
+state is a list of floats and the stages are straight-line float code, as
+in Hairer's ``dop853.f``: every stage argument is one expression over the
+nonzero tableau entries, written out per component.  That source is
+generated from the tableau the first time a state size is solved (see
+:func:`_stage_functions`).  Only the three sums that close a step (the
 solution update, the error estimate and the interpolation coefficients)
-call numpy, as scipy does (see :func:`_stage_array`).
+call numpy, as scipy does, on the same stage array.
 
 The values agree with scipy's to rounding.  The steps agree as far as the
 error estimate does: where it is rounding rather than truncation error (the
 path is a polynomial the method integrates exactly) and the stages are not
 exact, the order of the stage sums picks the next step size, and the two
-step sequences part.
+step sequences part.  Every sum here is written out left to right, so the
+steps do not depend on how the Python version rounds the built-in ``sum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -55,7 +58,7 @@ MESSAGES = {
 # decimal.  Row s of A holds the coefficients of stage s on the s stages
 # before it (A[0] is empty) and C[s] its node; A_EXTRA and C_EXTRA are the
 # three dense-output stages 13-15 in the same layout.  The weights B, E5, E3
-# and D go to numpy's dot as arrays, as in scipy (see :func:`_stage_array`).
+# and D go to numpy's dot as arrays, as in scipy (see :func:`solve_ivp`).
 A = (
     (),
     (0.05260015195876773,),
@@ -120,8 +123,7 @@ D = np.array([
      -149.72683625798564],
 ])
 
-_STAGES = tuple(zip(A[1:], C[1:]))
-_EXTRA = tuple(zip(A_EXTRA, C_EXTRA))
+_STAGE_CODE: dict = {}  # state size -> (stages, extra), see _stage_functions
 
 
 @dataclass(frozen=True)
@@ -177,18 +179,42 @@ class DenseSolution:
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
 
 
-def _stage_array(K: list) -> np.ndarray:
-    """The stages (one column list per component) laid out as the transpose
-    of scipy's stage array, so ``np.dot`` takes the path it takes in scipy.
+def _stage_functions(n: int) -> tuple:
+    """The stage functions for an ``n``-component state, compiled on first use.
 
-    A linear solution has exact stages, and then the rounding of the sums
-    over them is all that differs between implementations: the error
-    estimate (pure rounding) sets the next step, the solution update and the
-    interpolation coefficients set the samples and event roots.  numpy's dot
-    rounds in its own order, with fused multiply-adds, so these final sums
-    of a step go through it; the stage sums before them need not.
+    ``stages(fun, t, h, y, f)`` returns the rows of stages 0-11 of a step
+    and ``extra(fun, t, h, y, ks)`` the dense-output stages 13-15 from the
+    rows of stages 0-12.  Stage s evaluates ``fun`` at
+    ``y_j + (A[s][0] * k0_j + ... ) * h`` per component j, a left-to-right
+    sum over the nonzero entries of its tableau row.
     """
-    return np.asfortranarray(K)
+    if n not in _STAGE_CODE:
+        def names(s):
+            return "".join(f"k{s}_{j}, " for j in range(n))
+
+        def rows(stop, start=0):
+            return ", ".join(f"[{names(s)}]" for s in range(start, stop))
+
+        def stage(s, a, c):
+            args = ", ".join(
+                f"y{j} + (" + " + ".join(f"{x!r} * k{i}_{j}" for i, x in enumerate(a) if x) + ") * h"
+                for j in range(n))
+            return f"{names(s)}= map(float, fun(t + {c!r} * h, [{args}]))"
+
+        ys = "".join(f"y{j}, " for j in range(n)) + "= y"
+        lines = [
+            "def stages(fun, t, h, y, f):", ys, f"{names(0)}= f",
+            *(stage(s, A[s], C[s]) for s in range(1, 12)),
+            f"return [{rows(12)}]",
+            "def extra(fun, t, h, y, ks):", ys, f"{rows(13)}, = ks",
+            *(stage(13 + s, a, c) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA))),
+            f"return [{rows(16, 13)}]",
+        ]
+        src = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in lines)
+        namespace: dict = {}
+        exec(compile(src, f"<DOP853 stages, n={n}>", "exec"), namespace)
+        _STAGE_CODE[n] = namespace["stages"], namespace["extra"]
+    return _STAGE_CODE[n]
 
 
 def _interpolate(x, y_old, rows):
@@ -210,7 +236,10 @@ def _segment_at(segment: tuple, t: float) -> list:
 
 
 def _rms(v) -> float:
-    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total) / len(v) ** 0.5
 
 
 def _initial_step(fun, t0, y, f, t_bound, direction, rtol, atol) -> float:
@@ -247,6 +276,7 @@ def _active(g, g_new, directions) -> list[int]:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` (either direction) by DOP853.
 
@@ -255,6 +285,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     first root, located on the step's interpolant by ``brentq`` with
     ``xtol = rtol = 4 eps``, ends the solve.  An optional ``direction``
     attribute restricts it to rising (> 0) or falling (< 0) crossings.
+
+    A non-finite stage makes the error estimate nan, and the rejected step
+    shrinks until the solve ends with status -1.  numpy's sums run with
+    overflow and invalid-value warnings off, so this ends the solve without
+    a warning, as the Python float arithmetic of the stages does.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     t = t0
@@ -278,6 +313,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     else:
         h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
         nfev += 1
+        stages, extra = _stage_functions(n)
 
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -294,18 +330,15 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             h = t_new - t
             h_abs = abs(h)
 
-            K = [[v] for v in f]  # one column of stage values per component
-            for a, c in _STAGES:
-                k = fun(t + c * h, [v + sum(map(mul, a, col)) * h for v, col in zip(y, K)])
-                for col, v in zip(K, k):
-                    col.append(float(v))
-            y_new = [v + h * w for v, w in zip(y, np.dot(_stage_array(K), B).tolist())]
+            # The stage rows, so that np.array(ks).T is the Fortran-ordered
+            # transpose of scipy's stage array and np.dot takes scipy's path.
+            ks = stages(fun, t, h, y, f)
+            y_new = [v + h * w for v, w in zip(y, np.dot(np.array(ks).T, B).tolist())]
             f_new = list(map(float, fun(t + h, y_new)))
-            for col, v in zip(K, f_new):
-                col.append(v)
+            ks.append(f_new)
             nfev += 12
 
-            S = _stage_array(K)
+            S = np.array(ks).T
             e5 = e3 = 0.0
             for v, w, x5, x3 in zip(y, y_new, np.dot(S, E5).tolist(), np.dot(S, E3).tolist()):
                 v, w = abs(v), abs(w)
@@ -336,15 +369,12 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             break
 
         # Dense output: three more stages and the interpolation coefficients.
-        for a, c in _EXTRA:
-            k = fun(t + c * h, [v + sum(map(mul, a, col)) * h for v, col in zip(y, K)])
-            for col, v in zip(K, k):
-                col.append(float(v))
+        ks += extra(fun, t, h, y, ks)
         nfev += 3
         dy = [w - v for v, w in zip(y, y_new)]
         F = dy + [h * fo - d for fo, d in zip(f, dy)]
         F += [2 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)]
-        for row in np.dot(D, _stage_array(K).T).tolist():
+        for row in np.dot(D, np.array(ks)).tolist():
             F += [h * v for v in row]
 
         segment = (t, h, y, F)

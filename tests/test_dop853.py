@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from warpgeo import (
     riccati,
     solve_prescribed,
     warp_one_over_r,
+    warp_r,
 )
 from warpgeo import _dop853
 
@@ -122,16 +124,7 @@ def test_event_location_and_dense_output_share_the_interpolant(monkeypatch, name
     # on arrays; both must give the same doubles, or an event root would
     # not be where the returned path crosses the boundary.
     w, init = ESCAPING[name]
-    sols = []
-    kernel = geodesics.solve_ivp
-
-    def recording(*args, **kwargs):
-        sols.append(kernel(*args, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(geodesics, "solve_ivp", recording)
-    integrate(w, init, 5.0)
-    (sol,) = sols
+    (sol,) = _kernel_solutions(monkeypatch, geodesics, lambda: integrate(w, init, 5.0))
     assert sol.status == 1
     ts, segments = sol.sol._lists
     picked = sorted({0, len(segments) // 2, len(segments) - 1})
@@ -139,6 +132,133 @@ def test_event_location_and_dense_output_share_the_interpolant(monkeypatch, name
         t_old, h = segment[:2]
         for t in (t_old + x * h for x in (0.125, 0.5, 0.875)):
             assert _dop853._segment_at(segment, t) == sol.sol(np.array([t]))[:, 0].tolist()
+
+
+def _kernel_solutions(monkeypatch, module, run) -> list:
+    """Run ``run()``; return the kernel's solution of each solver call in ``module``."""
+    sols = []
+    kernel = module.solve_ivp
+
+    def recording(*args, **kwargs):
+        sols.append(kernel(*args, **kwargs))
+        return sols[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "solve_ivp", recording)
+        run()
+    return sols
+
+
+def _compensated_sum(iterable, start=0):
+    """A sum that rounds once, as the built-in ``sum`` of floats nearly does
+    from Python 3.12 on."""
+    return start + math.fsum(iterable)
+
+
+# The solves whose step sequence a different rounding of the stage sums
+# would change: README's inward flat ray, the h = r arch and a Riccati
+# field that ends on a zero of u.
+SUM_SENSITIVE = {
+    "one_over_r": (geodesics, lambda: integrate(
+        warp_one_over_r(), GeodesicState.from_angle(1.0, 0.0, math.pi), 5.0)),
+    "r": (geodesics, lambda: integrate(warp_r(), GeodesicState.from_angle(1.0, 0.0, 1.0), 5.0)),
+    "riccati-const": (riccati, lambda: solve_prescribed(
+        constant_profile(1.0), 1.0, 0.0, (0.5, 3.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_SENSITIVE))
+def test_steps_do_not_depend_on_how_sum_rounds(monkeypatch, name):
+    module, run = SUM_SENSITIVE[name]
+    plain = _kernel_solutions(monkeypatch, module, run)
+    monkeypatch.setattr(_dop853, "sum", _compensated_sum, raising=False)
+    compensated = _kernel_solutions(monkeypatch, module, run)
+    assert len(plain) == len(compensated) > 0
+    for a, b in zip(plain, compensated):
+        grid = np.linspace(a.t[0], a.t[-1], 257)
+        assert a.nfev == b.nfev
+        assert np.array_equal(a.t, b.t)
+        assert np.array_equal(a.sol(grid), b.sol(grid))
+
+
+def test_rms_sums_left_to_right(monkeypatch):
+    # The squares 1 and four times 1e-16 sum to 1 left to right, and to two
+    # doubles above 1 rounded once.  The initial step takes this norm.
+    monkeypatch.setattr(_dop853, "sum", _compensated_sum, raising=False)
+    assert _dop853._rms([1.0] + [1e-8] * 4) == 1.0 / 5**0.5
+
+
+def _left_sum(products) -> float:
+    """The built-in ``sum`` of floats as it rounds up to Python 3.11."""
+    total = 0.0
+    for p in products:
+        total += p
+    return total
+
+
+def _stage_calls(n, t, h, y, ks) -> list:
+    """Run the generated stage functions for an ``n``-component state on the
+    stage rows ``ks`` (row 12 is the step end's derivative, which the kernel
+    supplies); return (stage, node, argument) of each call of ``fun``."""
+    stages, extra = _dop853._stage_functions(n)
+    order = iter([*range(1, 12), 13, 14, 15])
+    calls = []
+
+    def fun(s, x):
+        calls.append((next(order), s, x))
+        return ks[calls[-1][0]]
+
+    rows = stages(fun, t, h, y, ks[0]) + [ks[12]]
+    assert rows + extra(fun, t, h, y, rows) == ks
+    return calls
+
+
+def _reference_argument(i, h, y, ks) -> list:
+    """Stage i's argument by the formula the kernel used before its stages
+    were written out: one sum over the full tableau row per component."""
+    a = _dop853.A[i] if i < 12 else _dop853.A_EXTRA[i - 13]
+    return [v + _left_sum(map(mul, a, col)) * h for v, col in zip(y, zip(*ks[:i]))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generated_stages_are_the_reference_sums(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        t, h = float(rng.normal()), float(rng.uniform(1e-3, 1.0)) * rng.choice([-1.0, 1.0])
+        y = rng.normal(size=n).tolist()
+        ks = (rng.normal(size=(16, n)) * 10.0 ** rng.integers(-3, 4, size=(16, 1))).tolist()
+        calls = _stage_calls(n, t, h, y, ks)
+        assert [i for i, _, _ in calls] == [*range(1, 12), 13, 14, 15]
+        for i, s, x in calls:
+            c = _dop853.C[i] if i < 12 else _dop853.C_EXTRA[i - 13]
+            assert s == t + c * h
+            assert x == _reference_argument(i, h, y, ks)
+
+
+def test_an_infinite_stage_meets_no_zero_coefficient():
+    # The reference sums multiply every earlier stage, so an infinite stage 1
+    # makes the argument of every later stage whose row has A[s][1] = 0 nan
+    # (0.0 * inf).  The generated sums leave zero entries out: only stage 2,
+    # whose coefficient on stage 1 is nonzero, sees the inf.
+    y, ks = [0.5, -1.0], np.linspace(-1.0, 1.0, 32).reshape(16, 2).tolist()
+    ks[1] = [math.inf, -math.inf]
+    for i, _, x in _stage_calls(2, 0.0, 0.1, y, ks):
+        ref = _reference_argument(i, 0.1, y, ks)
+        if i == 2:
+            assert x == ref == [math.inf, -math.inf]
+        else:
+            assert all(map(math.isfinite, x))
+            assert (i == 1) == all(map(math.isfinite, ref))
+
+
+def test_an_infinite_derivative_ends_the_solve():
+    # Past t = 0.5 every stage is inf, so the error estimate is nan and every
+    # step across 0.5 is rejected until the step underflows; numpy's sums
+    # over the inf stages warn nothing (the suite turns a warning into an error).
+    sol = _dop853.solve_ivp(lambda t, y: (math.inf if t > 0.5 else 1.0,), (0.0, 1.0), (0.0,),
+                            rtol=1e-6, atol=1e-9)
+    assert sol.status == -1 and sol.message == _dop853.TOO_SMALL_STEP
+    assert 0.5 - 1e-12 < sol.t[-1] <= 0.5
 
 
 def test_nan_initial_step_ends_the_solve():
