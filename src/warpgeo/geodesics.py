@@ -188,9 +188,11 @@ def integrate(
     ------
     ValueError
         If ``init`` violates the unit-speed constraint by more than
-        :data:`UNIT_SPEED_TOL`, ``s_max`` is not positive, or the step size
-        underflows (the message is the solver's).
+        :data:`UNIT_SPEED_TOL`, ``s_max`` is not finite or not positive,
+        or the step size underflows (the message is the solver's).
     """
+    if not math.isfinite(s_max):
+        raise ValueError("s_max must be finite")
     if s_max <= 0.0:
         raise ValueError("s_max must be positive")
     if not abs(init.speed_sq - 1.0) <= UNIT_SPEED_TOL:

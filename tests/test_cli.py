@@ -119,6 +119,13 @@ class TestGeodesic:
         assert res.stderr.startswith("warpgeo: error: geodesic integration failed: ")
         assert res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("s_max", ["inf", "nan"])
+    def test_non_finite_length_is_one_error_line(self, s_max):
+        res = run_cli("--warp", "one_over_r", "geodesic", "1", "0", "1", s_max)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "warpgeo: error: s_max must be finite\n"
+
     def test_quarter_turn_endpoint(self):
         res = run_cli("--warp", "one_over_r", "geodesic", "1", "0", str(math.pi / 2), "1",
                       "--samples", "3")

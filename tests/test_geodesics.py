@@ -52,6 +52,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(flat_warp, GeodesicState(1.0, 0.0, 1.0, 0.0), 0.0)
 
+    @pytest.mark.parametrize("s_max", [math.inf, math.nan])
+    def test_rejects_non_finite_span(self, flat_warp, s_max):
+        with pytest.raises(ValueError, match="^s_max must be finite$"):
+            integrate(flat_warp, GeodesicState(1.0, 0.0, 1.0, 0.0), s_max)
+
     def test_unit_speed_drift(self, flat_warp, rng):
         for _ in range(5):
             ang = rng.uniform(0.0, math.pi)
