@@ -196,8 +196,9 @@ def _stage_functions(n: int) -> tuple:
             return ", ".join(f"[{names(s)}]" for s in range(start, stop))
 
         def stage(s, a, c):
+            terms = [(x, i) for i, x in enumerate(a) if x]
             args = ", ".join(
-                f"y{j} + (" + " + ".join(f"{x!r} * k{i}_{j}" for i, x in enumerate(a) if x) + ") * h"
+                f"y{j} + (" + " + ".join(f"{x!r} * k{i}_{j}" for x, i in terms) + ") * h"
                 for j in range(n))
             return f"{names(s)}= map(float, fun(t + {c!r} * h, [{args}]))"
 
@@ -330,8 +331,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             h = t_new - t
             h_abs = abs(h)
 
-            # The stage rows, so that np.array(ks).T is the Fortran-ordered
-            # transpose of scipy's stage array and np.dot takes scipy's path.
+            # The sums that close a step go through np.dot, as in scipy: where
+            # the stages are exact, their rounding alone sets the next step,
+            # the samples and the event roots.  np.array(ks).T is the
+            # Fortran-ordered transpose of scipy's stage array, so numpy
+            # takes scipy's path.
             ks = stages(fun, t, h, y, f)
             y_new = [v + h * w for v, w in zip(y, np.dot(np.array(ks).T, B).tolist())]
             f_new = list(map(float, fun(t + h, y_new)))

@@ -8,6 +8,10 @@ roots) and samples that agree to rounding.  The step ends themselves may
 differ slightly: where the error estimate is dominated by rounding (a first
 step far below the tolerance), its value depends on the order of the stage
 sums, and so does the next step size.
+
+The stage code the kernel generates must equal the one-sum-per-row formula
+it replaced, and the kernel's steps must not depend on how the built-in
+``sum`` rounds, which changed in Python 3.12.
 """
 
 import math
@@ -224,7 +228,7 @@ def _reference_argument(i, h, y, ks) -> list:
 def test_generated_stages_are_the_reference_sums(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
-        t, h = float(rng.normal()), float(rng.uniform(1e-3, 1.0)) * rng.choice([-1.0, 1.0])
+        t, h = float(rng.normal()), float(rng.uniform(1e-3, 1.0) * rng.choice([-1.0, 1.0]))
         y = rng.normal(size=n).tolist()
         ks = (rng.normal(size=(16, n)) * 10.0 ** rng.integers(-3, 4, size=(16, 1))).tolist()
         calls = _stage_calls(n, t, h, y, ks)

@@ -22,7 +22,8 @@ PINNED = {
     "warpgeo --warp one_over_r --format csv curvature 1 2 5": (
         0, "aacf016bee43e5aac7fa240cfa30ff32b082520b256bc742b47de347eb455823",
         EMPTY),
-    "warpgeo --warp one_over_r geodesic 1 0 3.141592653589793 5  # inward ray, escapes at length 1": (
+    "warpgeo --warp one_over_r geodesic 1 0 3.141592653589793 5"
+    "  # inward ray, escapes at length 1": (
         0, "1094302420a45c2c92a958a0340139f3188498c35f55c9b24adeae8f945a3cea",
         EMPTY),
     "warpgeo connect 1,0 1,1.5707963267948966              # found, s = sqrt(2)": (
