@@ -265,21 +265,31 @@ def test_an_infinite_derivative_ends_the_solve():
     assert 0.5 - 1e-12 < sol.t[-1] <= 0.5
 
 
-def test_nan_initial_step_ends_the_solve():
-    # A nan derivative gives a nan initial step, which no comparison with
-    # the minimum step rejects.  The solve must stop with scipy's message;
-    # the child process turns a hang into a failure.
-    code = (
-        "import math; from warpgeo._dop853 import solve_ivp; "
-        "sol = solve_ivp(lambda t, y: (math.nan,), (0.0, 1.0), (1.0,), rtol=1e-6, atol=1e-9); "
-        "print(sol.status, sol.message)"
-    )
+def _child_stdout(code: str) -> str:
+    """What a fresh interpreter running ``code`` prints; the timeout turns a
+    hang into a failure."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
-    assert proc.stdout == f"-1 {_dop853.TOO_SMALL_STEP}\n"
+    return proc.stdout
+
+
+def test_import_compiles_no_stage_code():
+    code = "import warpgeo.cli; from warpgeo import _dop853; print(_dop853._STAGE_CODE)"
+    assert _child_stdout(code) == "{}\n"
+
+
+def test_nan_initial_step_ends_the_solve():
+    # A nan derivative gives a nan initial step, which no comparison with
+    # the minimum step rejects.  The solve must stop with scipy's message.
+    code = (
+        "import math; from warpgeo._dop853 import solve_ivp; "
+        "sol = solve_ivp(lambda t, y: (math.nan,), (0.0, 1.0), (1.0,), rtol=1e-6, atol=1e-9); "
+        "print(sol.status, sol.message)"
+    )
+    assert _child_stdout(code) == f"-1 {_dop853.TOO_SMALL_STEP}\n"
 
 
 def test_parity_at_tight_tolerances(monkeypatch):
