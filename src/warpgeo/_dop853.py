@@ -5,30 +5,33 @@ The explicit Runge-Kutta pair of order 8(5,3) of Dormand and Prince
 sec. II.5-II.6) with scipy's initial step selection, step controller,
 blended err5/err3 error norm, dense output and event location.  The
 tableau is written out below and events are located by the Brent port in
-:mod:`warpgeo._brentq`, so the kernel runs on numpy alone.
+:mod:`warpgeo._brentq`, so the kernel needs no scipy.
 
 scipy runs the method on numpy arrays: for the two- and three-component
 systems of this package most of its time goes to numpy calls on tiny
 arrays, the ``fun`` wrappers and one interpolant object per step.  Here the
-state is a list of floats and the stages are straight-line float code, as
-in Hairer's ``dop853.f``: every stage argument is one expression over the
-nonzero tableau entries, written out per component.  That source is
-generated from the tableau the first time a state size is solved (see
-:func:`_stage_functions`).  Only the three sums that close a step (the
-solution update, the error estimate and the interpolation coefficients)
-call numpy, as scipy does, on the same stage array.
+state is a list of floats and a step is straight-line float code, as in
+Hairer's ``dop853.f``: every stage argument and every sum that closes a
+step (the solution update, the two error sums and the interpolation
+coefficients) is one expression over the tableau entries, written out per
+component.  That source is generated from the tableau the first time a
+state size is solved (see :func:`_stage_functions`); numpy holds only the
+returned arrays and evaluates the dense output.
 
 The values agree with scipy's to rounding.  The steps agree as far as the
 error estimate does: where it is rounding rather than truncation error (the
 path is a polynomial the method integrates exactly) and the stages are not
-exact, the order of the stage sums picks the next step size, and the two
-step sequences part.  Every sum here is written out left to right, so the
-steps do not depend on how the Python version rounds the built-in ``sum``.
+exact, the order of the sums picks the next step size, and the two step
+sequences part.  Every sum here is written out left to right, so the steps
+are the same on every CPU and BLAS library (scipy's close through
+``np.dot``, whose rounding depends on the kernel the BLAS picks) and do not
+depend on how the Python version rounds the built-in ``sum``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +47,7 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
 
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 MESSAGES = {
@@ -57,8 +60,9 @@ MESSAGES = {
 # (BSD-3-Clause, SciPy Developers), each written as its shortest round-trip
 # decimal.  Row s of A holds the coefficients of stage s on the s stages
 # before it (A[0] is empty) and C[s] its node; A_EXTRA and C_EXTRA are the
-# three dense-output stages 13-15 in the same layout.  The weights B, E5, E3
-# and D go to numpy's dot as arrays, as in scipy (see :func:`solve_ivp`).
+# three dense-output stages 13-15 in the same layout.  B, E5 and E3 weigh
+# stages 0-11, 0-12 and 0-12; row i of D gives interpolation coefficient i
+# from stages 0-15.
 A = (
     (),
     (0.05260015195876773,),
@@ -83,15 +87,15 @@ A = (
 C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
      0.8571428571428571, 1.0)
-B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-              1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-              -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
-E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
-               -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-               0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
-E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-               1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-               -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+      -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+      0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
+E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+      -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
 A_EXTRA = (
     (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
      -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
@@ -104,24 +108,24 @@ A_EXTRA = (
      2.9475147891527724, -9.15095847217987),
 )
 C_EXTRA = (0.1, 0.2, 0.7777777777777778)
-D = np.array([
-    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
      2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
      0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-     -4.436036387594894],
-    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
      -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
      -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
-     35.81684148639408],
-    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
      527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
      0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
-     11.99229113618279],
-    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
      357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
      29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
-     -149.72683625798564],
-])
+     -149.72683625798564),
+)
 
 _STAGE_CODE: dict = {}  # state size -> (stages, extra), see _stage_functions
 
@@ -180,36 +184,49 @@ class DenseSolution:
 
 
 def _stage_functions(n: int) -> tuple:
-    """The stage functions for an ``n``-component state, compiled on first use.
+    """The step functions for an ``n``-component state, compiled on first use.
 
-    ``stages(fun, t, h, y, f)`` returns the rows of stages 0-11 of a step
-    and ``extra(fun, t, h, y, ks)`` the dense-output stages 13-15 from the
-    rows of stages 0-12.  Stage s evaluates ``fun`` at
-    ``y_j + (A[s][0] * k0_j + ... ) * h`` per component j, a left-to-right
-    sum over the nonzero entries of its tableau row.
+    ``stages(fun, t, h, y, f)`` makes one step attempt from ``y`` and its
+    derivative ``f``: stages 1-11, the update ``y_new`` through B, its
+    derivative ``f_new`` (stage 12) and the error sums through E5 and E3.
+    It returns ``y_new, f_new, err5, err3, ks``, with the stages 0-12 in
+    ``ks``.  ``extra(fun, t, h, y, ks)`` evaluates the dense-output stages
+    13-15 and returns the four interpolation rows through D, times h.
+
+    Every sum is written out left to right per component j, as
+    ``w[0] * k0_j + w[1] * k1_j + ...``.  The stage rows and D skip their
+    zero entries; B, E5 and E3 keep them, so that an infinite stage, even
+    one that E5 and E3 weigh by zero (``f_new``), makes the error nan
+    (``0.0 * inf``) and the step is rejected.  D is reached only after a
+    step is accepted, when every stage is finite.
     """
     if n not in _STAGE_CODE:
         def names(s):
             return "".join(f"k{s}_{j}, " for j in range(n))
 
-        def rows(stop, start=0):
-            return ", ".join(f"[{names(s)}]" for s in range(start, stop))
+        def total(w, j, zeros=False):
+            return " + ".join(f"{x!r} * k{i}_{j}" for i, x in enumerate(w) if x or zeros)
 
         def stage(s, a, c):
-            terms = [(x, i) for i, x in enumerate(a) if x]
-            args = ", ".join(
-                f"y{j} + (" + " + ".join(f"{x!r} * k{i}_{j}" for x, i in terms) + ") * h"
-                for j in range(n))
+            args = ", ".join(f"y{j} + ({total(a, j)}) * h" for j in range(n))
             return f"{names(s)}= map(float, fun(t + {c!r} * h, [{args}]))"
 
+        def error(e):
+            return "[" + ", ".join(total(e, j, zeros=True) for j in range(n)) + "]"
+
         ys = "".join(f"y{j}, " for j in range(n)) + "= y"
+        ks = "".join(names(s) for s in range(13))
+        y_new = ", ".join(f"y{j} + h * ({total(B, j, zeros=True)})" for j in range(n))
+        dense = ", ".join(f"h * ({total(d, j)})" for d in D for j in range(n))
         lines = [
             "def stages(fun, t, h, y, f):", ys, f"{names(0)}= f",
             *(stage(s, A[s], C[s]) for s in range(1, 12)),
-            f"return [{rows(12)}]",
-            "def extra(fun, t, h, y, ks):", ys, f"{rows(13)}, = ks",
+            f"y_new = [{y_new}]",
+            f"{names(12)}= f_new = list(map(float, fun(t + h, y_new)))",
+            f"return y_new, f_new, {error(E5)}, {error(E3)}, ({ks})",
+            "def extra(fun, t, h, y, ks):", ys, f"{ks}= ks",
             *(stage(13 + s, a, c) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA))),
-            f"return [{rows(16, 13)}]",
+            f"return [{dense}]",
         ]
         src = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in lines)
         namespace: dict = {}
@@ -277,7 +294,6 @@ def _active(g, g_new, directions) -> list[int]:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` (either direction) by DOP853.
 
@@ -288,9 +304,13 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     attribute restricts it to rising (> 0) or falling (< 0) crossings.
 
     A non-finite stage makes the error estimate nan, and the rejected step
-    shrinks until the solve ends with status -1.  numpy's sums run with
-    overflow and invalid-value warnings off, so this ends the solve without
-    a warning, as the Python float arithmetic of the stages does.
+    shrinks until the solve ends with status -1.  The update and the error
+    sums keep the zero entries of B, E5 and E3 for this: ``f_new`` has
+    weight 0 in both error sums, and only ``0.0 * inf`` (nan) lets an
+    infinite ``f_new`` reject its step rather than end in a non-finite
+    interpolant.  The step is Python float arithmetic, which warns of
+    nothing.  When the derivative at the last accepted state is itself not
+    finite, the message says so instead of naming the step size.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     t = t0
@@ -331,20 +351,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             h = t_new - t
             h_abs = abs(h)
 
-            # The sums that close a step go through np.dot, as in scipy: where
-            # the stages are exact, their rounding alone sets the next step,
-            # the samples and the event roots.  np.array(ks).T is the
-            # Fortran-ordered transpose of scipy's stage array, so numpy
-            # takes scipy's path.
-            ks = stages(fun, t, h, y, f)
-            y_new = [v + h * w for v, w in zip(y, np.dot(np.array(ks).T, B).tolist())]
-            f_new = list(map(float, fun(t + h, y_new)))
-            ks.append(f_new)
+            y_new, f_new, err5, err3, ks = stages(fun, t, h, y, f)
             nfev += 12
 
-            S = np.array(ks).T
             e5 = e3 = 0.0
-            for v, w, x5, x3 in zip(y, y_new, np.dot(S, E5).tolist(), np.dot(S, E3).tolist()):
+            for v, w, x5, x3 in zip(y, y_new, err5, err3):
                 v, w = abs(v), abs(w)
                 scale = atol + (w if w > v or w != w else v) * rtol  # nan-propagating max
                 x5 /= scale
@@ -373,13 +384,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             break
 
         # Dense output: three more stages and the interpolation coefficients.
-        ks += extra(fun, t, h, y, ks)
-        nfev += 3
         dy = [w - v for v, w in zip(y, y_new)]
         F = dy + [h * fo - d for fo, d in zip(f, dy)]
         F += [2 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)]
-        for row in np.dot(D, np.array(ks)).tolist():
-            F += [h * v for v in row]
+        F += extra(fun, t, h, y, ks)
+        nfev += 3
 
         segment = (t, h, y, F)
         t_old, t, y, f = t, t_new, y_new, f_new
@@ -404,6 +413,8 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         ts.append(t)
         segments.append(segment)
 
+    if status == -1 and not all(map(math.isfinite, f)):
+        message = f"The derivative is not finite at t = {t!r}."
     return Solution(
         status=status,
         message=MESSAGES.get(status, message),

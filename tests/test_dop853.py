@@ -9,9 +9,10 @@ differ slightly: where the error estimate is dominated by rounding (a first
 step far below the tolerance), its value depends on the order of the stage
 sums, and so does the next step size.
 
-The stage code the kernel generates must equal the one-sum-per-row formula
-it replaced, and the kernel's steps must not depend on how the built-in
-``sum`` rounds, which changed in Python 3.12.
+The step code the kernel generates must equal one left-to-right sum per
+tableau row, for the stages and for the sums that close a step, and the
+kernel's steps must not depend on how the built-in ``sum`` rounds, which
+changed in Python 3.12.
 """
 
 import math
@@ -200,28 +201,37 @@ def _left_sum(products) -> float:
     return total
 
 
-def _stage_calls(n, t, h, y, ks) -> list:
-    """Run the generated stage functions for an ``n``-component state on the
-    stage rows ``ks`` (row 12 is the step end's derivative, which the kernel
-    supplies); return (stage, node, argument) of each call of ``fun``."""
+def _stage_calls(n, t, h, y, ks) -> tuple:
+    """Run the generated step functions for an ``n``-component state on the
+    stage rows ``ks``; return (stage, node, argument) of each call of ``fun``
+    (stage 12's argument is the update ``y_new``), the two error sums and
+    the interpolation rows."""
     stages, extra = _dop853._stage_functions(n)
-    order = iter([*range(1, 12), 13, 14, 15])
+    order = iter(range(1, 16))
     calls = []
 
     def fun(s, x):
         calls.append((next(order), s, x))
         return ks[calls[-1][0]]
 
-    rows = stages(fun, t, h, y, ks[0]) + [ks[12]]
-    assert rows + extra(fun, t, h, y, rows) == ks
-    return calls
+    y_new, f_new, err5, err3, rows = stages(fun, t, h, y, ks[0])
+    assert y_new == calls[-1][2] and f_new == ks[12]
+    assert list(rows) == [v for row in ks[:13] for v in row]
+    return calls, err5, err3, extra(fun, t, h, y, rows)
 
 
 def _reference_argument(i, h, y, ks) -> list:
     """Stage i's argument by the formula the kernel used before its stages
-    were written out: one sum over the full tableau row per component."""
-    a = _dop853.A[i] if i < 12 else _dop853.A_EXTRA[i - 13]
+    were written out: one sum over the full tableau row per component; for
+    i = 12 the update through B."""
+    a = _dop853.A[i] if i < 12 else _dop853.B if i == 12 else _dop853.A_EXTRA[i - 13]
     return [v + _left_sum(map(mul, a, col)) * h for v, col in zip(y, zip(*ks[:i]))]
+
+
+def _reference_sums(w, ks) -> list:
+    """One left-to-right sum over the full weight row ``w`` per component,
+    the order the kernel's closing sums must keep on every BLAS."""
+    return [_left_sum(map(mul, w, col)) for col in zip(*ks[:len(w)])]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -231,38 +241,68 @@ def test_generated_stages_are_the_reference_sums(n):
         t, h = float(rng.normal()), float(rng.uniform(1e-3, 1.0) * rng.choice([-1.0, 1.0]))
         y = rng.normal(size=n).tolist()
         ks = (rng.normal(size=(16, n)) * 10.0 ** rng.integers(-3, 4, size=(16, 1))).tolist()
-        calls = _stage_calls(n, t, h, y, ks)
-        assert [i for i, _, _ in calls] == [*range(1, 12), 13, 14, 15]
+        calls, err5, err3, dense = _stage_calls(n, t, h, y, ks)
+        assert [i for i, _, _ in calls] == list(range(1, 16))
         for i, s, x in calls:
-            c = _dop853.C[i] if i < 12 else _dop853.C_EXTRA[i - 13]
+            c = _dop853.C[i] if i < 12 else 1.0 if i == 12 else _dop853.C_EXTRA[i - 13]
             assert s == t + c * h
             assert x == _reference_argument(i, h, y, ks)
+        assert err5 == _reference_sums(_dop853.E5, ks)
+        assert err3 == _reference_sums(_dop853.E3, ks)
+        assert dense == [h * v for d in _dop853.D for v in _reference_sums(d, ks)]
 
 
 def test_an_infinite_stage_meets_no_zero_coefficient():
     # The reference sums multiply every earlier stage, so an infinite stage 1
     # makes the argument of every later stage whose row has A[s][1] = 0 nan
-    # (0.0 * inf).  The generated sums leave zero entries out: only stage 2,
-    # whose coefficient on stage 1 is nonzero, sees the inf.
+    # (0.0 * inf).  The generated stage sums and D leave zero entries out:
+    # only stage 2, whose coefficient on stage 1 is nonzero, sees the inf,
+    # and the interpolation rows stay finite.  The update through B and the
+    # error sums keep their zero entries and turn nan, as the reference
+    # does, so the kernel rejects such a step.
     y, ks = [0.5, -1.0], np.linspace(-1.0, 1.0, 32).reshape(16, 2).tolist()
     ks[1] = [math.inf, -math.inf]
-    for i, _, x in _stage_calls(2, 0.0, 0.1, y, ks):
+    calls, err5, err3, dense = _stage_calls(2, 0.0, 0.1, y, ks)
+    for i, _, x in calls:
         ref = _reference_argument(i, 0.1, y, ks)
         if i == 2:
             assert x == ref == [math.inf, -math.inf]
+        elif i == 12:
+            assert all(map(math.isnan, x + ref))
         else:
             assert all(map(math.isfinite, x))
             assert (i == 1) == all(map(math.isfinite, ref))
+    assert all(map(math.isnan, err5 + err3))
+    assert all(map(math.isfinite, dense))
 
 
 def test_an_infinite_derivative_ends_the_solve():
     # Past t = 0.5 every stage is inf, so the error estimate is nan and every
-    # step across 0.5 is rejected until the step underflows; numpy's sums
-    # over the inf stages warn nothing (the suite turns a warning into an error).
+    # step across 0.5 is rejected until the step underflows; the last
+    # accepted state's derivative is finite, so the message names the step
+    # (the suite turns a warning into an error).
     sol = _dop853.solve_ivp(lambda t, y: (math.inf if t > 0.5 else 1.0,), (0.0, 1.0), (0.0,),
                             rtol=1e-6, atol=1e-9)
     assert sol.status == -1 and sol.message == _dop853.TOO_SMALL_STEP
     assert 0.5 - 1e-12 < sol.t[-1] <= 0.5
+
+
+def test_an_infinite_step_end_derivative_rejects_the_step():
+    # Call 14 is f_new of the first attempt (calls 1 and 2 are the initial
+    # derivative and the initial step's probe).  E5 and E3 weigh it by zero,
+    # and only 0.0 * inf = nan in the error sums rejects that step: without
+    # the zero terms it would be accepted with an infinite interpolant.
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return (math.inf,) if len(calls) == 14 else (-y[0],)
+
+    sol = _dop853.solve_ivp(fun, (0.0, 4.0), (1.0,), rtol=1e-6, atol=1e-9)
+    assert (sol.status, sol.nfev, sol.nrej) == (0, 119, 1)
+    samples = sol.sol(np.linspace(0.0, 4.0, 33))
+    assert np.all(np.isfinite(samples))
+    assert np.allclose(samples[0], np.exp(-np.linspace(0.0, 4.0, 33)), rtol=1e-5)
 
 
 def _child_stdout(code: str) -> str:
@@ -283,13 +323,13 @@ def test_import_compiles_no_stage_code():
 
 def test_nan_initial_step_ends_the_solve():
     # A nan derivative gives a nan initial step, which no comparison with
-    # the minimum step rejects.  The solve must stop with scipy's message.
+    # the minimum step rejects.  The solve must stop and name the derivative.
     code = (
         "import math; from warpgeo._dop853 import solve_ivp; "
         "sol = solve_ivp(lambda t, y: (math.nan,), (0.0, 1.0), (1.0,), rtol=1e-6, atol=1e-9); "
         "print(sol.status, sol.message)"
     )
-    assert _child_stdout(code) == f"-1 {_dop853.TOO_SMALL_STEP}\n"
+    assert _child_stdout(code) == "-1 The derivative is not finite at t = 0.0.\n"
 
 
 def test_parity_at_tight_tolerances(monkeypatch):

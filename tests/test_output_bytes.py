@@ -6,6 +6,10 @@ and the digests of stdout and stderr must equal the ones recorded here, as
 must the digest of the ``field.csv`` that README's ``riccati zero`` line
 writes.  A change that moves one output bit fails this test; to record a
 deliberate change, rerun with ``-s`` and copy the printed digests.
+
+The same digests must come out under other OpenBLAS kernels, forced in the
+child processes through ``OPENBLAS_CORETYPE``: no output may depend on the
+BLAS numpy loads or on the kernel it picks for the CPU.
 """
 
 import hashlib
@@ -13,6 +17,7 @@ import os
 import shlex
 import subprocess
 
+import numpy as np
 import pytest
 from test_cli import CLI, README_COMMANDS, ROOT
 
@@ -24,7 +29,7 @@ PINNED = {
         EMPTY),
     "warpgeo --warp one_over_r geodesic 1 0 3.141592653589793 5"
     "  # inward ray, escapes at length 1": (
-        0, "1094302420a45c2c92a958a0340139f3188498c35f55c9b24adeae8f945a3cea",
+        0, "cc0b191f15c22dbf62f9042ca855cf7c4d4b3f4051268f4a2fa12d968daa3d09",
         EMPTY),
     "warpgeo connect 1,0 1,1.5707963267948966              # found, s = sqrt(2)": (
         0, "732f71a715bafcd2944942294776aa2dc00550f9204edab410b04ea640e2ddaa",
@@ -39,19 +44,19 @@ PINNED = {
         0, "4cf6396b8bda2c713ef9f22fa772c06eb36f11b70f130aa4733c6bc55a01d235",
         EMPTY),
     "warpgeo --out field.csv riccati zero 1 1 0.5 3        # blow-up report on stdout": (
-        0, "104867f17d7131abde09c280cc7c3ebfdf35d6baf6d6bb1be9f7505e9e2fc44c",
+        0, "8d8ddb77721ea627b1c29d4005d2d1dca58f95602fb597ba81c3e5b391d28086",
         EMPTY),
     "warpgeo --warp r isometry 1 2                         # holomorphic_isometry": (
         0, "98369b8b0c09458192445e5d45ee5bdc8c313d50dfbe814b61812e24da9f7290",
         EMPTY),
     "warpgeo --warp r geodesic 1 0 1 5": (
-        0, "ef4c424c6f50d316e65f2e2b0f12c4e0ee8b540ed9948285f3d719f125eac390",
+        0, "c36fdca208412555ca6aa6767922c9364890d38d1a010b7a5e0e4130b3838c11",
         EMPTY),
     "warpgeo riccati const:1 1 0 0.5 3": (
-        0, "a00ca4c3022dfce9340abf555f443f619020b0b8e1d6092a2691f65e5b54f6d4",
-        "5f8d4253b0cfbf51736afeb3458ee4f2b511738f4260ee0f21a54b1ccf19e529"),
+        0, "caf22b52f9586dbbb6399bbb3c7818d66946779303391fb332878a708f439cfe",
+        "768da5fe66a002c858fa7e18117adc754edb34fb53ae7c3fcaca81ec4b8710a5"),
 }
-FIELD_CSV = "b1053d02862977526388ed7b7c173e91d1570219baf0992ee49bcb1bcab61967"
+FIELD_CSV = "8168f9c58bf5c6db9974fc4738c6d9c68afa724cf51753d21d8820cafa1f8f67"
 
 EXTRA_COMMANDS = [
     "warpgeo --warp r geodesic 1 0 1 5",
@@ -63,8 +68,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(line: str, cwd) -> tuple:
-    env = dict(os.environ)
+def _run(line: str, cwd, **env_extra) -> tuple:
+    env = dict(os.environ, **env_extra)
     env.pop("WARPGEO_CONFIG", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(CLI + shlex.split(line, comments=True)[1:], capture_output=True,
@@ -86,3 +91,26 @@ def test_command_bytes(line, tmp_path):
     if field.exists():
         print(f"FIELD_CSV = {_digest(field.read_bytes())!r}")
         assert _digest(field.read_bytes()) == FIELD_CSV
+
+
+def _has_avx2() -> bool:
+    """Whether numpy found AVX2 on this CPU, which OpenBLAS's Haswell kernel needs."""
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
+    return core._multiarray_umath.__cpu_features__.get("AVX2", False)
+
+
+@pytest.mark.parametrize("coretype", [
+    pytest.param("Haswell", marks=pytest.mark.skipif(not _has_avx2(), reason="needs AVX2")),
+    "Nehalem",
+])
+def test_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    got, want = {}, {}
+    for k, line in enumerate(README_COMMANDS + EXTRA_COMMANDS):
+        cwd = tmp_path / str(k)
+        cwd.mkdir()
+        got[line], want[line] = _run(line, cwd, OPENBLAS_CORETYPE=coretype), PINNED.get(line)
+        field = cwd / "field.csv"
+        if field.exists():
+            got["field.csv"], want["field.csv"] = _digest(field.read_bytes()), FIELD_CSV
+    assert "field.csv" in got
+    assert got == want
