@@ -195,10 +195,8 @@ def _stage_functions(n: int) -> tuple:
 
     Every sum is written out left to right per component j, as
     ``w[0] * k0_j + w[1] * k1_j + ...``.  The stage rows and D skip their
-    zero entries; B, E5 and E3 keep them, so that an infinite stage, even
-    one that E5 and E3 weigh by zero (``f_new``), makes the error nan
-    (``0.0 * inf``) and the step is rejected.  D is reached only after a
-    step is accepted, when every stage is finite.
+    zero entries; B, E5 and E3 keep them (see :func:`solve_ivp`).  D is
+    reached only after a step is accepted, when every stage is finite.
     """
     if n not in _STAGE_CODE:
         def names(s):
