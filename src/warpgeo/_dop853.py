@@ -10,11 +10,13 @@ tableau is written out below and events are located by the Brent port in
 scipy runs the method on numpy arrays: for the two- and three-component
 systems of this package most of its time goes to numpy calls on tiny
 arrays, the ``fun`` wrappers and one interpolant object per step.  Here the
-state is a list of floats and a step is straight-line float code, as in
-Hairer's ``dop853.f``: every stage argument and every sum that closes a
+state is a list of Python floats, ``fun`` returns Python floats, and a step
+is straight-line float code, as in Hairer's ``dop853.f``, whose ``FCN``
+works on plain doubles: every stage argument and every sum that closes a
 step (the solution update, the two error sums and the interpolation
 coefficients) is one expression over the tableau entries, written out per
-component.  That source is generated from the tableau the first time a
+component.  The kernel converts nothing: the stages take fun's values as
+they are.  That source is generated from the tableau the first time a
 state size is solved (see :func:`_stage_functions`); numpy holds only the
 returned arrays and evaluates the dense output.
 
@@ -207,7 +209,7 @@ def _stage_functions(n: int) -> tuple:
 
         def stage(s, a, c):
             args = ", ".join(f"y{j} + ({total(a, j)}) * h" for j in range(n))
-            return f"{names(s)}= map(float, fun(t + {c!r} * h, [{args}]))"
+            return f"{names(s)}= fun(t + {c!r} * h, [{args}])"
 
         def error(e):
             return "[" + ", ".join(total(e, j, zeros=True) for j in range(n)) + "]"
@@ -220,7 +222,7 @@ def _stage_functions(n: int) -> tuple:
             "def stages(fun, t, h, y, f):", ys, f"{names(0)}= f",
             *(stage(s, A[s], C[s]) for s in range(1, 12)),
             f"y_new = [{y_new}]",
-            f"{names(12)}= f_new = list(map(float, fun(t + h, y_new)))",
+            f"{names(12)}= f_new = fun(t + h, y_new)",
             f"return y_new, f_new, {error(E5)}, {error(E3)}, ({ks})",
             "def extra(fun, t, h, y, ks):", ys, f"{ks}= ks",
             *(stage(13 + s, a, c) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA))),
@@ -271,7 +273,7 @@ def _initial_step(fun, t0, y, f, t_bound, direction, rtol, atol) -> float:
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y, f)])
-    num = _rms([(float(a) - b) / s for a, b, s in zip(f1, f, scale)])
+    num = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)])
     d2 = num / h0 if h0 else (math.inf if num > 0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -295,9 +297,11 @@ def _active(g, g_new, directions) -> list[int]:
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` (either direction) by DOP853.
 
-    ``fun`` receives t and the state as a list of floats and returns the
-    derivative as a sequence.  Every event ``e(t, y)`` is terminal: the
-    first root, located on the step's interpolant by ``brentq`` with
+    ``fun`` receives t and the state as a list of Python floats and returns
+    the derivative as a sequence of ``n`` Python floats, which the step
+    uses as they are: a numpy scalar would carry every later operation of
+    the step through numpy.  Every event ``e(t, y)`` is terminal: the first
+    root, located on the step's interpolant by ``brentq`` with
     ``xtol = rtol = 4 eps``, ends the solve.  An optional ``direction``
     attribute restricts it to rising (> 0) or falling (< 0) crossings.
 
@@ -315,7 +319,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     y = [float(v) for v in y0]
     n = len(y)
     direction = 1.0 if t_bound >= t0 else -1.0
-    f = list(map(float, fun(t, y)))
+    f = fun(t, y)
     nfev, nrej = 1, 0
 
     ts, segments = [t0], []

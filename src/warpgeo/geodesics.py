@@ -63,6 +63,15 @@ ESCAPE_MARGIN = 1e-10
 # Maximum deviation of f^2 + g^2 from 1 accepted in an initial state.
 UNIT_SPEED_TOL = 1e-6
 
+# Warp families whose h and h' are plain + - * / on their argument, so a
+# Python float in gives a Python float out (see integrate).
+_FLOAT_KINDS = frozenset({"one_over_r", "r", "flat", "neg2"})
+
+
+def _on_float64(fn):
+    """``fn`` evaluated at np.float64, its value returned as a Python float."""
+    return lambda r: float(fn(np.float64(r)))
+
 
 @dataclass(frozen=True)
 class GeodesicState:
@@ -199,7 +208,7 @@ def integrate(
         raise ValueError(
             f"initial state is not unit speed: f^2+g^2 = {init.speed_sq!r}"
         )
-    b = init.g / w.h(init.r)
+    b = float(init.g / w.h(init.r))
 
     events = []
 
@@ -242,14 +251,27 @@ def integrate(
         lo = -math.inf if extends(w.domain.lo) else inner_lo
         hi = math.inf if extends(w.domain.hi) else inner_hi
 
-        # The solver's state is Python floats; the warp sees np.float64, as
-        # it would from an array, so r**1.5 at r < 0 gives nan, not a complex.
+        # The solver's state and the derivative it takes are Python floats.
+        # The plain-arithmetic families (_FLOAT_KINDS) get the radius as it
+        # is: on a float, + - * / give the bits np.float64 arithmetic gives.
+        # e^r and caller code see np.float64, as they would from an array:
+        # e^r keeps np.exp (math.exp differs in the last bit), and r**1.5
+        # at r < 0 is nan, not a complex.  The range is tested first, and a
+        # division by zero (numpy's inf) takes the clamp like a non-finite
+        # h h'.  The clamp evaluates at np.float64 for every family.
+        hf, dhf = (h, dh) if w.kind in _FLOAT_KINDS else (_on_float64(h), _on_float64(dh))
+
         def rhs(s, y):
-            r = f64(y[0])
-            hr, dhr = h(r), dh(r)
-            if not (lo <= r <= hi and math.isfinite(hr * dhr)):
-                r = f64(min(max(r, inner_lo), inner_hi))
-                hr, dhr = h(r), dh(r)
+            r = y[0]
+            if lo <= r <= hi:
+                try:
+                    hr, dhr = hf(r), dhf(r)
+                    if math.isfinite(hr * dhr):
+                        return (y[2], b * hr * hr, -b * b * hr * dhr)
+                except ZeroDivisionError:
+                    pass
+            r = f64(min(max(r, inner_lo), inner_hi))
+            hr, dhr = float(h(r)), float(dh(r))
             return (y[2], b * hr * hr, -b * b * hr * dhr)
 
         sol = solve_ivp(

@@ -108,9 +108,10 @@ def _integrate_side(f, r0, H0, r_end, rtol, atol):
 
     f64 = np.float64
 
-    # The profile sees np.float64 radii, as it would from an array.
+    # The profile sees np.float64 radii, as it would from an array; the
+    # solver takes Python floats, so its product is converted (same bits).
     def rhs(r, y):
-        return (y[1], -f(f64(r)) * y[0])
+        return (y[1], float(-f(f64(r)) * y[0]))
 
     def u_zero(r, y):
         return y[0]

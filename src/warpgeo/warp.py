@@ -227,9 +227,15 @@ class WarpFunction:
 # -- family constructors ------------------------------------------------------
 
 
+def _scalar(r) -> bool:
+    """Whether r is a scalar; a float (np.float64 is one) is answered without
+    np.ndim, which costs a microsecond on a Python float."""
+    return isinstance(r, float) or not np.ndim(r)
+
+
 def _constant(v: float) -> Callable:
     """Evaluator of the constant v: a float at a scalar, a filled array at an array."""
-    return lambda r: np.full_like(np.asarray(r, dtype=float), v) if np.ndim(r) else v
+    return lambda r: v if _scalar(r) else np.full_like(np.asarray(r, dtype=float), v)
 
 
 def warp_one_over_r() -> WarpFunction:
@@ -252,7 +258,7 @@ def warp_r() -> WarpFunction:
         kind="r",
         params=(),
         domain=Domain(0.0),
-        _h=lambda r: r if np.ndim(r) else float(r),
+        _h=lambda r: float(r) if _scalar(r) else r,
         _dh=_constant(1.0),
         _d2h=_constant(0.0),
         _logderiv=lambda r: 1.0 / r,

@@ -34,6 +34,7 @@ from warpgeo import (
     constant_profile,
     geodesics,
     integrate,
+    inverse_square_profile,
     riccati,
     solve_prescribed,
     warp_one_over_r,
@@ -109,6 +110,47 @@ def test_ray_per_builtin_warp(monkeypatch, warp_family, name):
     init = GeodesicState.from_angle(max(w.domain.lo + 0.5, 0.8) + 0.5, 0.0, 2.0)
     for sol, ref in _with_scipy(monkeypatch, geodesics, lambda: integrate(w, init, 1.5)):
         _assert_same(sol, ref)
+
+
+def _returned_types(monkeypatch, module, run) -> set:
+    """Run ``run()``; return the types of all values that the right-hand
+    sides of the solver calls in ``module`` return."""
+    types = set()
+    kernel = module.solve_ivp
+
+    def recording(fun, *args, **kwargs):
+        def typed(t, y):
+            out = fun(t, y)
+            types.update(map(type, out))
+            return out
+
+        return kernel(typed, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "solve_ivp", recording)
+        run()
+    return types
+
+
+@pytest.mark.parametrize("name", ["one_over_r", "r", "exp", "flat(2,5)", "neg2(1,1,1)"])
+def test_geodesic_right_hand_side_returns_floats(monkeypatch, warp_family, name):
+    # The kernel converts nothing: the stages take fun's values as they are.
+    w = warp_family[name]
+    init = GeodesicState.from_angle(max(w.domain.lo + 0.5, 0.8) + 0.5, 0.0, 2.0)
+    assert _returned_types(monkeypatch, geodesics, lambda: integrate(w, init, 1.5)) == {float}
+
+
+def test_custom_right_hand_side_returns_floats(monkeypatch):
+    w, init = ESCAPING["custom-sqrt"]
+    assert _returned_types(monkeypatch, geodesics, lambda: integrate(w, init, 5.0)) == {float}
+
+
+def test_riccati_right_hand_side_returns_floats(monkeypatch):
+    # The profile c / r^2 returns np.float64 at the np.float64 radius it gets.
+    def run():
+        solve_prescribed(inverse_square_profile(-2.0), 1.0, 0.5, (0.5, 3.0))
+
+    assert _returned_types(monkeypatch, riccati, run) == {float}
 
 
 @pytest.mark.parametrize("name", sorted(ESCAPING))

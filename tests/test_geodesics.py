@@ -19,6 +19,7 @@ from warpgeo import (
     transverse_unit_b_form,
     warp_custom,
     warp_flat,
+    warp_neg2,
     warp_one_over_r,
     warp_r,
 )
@@ -183,9 +184,19 @@ ESCAPING = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ESCAPING))
+# name: (warp, initial state, radii probed before the solve).  At r = 0
+# exactly, 1/r and the root's derivative are infinite; h = r/(1 + r^3)
+# extends past r = 0 and has a pole at r = -1, where a Python float divides
+# by zero.
+PROBED = {name: (w, init, (0.0,)) for name, (w, init) in ESCAPING.items()}
+PROBED["neg2(1,1,1)"] = (
+    warp_neg2(1.0, 1.0, 1.0), GeodesicState.from_angle(1.0, 0.0, 2.0), (0.0, -1.0),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PROBED))
 def test_right_hand_side_stays_finite(monkeypatch, name):
-    w, init = ESCAPING[name]
+    w, init, radii = PROBED[name]
     probes = []
 
     def checking(fun, *args, **kwargs):
@@ -195,20 +206,22 @@ def test_right_hand_side_stays_finite(monkeypatch, name):
             assert all(math.isfinite(v) for v in out), (y, out)
             return out
 
-        # At r = 0 exactly, 1/r and the root's derivative are infinite.
-        checked(0.0, np.array([0.0, 0.0, -1.0]))
+        # As an array's np.float64 and as the kernel's list of Python floats.
+        for r in radii:
+            checked(0.0, np.array([r, 0.0, -1.0]))
+            checked(0.0, [r, 0.0, -1.0])
         return real(checked, *args, **kwargs)
 
     real = geodesics.solve_ivp
     monkeypatch.setattr(geodesics, "solve_ivp", checking)
     path = integrate(w, init, 5.0)
-    assert path.escaped and min(probes[1:]) < 0.0
+    assert path.escaped and min(probes[2 * len(radii):]) < 0.0
     assert path.stats.max_speed_drift <= 1e-9
 
 
 def test_power_warp_probes_below_zero_as_nan():
-    # The solver keeps Python floats but hands the warp np.float64, so r**1.5
-    # at a probe r < 0 is nan (and clamped), not a complex number.
+    # The solver keeps Python floats but a custom warp is handed np.float64,
+    # so r**1.5 at a probe r < 0 is nan (and clamped), not a complex number.
     w, init = ESCAPING["custom-pow1.5"]
     assert escape_length(w, init, 5.0) == pytest.approx(1.0535515232434798, abs=1e-12)
 

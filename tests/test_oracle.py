@@ -5,6 +5,11 @@ equation H' = H^2 + f for H = (log h)' becomes u'' + f u = 0.  sympy checks
 both equations for the closed-form u of each family, and the library's
 closed forms against 1/u.
 
+Curvature: sympy simplifies K = (h'' h - 2 h'^2)/h^2 of each built-in
+family, with symbolic parameters, to the library's exact curvature
+evaluated on the symbol itself; and the h = r geodesic's transverse
+coordinate differentiates to t' = b r^2.
+
 Escape lengths: mpmath's Taylor-series ODE solver integrates the geodesic
 equation r'' = -b^2 h h' at 30 digits, and its root finder locates the arc
 length where r reaches ESCAPE_MARGIN, which :func:`escape_length` must match
@@ -29,6 +34,9 @@ from warpgeo import (  # noqa: E402
     make_warp,
     warp_custom,
     warp_exp,
+    warp_flat,
+    warp_neg2,
+    warp_one_over_r,
     warp_r,
 )
 
@@ -66,6 +74,48 @@ def test_library_closed_form_is_one_over_u(name):
     rs = np.linspace(0.2, 1.8, 9)
     h = sp.lambdify(r, (1 / u).subs(values), "numpy")(rs)
     np.testing.assert_allclose(np.asarray(w.h(rs)), h, rtol=1e-14, atol=0.0)
+
+
+# -- curvature and the h = r transverse coordinate against sympy ----------------
+
+# name: (h with symbolic parameters, parameter values, the library's warp for
+# those values).
+CURVATURES = {
+    "one_over_r": (1 / r, {}, warp_one_over_r()),
+    "r": (r, {}, warp_r()),
+    "exp": (sp.exp(r), {}, warp_exp()),
+    "flat": (a0 / (a1 - r), {a0: 1.5, a1: 2.0}, warp_flat(1.5, 2.0)),
+    "neg2": (c0 * r / (c1 + c2 * r**3), {c0: 0.7, c1: 1.3, c2: 0.4}, warp_neg2(0.7, 1.3, 0.4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURES))
+def test_family_curvature_is_the_symbolic_curvature(name):
+    h, values, w = CURVATURES[name]
+    K = (sp.diff(h, r, 2) * h - 2 * sp.diff(h, r) ** 2) / h**2
+    assert sp.simplify(K - sp.nsimplify(w._curvature(r))) == 0
+    rs = np.linspace(0.2, 1.8, 9)
+    want = sp.lambdify(r, h.subs(values), "numpy")(rs)
+    np.testing.assert_allclose(np.asarray(w.h(rs)), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_neg2_transverse_is_the_antiderivative_of_b_r_squared(sign):
+    # Neg2Geodesic's radius and transverse coordinate, over the phase
+    # psi = sign b s + psi0.
+    s, b, t0, psi0 = sp.symbols("s b t0 psi0", real=True)
+    psi = sign * b * s + psi0
+    radius = sp.sin(psi) / b
+    transverse = t0 + s / (2 * b) - sign * (sp.sin(2 * psi) - sp.sin(2 * psi0)) / (4 * b**2)
+    assert sp.simplify(sp.diff(transverse, s) - b * radius**2) == 0
+    assert transverse.subs(s, 0) == t0
+
+    geo = Neg2Geodesic(r0=1.0, t0=0.3, b=0.6, sign=float(sign))
+    ss = np.linspace(*geo.arch(), 9)[1:-1]
+    values = {b: geo.b, t0: geo.t0, psi0: geo.phase0}
+    for expr, got in ((radius, geo.radius(ss)), (transverse, geo.transverse(ss))):
+        want = sp.lambdify(s, expr.subs(values), "numpy")(ss)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 # -- escape lengths against mpmath.odefun ---------------------------------------
