@@ -228,8 +228,9 @@ class WarpFunction:
 
 
 def _scalar(r) -> bool:
-    """Whether r is a scalar; a float (np.float64 is one) is answered without
-    np.ndim, which costs a microsecond on a Python float."""
+    """Whether r is a scalar.  A float (np.float64 is one) is answered without
+    np.ndim, which on a Python float first builds an array: the geodesic
+    right-hand side asks this of every radius."""
     return isinstance(r, float) or not np.ndim(r)
 
 

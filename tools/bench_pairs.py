@@ -9,8 +9,8 @@ Usage (from the repository root)::
 PARENT_DIR and CHANGE_DIR are two checkouts (for example ``git archive``
 copies of two commits).  ``--workload W:N`` runs N pairs of the checkouts'
 unchanged ``perfbench/run.py --workload W --seed K --seconds S --trace 0``
-with seeds K = 1..N; odd pairs run the parent first, even pairs the change
-first.  Each run's last stdout line is its JSON result.  ``--held-out W:K``
+with seeds K = 1..N and S the ``run_seconds`` of CHANGE_DIR/BENCHMARK.json;
+odd pairs run the parent first, even pairs the change first.  Each run's last stdout line is its JSON result.  ``--held-out W:K``
 adds one pair on seed K, kept apart from the medians.
 
 Per workload and end-to-end metric of CHANGE_DIR/BENCHMARK.json the file
@@ -64,7 +64,7 @@ if not kernel:
         dll = ctypes.CDLL(lib)
         fn = next((getattr(dll, n) for n in NAMES if hasattr(dll, n)), None)
         if fn is not None:
-            fn.restype = ctypes.c_char_p
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
             kernel = [fn().decode()]
             break
 print(json.dumps({
@@ -195,7 +195,6 @@ def parse_args(argv=None):
                         metavar="W:N", help="run N pairs of workload W on seeds 1..N")
     parser.add_argument("--held-out", type=_spec, action="append", default=[],
                         metavar="W:K", help="one more pair of workload W on seed K")
-    parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--claimed", metavar="W:METRIC", help="the metric a gain is claimed on")
     parser.add_argument("--target", default="", help="the claimed gain, in words")
     parser.add_argument("--what", default="", help="what the change is")
@@ -208,13 +207,14 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     dirs = {"parent": args.parent, "change": args.change}
-    e2e = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    e2e, seconds = bench["end_to_end"], bench["run_seconds"]
     labels = args.labels or [args.parent.resolve().name, args.change.resolve().name]
     report = {
         "what": args.what,
         "parent": labels[0],
         "change": labels[1],
-        "command": RUN_COMMAND.format(seconds=args.seconds),
+        "command": RUN_COMMAND.format(seconds=seconds),
         "method": METHOD,
         **environment(),
     }
@@ -225,11 +225,11 @@ def main(argv=None) -> int:
     report["workloads"] = {}
     for workload, n in args.workload:
         seeds = list(range(1, n + 1))
-        pairs = [run_pair(dirs, workload, seed, args.seconds, i % 2 == 0)
+        pairs = [run_pair(dirs, workload, seed, seconds, i % 2 == 0)
                  for i, seed in enumerate(seeds)]
         report["workloads"][workload] = summarize(seeds, pairs, e2e)
         if workload in held:
-            pair = run_pair(dirs, workload, held[workload], args.seconds, True)
+            pair = run_pair(dirs, workload, held[workload], seconds, True)
             report["workloads"][workload]["held_out_seed"] = held_out(held[workload], pair, e2e)
     args.out.write_text(dumps(report) + "\n")
     return 0
