@@ -60,12 +60,23 @@ __all__ = [
 # Distance from the domain boundary at which integration stops (escape).
 ESCAPE_MARGIN = 1e-10
 
+# Relative and absolute tolerances of integrate's DOP853 solve.
+RTOL = 5e-11
+ATOL = 1e-12
+
 # Maximum deviation of f^2 + g^2 from 1 accepted in an initial state.
 UNIT_SPEED_TOL = 1e-6
 
 # Warp families whose h and h' are plain + - * / on their argument, so a
 # Python float in gives a Python float out (see integrate).
 _FLOAT_KINDS = frozenset({"one_over_r", "r", "flat", "neg2"})
+
+
+def _margin(edge: float) -> float:
+    """Escape distance from a domain edge: ESCAPE_MARGIN, or 8 spacings of
+    doubles at a finite edge of 65,536 or more, where ESCAPE_MARGIN would
+    round the event threshold, the clamp and the final clip onto the edge."""
+    return max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
 
 
 def _on_float64(fn):
@@ -127,9 +138,9 @@ class GeodesicPath:
 
     ``s`` strictly increases from 0 to ``total_length``; ``escaped`` is set
     when integration halted because the radius reached the domain boundary
-    (within :data:`ESCAPE_MARGIN`), in which case ``total_length`` is the
-    event location rather than the requested span.  ``stats`` is set on
-    paths returned by :func:`integrate`.
+    (within :data:`ESCAPE_MARGIN`; see :func:`integrate`), in which case
+    ``total_length`` is the event location rather than the requested span.
+    ``stats`` is set on paths returned by :func:`integrate`.
     """
 
     s: np.ndarray
@@ -169,8 +180,6 @@ def integrate(
     init: GeodesicState,
     s_max: float,
     *,
-    rtol: float = 5e-11,
-    atol: float = 1e-12,
     n_samples: int = 129,
 ) -> GeodesicPath:
     """Integrate the geodesic from ``init`` up to arc length ``s_max``.
@@ -180,18 +189,19 @@ def integrate(
 
         r' = f,   t' = b h(r)^2,   f' = -b^2 h(r) h'(r),
 
-    at ``rtol`` and ``atol`` with no cap on its step size (the package's
-    own kernel, scipy's DOP853 on Python floats), and the returned
-    g is b h(r) on the samples: the momentum is exact by construction.  The
-    system conserves f^2 + b^2 h^2, and f is integrated rather than
-    recomputed from that energy, so the unit-speed drift
+    at :data:`RTOL` (5e-11) and :data:`ATOL` (1e-12) with no cap on its
+    step size (the package's own kernel, scipy's DOP853 on Python floats),
+    and the returned g is b h(r) on the samples: the momentum is exact by
+    construction.  The system conserves f^2 + b^2 h^2, and f is integrated
+    rather than recomputed from that energy, so the unit-speed drift
     |f^2 + b^2 h^2 - 1| of the samples is the quality measure, reported
     with the solver counts and the stop reason in ``stats``.
 
     Integration stops early, with ``escaped`` set, when the radius reaches
-    either domain boundary to within :data:`ESCAPE_MARGIN`; the boundary
-    crossing is located by the solver's root finder on the dense output and
-    ``total_length`` is the arc length at the event.
+    either domain boundary to within :data:`ESCAPE_MARGIN` (8 spacings of
+    doubles at an edge of 65,536 or more, where 1e-10 would round away); the
+    boundary crossing is located by the solver's root finder on the dense
+    output and ``total_length`` is the arc length at the event.
 
     Raises
     ------
@@ -209,18 +219,21 @@ def integrate(
             f"initial state is not unit speed: f^2+g^2 = {init.speed_sq!r}"
         )
     b = float(init.g / w.h(init.r))
+    d_lo, d_hi = w.domain.lo, w.domain.hi
+    m_lo, m_hi = _margin(d_lo), _margin(d_hi)
+    stop_lo, stop_hi = d_lo + m_lo, d_hi - m_hi
 
     events = []
 
     def hit_lower(s, y):
-        return y[0] - (w.domain.lo + ESCAPE_MARGIN)
+        return y[0] - stop_lo
 
     hit_lower.direction = -1
     events.append(hit_lower)
 
-    if math.isfinite(w.domain.hi):
+    if math.isfinite(d_hi):
         def hit_upper(s, y):
-            return y[0] - (w.domain.hi - ESCAPE_MARGIN)
+            return y[0] - stop_hi
 
         hit_upper.direction = 1
         events.append(hit_upper)
@@ -238,8 +251,8 @@ def integrate(
     # solver keeps depends on it.
     h, dh = w._h, w._dh  # raw evaluators: the probes leave the domain on purpose
     f64 = np.float64
-    inner_lo = w.domain.lo + 0.25 * ESCAPE_MARGIN
-    inner_hi = w.domain.hi - 0.25 * ESCAPE_MARGIN
+    inner_lo = d_lo + 0.25 * m_lo
+    inner_hi = d_hi - 0.25 * m_hi
 
     def extends(edge: float) -> bool:
         return math.isfinite(h(np.float64(edge)) * dh(np.float64(edge)))
@@ -248,8 +261,8 @@ def integrate(
     # root of a negative number; the clamp replaces those values, so their
     # warnings carry no information.
     with np.errstate(all="ignore"):
-        lo = -math.inf if extends(w.domain.lo) else inner_lo
-        hi = math.inf if extends(w.domain.hi) else inner_hi
+        lo = -math.inf if extends(d_lo) else inner_lo
+        hi = math.inf if extends(d_hi) else inner_hi
 
         # The solver's state and the derivative it takes are Python floats.
         # The plain-arithmetic families (_FLOAT_KINDS) get the radius as it
@@ -276,7 +289,7 @@ def integrate(
 
         sol = solve_ivp(
             rhs, (0.0, float(s_max)), (init.r, init.t, init.f),
-            rtol=rtol, atol=atol, events=events,
+            rtol=RTOL, atol=ATOL, events=events,
         )
     if sol.status < 0:
         raise ValueError(f"geodesic integration failed: {sol.message}")
@@ -285,10 +298,10 @@ def integrate(
     s_end = float(sol.t[-1])
     grid = np.linspace(0.0, s_end, max(2, int(n_samples)))
     r_v, t_v, f_v = sol.sol(grid)
-    # The event is located ESCAPE_MARGIN inside the boundary; interpolation
+    # The event is located the margin inside the boundary; interpolation
     # noise may put the final sample a hair past it.  Clamp to keep states
     # constructible and h inside its domain.
-    r_v = np.clip(r_v, w.domain.lo + 0.5 * ESCAPE_MARGIN, w.domain.hi - 0.5 * ESCAPE_MARGIN)
+    r_v = np.clip(r_v, d_lo + 0.5 * m_lo, d_hi - 0.5 * m_hi)
     g_v = b * np.asarray(h(r_v), dtype=float)
     if not escaped:
         stop = "s_max"

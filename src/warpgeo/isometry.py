@@ -39,8 +39,11 @@ __all__ = [
     "classify",
 ]
 
-# Sample lattice of classify: radii by transverse coordinates.
+# Sample lattice of classify: radii (clipped to the domain) by transverse
+# coordinates.
 GRID_SHAPE = (20, 20)
+R_RANGE = (0.1, 5.0)
+T_RANGE = (-3.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -183,18 +186,17 @@ def classify(
     m: AffineMap,
     *,
     tol: float = 1e-9,
-    r_range: tuple[float, float] = (0.1, 5.0),
-    t_range: tuple[float, float] = (-3.0, 3.0),
     seed: int = 0,
 ) -> IsometryReport:
     """Classify an affine map by its residual maxima over a sample grid.
 
     The verdict is ``holomorphic_isometry`` when both residual maxima fall
     below ``tol``, ``isometry_only`` / ``holomorphic_only`` when exactly one
-    does, and ``neither`` otherwise.  The default grid covers
-    r in [0.1, 5], t in [-3, 3] with a ``GRID_SHAPE`` (20 x 20) lattice
-    (clipped to the warp's domain); vectors per point are the two frame
-    vectors plus one random vector drawn from the seeded generator.
+    does, and ``neither`` otherwise.  The grid is a ``GRID_SHAPE``
+    (20 x 20) lattice over ``R_RANGE`` (r in [0.1, 5], clipped to the
+    warp's domain) by ``T_RANGE`` (t in [-3, 3]); vectors per point are the
+    two frame vectors plus one random vector drawn from the seeded
+    generator.
 
     h is evaluated once on the array of grid radii and once on their
     images, so the warp's evaluator must accept arrays (as every warp
@@ -207,19 +209,17 @@ def classify(
     DomainError
         If the grid misses the warp's domain or an image radius leaves it.
     ValueError
-        If a grid or image coordinate, or a sample vector, is not finite.
+        If an image coordinate or a sample vector is not finite.
     """
-    lo = max(r_range[0], w.domain.lo * (1.0 + 1e-9) + 1e-9)
-    hi = min(r_range[1], w.domain.hi * (1.0 - 1e-9) if math.isfinite(w.domain.hi) else r_range[1])
+    lo = max(R_RANGE[0], w.domain.lo * (1.0 + 1e-9) + 1e-9)
+    hi = min(R_RANGE[1], w.domain.hi * (1.0 - 1e-9))
     if not lo < hi:
         raise DomainError("sample grid does not intersect the warp domain")
     rs = np.linspace(lo, hi, GRID_SHAPE[0])
-    ts = np.linspace(t_range[0], t_range[1], GRID_SHAPE[1])
+    ts = np.linspace(*T_RANGE, GRID_SHAPE[1])
     # Row-major grid, the point order of the pointwise reference.
     r = np.repeat(rs, ts.size)
     t = np.tile(ts, rs.size)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("point coordinates must be finite")
     # broadcast_to keeps a warp whose h returns one scalar for a constant.
     hr = np.broadcast_to(w.h(r), r.shape)
     if not np.all(np.isfinite(m.k * t + m.l)):
@@ -258,7 +258,7 @@ def classify(
         k=m.k,
         l=m.l,
         r_range=(lo, hi),
-        t_range=tuple(t_range),
+        t_range=T_RANGE,
         grid_shape=GRID_SHAPE,
         seed=seed,
     )

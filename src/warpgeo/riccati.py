@@ -85,9 +85,6 @@ class HField:
     r0: float
     H0: float
 
-    def interpolate_H(self, r):
-        return np.interp(r, self.grid, self.H)
-
 
 # Each adaptive step of the solver is cut into _REFINE grid intervals, and
 # an interval is halved while |H| dr exceeds _MAX_H_STEP at one of its ends:
@@ -96,8 +93,11 @@ class HField:
 _REFINE = 16
 _MAX_H_STEP = 1.0 / (4 * _REFINE)
 
+# Relative tolerance of solve_prescribed's DOP853 solves.
+RTOL = 1e-10
 
-def _integrate_side(f, r0, H0, r_end, rtol, atol):
+
+def _integrate_side(f, r0, H0, r_end, atol):
     """One-directional DOP853 integration of u'' + f u = 0 from u = 1,
     u' = -H0, backward where ``r_end`` < r0.
 
@@ -118,7 +118,7 @@ def _integrate_side(f, r0, H0, r_end, rtol, atol):
 
     # u can overflow before r_end (h underflows); the failure is raised.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (r0, r_end), (1.0, -H0), rtol=rtol, atol=atol, events=[u_zero])
+        sol = solve_ivp(rhs, (r0, r_end), (1.0, -H0), rtol=RTOL, atol=atol, events=[u_zero])
     if sol.status < 0:
         raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {sol.message}")
     blow = float(sol.t_events[0][0]) if sol.status == 1 else None
@@ -149,7 +149,6 @@ def solve_prescribed(
     H0: float,
     r_range: tuple[float, float],
     *,
-    rtol: float = 1e-10,
     atol: float = 1e-10,
 ) -> HField:
     """Solve H' = H^2 + f from H(r0) = H0 across ``r_range``.
@@ -157,8 +156,9 @@ def solve_prescribed(
     Integrates the linear equation u'' + f u = 0 from u(r0) = 1,
     u'(r0) = -H0 in both directions up to the range endpoints, stopping at
     the first zero of u, where H = -u'/u blows up, and recording its
-    location.  H and h = 1/u come from the solver's dense output on its
-    refined grid, so h(r0) = 1.
+    location.  DOP853 runs at relative tolerance :data:`RTOL` (1e-10) and
+    absolute tolerance ``atol``.  H and h = 1/u come from the solver's
+    dense output on its refined grid, so h(r0) = 1.
 
     Raises
     ------
@@ -166,7 +166,7 @@ def solve_prescribed(
         If r0, H0 or an endpoint of ``r_range`` is not finite, r0 lies
         outside ``r_range``, the range leaves the profile's domain r > 0
         (an endpoint may be 0 itself, but not within ``DOMAIN_MARGIN``
-        above it), tolerances are not positive, or u overflows.
+        above it), ``atol`` is not positive, or u overflows.
     """
     lo, hi = float(r_range[0]), float(r_range[1])
     if not np.isfinite([r0, H0, lo, hi]).all():
@@ -175,11 +175,11 @@ def solve_prescribed(
         raise ValueError(f"r0={r0} not inside range ({lo}, {hi})")
     if not (lo == 0.0 or lo > DOMAIN_MARGIN) or not hi > DOMAIN_MARGIN:
         raise ValueError("range must lie inside the profile domain")
-    if rtol <= 0.0 or atol <= 0.0:
-        raise ValueError("tolerances must be positive")
+    if atol <= 0.0:
+        raise ValueError("atol must be positive")
 
-    back, blow_b = _integrate_side(profile.f, r0, H0, lo, rtol, atol)
-    fwd, blow_f = _integrate_side(profile.f, r0, H0, hi, rtol, atol)
+    back, blow_b = _integrate_side(profile.f, r0, H0, lo, atol)
+    fwd, blow_f = _integrate_side(profile.f, r0, H0, hi, atol)
     grid, u, du = np.hstack([back[:, back[0] < r0], fwd])
 
     # Report the forward blow-up when both directions have one.

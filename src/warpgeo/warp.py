@@ -26,7 +26,7 @@ automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -55,6 +55,9 @@ FD_STEP_SCALE = 1e-6
 
 # Relative tolerance for the derivative consistency check run by make_warp.
 CONSISTENCY_TOL = 1e-5
+
+# Size of Domain.sample's grid, on which make_warp and warp_custom validate.
+SAMPLE_SIZE = 33
 
 
 class DomainError(ValueError):
@@ -95,18 +98,12 @@ class Domain:
             r = float(np.asarray(r, dtype=float)[~ok][0])
         raise DomainError(f"radius {r!r} outside open domain ({self.lo}, {self.hi})")
 
-    def intersect(self, other: "Domain") -> "Domain":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo >= hi:
-            raise ValueError("empty domain intersection")
-        return Domain(lo, hi)
-
-    def sample(self, n: int = 33) -> np.ndarray:
-        """Interior sample grid, used for validation sweeps."""
+    def sample(self) -> np.ndarray:
+        """Interior grid of ``SAMPLE_SIZE`` radii, used for validation sweeps."""
         lo = self.lo
         hi = self.hi if math.isfinite(self.hi) else max(10.0, 4.0 * lo + 10.0)
         pad = (hi - lo) * 1e-3
-        return np.linspace(lo + pad, hi - pad, n)
+        return np.linspace(lo + pad, hi - pad, SAMPLE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -155,9 +152,6 @@ class WarpSpec:
         params = tuple(float(tok) for tok in tail.split(",")) if tail else ()
         return cls(name.strip(), params)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "WarpSpec":
         return cls(d["kind"], tuple(d.get("params", ())))
@@ -189,7 +183,7 @@ class WarpFunction:
     # The checked evaluators: the domain check, then fn at a float or float array.
     def _checked(self, fn: Callable, r):
         self.domain.require(r)
-        return fn(np.asarray(r, dtype=float) if np.ndim(r) else float(r))
+        return fn(float(r) if _scalar(r) else np.asarray(r, dtype=float))
 
     def h(self, r):
         return self._checked(self._h, r)
@@ -230,7 +224,7 @@ class WarpFunction:
 def _scalar(r) -> bool:
     """Whether r is a scalar.  A float (np.float64 is one) is answered without
     np.ndim, which on a Python float first builds an array: the geodesic
-    right-hand side asks this of every radius."""
+    right-hand side and every checked evaluation ask this."""
     return isinstance(r, float) or not np.ndim(r)
 
 
@@ -386,7 +380,6 @@ def warp_custom(
     d2h: Callable | None = None,
     *,
     domain: tuple[float, float] | Domain,
-    check: bool = True,
 ) -> WarpFunction:
     """Wrap caller-supplied evaluators as a warp function.
 
@@ -396,9 +389,10 @@ def warp_custom(
     (eps/step^2) against truncation.  Both steps are cut to half the
     distance to the nearer domain edge.  The logarithmic derivative is
     dh(r)/h(r).  The domain must be an explicit open subinterval of
-    (0, inf).  Positivity of h and consistency of supplied derivatives (at
-    relative tolerance ``CONSISTENCY_TOL``) are sampled unless ``check`` is
-    false.
+    (0, inf).  Positivity and finiteness of h and of dh/h, and consistency
+    of supplied derivatives (at relative tolerance ``CONSISTENCY_TOL``), are
+    checked on the domain's ``SAMPLE_SIZE``-point grid; a failed check
+    raises ``ValueError``.
     """
     dom = domain if isinstance(domain, Domain) else Domain(*domain)
     step2 = math.sqrt(FD_STEP_SCALE)
@@ -428,8 +422,6 @@ def warp_custom(
         _d2h=d2h,
         _logderiv=lambda r: dh(r) / h(r),
     )
-    if not check:
-        return w
     # FD-built derivatives are consistent by construction; only cross-check
     # what the caller actually supplied.
     return _validate(w, check_dh=supplied[0], check_d2h=supplied[0] and supplied[1])
@@ -447,7 +439,7 @@ _FAMILIES = {
 
 def _fd_step(r, scale: float):
     """Central-difference step ``scale * max(1, |r|)`` at a scalar or array r."""
-    return scale * np.maximum(1.0, np.abs(r)) if np.ndim(r) else scale * max(1.0, abs(r))
+    return scale * max(1.0, abs(r)) if _scalar(r) else scale * np.maximum(1.0, np.abs(r))
 
 
 def _validate(w: WarpFunction, check_dh: bool, check_d2h: bool) -> WarpFunction:
@@ -478,35 +470,27 @@ def _validate(w: WarpFunction, check_dh: bool, check_d2h: bool) -> WarpFunction:
     return w
 
 
-def make_warp(
-    spec: WarpSpec | str,
-    *,
-    domain: tuple[float, float] | Domain | None = None,
-) -> WarpFunction:
+def make_warp(spec: WarpSpec | str) -> WarpFunction:
     """Build a warp function from a spec (or its string form).
 
-    h is sampled to confirm positivity, and the derivative evaluators are
-    cross-checked by central differences at relative tolerance
-    ``CONSISTENCY_TOL``.
+    The warp keeps its family's natural domain (see the module docstring).
+    h is sampled on the domain's ``SAMPLE_SIZE``-point grid to confirm
+    positivity, and the derivative evaluators are cross-checked there by
+    central differences at relative tolerance ``CONSISTENCY_TOL``.
 
     Parameters
     ----------
     spec
         A :class:`WarpSpec` or a string such as ``"one_over_r"`` or
         ``"flat:2,5"``.
-    domain
-        Optional restriction; intersected with the family's natural domain.
 
     Raises
     ------
     ValueError
-        If the parameters leave no open interval with h > 0, or if the
-        restriction empties the domain, or a consistency check fails.
+        If the parameters leave no open interval with h > 0, or a
+        consistency check fails.
     """
     if isinstance(spec, str):
         spec = WarpSpec.from_string(spec)
     w = _FAMILIES[spec.kind][0](*spec.params)
-    if domain is not None:
-        dom = domain if isinstance(domain, Domain) else Domain(*domain)
-        w = replace(w, domain=w.domain.intersect(dom))
     return _validate(w, check_dh=True, check_d2h=True)

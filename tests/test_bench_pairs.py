@@ -79,6 +79,16 @@ def test_held_out_pair():
     }
 
 
+def test_held_out_needs_its_workload(capsys):
+    argv = ["parent", "change", "--workload", "atlas:2", "--out", "bench.json"]
+    args = bench_pairs.parse_args(argv + ["--held-out", "atlas:104729"])
+    assert args.held_out == [("atlas", 104729)]
+    # A held-out seed of a workload that runs no pairs would be dropped.
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(argv + ["--held-out", "rays:104729"])
+    assert "--held-out names workloads with no --workload: rays" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workload", ["atlas", "rays", "fields", "cli_cold"])
 def test_reproduces_a_committed_summary(workload):
     # The runs were recorded to 6 decimals, the quartiles from the unrounded

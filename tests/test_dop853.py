@@ -16,17 +16,13 @@ changed in Python 3.12.
 """
 
 import math
-import os
-import subprocess
-import sys
 from operator import mul
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
-from test_geodesics import ESCAPING
+from test_geodesics import ESCAPING, child_stdout
 
 from warpgeo import (
     FlatGeodesic,
@@ -347,20 +343,9 @@ def test_an_infinite_step_end_derivative_rejects_the_step():
     assert np.allclose(samples[0], np.exp(-np.linspace(0.0, 4.0, 33)), rtol=1e-5)
 
 
-def _child_stdout(code: str) -> str:
-    """What a fresh interpreter running ``code`` prints; the timeout turns a
-    hang into a failure."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    return proc.stdout
-
-
 def test_import_compiles_no_stage_code():
     code = "import warpgeo.cli; from warpgeo import _dop853; print(_dop853._STAGE_CODE)"
-    assert _child_stdout(code) == "{}\n"
+    assert child_stdout(code) == "{}\n"
 
 
 def test_nan_initial_step_ends_the_solve():
@@ -371,14 +356,16 @@ def test_nan_initial_step_ends_the_solve():
         "sol = solve_ivp(lambda t, y: (math.nan,), (0.0, 1.0), (1.0,), rtol=1e-6, atol=1e-9); "
         "print(sol.status, sol.message)"
     )
-    assert _child_stdout(code) == "-1 The derivative is not finite at t = 0.0.\n"
+    assert child_stdout(code) == "-1 The derivative is not finite at t = 0.0.\n"
 
 
 def test_parity_at_tight_tolerances(monkeypatch):
     # Kernel parity at tight tolerances, where the shot whips around a
     # turning radius of 0.14.
+    monkeypatch.setattr(geodesics, "RTOL", 1e-12)
+    monkeypatch.setattr(geodesics, "ATOL", 1e-14)
     init = FlatGeodesic(r0=1.0, t0=0.0, a=-0.99).initial_state()
-    run = lambda: integrate(warp_one_over_r(), init, 3.0, rtol=1e-12, atol=1e-14)  # noqa: E731
+    run = lambda: integrate(warp_one_over_r(), init, 3.0)  # noqa: E731
     for sol, ref in _with_scipy(monkeypatch, geodesics, run):
         assert ref.nfev > 2 + 15 * (len(ref.t) - 1)  # some steps were rejected
         _assert_same(sol, ref)

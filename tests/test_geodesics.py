@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,17 @@ from warpgeo import (
     warp_r,
 )
 from warpgeo import geodesics
+
+
+def child_stdout(code: str) -> str:
+    """What a fresh interpreter running ``code`` prints; the timeout turns a
+    hang into a failure."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    return proc.stdout
 
 
 class TestIntegrate:
@@ -100,6 +115,26 @@ class TestIntegrate:
         path = integrate(w, GeodesicState(4.0, 0.0, 1.0, 0.0), 5.0)
         assert path.escaped
         assert path.total_length == pytest.approx(1.0, abs=1e-6)
+
+    def test_escape_next_to_a_large_pole_returns(self):
+        # At 1e9 the spacing of doubles (1.2e-7) exceeds ESCAPE_MARGIN, so
+        # the escape stops 8 spacings short of the pole.  It runs in a child
+        # process, where a hang fails the test.
+        code = (
+            "from warpgeo import GeodesicState, integrate, warp_flat; "
+            "p = integrate(warp_flat(1.0, 1e9), GeodesicState(1e9 - 1.0, 0.0, 1.0, 0.0), 5.0); "
+            "print(p.stats.stop, p.r[-1] < 1e9, p.total_length)"
+        )
+        stop, inside, length = child_stdout(code).split()
+        assert (stop, inside) == ("escaped_upper", "True")
+        assert float(length) == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("edge", [0.0, 5.0, 65535.99, math.inf])
+    def test_small_and_infinite_edges_keep_escape_margin(self, edge):
+        # Every warp of README, the demos and the benchmark has such edges,
+        # so their escapes keep their bits.
+        assert geodesics._margin(edge) == geodesics.ESCAPE_MARGIN
+        assert geodesics._margin(65536.0) > geodesics.ESCAPE_MARGIN
 
 
 def _record_solutions(monkeypatch) -> list:

@@ -5,9 +5,11 @@ import pytest
 
 from warpgeo import (
     AffineMap,
+    Domain,
     DomainError,
     Point,
     TangentVector,
+    WarpFunction,
     affine_act,
     classify,
     connect_flat,
@@ -209,15 +211,16 @@ class TestClassify:
             assert (rep.holomorphy_residual, rep.isometry_residual) == ref
 
     def test_nan_image_matches_pointwise_reference(self):
-        # h is NaN past r = 3, where half of the images land: both residuals
-        # must be NaN on both sides, not the max over the finite entries.
-        w = warp_custom(
-            lambda r: np.where(np.asarray(r) > 3.0, np.nan, 1.0 / np.asarray(r)),
-            domain=(0.0, math.inf),
-            check=False,
-        )
+        # h is NaN past r = 5, the grid's last radius, where half of the
+        # images land: both residuals must be NaN on both sides, not the max
+        # over the finite entries.  warp_custom would reject this h.
+        def h(r):
+            return np.where(np.asarray(r) > 5.0, np.nan, 1.0 / np.asarray(r))
+
+        w = WarpFunction("custom", (), Domain(0.0), _h=h, _dh=h, _d2h=h, _logderiv=h)
         m = AffineMap(2.0, 0.5)
-        rep = classify(w, m, r_range=(0.1, 2.9))
+        rep = classify(w, m)
+        assert rep.r_range == (0.1, 5.0)
         ref = self.pointwise_reference(w, m, 0, rep.r_range)
         np.testing.assert_equal((rep.holomorphy_residual, rep.isometry_residual), ref)
         assert math.isnan(rep.isometry_residual)
@@ -229,14 +232,8 @@ class TestClassify:
 
     def test_grid_missing_domain_raises(self):
         with pytest.raises(DomainError):
-            classify(warp_flat(1.0, 5.0), AffineMap(1.0, 0.0), r_range=(6.0, 8.0))
-
-    # linspace itself warns while spreading an infinite range.
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("t_range", [(-3.0, math.inf), (math.nan, 3.0)])
-    def test_nonfinite_t_range_raises(self, flat_warp, t_range):
-        with pytest.raises(ValueError, match="finite"):
-            classify(flat_warp, AffineMap(1.0, 0.0), t_range=t_range)
+            # The domain (0, 0.05) lies below the grid's radii [0.1, 5].
+            classify(warp_flat(1.0, 0.05), AffineMap(1.0, 0.0))
 
     def test_report_serialization(self, flat_warp):
         d = classify(flat_warp, AffineMap(1.0, 1.0), seed=7).to_dict()

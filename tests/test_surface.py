@@ -1,5 +1,7 @@
 """The package's public surface is the concatenation of its modules' lists."""
 
+import pytest
+
 import warpgeo
 from warpgeo import connect, geodesics, geometry, isometry, riccati, warp
 
@@ -49,3 +51,28 @@ def test_aliases_are_bindings():
     assert warpgeo.analytic_neg2 is warpgeo.warp_neg2
     m, p = warpgeo.AffineMap(2.0, 0.5), warpgeo.Point(1.5, -1.0)
     assert warpgeo.affine_act(m, p) == m.apply(p) == warpgeo.Point(3.0, -1.5)
+
+
+# Settings that are module constants now; passing one is a TypeError.
+REMOVED_KEYWORDS = {
+    "integrate-rtol": lambda: warpgeo.integrate(
+        warpgeo.warp_r(), warpgeo.GeodesicState(1.0, 0.0, 1.0, 0.0), 1.0, rtol=1e-9),
+    "integrate-atol": lambda: warpgeo.integrate(
+        warpgeo.warp_r(), warpgeo.GeodesicState(1.0, 0.0, 1.0, 0.0), 1.0, atol=1e-9),
+    "solve_prescribed-rtol": lambda: warpgeo.solve_prescribed(
+        warpgeo.constant_profile(0.0), 1.0, 0.0, (0.5, 2.0), rtol=1e-9),
+    "classify-r_range": lambda: warpgeo.classify(
+        warpgeo.warp_r(), warpgeo.AffineMap(1.0), r_range=(0.1, 5.0)),
+    "classify-t_range": lambda: warpgeo.classify(
+        warpgeo.warp_r(), warpgeo.AffineMap(1.0), t_range=(-3.0, 3.0)),
+    "warp_custom-check": lambda: warpgeo.warp_custom(
+        lambda r: r, domain=(0.0, 1.0), check=False),
+    "make_warp-domain": lambda: warpgeo.make_warp("r", domain=(1.0, 2.0)),
+    "sample-n": lambda: warpgeo.Domain(0.0).sample(17),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_KEYWORDS.values(), ids=REMOVED_KEYWORDS)
+def test_removed_keyword_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()

@@ -74,8 +74,8 @@ class TestWarpSpec:
             WarpSpec("flat", (1.0,))
 
     def test_round_trip_dict(self):
-        spec = WarpSpec("neg2", (1.0, -1.0, 1.0))
-        assert WarpSpec.from_dict(spec.to_dict()) == spec
+        d = {"kind": "neg2", "params": [1.0, -1.0, 1.0]}
+        assert WarpSpec.from_dict(d) == WarpSpec("neg2", (1.0, -1.0, 1.0))
 
 
 class TestBuiltinFamilies:
@@ -142,18 +142,8 @@ class TestMakeWarp:
     )
     def test_all_kinds_pass_consistency(self, text):
         w = make_warp(text)
-        grid = w.domain.sample(17)
+        grid = w.domain.sample()
         assert np.all(np.asarray(w.h(grid)) > 0)
-
-    def test_domain_restriction(self):
-        w = make_warp("one_over_r", domain=(1.0, 2.0))
-        assert (w.domain.lo, w.domain.hi) == (1.0, 2.0)
-        with pytest.raises(DomainError):
-            w.h(0.5)
-
-    def test_empty_restriction(self):
-        with pytest.raises(ValueError):
-            make_warp("flat:1,5", domain=(6.0, 7.0))
 
 
 class TestCustomWarp:

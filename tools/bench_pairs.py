@@ -201,7 +201,11 @@ def parse_args(argv=None):
     parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
                         help="commit names of the two sides (default: directory names)")
     parser.add_argument("--out", type=Path, required=True)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    unrun = sorted({w for w, _ in args.held_out} - {w for w, _ in args.workload})
+    if unrun:
+        parser.error(f"--held-out names workloads with no --workload: {', '.join(unrun)}")
+    return args
 
 
 def main(argv=None) -> int:
