@@ -7,6 +7,12 @@ blended err5/err3 error norm, dense output and event location.  The
 tableau is written out below and events are located by the Brent port in
 :mod:`warpgeo._brentq`, so the kernel needs no scipy.
 
+Of scipy's ``solve_ivp`` surface the kernel keeps what the package uses.
+Spans run forward only (t_bound > t0); a caller with a backward problem
+solves its mirror in -t, which IEEE rounding makes exact (see
+:func:`warpgeo.riccati._integrate_side`).  Every event is terminal and
+directed: it stops at rising or at falling crossings, never at both.
+
 scipy runs the method on numpy arrays: for the two- and three-component
 systems of this package most of its time goes to numpy calls on tiny
 arrays, the ``fun`` wrappers and one interpolant object per step.  Here the
@@ -52,10 +58,6 @@ ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
 EPS = sys.float_info.epsilon
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-MESSAGES = {
-    0: "The solver successfully reached the end of the integration interval.",
-    1: "A termination event occurred.",
-}
 
 
 # The tableau, in the doubles of scipy's ``dop853_coefficients.py``
@@ -137,14 +139,15 @@ class Solution:
     """Outcome of :func:`solve_ivp`, with scipy's field names.
 
     ``status`` is 0 at the end of the interval, 1 at a terminal event and -1
-    when the step size underflowed; ``t`` holds the start and the accepted
-    step ends (the last one is the event root after an event); ``t_events``
-    holds one array per event; ``nfev`` counts right-hand-side evaluations
-    and ``nrej`` rejected step attempts; ``sol`` evaluates the dense output.
+    when the step size underflowed, which ``message`` then explains (it is
+    None otherwise); ``t`` holds the start and the accepted step ends (the
+    last one is the event root after an event); ``t_events`` holds one array
+    per event; ``nfev`` counts right-hand-side evaluations and ``nrej``
+    rejected step attempts; ``sol`` evaluates the dense output.
     """
 
     status: int
-    message: str
+    message: str | None
     t: np.ndarray
     t_events: list
     nfev: int
@@ -156,10 +159,10 @@ class DenseSolution:
     """Piecewise interpolant of the accepted steps, one segment per step.
 
     A sample picks its segment by scipy's ``OdeSolution`` rule (a step end
-    belongs to the earlier step in the direction of integration, and
-    samples outside the span use the first or last step), and all samples
-    are evaluated in one vectorised pass of the DOP853 interpolation
-    polynomial, with the operations of scipy's ``Dop853DenseOutput``.
+    belongs to the earlier step, and samples outside the span use the first
+    or last step), and all samples are evaluated in one vectorised pass of
+    the DOP853 interpolation polynomial, with the operations of scipy's
+    ``Dop853DenseOutput``.
     """
 
     def __init__(self, ts: list, segments: list):
@@ -176,11 +179,7 @@ class DenseSolution:
             self._arrays = np.array(ts), t_old, h, y_old, F.reshape(len(h), 7, -1)
         ts, t_old, h, y_old, F = self._arrays
         t = np.asarray(t, dtype=float)
-        last = len(h) - 1
-        if ts[-1] >= ts[0]:
-            seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
-        else:
-            seg = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
         x = ((t - t_old[seg]) / h[seg])[:, None]
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
 
@@ -260,19 +259,19 @@ def _rms(v) -> float:
     return math.sqrt(total) / len(v) ** 0.5
 
 
-def _initial_step(fun, t0, y, f, t_bound, direction, rtol, atol) -> float:
+def _initial_step(fun, t0, y, f, t_bound, rtol, atol) -> float:
     """scipy's ``select_initial_step`` for an order-7 error estimate.
 
     Makes one right-hand-side evaluation.  Divisions that numpy would turn
     into inf or nan are spelled out, since Python floats raise instead.
     """
-    interval = abs(t_bound - t0)
+    interval = t_bound - t0
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms([v / s for v, s in zip(y, scale)])
     d1 = _rms([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y, f)])
+    f1 = fun(t0 + h0, [v + h0 * fv for v, fv in zip(y, f)])
     num = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)])
     d2 = num / h0 if h0 else (math.inf if num > 0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -283,75 +282,58 @@ def _initial_step(fun, t0, y, f, t_bound, direction, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _active(g, g_new, directions) -> list[int]:
-    """Events whose sign change over a step matches their direction."""
-    out = []
-    for i, (a, b, d) in enumerate(zip(g, g_new, directions)):
-        up = a <= 0 and b >= 0
-        down = a >= 0 and b <= 0
-        if (up and d > 0) or (down and d < 0) or ((up or down) and d == 0):
-            out.append(i)
-    return out
-
-
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Solution:
-    """Integrate y' = fun(t, y) over ``t_span`` (either direction) by DOP853.
+    """Integrate y' = fun(t, y) forward over ``t_span`` = (t0, t_bound) by DOP853.
 
-    ``fun`` receives t and the state as a list of Python floats and returns
-    the derivative as a sequence of ``n`` Python floats, which the step
-    uses as they are: a numpy scalar would carry every later operation of
-    the step through numpy.  Every event ``e(t, y)`` is terminal: the first
+    The span must run forward, t_bound > t0 (a ``ValueError`` otherwise); a
+    problem posed backward is solved as its mirror in -t.  ``fun`` receives
+    t and the state as a list of Python floats and returns the derivative as
+    a sequence of ``n`` Python floats, which the step uses as they are: a
+    numpy scalar would carry every later operation of the step through
+    numpy.  Every event ``e(t, y)`` is terminal and stops only at the rising
+    (``direction`` attribute > 0) or falling (< 0) crossings: the first
     root, located on the step's interpolant by ``brentq`` with
-    ``xtol = rtol = 4 eps``, ends the solve.  An optional ``direction``
-    attribute restricts it to rising (> 0) or falling (< 0) crossings.
+    ``xtol = rtol = 4 eps``, ends the solve.
 
     A non-finite stage makes the error estimate nan, and the rejected step
     shrinks until the solve ends with status -1.  The update and the error
     sums keep the zero entries of B, E5 and E3 for this: ``f_new`` has
     weight 0 in both error sums, and only ``0.0 * inf`` (nan) lets an
     infinite ``f_new`` reject its step rather than end in a non-finite
-    interpolant.  The step is Python float arithmetic, which warns of
-    nothing.  When the derivative at the last accepted state is itself not
-    finite, the message says so instead of naming the step size.
+    interpolant.  Every accepted state thus has a finite derivative but the
+    start's.  The step is Python float arithmetic, which warns of nothing.
+    When the derivative at the start is itself not finite, the message says
+    so instead of naming the step size.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
+    if not t_bound > t0:
+        raise ValueError(f"t_span must run forward, got ({t0!r}, {t_bound!r})")
     t = t0
     y = [float(v) for v in y0]
     n = len(y)
-    direction = 1.0 if t_bound >= t0 else -1.0
     f = fun(t, y)
-    nfev, nrej = 1, 0
 
     ts, segments = [t0], []
     t_events = [[] for _ in events]
-    directions = [getattr(ev, "direction", 0) for ev in events]
+    directions = [ev.direction for ev in events]
     g = [ev(t, y) for ev in events]
     status, message = None, None
 
-    if t == t_bound:
-        # No step: a constant segment, as in scipy.
-        ts.append(t)
-        segments.append((t, 1.0, y, [0.0] * (7 * n)))
-        status = 0
-    else:
-        h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
-        nfev += 1
-        stages, extra = _stage_functions(n)
+    size = _initial_step(fun, t, y, f, t_bound, rtol, atol)  # of the next step attempt
+    nfev, nrej = 2, 0
+    stages, extra = _stage_functions(n)
 
     while status is None:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if size < min_step:
+            size = min_step
         rejected = False
         while True:
-            if not h_abs >= min_step:  # true for a nan step too
+            if not size >= min_step:  # true for a nan step too
                 status, message = -1, TOO_SMALL_STEP
                 break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
+            t_new = min(t_bound, t + size)  # a tie takes t_bound, with its sign of zero
             h = t_new - t
-            h_abs = abs(h)
 
             y_new, f_new, err5, err3, ks = stages(fun, t, h, y, f)
             nfev += 12
@@ -371,15 +353,15 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
                 n5, n3 = math.sqrt(e5), math.sqrt(e3)
                 n5, n3 = n5 * n5, n3 * n3
                 denom = math.sqrt((n5 + 0.01 * n3) * n)
-                err = h_abs * n5 / denom if denom else math.nan
+                err = h * n5 / denom if denom else math.nan
 
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
                 if rejected:
                     factor = min(1.0, factor)
-                h_abs *= factor
+                size = h * factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+            size = h * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
             rejected = True
             nrej += 1
         if status is not None:
@@ -394,19 +376,19 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
 
         segment = (t, h, y, F)
         t_old, t, y, f = t, t_new, y_new, f_new
-        if direction * (t - t_bound) >= 0:
+        if t >= t_bound:
             status = 0
         if events:
             g_new = [ev(t, y) for ev in events]
-            active = _active(g, g_new, directions)
+            active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+                      if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)]
             if active:
                 roots = [
                     (brentq(lambda s, ev=events[i]: ev(s, _segment_at(segment, s)),
                             t_old, t, xtol=4 * EPS, rtol=4 * EPS), i)
                     for i in active
                 ]
-                pick = min if direction > 0 else max
-                root, i = pick(roots, key=lambda p: p[0])
+                root, i = min(roots)
                 t_events[i].append(root)
                 status, t = 1, root
             g = g_new
@@ -419,7 +401,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         message = f"The derivative is not finite at t = {t!r}."
     return Solution(
         status=status,
-        message=MESSAGES.get(status, message),
+        message=message,
         t=np.array(ts),
         t_events=[np.array(te) for te in t_events],
         nfev=nfev,

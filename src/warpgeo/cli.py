@@ -97,10 +97,15 @@ class RunConfig:
         if args.warp is not None:
             self.warp_spec = WarpSpec.from_string(args.warp)
         elif "warp" in file_cfg:
+            warp_cfg = file_cfg["warp"]
             try:
-                self.warp_spec = WarpSpec.from_dict(file_cfg["warp"])
-            except (TypeError, KeyError) as exc:
-                raise UsageError(f"malformed config warp {file_cfg['warp']!r}") from exc
+                # A JSON array of numbers: from_dict reads "25" as (2, 5) and true as 1.
+                params = warp_cfg.get("params", [])
+                if not (isinstance(params, list) and all(type(p) in (int, float) for p in params)):
+                    raise TypeError("warp params must be an array of numbers")
+                self.warp_spec = WarpSpec.from_dict(warp_cfg)
+            except (AttributeError, TypeError, KeyError, OverflowError) as exc:
+                raise UsageError(f"malformed config warp {warp_cfg!r}") from exc
         else:
             self.warp_spec = WarpSpec("one_over_r")
 
@@ -186,6 +191,8 @@ def cmd_curvature(cfg: RunConfig, args) -> int:
 
 
 def cmd_geodesic(cfg: RunConfig, args) -> int:
+    if args.plot_script and not cfg.out:
+        raise UsageError("--plot-script needs --out so the script can reference the CSV")
     w = cfg.warp()
     init = GeodesicState.from_angle(args.r0, args.t0, args.angle)
     path = integrate(w, init, args.s_max, n_samples=args.samples)
@@ -193,8 +200,6 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
     summary = f"# escaped={str(path.escaped).lower()} length={_fmt(path.total_length)}\n"
     _emit(cfg, csv_text + summary)
     if args.plot_script:
-        if not cfg.out:
-            raise UsageError("--plot-script needs --out so the script can reference the CSV")
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(
                 "# gnuplot companion script; run: gnuplot -persist <this file>\n"
@@ -290,16 +295,10 @@ def cmd_riccati(cfg: RunConfig, args) -> int:
     r_range = (args.r_lo, args.r_hi)
     field = solve_prescribed(profile, args.r0, args.H0, r_range, atol=1e-12)
     rows = [(float(r), float(H), float(h)) for r, H, h in zip(field.grid, field.H, field.h)]
-    csv_text = _rows_to_csv(["r", "H", "h"], rows)
     report = verify_field(field, profile, args.report_tol)
-    doc = _json(report.to_dict())
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        sys.stdout.write(doc)
-    else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(doc)
+    _emit(cfg, _rows_to_csv(["r", "H", "h"], rows))
+    # The report goes beside the CSV: to stdout when the CSV went to a file.
+    (sys.stdout if cfg.out else sys.stderr).write(_json(report.to_dict()))
     return EXIT_OK
 
 

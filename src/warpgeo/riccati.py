@@ -104,29 +104,45 @@ def _integrate_side(f, r0, H0, r_end, atol):
     Returns the rows r, u, u' of the ascending samples from r0 to ``r_end``
     and the first zero of u between them (the blow-up of H = -u'/u) or
     None.  The samples stop short of that zero, where u falls to atol.
-    """
 
+    The solver runs forward only, so a backward side is solved in x = -r
+    for (v, w)(x) = (u, u')(-x): v' = -w, w' = f(-x) v.  Round-to-nearest
+    is symmetric under negation: against the backward solve, x, each step
+    and each derivative only change sign, and the state keeps its bits.
+    The exception, an exact zero (x + (-x) is +0 either way), does not
+    reach the samples: u' itself is carried, not -u', and a step that
+    lands on the end r = 0 ends there, at x = -0.0.
+    """
+    if r_end == r0:  # the start alone; 0.0 - H0 is +0.0 for H0 = 0.0
+        y = np.array([[r0], [1.0], [0.0 - H0]], dtype=float)
+        return y[:, y[1] > atol], None
+    sign = 1.0 if r_end > r0 else -1.0  # x = sign * r runs forward
     f64 = np.float64
 
     # The profile sees np.float64 radii, as it would from an array; the
     # solver takes Python floats, so its product is converted (same bits).
-    def rhs(r, y):
-        return (y[1], float(-f(f64(r)) * y[0]))
+    def rhs(x, y):
+        return (sign * y[1], float(-sign * f(f64(sign * x)) * y[0]))
 
-    def u_zero(r, y):
+    def u_zero(x, y):
         return y[0]
+
+    u_zero.direction = -1  # u starts at 1, so its first zero is crossed falling
 
     # u can overflow before r_end (h underflows); the failure is raised.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (r0, r_end), (1.0, -H0), rtol=RTOL, atol=atol, events=[u_zero])
+        sol = solve_ivp(rhs, (sign * r0, sign * r_end), (1.0, -H0),
+                        rtol=RTOL, atol=atol, events=[u_zero])
     if sol.status < 0:
-        raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {sol.message}")
-    blow = float(sol.t_events[0][0]) if sol.status == 1 else None
+        # Only the start's derivative can be reported as not finite: name it r0.
+        message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
+        raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
+    blow = sign * float(sol.t_events[0][0]) if sol.status == 1 else None
 
     # unique sorts and drops the repeats of a step shorter than _REFINE
     # floating-point spacings.
-    r = np.unique([np.linspace(a, b, _REFINE + 1) for a, b in zip(sol.t[:-1], sol.t[1:])])
-    y = np.vstack([r, sol.sol(r)])
+    r = np.unique([sign * np.linspace(a, b, _REFINE + 1) for a, b in zip(sol.t[:-1], sol.t[1:])])
+    y = np.vstack([r, sol.sol(sign * r)])
     while True:
         r, u, du = y
         # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
@@ -140,7 +156,7 @@ def _integrate_side(f, r0, H0, r_end, atol):
             # solver controls.
             return y[:, u > atol], blow
         mid = mid[split]
-        y = np.insert(y, np.flatnonzero(split) + 1, np.vstack([mid, sol.sol(mid)]), axis=1)
+        y = np.insert(y, np.flatnonzero(split) + 1, np.vstack([mid, sol.sol(sign * mid)]), axis=1)
 
 
 def solve_prescribed(

@@ -89,6 +89,41 @@ def test_held_out_needs_its_workload(capsys):
     assert "--held-out names workloads with no --workload: rays" in capsys.readouterr().err
 
 
+def test_wrong_runs_fail_the_driver(monkeypatch, tmp_path, capsys):
+    # Seed 1 is sound; on seed 2 the parent's outputs are wrong and the
+    # change fails more tasks than the parent; on the held-out seed the
+    # change's outputs are wrong.
+    canned = {
+        ("atlas", 1): _pairs([(100.0, 2.0)], [(110.0, 1.9)])[0],
+        ("atlas", 2): _pairs([(100.0, 2.0, 100, 0, False)], [(110.0, 1.9, 100, 2)])[0],
+        ("atlas", 104729): _pairs([(100.0, 2.0)], [(110.0, 1.9, 100, 0, False)])[0],
+    }
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": E2E, "run_seconds": 1}))
+    dirs = {tmp_path / side: side for side in ("parent", "change")}
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, seconds:
+                        canned[workload, seed][dirs[checkout]])
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "atlas:2",
+            "--held-out", "atlas:104729", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert json.loads(out.read_text())["workloads"]["atlas"]["correct"] == {
+        "parent": False, "change": True,
+    }
+    err = capsys.readouterr().err.splitlines()
+    assert err[-3:] == [
+        "atlas seed 2 parent: outputs not correct",
+        "atlas seed 2 change: 2 failed tasks, parent 0",
+        "atlas seed 104729 change: outputs not correct",
+    ]
+    canned["atlas", 2] = canned["atlas", 104729] = canned["atlas", 1]
+    assert bench_pairs.main(argv) == 0
+
+
 @pytest.mark.parametrize("workload", ["atlas", "rays", "fields", "cli_cold"])
 def test_reproduces_a_committed_summary(workload):
     # The runs were recorded to 6 decimals, the quartiles from the unrounded

@@ -141,6 +141,23 @@ class TestGeodesic:
         assert float(last[1]) == pytest.approx(4.0, abs=1e-9)
         assert float(last[2]) == 0.0
 
+    def test_plot_script_without_out_is_refused_before_solving(self, tmp_path):
+        res = run_cli("geodesic", "1", "0", "0.5", "1", "--samples", "3",
+                      "--plot-script", "p.gp", cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == ("warpgeo: error: --plot-script needs --out so the script "
+                              "can reference the CSV\n")
+        assert not (tmp_path / "p.gp").exists()
+
+    def test_plot_script_names_the_csv(self, tmp_path):
+        res = run_cli("--out", "path.csv", "geodesic", "1", "0", "0.5", "1", "--samples", "3",
+                      "--plot-script", "p.gp", cwd=tmp_path)
+        assert res.returncode == 0 and res.stdout == ""
+        assert (tmp_path / "path.csv").read_text().startswith("s,r,t,")
+        plot = (tmp_path / "p.gp").read_text().splitlines()
+        assert plot[-1] == "plot 'path.csv' skip 1 using 3:2 with lines title 'geodesic'"
+
 
 class TestConnect:
     def test_threshold_violation_exit_code(self):
@@ -385,13 +402,16 @@ class TestDeterminismAndConfig:
             ('{"warp": {"params": []}}', "malformed config warp {'params': []}"),
             ("[1, 2]", "must hold a JSON object"),
             ('{"warp": {"kind": "flat", "params": 5}}', "malformed config warp"),
+            ('{"warp": {"kind": "flat", "params": "25"}}', "malformed config warp"),
+            ('{"warp": {"kind": "flat", "params": [true, 5]}}', "malformed config warp"),
+            ('{"warp": {"kind": "flat", "params": [1%s, 5]}}' % ("0" * 400), "malformed config warp"),
             ('{"output": {"path": 5}}', "path is a string or null"),
             ('{"integrator": {"rel_tol": 1e-10}}', "unknown config key 'integrator'"),
             ('{"seed": null}', "malformed config seed None"),
             ('{"seed": 1e999}', "malformed config seed inf"),
         ],
-        ids=["warp-string", "warp-no-kind", "list", "params-number", "path-number", "integrator",
-             "seed-null", "seed-overflow"],
+        ids=["warp-string", "warp-no-kind", "list", "params-number", "params-string",
+             "params-bool", "params-huge", "path-number", "integrator", "seed-null", "seed-overflow"],
     )
     def test_malformed_config_usage_error(self, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"

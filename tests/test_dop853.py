@@ -343,6 +343,12 @@ def test_an_infinite_step_end_derivative_rejects_the_step():
     assert np.allclose(samples[0], np.exp(-np.linspace(0.0, 4.0, 33)), rtol=1e-5)
 
 
+@pytest.mark.parametrize("t_span", [(1.0, 0.5), (1.0, 1.0)])
+def test_span_must_run_forward(t_span):
+    with pytest.raises(ValueError, match="t_span must run forward"):
+        _dop853.solve_ivp(lambda t, y: (-y[0],), t_span, (1.0,), rtol=1e-6, atol=1e-9)
+
+
 def test_import_compiles_no_stage_code():
     code = "import warpgeo.cli; from warpgeo import _dop853; print(_dop853._STAGE_CODE)"
     assert child_stdout(code) == "{}\n"
@@ -372,9 +378,10 @@ def test_parity_at_tight_tolerances(monkeypatch):
 
 
 def test_riccati_backward_side(monkeypatch):
+    # The backward side is solved forward in x = -r.
     run = lambda: solve_prescribed(constant_profile(-0.5), 2.0, 0.3, (1.0, 4.0))  # noqa: E731
     back, fwd = _with_scipy(monkeypatch, riccati, run)
-    assert back[1].t[-1] == 1.0 and fwd[1].t[-1] == 4.0
+    assert back[1].t[-1] == -1.0 and fwd[1].t[-1] == 4.0
     for sol, ref in (back, fwd):
         _assert_same(sol, ref)
 

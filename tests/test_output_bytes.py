@@ -1,7 +1,8 @@
 """The CLI's output bytes, pinned across changes by their SHA-256 digests.
 
 Every README command, plus two commands whose bytes depend on the order in
-which the solver sums its stages, runs in a fresh process.  The exit code
+which the solver sums its stages and one whose error message names the
+start of a backward Riccati side, runs in a fresh process.  The exit code
 and the digests of stdout and stderr must equal the ones recorded here, as
 must the digest of the ``field.csv`` that README's ``riccati zero`` line
 writes.  A change that moves one output bit fails this test; to record a
@@ -55,12 +56,17 @@ PINNED = {
     "warpgeo riccati const:1 1 0 0.5 3": (
         0, "caf22b52f9586dbbb6399bbb3c7818d66946779303391fb332878a708f439cfe",
         "768da5fe66a002c858fa7e18117adc754edb34fb53ae7c3fcaca81ec4b8710a5"),
+    "warpgeo riccati const:inf 1 1 0.5 3": (
+        1, EMPTY,
+        "80594c692095f53e8c528c26dda2759c3fd639713fe520016c6a9e8156bac13c"),
 }
 FIELD_CSV = "8168f9c58bf5c6db9974fc4738c6d9c68afa724cf51753d21d8820cafa1f8f67"
 
 EXTRA_COMMANDS = [
     "warpgeo --warp r geodesic 1 0 1 5",
     "warpgeo riccati const:1 1 0 0.5 3",
+    # The backward side fails at its start, which its error names as r0.
+    "warpgeo riccati const:inf 1 1 0.5 3",
 ]
 
 

@@ -64,6 +64,15 @@ class TestSolvePrescribed:
         assert (field.grid[0], field.grid[-1]) == r_range
         assert np.all(np.diff(field.grid) > 0)
 
+    def test_backward_side_keeps_the_sign_of_zero(self):
+        # The backward side is solved forward in x = -r.  u' = +0.0 throughout
+        # gives H = -0.0 on both sides; the one step from r0 = 0.03 to 0 ends
+        # at x = -0.03 + 0.03, and r = 0 is +0.0, as a backward solve gives.
+        field = solve_prescribed(constant_profile(0.0), 1.0, 0.0, (0.5, 3.0))
+        assert np.all(field.H == 0.0) and np.all(np.signbit(field.H))
+        field = solve_prescribed(constant_profile(-1.0), 0.03, 0.0, (0.0, 1.0))
+        assert field.grid[0] == 0.0 and not np.signbit(field.grid[0])
+
     def test_backward_blow_up_recorded(self):
         # H' = H^2 from H(1) = -1e6 has its pole behind r0, where
         # u = 1 + 1e6 (r - 1) vanishes: r = 1 - 1e-6.

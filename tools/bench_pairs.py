@@ -18,6 +18,10 @@ holds each side's median and quartiles, their ratio, the pairs the change
 won and every run's value, with the machine, the Python and numpy versions
 and the OpenBLAS kernel in use.  Only the standard library is imported
 here; numpy is queried in a child process.
+
+The exit status is 1 when a run, held-out pairs included, reports outputs
+that are not correct, or the change failed more tasks than the parent in
+the same pair; each such run gets one stderr line after the file is written.
 """
 
 from __future__ import annotations
@@ -125,6 +129,17 @@ def held_out(seed: int, pair: dict, e2e: list) -> dict:
     return out
 
 
+def faults(workload: str, seed: int, pair: dict) -> list[str]:
+    """One line per run of the pair with wrong outputs, and one for the
+    change when it failed more tasks than the parent."""
+    out = [f"{workload} seed {seed} {side}: outputs not correct"
+           for side in SIDES if not pair[side]["correct"]]
+    failed = [pair[side]["failed"] for side in SIDES]
+    if failed[1] > failed[0]:
+        out.append(f"{workload} seed {seed} change: {failed[1]} failed tasks, parent {failed[0]}")
+    return out
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``; its last JSON line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -227,16 +242,21 @@ def main(argv=None) -> int:
         report["claimed"] = {"workload": workload, "metric": metric, "target": args.target}
     held = dict(args.held_out)
     report["workloads"] = {}
+    bad = []
     for workload, n in args.workload:
         seeds = list(range(1, n + 1))
         pairs = [run_pair(dirs, workload, seed, seconds, i % 2 == 0)
                  for i, seed in enumerate(seeds)]
         report["workloads"][workload] = summarize(seeds, pairs, e2e)
+        bad += [line for seed, pair in zip(seeds, pairs) for line in faults(workload, seed, pair)]
         if workload in held:
             pair = run_pair(dirs, workload, held[workload], seconds, True)
             report["workloads"][workload]["held_out_seed"] = held_out(held[workload], pair, e2e)
+            bad += faults(workload, held[workload], pair)
     args.out.write_text(dumps(report) + "\n")
-    return 0
+    for line in bad:
+        print(line, file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
