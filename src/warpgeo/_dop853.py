@@ -26,6 +26,15 @@ they are.  That source is generated from the tableau the first time a
 state size is solved (see :func:`_stage_functions`); numpy holds only the
 returned arrays and evaluates the dense output.
 
+A step's interpolant costs three more evaluations of ``fun`` (stages 13-15,
+which the rows through D weigh), 3 of the 15 of an accepted step.  As scipy
+does with ``dense_output=False``, the solve builds it only for the step an
+event search reads.  Every accepted step keeps what its interpolant needs
+(t, h, y and the stages 0 and 5-12, with y_new shared with the next step),
+and :class:`DenseSolution` builds a step's interpolant when a sample first
+falls in it, then keeps it.  ``Solution.nfev`` counts the evaluations of
+the solve, ``DenseSolution.nfev`` those made later.
+
 The values agree with scipy's to rounding.  The steps agree as far as the
 error estimate does: where it is rounding rather than truncation error (the
 path is a polynomial the method integrates exactly) and the stages are not
@@ -142,8 +151,12 @@ class Solution:
     when the step size underflowed, which ``message`` then explains (it is
     None otherwise); ``t`` holds the start and the accepted step ends (the
     last one is the event root after an event); ``t_events`` holds one array
-    per event; ``nfev`` counts right-hand-side evaluations and ``nrej``
-    rejected step attempts; ``sol`` evaluates the dense output.
+    per event; ``nfev`` counts the right-hand-side evaluations of the solve
+    and ``nrej`` its rejected step attempts; ``sol`` evaluates the dense
+    output.  As with scipy's ``dense_output=False``, ``nfev`` is 2 to start,
+    12 per step attempt and 3 for the interpolant of each step that the
+    event search read; ``sol.nfev`` counts the evaluations that the dense
+    output makes later.
     """
 
     status: int
@@ -158,6 +171,14 @@ class Solution:
 class DenseSolution:
     """Piecewise interpolant of the accepted steps, one segment per step.
 
+    A segment's interpolation coefficients cost three more evaluations of
+    ``fun`` (stages 13-15).  Each is built on first use and then kept: the
+    event search builds the step it searches, and a call builds the steps
+    its samples fall in.  ``nfev`` counts the evaluations made here, 3 per
+    step built after the solve.  They run under the ``np.errstate`` that was
+    in force during the solve, so ``fun`` warns of what it would have warned
+    of there.
+
     A sample picks its segment by scipy's ``OdeSolution`` rule (a step end
     belongs to the earlier step, and samples outside the span use the first
     or last step), and all samples are evaluated in one vectorised pass of
@@ -165,21 +186,46 @@ class DenseSolution:
     ``Dop853DenseOutput``.
     """
 
-    def __init__(self, ts: list, segments: list):
-        """``ts`` are the segment bounds; each segment is (t_old, h, y_old, F)
-        with the seven interpolation coefficient rows concatenated in F."""
-        self._lists = (ts, segments)
+    def __init__(self, fun, extra, ts: np.ndarray, steps: list, coefficients: list):
+        """``ts`` are the segment bounds; each step is (t_old, h, y_old,
+        y_new, ks), the arguments of ``extra`` (see :func:`_stage_functions`)
+        after ``fun``, and ``coefficients`` holds its interpolation rows, or
+        None until they are built."""
+        self._fun, self._extra = fun, extra
+        self._ts = ts
+        self._steps = steps
+        self._coefficients = coefficients
+        self._errstate = np.geterr()
         self._arrays = None
+        self.nfev = 0
+
+    def _segment(self, i: int) -> tuple:
+        """(t_old, h, y_old, F) of step i, with its seven interpolation
+        coefficient rows concatenated in F."""
+        step = self._steps[i]
+        F = self._coefficients[i]
+        if F is None:
+            F = self._coefficients[i] = self._extra(self._fun, *step)
+            self.nfev += 3
+        return *step[:3], F
 
     def __call__(self, t) -> np.ndarray:
         """States at the 1-D array of samples ``t``, shape (n, len(t))."""
         if self._arrays is None:
-            ts, segments = self._lists
-            t_old, h, y_old, F = map(np.array, zip(*segments))
-            self._arrays = np.array(ts), t_old, h, y_old, F.reshape(len(h), 7, -1)
-        ts, t_old, h, y_old, F = self._arrays
+            t_old, h, y_old = map(np.array, zip(*(step[:3] for step in self._steps)))
+            F = np.empty((len(h), 7, y_old.shape[1]))
+            self._arrays = t_old, h, y_old, F, np.zeros(len(h), dtype=bool)
+        t_old, h, y_old, F, filled = self._arrays
         t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
+        seg = np.clip(np.searchsorted(self._ts, t, side="left") - 1, 0, len(h) - 1)
+        hit = np.zeros(len(h), dtype=bool)
+        hit[seg] = True
+        new = np.flatnonzero(hit & ~filled)
+        if new.size:
+            with np.errstate(**self._errstate):
+                rows = [self._segment(i)[3] for i in new.tolist()]
+            F[new] = np.reshape(rows, (new.size, 7, -1))
+            filled[new] = True
         x = ((t - t_old[seg]) / h[seg])[:, None]
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
 
@@ -190,9 +236,13 @@ def _stage_functions(n: int) -> tuple:
     ``stages(fun, t, h, y, f)`` makes one step attempt from ``y`` and its
     derivative ``f``: stages 1-11, the update ``y_new`` through B, its
     derivative ``f_new`` (stage 12) and the error sums through E5 and E3.
-    It returns ``y_new, f_new, err5, err3, ks``, with the stages 0-12 in
-    ``ks``.  ``extra(fun, t, h, y, ks)`` evaluates the dense-output stages
-    13-15 and returns the four interpolation rows through D, times h.
+    It returns ``y_new, f_new, err5, err3, ks``, with the stages that the
+    interpolant reads in ``ks``: 0 and 5-12 (A_EXTRA and D weigh stages 1-4
+    by zero).  ``extra(fun, t, h, y, y_new, ks)`` evaluates the dense-output
+    stages 13-15 of the accepted step and returns its seven interpolation
+    coefficient rows, concatenated: three from ``dy = y_new - y`` and the
+    step's end derivatives, ``dy``, ``h f - dy`` and
+    ``2 dy - h (f_new + f)``, and four through D, times h.
 
     Every sum is written out left to right per component j, as
     ``w[0] * k0_j + w[1] * k1_j + ...``.  The stage rows and D skip their
@@ -214,18 +264,23 @@ def _stage_functions(n: int) -> tuple:
             return "[" + ", ".join(total(e, j, zeros=True) for j in range(n)) + "]"
 
         ys = "".join(f"y{j}, " for j in range(n)) + "= y"
-        ks = "".join(names(s) for s in range(13))
+        dense_stages = [s for s in range(13) if any(len(w) > s and w[s] for w in A_EXTRA + D)]
+        ks = "".join(names(s) for s in dense_stages)
         y_new = ", ".join(f"y{j} + h * ({total(B, j, zeros=True)})" for j in range(n))
-        dense = ", ".join(f"h * ({total(d, j)})" for d in D for j in range(n))
+        ends = [f"d{j}" for j in range(n)] + [f"h * k0_{j} - d{j}" for j in range(n)]
+        ends += [f"2 * d{j} - h * (k12_{j} + k0_{j})" for j in range(n)]
+        rows = ", ".join(ends + [f"h * ({total(d, j)})" for d in D for j in range(n)])
         lines = [
             "def stages(fun, t, h, y, f):", ys, f"{names(0)}= f",
             *(stage(s, A[s], C[s]) for s in range(1, 12)),
             f"y_new = [{y_new}]",
             f"{names(12)}= f_new = fun(t + h, y_new)",
             f"return y_new, f_new, {error(E5)}, {error(E3)}, ({ks})",
-            "def extra(fun, t, h, y, ks):", ys, f"{ks}= ks",
+            "def extra(fun, t, h, y, y_new, ks):", ys, f"{ks}= ks",
             *(stage(13 + s, a, c) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA))),
-            f"return [{dense}]",
+            "".join(f"d{j}, " for j in range(n)) + "= "
+            + "".join(f"y_new[{j}] - y{j}, " for j in range(n)),
+            f"return [{rows}]",
         ]
         src = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in lines)
         namespace: dict = {}
@@ -293,7 +348,9 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     numpy.  Every event ``e(t, y)`` is terminal and stops only at the rising
     (``direction`` attribute > 0) or falling (< 0) crossings: the first
     root, located on the step's interpolant by ``brentq`` with
-    ``xtol = rtol = 4 eps``, ends the solve.
+    ``xtol = rtol = 4 eps``, ends the solve.  Only that step's interpolant
+    is built during the solve; the returned ``sol`` builds the others on
+    first use.
 
     A non-finite stage makes the error estimate nan, and the rejected step
     shrinks until the solve ends with status -1.  The update and the error
@@ -313,7 +370,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     n = len(y)
     f = fun(t, y)
 
-    ts, segments = [t0], []
+    ts, steps, coefficients = [t0], [], []
     t_events = [[] for _ in events]
     directions = [ev.direction for ev in events]
     g = [ev(t, y) for ev in events]
@@ -367,22 +424,19 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         if status is not None:
             break
 
-        # Dense output: three more stages and the interpolation coefficients.
-        dy = [w - v for v, w in zip(y, y_new)]
-        F = dy + [h * fo - d for fo, d in zip(f, dy)]
-        F += [2 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)]
-        F += extra(fun, t, h, y, ks)
-        nfev += 3
-
-        segment = (t, h, y, F)
+        step = (t, h, y, y_new, ks)
         t_old, t, y, f = t, t_new, y_new, f_new
         if t >= t_bound:
             status = 0
+        F = None  # the interpolant, built here only for the event search
         if events:
             g_new = [ev(t, y) for ev in events]
             active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
                       if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)]
             if active:
+                F = extra(fun, *step)
+                nfev += 3
+                segment = (*step[:3], F)
                 roots = [
                     (brentq(lambda s, ev=events[i]: ev(s, _segment_at(segment, s)),
                             t_old, t, xtol=4 * EPS, rtol=4 * EPS), i)
@@ -395,16 +449,18 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         if len(ts) > 1 and ts[-1] == t:
             continue  # an event root on the previous step end adds no segment
         ts.append(t)
-        segments.append(segment)
+        steps.append(step)
+        coefficients.append(F)
 
     if status == -1 and not all(map(math.isfinite, f)):
         message = f"The derivative is not finite at t = {t!r}."
+    ts = np.array(ts)
     return Solution(
         status=status,
         message=message,
-        t=np.array(ts),
+        t=ts,
         t_events=[np.array(te) for te in t_events],
         nfev=nfev,
         nrej=nrej,
-        sol=DenseSolution(ts, segments),
+        sol=DenseSolution(fun, extra, ts, steps, coefficients),
     )

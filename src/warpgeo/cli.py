@@ -224,7 +224,7 @@ def cmd_connect(cfg: RunConfig, args) -> int:
     res = solver(p0, p1, cfg.tol)
     doc = res.to_dict()
     doc["metric"] = metric
-    if res.path is not None and args.path_out:
+    if args.path_out and res.path is not None:
         res.path.to_csv(args.path_out)
         doc["path_file"] = args.path_out
     _emit(cfg, _json(doc))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,11 @@ class ConnectResult:
     inside r > 0 (same-radius candidate enumeration can confirm curves that
     close up only at formula level).  For ``no_geodesic``, ``reason`` is
     ``"threshold_violated"`` or ``"search_exhausted"``.
+
+    ``path`` is sampled on first read, at :func:`integrate`'s default 129
+    points, from the solve of the replay that confirmed the connection
+    (``_replay``, which holds only the two ends): no second solve, and a
+    caller that reads only the verdict pays for no samples.
     """
 
     variant: str
@@ -95,11 +101,15 @@ class ConnectResult:
     s: float | None = None
     param: float | None = None
     sign: float | None = None
-    path: GeodesicPath | None = field(default=None, repr=False)
+    _replay: GeodesicPath | None = field(default=None, repr=False)
     reason: str | None = None
     in_chart: bool | None = None
     iterations: int = 0
     alternates: tuple[GeodesicHit, ...] = ()
+
+    @cached_property
+    def path(self) -> GeodesicPath | None:
+        return None if self._replay is None else self._replay._resample()
 
     @property
     def found(self) -> bool:
@@ -144,8 +154,11 @@ def _shoot(
     bracketed and refined to a few ulps of x; zero-length roots and repeats
     are dropped, and each remaining root is replayed once through the
     integrator, which must succeed and end within ``tol`` of p1 in both
-    coordinates.  Returns the confirmed shots (s, x, f0, path) sorted by s,
-    and the number of gain evaluations.
+    coordinates.  The replay samples only its two ends: its endpoint is the
+    last step's interpolant at the same arc length as at any sample count,
+    and the full path is sampled from its solve only when it is read.
+    Returns the confirmed shots (s, x, f0, replay) sorted by s, and the
+    number of gain evaluations.
     """
     target = abs(p1.t - p0.t)
     mirror = math.copysign(1.0, p1.t - p0.t)
@@ -175,12 +188,12 @@ def _shoot(
         last_s = s
         init = GeodesicState(p0.r, p0.t, f0, mirror * g0)
         try:
-            path = integrate(w, init, s)
+            replay = integrate(w, init, s, n_samples=2)
         except ValueError:  # the step size underflowed: nothing to confirm
             continue
-        end = path.endpoint
+        end = replay.endpoint
         if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
-            confirmed.append((s, x, f0, path))
+            confirmed.append((s, x, f0, replay))
     return confirmed, evals
 
 
@@ -248,14 +261,14 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
         )
-    s, _, f0, path = confirmed[0]
+    s, _, f0, replay = confirmed[0]
     return ConnectResult(
         variant="found",
         length=s,
         s=s,
         param=r0 * f0,
         sign=math.copysign(1.0, dt),
-        path=path,
+        _replay=replay,
         in_chart=True,
         iterations=evals,
     )
@@ -435,7 +448,7 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
         s=hits[0].s,
         param=hits[0].param,
         sign=hits[0].sign,
-        path=confirmed[0][3],
+        _replay=confirmed[0][3],
         in_chart=True,
         iterations=evals,
         alternates=tuple(hits[1:]),

@@ -35,7 +35,9 @@ Closed-form families are provided for the two featured warps:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +68,9 @@ ATOL = 1e-12
 
 # Maximum deviation of f^2 + g^2 from 1 accepted in an initial state.
 UNIT_SPEED_TOL = 1e-6
+
+# Samples of a path when the caller names no number.
+_SAMPLES = 129
 
 # Warp families whose h and h' are plain + - * / on their argument, so a
 # Python float in gives a Python float out (see integrate).
@@ -119,8 +124,11 @@ class IntegrationStats:
 
     ``rhs_evals``, ``accepted_steps`` and ``rejected_steps`` are the
     solver's right-hand-side evaluations and accepted and rejected step
-    attempts, so rhs_evals = 2 + 15 accepted_steps + 12 rejected_steps;
-    ``max_speed_drift`` is the largest |f^2 + b^2 h^2 - 1| over the
+    attempts.  The solver builds a step's interpolant only where it is read
+    (the escape event's step and every step that a sample falls in), so
+    rhs_evals = 2 + 12 (accepted_steps + rejected_steps) + 3 per step whose
+    interpolant was built; ``max_speed_drift`` is the largest
+    |f^2 + b^2 h^2 - 1| over the
     returned samples; ``stop`` says why the integration ended:
     ``"s_max"``, ``"escaped_lower"`` or ``"escaped_upper"``.
     """
@@ -140,7 +148,8 @@ class GeodesicPath:
     when integration halted because the radius reached the domain boundary
     (within :data:`ESCAPE_MARGIN`; see :func:`integrate`), in which case
     ``total_length`` is the event location rather than the requested span.
-    ``stats`` is set on paths returned by :func:`integrate`.
+    ``stats`` is set on paths returned by :func:`integrate`, and
+    ``_resample(n_samples=129)`` then samples the same solve again.
     """
 
     s: np.ndarray
@@ -151,6 +160,9 @@ class GeodesicPath:
     escaped: bool
     total_length: float
     stats: IntegrationStats | None = None
+    _resample: Callable[..., "GeodesicPath"] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def endpoint(self) -> GeodesicState:
@@ -180,7 +192,7 @@ def integrate(
     init: GeodesicState,
     s_max: float,
     *,
-    n_samples: int = 129,
+    n_samples: int = _SAMPLES,
 ) -> GeodesicPath:
     """Integrate the geodesic from ``init`` up to arc length ``s_max``.
 
@@ -294,23 +306,28 @@ def integrate(
     if sol.status < 0:
         raise ValueError(f"geodesic integration failed: {sol.message}")
 
-    escaped = sol.status == 1
+    if sol.status == 0:
+        stop = "s_max"
+    elif sol.t_events[0].size:
+        stop = "escaped_lower"
+    else:
+        stop = "escaped_upper"
+    return _sample(sol, b, h, (d_lo + 0.5 * m_lo, d_hi - 0.5 * m_hi), stop, n_samples)
+
+
+def _sample(sol, b: float, h, clip: tuple, stop: str, n_samples: int = _SAMPLES) -> GeodesicPath:
+    """The path of a finished :func:`integrate` solve at ``n_samples``
+    points evenly spaced in arc length; g = b h(r) with ``h`` the raw warp."""
     s_end = float(sol.t[-1])
     grid = np.linspace(0.0, s_end, max(2, int(n_samples)))
     r_v, t_v, f_v = sol.sol(grid)
     # The event is located the margin inside the boundary; interpolation
     # noise may put the final sample a hair past it.  Clamp to keep states
     # constructible and h inside its domain.
-    r_v = np.clip(r_v, d_lo + 0.5 * m_lo, d_hi - 0.5 * m_hi)
+    r_v = np.clip(r_v, *clip)
     g_v = b * np.asarray(h(r_v), dtype=float)
-    if not escaped:
-        stop = "s_max"
-    elif sol.t_events[0].size:
-        stop = "escaped_lower"
-    else:
-        stop = "escaped_upper"
     stats = IntegrationStats(
-        rhs_evals=sol.nfev,
+        rhs_evals=sol.nfev + sol.sol.nfev,
         accepted_steps=len(sol.t) - 1,
         rejected_steps=sol.nrej,
         max_speed_drift=float(np.max(np.abs(f_v * f_v + g_v * g_v - 1.0))),
@@ -322,9 +339,10 @@ def integrate(
         t=t_v,
         f=f_v,
         g=g_v,
-        escaped=escaped,
+        escaped=sol.status == 1,
         total_length=s_end,
         stats=stats,
+        _resample=partial(_sample, sol, b, h, clip, stop),
     )
 
 

@@ -146,11 +146,15 @@ def _integrate_side(f, r0, H0, r_end, atol):
     while True:
         r, u, du = y
         # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
-        # a blow-up node.  A midpoint that rounds to an end is no split.
+        # a blow-up node.  A midpoint that rounds to an end is no split, nor
+        # is an interval whose ends both have u <= atol, which are dropped:
+        # at a zero of u on the range end r = 0 the relative criterion
+        # would otherwise split without bound.
         dr, lim, slope = np.diff(r), _MAX_H_STEP * np.abs(u), np.abs(du)
         mid = 0.5 * (r[:-1] + r[1:])
         split = (slope[:-1] * dr > lim[:-1]) | (slope[1:] * dr > lim[1:])
         split &= (mid != r[:-1]) & (mid != r[1:])
+        split &= (u[:-1] > atol) | (u[1:] > atol)
         if not split.any():
             # Where u falls to atol, next to a zero, H keeps no digit the
             # solver controls.

@@ -18,6 +18,7 @@ from warpgeo import (
     same_r_candidates,
 )
 from warpgeo import connect as connect_module
+from warpgeo import geodesics
 
 
 def euclid_chord(p0: Point, p1: Point) -> float:
@@ -149,7 +150,8 @@ class TestConnectFlat:
     def test_escape_margin_edge_exhausts_without_retry(self, monkeypatch):
         # README's target 3.2e-15 short of a half turn: the chord would pass
         # r = 0 well inside the escape margin.  The verdict is an honest
-        # search_exhausted, and no replay tightens the integrator.
+        # search_exhausted, and no replay tightens the integrator: each
+        # samples only its two ends.
         calls = []
         replay = connect_module.integrate
         monkeypatch.setattr(
@@ -157,7 +159,7 @@ class TestConnectFlat:
         )
         res = connect_flat(Point(1.0, 0.0), Point(1.0, 3.14159265358979))
         assert res.reason == "search_exhausted"
-        assert not any(kw for kw in calls)
+        assert calls and all(kw == {"n_samples": 2} for kw in calls)
 
     @pytest.mark.parametrize("solver", [connect_flat, connect_neg2])
     def test_failed_replay_is_unconfirmed(self, monkeypatch, solver):
@@ -469,3 +471,57 @@ class TestSerialization:
     def test_no_geodesic_dict(self):
         d = connect_flat(Point(1.0, 0.0), Point(1.0, 3.5)).to_dict()
         assert d == {"variant": "no_geodesic", "reason": "threshold_violated", "iterations": 0}
+
+
+def lazy_path_pairs(seed: int):
+    """Seeded pairs for both solvers: flat gaps across the range and 1e-8 to
+    1e-3 short of a half turn, and h = r pairs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        p0, p1 = random_admissible_pair(rng)
+        yield connect_flat, p0, p1
+        gap = (math.pi - 10.0 ** rng.uniform(-8.0, -3.0)) * rng.choice([-1.0, 1.0])
+        yield connect_flat, p0, Point(p1.r, p0.t + gap)
+        yield connect_neg2, p0, p1
+
+
+class TestLazyPath:
+    def test_path_is_the_eager_replay(self, monkeypatch):
+        # The confirming replay samples only its two ends.  The path read
+        # later comes from the same solve, and must be what an eager
+        # integrate from the same state gives, bit for bit, counts included.
+        replays = []
+        integrate = connect_module.integrate
+
+        def recording(w, init, s, **kwargs):
+            replays.append((integrate(w, init, s, **kwargs), w, init, s))
+            return replays[-1][0]
+
+        monkeypatch.setattr(connect_module, "integrate", recording)
+        for solver, p0, p1 in lazy_path_pairs(11):
+            res = solver(p0, p1)
+            assert res.found
+            w, init, s = next(rest for replay, *rest in replays if replay is res._replay)
+            assert (init.r, init.t) == (p0.r, p0.t) and s == res.s
+            want, got = integrate(w, init, s), res.path
+            assert res.path is got
+            for name in "srtfg":
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert (got.escaped, got.total_length) == (want.escaped, want.total_length)
+            assert got.stats == want.stats
+
+    def test_unread_path_builds_no_middle_interpolant(self, monkeypatch):
+        sols = []
+        solve = geodesics.solve_ivp
+
+        def recording(*args, **kwargs):
+            sols.append(solve(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(geodesics, "solve_ivp", recording)
+        for solver, p0, p1 in lazy_path_pairs(12):
+            assert solver(p0, p1).found
+        assert max(len(sol.t) for sol in sols) > 10
+        for sol in sols:
+            built = {i for i, F in enumerate(sol.sol._coefficients) if F is not None}
+            assert built <= {0, len(sol.t) - 2}

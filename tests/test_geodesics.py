@@ -157,7 +157,7 @@ class TestIntegrationStats:
         path = integrate(neg2_warp, init, 5.0)
         st = path.stats
         assert isinstance(st, IntegrationStats)
-        assert st.rhs_evals == sols[0].nfev
+        assert st.rhs_evals == sols[0].nfev + sols[0].sol.nfev
         assert st.accepted_steps == len(sols[0].t) - 1
         # The four-component system needed 785 evaluations for this ray.
         assert st.rhs_evals <= 200
@@ -171,7 +171,7 @@ class TestIntegrationStats:
         sols = _record_solutions(monkeypatch)
         path = integrate(flat_warp, GeodesicState.from_angle(1.0, 0.0, 2.0), 5.0)
         st = path.stats
-        assert st.rhs_evals == sols[0].nfev
+        assert st.rhs_evals == sols[0].nfev + sols[0].sol.nfev
         assert st.accepted_steps == len(sols[0].t) - 1 > 0
         assert st.stop == "s_max" and not path.escaped and path.total_length == 5.0
         drift = np.abs(path.f**2 + path.g**2 - 1.0)
@@ -180,8 +180,9 @@ class TestIntegrationStats:
 
     def test_counts_add_up_without_rejections(self, neg2_warp):
         # Two evaluations start the solve (f0 and the initial step); an
-        # accepted step costs 12 stages and 3 for its dense output, a
-        # rejected attempt 12.
+        # accepted step costs 12 stages and 3 for its interpolant, which
+        # every step of this path builds (each holds a sample), a rejected
+        # attempt 12.
         st = integrate(neg2_warp, GeodesicState.from_angle(1.0, 0.0, 1.0), 5.0).stats
         assert (st.rhs_evals, st.accepted_steps, st.rejected_steps) == (152, 10, 0)
 

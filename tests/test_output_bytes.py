@@ -2,10 +2,11 @@
 
 Every README command, plus two commands whose bytes depend on the order in
 which the solver sums its stages and one whose error message names the
-start of a backward Riccati side, runs in a fresh process.  The exit code
-and the digests of stdout and stderr must equal the ones recorded here, as
-must the digest of the ``field.csv`` that README's ``riccati zero`` line
-writes.  A change that moves one output bit fails this test; to record a
+start of a backward Riccati side, and two that write a connecting path,
+runs in a fresh process.  The exit code and the digests of stdout and
+stderr must equal the ones recorded here, as must the digests of the
+``field.csv`` that README's ``riccati zero`` line writes and of each
+``--path-out`` file.  A change that moves one output bit fails this test; to record a
 deliberate change, rerun with ``-s`` and copy the printed digests.
 
 The same digests must come out under other OpenBLAS kernels, forced in the
@@ -59,14 +60,28 @@ PINNED = {
     "warpgeo riccati const:inf 1 1 0.5 3": (
         1, EMPTY,
         "80594c692095f53e8c528c26dda2759c3fd639713fe520016c6a9e8156bac13c"),
+    "warpgeo connect 1,0 1,1.5707963267948966 --path-out p.csv": (
+        0, "073efef6bf6fe9aa6444307e627147dbe15d0e944fc7eb24310fe4d2c3c96dbd",
+        EMPTY),
+    "warpgeo --warp r connect 1,0 2,1 --path-out p.csv": (
+        0, "6aa2c0d95ec1d9b27d8dbb2a17672d3cd332df626808ccafe1665cf6538ab29b",
+        EMPTY),
 }
 FIELD_CSV = "8168f9c58bf5c6db9974fc4738c6d9c68afa724cf51753d21d8820cafa1f8f67"
+# The p.csv that each --path-out line writes.
+PATH_CSV = {
+    "warpgeo connect 1,0 1,1.5707963267948966 --path-out p.csv":
+        "867e0f0d81f8f600adc814b439b1614df97da97f0b7d2e433d328fd3d6ca3305",
+    "warpgeo --warp r connect 1,0 2,1 --path-out p.csv":
+        "a9b1ce03bd837ab6b7bd9722382ada6f5d525a84d1c5f8d990384e332667a0ec",
+}
 
 EXTRA_COMMANDS = [
     "warpgeo --warp r geodesic 1 0 1 5",
     "warpgeo riccati const:1 1 0 0.5 3",
     # The backward side fails at its start, which its error names as r0.
     "warpgeo riccati const:inf 1 1 0.5 3",
+    *PATH_CSV,
 ]
 
 
@@ -97,6 +112,11 @@ def test_command_bytes(line, tmp_path):
     if field.exists():
         print(f"FIELD_CSV = {_digest(field.read_bytes())!r}")
         assert _digest(field.read_bytes()) == FIELD_CSV
+    path = tmp_path / "p.csv"
+    assert path.exists() == (line in PATH_CSV)
+    if path.exists():
+        print(f"PATH_CSV[{line!r}] = {_digest(path.read_bytes())!r}")
+        assert _digest(path.read_bytes()) == PATH_CSV[line]
 
 
 def _has_avx2() -> bool:
@@ -118,5 +138,8 @@ def test_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
         field = cwd / "field.csv"
         if field.exists():
             got["field.csv"], want["field.csv"] = _digest(field.read_bytes()), FIELD_CSV
-    assert "field.csv" in got
+        path = cwd / "p.csv"
+        if path.exists():
+            got[line, "p.csv"], want[line, "p.csv"] = _digest(path.read_bytes()), PATH_CSV[line]
+    assert "field.csv" in got and all((line, "p.csv") in got for line in PATH_CSV)
     assert got == want

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_geodesics import child_stdout
 
 from warpgeo import (
     DomainError,
@@ -22,6 +23,20 @@ from warpgeo import (
 
 
 class TestSolvePrescribed:
+    def test_zero_of_u_on_the_range_end_refines_in_bounded_memory(self):
+        # u = r vanishes on the range end r = 0.  The intervals next to it all
+        # meet the split rule |u'| dr > |u|/64, and the refinement grew
+        # without bound: under this address-space cap it raised MemoryError.
+        # The samples stop where u falls to atol, and so does the refinement.
+        code = (
+            "import os, resource; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+            "from warpgeo import constant_profile, solve_prescribed; "
+            "f = solve_prescribed(constant_profile(0.0), 1.0, -1.0, (0.0, 2.0), atol=1e-12); "
+            "print(f.grid.size < 10_000, f.grid[0] > 1e-12, 0.0 < f.blowup < 1e-12)"
+        )
+        assert child_stdout(code) == "True True True\n"
+
     def test_constant_negative_curvature_fixed_point(self):
         # H' = H^2 - 1 vanishes at H = 1: the solution is constant.
         field = solve_prescribed(constant_profile(-1.0), 1.0, 1.0, (0.5, 4.0))
