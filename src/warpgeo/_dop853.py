@@ -199,34 +199,30 @@ class DenseSolution:
         self._arrays = None
         self.nfev = 0
 
-    def _segment(self, i: int) -> tuple:
-        """(t_old, h, y_old, F) of step i, with its seven interpolation
-        coefficient rows concatenated in F."""
-        step = self._steps[i]
+    def _rows(self, i: int) -> list:
+        """The seven interpolation coefficient rows of step i, concatenated."""
         F = self._coefficients[i]
         if F is None:
-            F = self._coefficients[i] = self._extra(self._fun, *step)
+            F = self._coefficients[i] = self._extra(self._fun, *self._steps[i])
             self.nfev += 3
-        return *step[:3], F
+        return F
 
     def __call__(self, t) -> np.ndarray:
         """States at the 1-D array of samples ``t``, shape (n, len(t))."""
         if self._arrays is None:
-            t_old, h, y_old = map(np.array, zip(*(step[:3] for step in self._steps)))
-            F = np.empty((len(h), 7, y_old.shape[1]))
-            self._arrays = t_old, h, y_old, F, np.zeros(len(h), dtype=bool)
-        t_old, h, y_old, F, filled = self._arrays
+            h, y_old = (np.array([step[k] for step in self._steps]) for k in (1, 2))
+            self._arrays = h, y_old, np.empty((len(h), 7, y_old.shape[1])), np.zeros(len(h), bool)
+        h, y_old, F, filled = self._arrays
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self._ts, t, side="left") - 1, 0, len(h) - 1)
-        hit = np.zeros(len(h), dtype=bool)
+        hit = np.zeros(len(h), bool)
         hit[seg] = True
         new = np.flatnonzero(hit & ~filled)
         if new.size:
             with np.errstate(**self._errstate):
-                rows = [self._segment(i)[3] for i in new.tolist()]
-            F[new] = np.reshape(rows, (new.size, 7, -1))
+                F[new] = np.reshape([self._rows(i) for i in new.tolist()], (new.size, 7, -1))
             filled[new] = True
-        x = ((t - t_old[seg]) / h[seg])[:, None]
+        x = ((t - self._ts[seg]) / h[seg])[:, None]  # step i starts at ts[i]
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
 
 

@@ -148,8 +148,9 @@ class GeodesicPath:
     when integration halted because the radius reached the domain boundary
     (within :data:`ESCAPE_MARGIN`; see :func:`integrate`), in which case
     ``total_length`` is the event location rather than the requested span.
-    ``stats`` is set on paths returned by :func:`integrate`, and
-    ``_resample(n_samples=129)`` then samples the same solve again.
+    ``stats`` is set on paths returned by :func:`integrate`.  A path that
+    :func:`integrate` sampled at fewer than its default 129 points keeps
+    its solve, and ``_resample()`` samples that solve again at 129.
     """
 
     s: np.ndarray
@@ -342,7 +343,7 @@ def _sample(sol, b: float, h, clip: tuple, stop: str, n_samples: int = _SAMPLES)
         escaped=sol.status == 1,
         total_length=s_end,
         stats=stats,
-        _resample=partial(_sample, sol, b, h, clip, stop),
+        _resample=partial(_sample, sol, b, h, clip, stop) if n_samples < _SAMPLES else None,
     )
 
 

@@ -180,8 +180,9 @@ def test_event_location_and_dense_output_share_the_interpolant(monkeypatch, name
     w, init = ESCAPING[name]
     (sol,) = _kernel_solutions(monkeypatch, geodesics, lambda: integrate(w, init, 5.0))
     assert sol.status == 1
-    n = len(sol.t) - 1
-    for segment in (sol.sol._segment(k) for k in sorted({0, n // 2, n - 1})):
+    n, dense = len(sol.t) - 1, sol.sol
+    for k in sorted({0, n // 2, n - 1}):
+        segment = (*dense._steps[k][:3], dense._rows(k))
         t_old, h = segment[:2]
         for t in (t_old + x * h for x in (0.125, 0.5, 0.875)):
             assert _dop853._segment_at(segment, t) == sol.sol(np.array([t]))[:, 0].tolist()
@@ -357,6 +358,21 @@ def test_an_infinite_step_end_derivative_rejects_the_step():
     samples = sol.sol(np.linspace(0.0, 4.0, 33))
     assert np.all(np.isfinite(samples))
     assert np.allclose(samples[0], np.exp(-np.linspace(0.0, 4.0, 33)), rtol=1e-5)
+
+
+def test_interpolants_built_later_keep_the_solves_errstate():
+    # Every evaluation of fun overflows in numpy.  The solve runs where that
+    # is ignored, and so must the evaluations that build the interpolants
+    # the samples read later (the suite turns a warning into an error).
+    def fun(t, y):
+        return (-y[0] if np.isinf(np.exp(np.float64(1000.0))) else 0.0,)
+
+    with np.errstate(over="ignore"):
+        sol = _dop853.solve_ivp(fun, (0.0, 2.0), (1.0,), rtol=1e-6, atol=1e-9)
+    steps = len(sol.t) - 1
+    assert sol.nfev == 2 + 12 * (steps + sol.nrej) and sol.sol.nfev == 0
+    assert np.allclose(sol.sol(sol.t)[0], np.exp(-sol.t), rtol=1e-5)
+    assert sol.sol.nfev == 3 * steps
 
 
 @pytest.mark.parametrize("t_span", [(1.0, 0.5), (1.0, 1.0)])
