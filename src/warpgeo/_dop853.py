@@ -220,7 +220,7 @@ class DenseSolution:
         new = np.flatnonzero(hit & ~filled)
         if new.size:
             with np.errstate(**self._errstate):
-                F[new] = np.reshape([self._rows(i) for i in new.tolist()], (new.size, 7, -1))
+                F[new] = np.array([self._rows(i) for i in new.tolist()]).reshape(new.size, 7, -1)
             filled[new] = True
         x = ((t - self._ts[seg]) / h[seg])[:, None]  # step i starts at ts[i]
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
