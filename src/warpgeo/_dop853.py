@@ -23,8 +23,10 @@ step (the solution update, the two error sums and the interpolation
 coefficients) is one expression over the tableau entries, written out per
 component.  The kernel converts nothing: the stages take fun's values as
 they are.  That source is generated from the tableau the first time a
-state size is solved (see :func:`_stage_functions`); numpy holds only the
-returned arrays and evaluates the dense output.
+state size is solved (see :func:`_stage_functions`).  The solve returns
+lists of floats; numpy is imported only to evaluate the dense output at
+an array of samples, and :meth:`DenseSolution.at` evaluates one sample
+on floats.
 
 A step's interpolant costs three more evaluations of ``fun`` (stages 13-15,
 which the rows through D weigh), 3 of the 15 of an accepted step.  As scipy
@@ -49,9 +51,8 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._brentq import brentq
 
@@ -149,11 +150,11 @@ class Solution:
 
     ``status`` is 0 at the end of the interval, 1 at a terminal event and -1
     when the step size underflowed, which ``message`` then explains (it is
-    None otherwise); ``t`` holds the start and the accepted step ends (the
-    last one is the event root after an event); ``t_events`` holds one array
-    per event; ``nfev`` counts the right-hand-side evaluations of the solve
-    and ``nrej`` its rejected step attempts; ``sol`` evaluates the dense
-    output.  As with scipy's ``dense_output=False``, ``nfev`` is 2 to start,
+    None otherwise); ``t`` lists the start and the accepted step ends (the
+    last one is the event root after an event); ``t_events`` holds one list
+    of roots per event; ``nfev`` counts the right-hand-side evaluations of
+    the solve and ``nrej`` its rejected step attempts; ``sol`` evaluates the
+    dense output.  As with scipy's ``dense_output=False``, ``nfev`` is 2 to start,
     12 per step attempt and 3 for the interpolant of each step that the
     event search read; ``sol.nfev`` counts the evaluations that the dense
     output makes later.
@@ -161,7 +162,7 @@ class Solution:
 
     status: int
     message: str | None
-    t: np.ndarray
+    t: list
     t_events: list
     nfev: int
     nrej: int
@@ -177,16 +178,17 @@ class DenseSolution:
     its samples fall in.  ``nfev`` counts the evaluations made here, 3 per
     step built after the solve.  They run under the ``np.errstate`` that was
     in force during the solve, so ``fun`` warns of what it would have warned
-    of there.
+    of there; a solve that ran before numpy was imported set none.
 
     A sample picks its segment by scipy's ``OdeSolution`` rule (a step end
     belongs to the earlier step, and samples outside the span use the first
-    or last step), and all samples are evaluated in one vectorised pass of
-    the DOP853 interpolation polynomial, with the operations of scipy's
-    ``Dop853DenseOutput``.
+    or last step).  A call evaluates all its samples in one vectorised pass
+    of the DOP853 interpolation polynomial, with the operations of scipy's
+    ``Dop853DenseOutput``; :meth:`at` evaluates one sample by the same
+    operations on floats, to the same doubles.
     """
 
-    def __init__(self, fun, extra, ts: np.ndarray, steps: list, coefficients: list):
+    def __init__(self, fun, extra, ts: list, steps: list, coefficients: list):
         """``ts`` are the segment bounds; each step is (t_old, h, y_old,
         y_new, ks), the arguments of ``extra`` (see :func:`_stage_functions`)
         after ``fun``, and ``coefficients`` holds its interpolation rows, or
@@ -195,7 +197,8 @@ class DenseSolution:
         self._ts = ts
         self._steps = steps
         self._coefficients = coefficients
-        self._errstate = np.geterr()
+        np = sys.modules.get("numpy")
+        self._errstate = None if np is None else np.geterr()
         self._arrays = None
         self.nfev = 0
 
@@ -207,22 +210,38 @@ class DenseSolution:
             self.nfev += 3
         return F
 
+    def _build(self, segments: list) -> list:
+        """The rows of each of ``segments``, built under the solve's errstate."""
+        if self._errstate is None:
+            return [self._rows(i) for i in segments]
+        import numpy as np
+
+        with np.errstate(**self._errstate):
+            return [self._rows(i) for i in segments]
+
+    def at(self, t: float) -> list:
+        """The state at the one sample ``t``, as a list of floats."""
+        i = min(max(bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
+        return _segment_at((*self._steps[i][:3], *self._build([i])), t)
+
     def __call__(self, t) -> np.ndarray:
         """States at the 1-D array of samples ``t``, shape (n, len(t))."""
+        import numpy as np
+
         if self._arrays is None:
             h, y_old = (np.array([step[k] for step in self._steps]) for k in (1, 2))
-            self._arrays = h, y_old, np.empty((len(h), 7, y_old.shape[1])), np.zeros(len(h), bool)
-        h, y_old, F, filled = self._arrays
+            F, filled = np.empty((len(h), 7, y_old.shape[1])), np.zeros(len(h), bool)
+            self._arrays = np.array(self._ts), h, y_old, F, filled
+        ts, h, y_old, F, filled = self._arrays
         t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(self._ts, t, side="left") - 1, 0, len(h) - 1)
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
         hit = np.zeros(len(h), bool)
         hit[seg] = True
         new = np.flatnonzero(hit & ~filled)
         if new.size:
-            with np.errstate(**self._errstate):
-                F[new] = np.array([self._rows(i) for i in new.tolist()]).reshape(new.size, 7, -1)
+            F[new] = np.array(self._build(new.tolist())).reshape(new.size, 7, -1)
             filled[new] = True
-        x = ((t - self._ts[seg]) / h[seg])[:, None]  # step i starts at ts[i]
+        x = ((t - ts[seg]) / h[seg])[:, None]  # step i starts at ts[i]
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
 
 
@@ -450,12 +469,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
 
     if status == -1 and not all(map(math.isfinite, f)):
         message = f"The derivative is not finite at t = {t!r}."
-    ts = np.array(ts)
     return Solution(
         status=status,
         message=message,
         t=ts,
-        t_events=[np.array(te) for te in t_events],
+        t_events=t_events,
         nfev=nfev,
         nrej=nrej,
         sol=DenseSolution(fun, extra, ts, steps, coefficients),

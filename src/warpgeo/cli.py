@@ -25,8 +25,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .connect import DEFAULT_TOL, connect_flat, connect_neg2, connect_neg2_same_r
 from .geodesics import GeodesicState, integrate
 from .geometry import curvature_oracle, sectional_curvature
@@ -168,9 +166,27 @@ def _parse_point(text: str) -> Point:
 def _parse_range(text: str) -> tuple[float, float, int]:
     try:
         lo_s, hi_s, n_s = text.split(":")
-        return float(lo_s), float(hi_s), int(n_s)
+        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise UsageError(f"expected range as 'lo:hi:n', got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"range bounds must be finite, got {text!r}")
+    return lo, hi, n
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` on Python floats, bit for bit: numpy's
+    operations, in its order, and its error for a negative ``n``."""
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    delta = hi - lo
+    if n < 2:
+        return [0.0 * delta + lo][:n]
+    div = n - 1
+    step = delta / div
+    if step == 0:  # numpy's route for a step that underflows
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -179,6 +195,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 def cmd_curvature(cfg: RunConfig, args) -> int:
     if not (0.0 < args.r_min < args.r_max) or args.n < 2:
         raise UsageError("curvature requires 0 < r_min < r_max and n >= 2")
+    import numpy as np
+
     w = cfg.warp()
     rs = np.linspace(args.r_min, args.r_max, args.n)
     ks = sectional_curvature(w, rs)
@@ -253,8 +271,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         def solve(t1):
             return solver(p0, Point(r1, t1), cfg.tol)
     rows: list[tuple] = []
-    for t1 in np.linspace(lo, hi, n):
-        t1 = float(t1)
+    for t1 in _linspace(lo, hi, n):
         if (r1, t1) == (r0, t0):
             continue  # the start point itself
         res = solve(t1)

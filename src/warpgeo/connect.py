@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-
-import numpy as np
+from functools import cache, cached_property
 
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
 from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, _flat_param, integrate
@@ -58,11 +56,18 @@ DEFAULT_TOL = 1e-9
 
 _SCAN_SEEDS = 64
 
-# Arch phases scanned by connect_neg2: asin(x) on the rising half and
-# pi - asin(x) on the falling half, with x spread over 16 decades so that
-# both very small and very large transverse gaps are bracketed.
-_RISE = [math.asin(x) for x in np.geomspace(1e-16, 1.0, _SCAN_SEEDS)]
-_FALL = sorted({math.pi - x for x in _RISE})
+
+@cache
+def _phases() -> tuple[list[float], list[float]]:
+    """The arch phases (rise, fall) that connect_neg2 scans, built on its
+    first call: asin(x) on the rising half and pi - asin(x) on the falling
+    half, with x spread over 16 decades so that both very small and very
+    large transverse gaps are bracketed."""
+    import numpy as np
+
+    rise = [math.asin(x) for x in np.geomspace(1e-16, 1.0, _SCAN_SEEDS)]
+    return rise, sorted({math.pi - x for x in rise})
+
 
 _FLAT = warp_one_over_r()
 _NEG2 = warp_r()
@@ -432,7 +437,8 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
         return s, gain, (math.cos(phi) if r0 <= r1 else -math.cos(theta)), r0 / u
 
     # Equal radii have no rising arrival: it would have zero length.
-    nodes = _FALL if r0 == r1 else _RISE[:-1] + _FALL
+    rise, fall = _phases()
+    nodes = fall if r0 == r1 else rise[:-1] + fall
     confirmed, evals = _shoot(_NEG2, p0, p1, tol, shot, nodes)
     if not confirmed:
         return ConnectResult(

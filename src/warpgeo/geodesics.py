@@ -34,12 +34,12 @@ Closed-form families are provided for the two featured warps:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
-
-import numpy as np
 
 from ._dop853 import solve_ivp
 from .warp import DomainError, Point, WarpFunction
@@ -86,7 +86,9 @@ def _margin(edge: float) -> float:
 
 def _on_float64(fn):
     """``fn`` evaluated at np.float64, its value returned as a Python float."""
-    return lambda r: float(fn(np.float64(r)))
+    from numpy import float64
+
+    return lambda r: float(fn(float64(r)))
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,9 @@ class GeodesicState:
     g: float
 
     def __post_init__(self):
-        if self.r <= 0.0 or not np.isfinite(self.r):
+        if self.r <= 0.0 or not math.isfinite(self.r):
             raise ValueError(f"geodesic state requires r > 0, got {self.r}")
-        if not (np.isfinite(self.t) and np.isfinite(self.f) and np.isfinite(self.g)):
+        if not (math.isfinite(self.t) and math.isfinite(self.f) and math.isfinite(self.g)):
             raise ValueError("geodesic state components must be finite")
 
     @property
@@ -140,6 +142,31 @@ class IntegrationStats:
     stop: str
 
 
+class _Column:
+    """A sample column of :class:`GeodesicPath`, a float array when read.
+
+    :func:`integrate` gives a 2-sample path its columns as lists of Python
+    floats, so a caller that reads only ``endpoint`` needs no numpy; the
+    first read of a column converts it, once.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, path, owner=None):
+        if path is None:
+            raise AttributeError(self.name)  # a dataclass field without default
+        value = path.__dict__[self.name]
+        if isinstance(value, list):
+            import numpy as np
+
+            value = path.__dict__[self.name] = np.array(value)
+        return value
+
+    def __set__(self, path, value):
+        path.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class GeodesicPath:
     """Arc-length-sampled trajectory with escape metadata.
@@ -153,11 +180,11 @@ class GeodesicPath:
     its solve, and ``_resample()`` samples that solve again at 129.
     """
 
-    s: np.ndarray
-    r: np.ndarray
-    t: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
+    s: np.ndarray = _Column()
+    r: np.ndarray = _Column()
+    t: np.ndarray = _Column()
+    f: np.ndarray = _Column()
+    g: np.ndarray = _Column()
     escaped: bool
     total_length: float
     stats: IntegrationStats | None = None
@@ -167,9 +194,8 @@ class GeodesicPath:
 
     @property
     def endpoint(self) -> GeodesicState:
-        return GeodesicState(
-            float(self.r[-1]), float(self.t[-1]), float(self.f[-1]), float(self.g[-1])
-        )
+        columns = vars(self)  # as stored: the end of a 2-sample path stays a float
+        return GeodesicState(*(float(columns[name][-1]) for name in "rtfg"))
 
     def to_csv(self, path) -> None:
         """Write :meth:`to_csv_string` to the file at ``path``."""
@@ -263,30 +289,50 @@ def integrate(
     # it.  The clamp engages beyond the event threshold, so no state the
     # solver keeps depends on it.
     h, dh = w._h, w._dh  # raw evaluators: the probes leave the domain on purpose
-    f64 = np.float64
     inner_lo = d_lo + 0.25 * m_lo
     inner_hi = d_hi - 0.25 * m_hi
+    floats = w.kind in _FLOAT_KINDS
+
+    # The solver's state and the derivative it takes are Python floats.
+    # The plain-arithmetic families (_FLOAT_KINDS) get the radius as it is:
+    # on a float, + - * / give the bits np.float64 arithmetic gives, and a
+    # division by zero, numpy's inf or nan, raises instead, which counts as
+    # not finite.  e^r and caller code see np.float64, as they would from
+    # an array: e^r keeps np.exp (math.exp differs in the last bit), and
+    # r**1.5 at r < 0 is nan, not a complex.
+    hf, dhf = (h, dh) if floats else (_on_float64(h), _on_float64(dh))
+    # Evaluations on and past the boundary may divide by zero or take the
+    # root of a negative number; the clamp replaces those values, so numpy's
+    # warnings carry no information.  Before numpy is imported, nothing
+    # can warn.
+    np = sys.modules.get("numpy")
+    quiet = contextlib.nullcontext() if np is None else np.errstate(all="ignore")
 
     def extends(edge: float) -> bool:
-        return math.isfinite(h(np.float64(edge)) * dh(np.float64(edge)))
+        try:
+            return math.isfinite(hf(edge) * dhf(edge))
+        except ZeroDivisionError:
+            return False
 
-    # Evaluations on and past the boundary may divide by zero or take the
-    # root of a negative number; the clamp replaces those values, so their
-    # warnings carry no information.
-    with np.errstate(all="ignore"):
+    def clamped(r: float) -> tuple:
+        # Inside the domain a Python float divides by zero only where a
+        # product underflows (q^2 in neg2's h' for tiny parameters); numpy's
+        # inf or nan is taken then, as before.
+        r = min(max(r, inner_lo), inner_hi)
+        try:
+            return hf(r), dhf(r)
+        except ZeroDivisionError:
+            import numpy as np
+
+            with np.errstate(all="ignore"):
+                return _on_float64(h)(r), _on_float64(dh)(r)
+
+    with quiet:
         lo = -math.inf if extends(d_lo) else inner_lo
         hi = math.inf if extends(d_hi) else inner_hi
 
-        # The solver's state and the derivative it takes are Python floats.
-        # The plain-arithmetic families (_FLOAT_KINDS) get the radius as it
-        # is: on a float, + - * / give the bits np.float64 arithmetic gives.
-        # e^r and caller code see np.float64, as they would from an array:
-        # e^r keeps np.exp (math.exp differs in the last bit), and r**1.5
-        # at r < 0 is nan, not a complex.  The range is tested first, and a
-        # division by zero (numpy's inf) takes the clamp like a non-finite
-        # h h'.  The clamp evaluates at np.float64 for every family.
-        hf, dhf = (h, dh) if w.kind in _FLOAT_KINDS else (_on_float64(h), _on_float64(dh))
-
+        # The range is tested first, and a division by zero takes the clamp
+        # like a non-finite h h'.
         def rhs(s, y):
             r = y[0]
             if lo <= r <= hi:
@@ -296,8 +342,7 @@ def integrate(
                         return (y[2], b * hr * hr, -b * b * hr * dhr)
                 except ZeroDivisionError:
                     pass
-            r = f64(min(max(r, inner_lo), inner_hi))
-            hr, dhr = float(h(r)), float(dh(r))
+            hr, dhr = clamped(r)
             return (y[2], b * hr * hr, -b * b * hr * dhr)
 
         sol = solve_ivp(
@@ -309,33 +354,53 @@ def integrate(
 
     if sol.status == 0:
         stop = "s_max"
-    elif sol.t_events[0].size:
+    elif sol.t_events[0]:
         stop = "escaped_lower"
     else:
         stop = "escaped_upper"
-    return _sample(sol, b, h, (d_lo + 0.5 * m_lo, d_hi - 0.5 * m_hi), stop, n_samples)
+    clip = (d_lo + 0.5 * m_lo, d_hi - 0.5 * m_hi)
+    return _sample(sol, b, h, clip, stop, n_samples, floats)
 
 
-def _sample(sol, b: float, h, clip: tuple, stop: str, n_samples: int = _SAMPLES) -> GeodesicPath:
+def _sample(
+    sol, b: float, h, clip: tuple, stop: str, n_samples: int = _SAMPLES, floats: bool = False
+) -> GeodesicPath:
     """The path of a finished :func:`integrate` solve at ``n_samples``
-    points evenly spaced in arc length; g = b h(r) with ``h`` the raw warp."""
+    points evenly spaced in arc length; g = b h(r) with ``h`` the raw warp.
+
+    With ``floats`` (h is plain arithmetic) a 2-sample path is evaluated
+    on Python floats, to the doubles of the array route: the two samples
+    fall in the same steps, whose interpolants are built either way.
+    """
     s_end = float(sol.t[-1])
-    grid = np.linspace(0.0, s_end, max(2, int(n_samples)))
-    r_v, t_v, f_v = sol.sol(grid)
-    # The event is located the margin inside the boundary; interpolation
-    # noise may put the final sample a hair past it.  Clamp to keep states
-    # constructible and h inside its domain.
-    r_v = np.clip(r_v, *clip)
-    g_v = b * np.asarray(h(r_v), dtype=float)
+    n = max(2, int(n_samples))
+    if floats and n == 2:
+        s = [0.0, s_end]  # np.linspace(0.0, s_end, 2)
+        r_v, t_v, f_v = map(list, zip(*map(sol.sol.at, s)))
+        # The event is located the margin inside the boundary; interpolation
+        # noise may put the final sample a hair past it.  Clamp to keep
+        # states constructible and h inside its domain.
+        r_v = [min(max(r, clip[0]), clip[1]) for r in r_v]
+        g_v = [b * h(r) for r in r_v]
+        drifts = [abs(f * f + g * g - 1.0) for f, g in zip(f_v, g_v)]
+        drift = math.nan if any(map(math.isnan, drifts)) else max(drifts)  # as np.max
+    else:
+        import numpy as np
+
+        s = np.linspace(0.0, s_end, n)
+        r_v, t_v, f_v = sol.sol(s)
+        r_v = np.clip(r_v, *clip)  # as above
+        g_v = b * np.asarray(h(r_v), dtype=float)
+        drift = float(np.max(np.abs(f_v * f_v + g_v * g_v - 1.0)))
     stats = IntegrationStats(
         rhs_evals=sol.nfev + sol.sol.nfev,
         accepted_steps=len(sol.t) - 1,
         rejected_steps=sol.nrej,
-        max_speed_drift=float(np.max(np.abs(f_v * f_v + g_v * g_v - 1.0))),
+        max_speed_drift=drift,
         stop=stop,
     )
     return GeodesicPath(
-        s=grid,
+        s=s,
         r=r_v,
         t=t_v,
         f=f_v,
@@ -371,6 +436,8 @@ def path_length_quadrature(w: WarpFunction, path: GeodesicPath) -> float:
     sqrt(dr^2 + dt^2/h^2) evaluated at midpoints.  Second-order accurate in
     the sample spacing; used as a cross-check of :func:`path_length`.
     """
+    import numpy as np
+
     dr = np.diff(path.r)
     dt = np.diff(path.t)
     mid = 0.5 * (path.r[1:] + path.r[:-1])
@@ -389,6 +456,8 @@ def _flat_param(s, r0: float, r1: float):
 
 def _flat_sweep(s, r0: float, a):
     """Continuous transverse angle swept by the flat geodesic (r0, a) at s."""
+    import numpy as np
+
     s = np.asarray(s, dtype=float)
     beta = np.maximum(r0 * r0 - a * a, 0.0)
     return np.arctan2(s * np.sqrt(beta), r0 * r0 + a * s)
@@ -433,6 +502,8 @@ class FlatGeodesic:
         return self.t0 - self.sign * math.atan2(self.a, math.sqrt(self.beta))
 
     def radius(self, s):
+        import numpy as np
+
         s = np.asarray(s, dtype=float)
         return np.sqrt(s * s + 2.0 * self.a * s + self.r0 * self.r0)
 
@@ -448,6 +519,8 @@ class FlatGeodesic:
 
     def point(self, s):
         """Position (r, t) at arc length s (s may be an array)."""
+        import numpy as np
+
         r = self.radius(s)
         t = self.t0 + self.sign * self.angle(s)
         if np.ndim(s) == 0:
@@ -514,19 +587,27 @@ class Neg2Geodesic:
         return ((psi0 - math.pi) / self.b, psi0 / self.b)
 
     def _phase(self, s):
+        import numpy as np
+
         return self.sign * self.b * np.asarray(s, dtype=float) + self.phase0
 
     def _require_arch(self, s):
+        import numpy as np
+
         lo, hi = self.arch()
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= lo) or np.any(s_arr >= hi):
             raise DomainError(f"arc length {s!r} outside the positive arch ({lo}, {hi})")
 
     def radius(self, s):
+        import numpy as np
+
         self._require_arch(s)
         return np.sin(self._phase(s)) / self.b
 
     def transverse(self, s):
+        import numpy as np
+
         self._require_arch(s)
         s_arr = np.asarray(s, dtype=float)
         psi = self._phase(s_arr)
@@ -536,6 +617,8 @@ class Neg2Geodesic:
         ) / (4.0 * b * b)
 
     def point(self, s):
+        import numpy as np
+
         r = self.radius(s)
         t = self.transverse(s)
         if np.ndim(s) == 0:
@@ -566,6 +649,8 @@ def transverse_unit_b_form(geo: Neg2Geodesic, s):
     equation-consistent antiderivative and agrees with this expression
     exactly when b == 1 (for the positive radial sign).
     """
+    import numpy as np
+
     s_arr = np.asarray(s, dtype=float)
     psi = geo.sign * geo.b * s_arr + geo.phase0
     return geo.t0 + s_arr / 2.0 - (np.sin(2.0 * psi) - math.sin(2.0 * geo.phase0)) / 4.0

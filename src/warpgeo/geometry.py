@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
@@ -41,7 +39,11 @@ __all__ = [
 
 
 def _finite(x) -> bool:
-    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x))
+    if isinstance(x, float):
+        return math.isfinite(x)
+    import numpy as np
+
+    return bool(np.isfinite(x))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "DomainError",
     "Domain",
@@ -80,6 +78,8 @@ class Domain:
         if isinstance(r, float):
             # NaN and infinities fail the chained comparison.
             return bool(self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN)
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         inside = (r > self.lo + DOMAIN_MARGIN) & np.isfinite(r)
         if math.isfinite(self.hi):
@@ -91,15 +91,19 @@ class Domain:
         if isinstance(ok, bool):
             if ok:
                 return
-        elif np.all(ok):
-            return
         else:
+            import numpy as np
+
+            if np.all(ok):
+                return
             # Name the first radius outside, not the whole array.
             r = float(np.asarray(r, dtype=float)[~ok][0])
         raise DomainError(f"radius {r!r} outside open domain ({self.lo}, {self.hi})")
 
     def sample(self) -> np.ndarray:
         """Interior grid of ``SAMPLE_SIZE`` radii, used for validation sweeps."""
+        import numpy as np
+
         lo = self.lo
         hi = self.hi if math.isfinite(self.hi) else max(10.0, 4.0 * lo + 10.0)
         pad = (hi - lo) * 1e-3
@@ -183,7 +187,11 @@ class WarpFunction:
     # The checked evaluators: the domain check, then fn at a float or float array.
     def _checked(self, fn: Callable, r):
         self.domain.require(r)
-        return fn(float(r) if _scalar(r) else np.asarray(r, dtype=float))
+        if _scalar(r):
+            return fn(float(r))
+        import numpy as np
+
+        return fn(np.asarray(r, dtype=float))
 
     def h(self, r):
         return self._checked(self._h, r)
@@ -225,12 +233,24 @@ def _scalar(r) -> bool:
     """Whether r is a scalar.  A float (np.float64 is one) is answered without
     np.ndim, which on a Python float first builds an array: the geodesic
     right-hand side and every checked evaluation ask this."""
-    return isinstance(r, float) or not np.ndim(r)
+    if isinstance(r, float):
+        return True
+    import numpy as np
+
+    return not np.ndim(r)
 
 
 def _constant(v: float) -> Callable:
     """Evaluator of the constant v: a float at a scalar, a filled array at an array."""
-    return lambda r: v if _scalar(r) else np.full_like(np.asarray(r, dtype=float), v)
+
+    def constant(r):
+        if _scalar(r):
+            return v
+        import numpy as np
+
+        return np.full_like(np.asarray(r, dtype=float), v)
+
+    return constant
 
 
 def warp_one_over_r() -> WarpFunction:
@@ -263,6 +283,8 @@ def warp_r() -> WarpFunction:
 
 def warp_exp() -> WarpFunction:
     """h(r) = e^r on (0, inf); constant curvature -1."""
+    import numpy as np
+
     return WarpFunction(
         kind="exp",
         params=(),
@@ -401,6 +423,8 @@ def warp_custom(
     def step(r, scale):
         # Both probes stay inside the domain: the step is at most half the
         # distance to the nearer edge.
+        import numpy as np
+
         return np.minimum(_fd_step(r, scale), 0.5 * np.minimum(r - dom.lo, dom.hi - r))
 
     if dh is None:
@@ -439,12 +463,18 @@ _FAMILIES = {
 
 def _fd_step(r, scale: float):
     """Central-difference step ``scale * max(1, |r|)`` at a scalar or array r."""
-    return scale * max(1.0, abs(r)) if _scalar(r) else scale * np.maximum(1.0, np.abs(r))
+    if _scalar(r):
+        return scale * max(1.0, abs(r))
+    import numpy as np
+
+    return scale * np.maximum(1.0, np.abs(r))
 
 
 def _validate(w: WarpFunction, check_dh: bool, check_d2h: bool) -> WarpFunction:
     """Reject non-positive h and derivative evaluators that differ from
     central differences by more than ``CONSISTENCY_TOL`` (relative)."""
+    import numpy as np
+
     grid = w.domain.sample()
     hv = np.asarray(w._h(grid), dtype=float)
     if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):

@@ -7,6 +7,8 @@ reproduce.
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -170,3 +172,30 @@ def test_dumps_is_json_in_the_committed_layout():
         " }",
         "}",
     ]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_labels_default_to_each_checkouts_short_commit(tmp_path):
+    checkout, plain = tmp_path / "checkout", tmp_path / "plain"
+    (checkout / "sub").mkdir(parents=True)
+    plain.mkdir()
+    git = ["git", "-C", str(checkout)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+                          "--allow-empty", "-m", "x"], check=True)
+    commit = subprocess.run(git + ["rev-parse", "--short", "HEAD"], capture_output=True,
+                            text=True, check=True).stdout.strip()
+    assert bench_pairs.label(checkout) == commit
+    # A directory that is no checkout of its own keeps its name, as before.
+    assert bench_pairs.label(plain) == "plain"
+    assert bench_pairs.label(checkout / "sub") == "sub"
+
+
+def test_machine_block_records_bytecode_and_simd(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    env = bench_pairs.environment()
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "(dispatched; baseline " in env["numpy_simd"]
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.environment()["PYTHONDONTWRITEBYTECODE"] is None

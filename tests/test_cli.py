@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from warpgeo import cli
 
 CLI = [sys.executable, "-m", "warpgeo.cli"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -256,6 +259,51 @@ class TestSweep:
         res = run_cli("--format", "csv", "sweep", "--t1", "0:1:0")
         assert res.returncode == 0
         assert res.stdout.strip() == "r0,t0,r1,t1,exists,length,iterations"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--t1=-inf:1:3"],
+        ["sweep", "--same-r", "--r0", "1", "--dt=-inf:1:3"],
+        ["sweep", "--t1=0:nan:3"],
+    ])
+    def test_non_finite_range_bound_is_one_error_line(self, argv):
+        res = run_cli("--format", "csv", *argv)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        text = argv[-1].partition("=")[2]
+        assert res.stderr == f"warpgeo: error: range bounds must be finite, got {text!r}\n"
+
+    def test_negative_sample_count_keeps_numpys_message(self):
+        res = run_cli("--format", "csv", "sweep", "--t1=-1:1:-2")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "warpgeo: error: Number of samples, -2, must be non-negative.\n"
+
+
+def _grid_cases():
+    """Seeded (lo, hi, n): same-scale and mixed-scale bounds from 1e-300 to
+    1e300 of either sign, n from 0 up, and the edge cases by name."""
+    rng = np.random.default_rng(20261019)
+    cases = [(0.0, 0.0, 5), (1.5, 1.5, 3), (2.0, -1.0, 7), (-0.0, 1.0, 1), (0.0, -1.0, 1),
+             (-0.0, -0.0, 2), (3.0, 1.0, 0), (0.0, 1e-323, 6), (-1e-300, 1e-300, 57)]
+    for k in range(3000):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        lo, hi = rng.uniform(-1.0, 1.0, 2) * scale
+        if k % 3 == 0:  # independent magnitudes
+            hi = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300.0, 300.0)
+        n = int(rng.choice([0, 1, 2, 57, int(rng.integers(3, 400))]))
+        cases.append((float(lo), float(hi), n))
+    return cases
+
+
+def test_sweep_grid_is_np_linspace_bit_for_bit():
+    for lo, hi, n in _grid_cases():
+        got = [x.hex() for x in cli._linspace(lo, hi, n)]  # hex tells -0.0 from 0.0
+        assert got == [x.hex() for x in np.linspace(lo, hi, n).tolist()], (lo, hi, n)
+    with pytest.raises(ValueError) as want:
+        np.linspace(0.0, 1.0, -2)
+    with pytest.raises(ValueError) as got:
+        cli._linspace(0.0, 1.0, -2)
+    assert str(got.value) == str(want.value)
 
 
 class TestRiccati:

@@ -188,6 +188,19 @@ def test_event_location_and_dense_output_share_the_interpolant(monkeypatch, name
             assert _dop853._segment_at(segment, t) == sol.sol(np.array([t]))[:, 0].tolist()
 
 
+@pytest.mark.parametrize("name", sorted(ESCAPING))
+def test_one_sample_on_floats_is_the_array_call(monkeypatch, name):
+    # DenseSolution.at picks the segment by the same rule as a call and
+    # evaluates it on floats, to the same doubles: on the step ends, inside
+    # a step and outside the span.
+    w, init = ESCAPING[name]
+    (sol,) = _kernel_solutions(monkeypatch, geodesics, lambda: integrate(w, init, 5.0))
+    ts = sol.t
+    for t in [*ts, 0.5 * (ts[0] + ts[1]), ts[0] - 1.0, ts[-1] + 1.0]:
+        want = sol.sol(np.array([t]))[:, 0].tolist()
+        assert [x.hex() for x in sol.sol.at(t)] == [x.hex() for x in want]
+
+
 def _kernel_solutions(monkeypatch, module, run) -> list:
     """Run ``run()``; return the kernel's solution of each solver call in ``module``."""
     sols = []
@@ -371,7 +384,7 @@ def test_interpolants_built_later_keep_the_solves_errstate():
         sol = _dop853.solve_ivp(fun, (0.0, 2.0), (1.0,), rtol=1e-6, atol=1e-9)
     steps = len(sol.t) - 1
     assert sol.nfev == 2 + 12 * (steps + sol.nrej) and sol.sol.nfev == 0
-    assert np.allclose(sol.sol(sol.t)[0], np.exp(-sol.t), rtol=1e-5)
+    assert np.allclose(sol.sol(sol.t)[0], np.exp(-np.array(sol.t)), rtol=1e-5)
     assert sol.sol.nfev == 3 * steps
 
 

@@ -202,6 +202,36 @@ class TestIntegrationStats:
             assert np.array_equal(path.g, init.g / w.h(1.0) * np.asarray(w.h(path.r)))
 
 
+class TestTwoSamplePath:
+    @pytest.mark.parametrize("name", ["one_over_r", "r", "flat(2,5)", "neg2(1,1,1)"])
+    def test_floats_give_the_array_routes_bits(self, monkeypatch, warp_family, rng, name):
+        # A 2-sample path of a plain-arithmetic warp is solved and sampled on
+        # Python floats.  With _FLOAT_KINDS emptied, the same solves run
+        # through np.float64 and the array route, to the same bits and counts.
+        w = warp_family[name]
+        lo, hi = w.domain.lo, min(w.domain.hi, 8.0)
+        inits = [(GeodesicState.from_angle(rng.uniform(lo + 0.2, hi - 0.2), 0.0,
+                                           rng.uniform(-math.pi, math.pi)), rng.uniform(0.1, 6.0))
+                 for _ in range(12)]
+        inits.append((GeodesicState(lo + 1.0, 0.0, -1.0, 0.0), 6.0))  # the inward ray escapes
+        got = [integrate(w, init, s, n_samples=2) for init, s in inits]
+        monkeypatch.setattr(geodesics, "_FLOAT_KINDS", frozenset())
+        want = [integrate(w, init, s, n_samples=2) for init, s in inits]
+        assert any(path.escaped for path in want) and not all(path.escaped for path in want)
+        for a, b in zip(got, want):
+            for col in "srtfg":
+                assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
+            assert (a.escaped, a.total_length, a.stats) == (b.escaped, b.total_length, b.stats)
+
+    def test_columns_become_arrays_when_read(self, flat_warp):
+        path = integrate(flat_warp, GeodesicState(1.0, 0.0, -0.6, 0.8), 1.0, n_samples=2)
+        assert all(type(vars(path)[col]) is list for col in "srtfg")
+        end = path.endpoint  # read without numpy
+        assert all(type(vars(path)[col]) is list for col in "srtfg")
+        assert isinstance(path.r, np.ndarray) and vars(path)["r"] is path.r
+        assert end == GeodesicState(*(float(getattr(path, col)[-1]) for col in "rtfg"))
+
+
 # name: (warp, initial state).  Each escape step probes past r = 0.  h = r
 # is evaluated on its continuation; 1/r has a pole and np.sqrt an infinite
 # h' at 0, so both are clamped; r^1.5 continues smoothly across 0 but is NaN
@@ -253,6 +283,15 @@ def test_right_hand_side_stays_finite(monkeypatch, name):
     path = integrate(w, init, 5.0)
     assert path.escaped and min(probes[2 * len(radii):]) < 0.0
     assert path.stats.max_speed_drift <= 1e-9
+
+
+def test_division_by_zero_at_the_clamp_is_numpys_inf():
+    # At r = 1, q^2 = 1e-600 underflows in h' = c0 (c1 - 2 c2 r^3) / q^2:
+    # the in-range value and the clamp's both divide by zero, and the clamp
+    # takes numpy's -inf, which the solver reports, not a ZeroDivisionError.
+    w = warp_neg2(1.0, 0.0, 1e-300)
+    with pytest.raises(ValueError, match="The derivative is not finite at t = 0.0."):
+        integrate(w, GeodesicState(1.0, 0.0, -1.0, 0.0), 5.0)
 
 
 def test_power_warp_probes_below_zero_as_nan():

@@ -1,0 +1,65 @@
+"""``warpgeo connect`` and ``sweep`` on the flat metric run without numpy.
+
+Each step runs in a fresh interpreter, which then reports whether numpy is
+in ``sys.modules``: importing the package or its CLI must not load it, and
+neither may the flat ``connect`` (found, blocked and horizontal) or the
+flat and same-radius ``sweep``.  The commands that build arrays load it at
+first use, and their bytes are pinned by ``test_output_bytes.py``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+from test_cli import ROOT
+
+CHILD = r"""
+import contextlib, io, json, shlex, sys
+argv = shlex.split(sys.argv[1])
+out = io.StringIO()
+if argv[0] == "import":
+    __import__(argv[1])
+    code = 0
+else:
+    import warpgeo.cli
+    with contextlib.redirect_stdout(out):
+        code = warpgeo.cli.main(argv[1:])
+print(json.dumps([code, "numpy" in sys.modules, out.getvalue()]))
+"""
+
+# name: (step, its exit status)
+STEPS = {
+    "import-package": ("import warpgeo", 0),
+    "import-cli": ("import warpgeo.cli", 0),
+    "connect-found": ("warpgeo connect 1,0 1,1.5707963267948966", 0),
+    "connect-blocked": ("warpgeo connect 1,0 1,3.14159265358979", 2),
+    "connect-horizontal": ("warpgeo connect 1,0 2,0", 0),
+    "sweep-flat": ("warpgeo --format csv sweep --metric flat --p0 1,0 --r1 1 --t1=-3.5:3.5:57", 0),
+    "sweep-same-r": ("warpgeo --format csv sweep --same-r --r0 1 --dt 0.5:7:14", 0),
+}
+
+
+def _child(step: str) -> list:
+    env = dict(os.environ)
+    env.pop("WARPGEO_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, step], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", STEPS)
+def test_step_loads_no_numpy(name):
+    step, code = STEPS[name]
+    got_code, numpy_loaded, out = _child(step)
+    assert (got_code, numpy_loaded) == (code, False)
+    assert out or step.startswith("import")
+
+
+def test_neg2_connect_loads_numpy_for_its_scan_nodes():
+    # The h = r scan nodes come from np.geomspace, built on the first call.
+    code, numpy_loaded, out = _child("warpgeo --warp r connect 1,0 2,0.5")
+    assert (code, numpy_loaded) == (0, True)
+    assert json.loads(out)["variant"] == "found"

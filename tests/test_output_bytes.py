@@ -119,10 +119,14 @@ def test_command_bytes(line, tmp_path):
         assert _digest(path.read_bytes()) == PATH_CSV[line]
 
 
+def _umath():
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
+    return core._multiarray_umath
+
+
 def _has_avx2() -> bool:
     """Whether numpy found AVX2 on this CPU, which OpenBLAS's Haswell kernel needs."""
-    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed np.core
-    return core._multiarray_umath.__cpu_features__.get("AVX2", False)
+    return _umath().__cpu_features__.get("AVX2", False)
 
 
 @pytest.mark.parametrize("coretype", [
@@ -143,3 +147,30 @@ def test_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
             got[line, "p.csv"], want[line, "p.csv"] = _digest(path.read_bytes()), PATH_CSV[line]
     assert "field.csv" in got and all((line, "p.csv") in got for line in PATH_CSV)
     assert got == want
+
+
+# connect_neg2 scans phases asin(x) over x from np.geomspace, whose last bit
+# depends on the SIMD code numpy dispatches to: on an AVX-512 machine the
+# second node differs in the last bit with the dispatched features off.
+# The outputs must not.
+SIMD_COMMANDS = [
+    "warpgeo --warp r connect 1,0 2,1 --path-out p.csv",
+    "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-3:3:25",
+]
+
+
+@pytest.mark.parametrize("line", SIMD_COMMANDS)
+def test_neg2_bytes_do_not_depend_on_simd_dispatch(line, tmp_path):
+    umath = _umath()
+    found = " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+    runs = []
+    for k, env in enumerate([{"NPY_DISABLE_CPU_FEATURES": found}, {}]):
+        cwd = tmp_path / str(k)
+        cwd.mkdir()
+        got = _run(line, cwd, **env)
+        path = cwd / "p.csv"
+        runs.append((got, _digest(path.read_bytes()) if path.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == 0 and runs[0][0][2] == EMPTY
+    if line in PINNED:
+        assert runs[0] == (PINNED[line], PATH_CSV[line])

@@ -15,9 +15,12 @@ adds one pair on seed K, kept apart from the medians.
 
 Per workload and end-to-end metric of CHANGE_DIR/BENCHMARK.json the file
 holds each side's median and quartiles, their ratio, the pairs the change
-won and every run's value, with the machine, the Python and numpy versions
-and the OpenBLAS kernel in use.  Only the standard library is imported
-here; numpy is queried in a child process.
+won and every run's value, with the machine, the Python and numpy versions,
+the OpenBLAS kernel and the SIMD features numpy dispatches to, and whether
+``PYTHONDONTWRITEBYTECODE`` is set (then every CLI child compiles the
+package afresh).  The sides are labelled with each checkout's short commit
+when it is a git checkout, else with its directory name.  Only the
+standard library is imported here; numpy is queried in a child process.
 
 The exit status is 1 when a run, held-out pairs included, reports outputs
 that are not correct, or the change failed more tasks than the parent in
@@ -44,12 +47,17 @@ METHOD = (
     "the medians."
 )
 
-# Run in a child with the benchmark's interpreter: numpy's version and the
-# OpenBLAS kernel in use.  numpy.show_runtime() names the kernel only when
-# threadpoolctl is installed; otherwise the loaded OpenBLAS is asked itself.
+# Run in a child with the benchmark's interpreter: numpy's version, the
+# OpenBLAS kernel in use and the dispatched SIMD features that numpy found
+# (NPY_DISABLE_CPU_FEATURES takes features off that list).
+# numpy.show_runtime() names the kernel only when threadpoolctl is
+# installed; otherwise the loaded OpenBLAS is asked itself.
 _NUMPY_PROBE = r"""
 import contextlib, ctypes, io, json, re, sys
 import numpy
+core = getattr(numpy, "_core", None) or numpy.core  # numpy 2 renamed numpy.core
+umath = core._multiarray_umath
+simd = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     numpy.show_runtime()
@@ -75,6 +83,7 @@ print(json.dumps({
     "python": sys.version.split()[0],
     "numpy": numpy.__version__,
     "blas": (kernel[0] + " (from " + via + ")") if kernel else "unknown",
+    "numpy_simd": " ".join(simd) + " (dispatched; baseline " + " ".join(umath.__cpu_baseline__) + ")",
 }))
 """
 
@@ -164,7 +173,8 @@ def run_pair(dirs: dict, workload: str, seed: int, seconds: float, parent_first:
 
 
 def environment() -> dict:
-    """Machine, Python, numpy and BLAS kernel of the interpreter that runs the pairs."""
+    """Machine, Python, numpy, its SIMD features and BLAS kernel of the
+    interpreter that runs the pairs, and whether the runs write bytecode."""
     probe = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], capture_output=True,
                            text=True, check=True)
     found = json.loads(probe.stdout.splitlines()[-1])
@@ -178,7 +188,25 @@ def environment() -> dict:
     machine = f"{os.cpu_count()} CPUs, {model}, {platform.system()} {platform.machine()}"
     if os.environ.get("OPENBLAS_CORETYPE"):
         found["blas"] += f", OPENBLAS_CORETYPE={os.environ['OPENBLAS_CORETYPE']}"
-    return {"machine": machine, **found}
+    if os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+        found["numpy_simd"] += f", NPY_DISABLE_CPU_FEATURES={os.environ['NPY_DISABLE_CPU_FEATURES']}"
+    bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    return {"machine": machine, **found,
+            "PYTHONDONTWRITEBYTECODE": bytecode if bytecode else None}
+
+
+def label(checkout: Path) -> str:
+    """The short commit of a git checkout, else the directory's name."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel",
+                               "--short", "HEAD"], capture_output=True, text=True)
+    except OSError:  # no git
+        proc = None
+    if proc is not None and proc.returncode == 0:
+        top, commit = proc.stdout.splitlines()
+        if Path(top) == checkout.resolve():  # not a plain directory inside a checkout
+            return commit
+    return checkout.resolve().name
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -214,7 +242,8 @@ def parse_args(argv=None):
     parser.add_argument("--target", default="", help="the claimed gain, in words")
     parser.add_argument("--what", default="", help="what the change is")
     parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
-                        help="commit names of the two sides (default: directory names)")
+                        help="names of the two sides (default: each checkout's short commit, "
+                             "or its directory name outside git)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     unrun = sorted({w for w, _ in args.held_out} - {w for w, _ in args.workload})
@@ -228,7 +257,7 @@ def main(argv=None) -> int:
     dirs = {"parent": args.parent, "change": args.change}
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     e2e, seconds = bench["end_to_end"], bench["run_seconds"]
-    labels = args.labels or [args.parent.resolve().name, args.change.resolve().name]
+    labels = args.labels or [label(args.parent), label(args.change)]
     report = {
         "what": args.what,
         "parent": labels[0],
