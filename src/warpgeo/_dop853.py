@@ -21,12 +21,17 @@ is straight-line float code, as in Hairer's ``dop853.f``, whose ``FCN``
 works on plain doubles: every stage argument and every sum that closes a
 step (the solution update, the two error sums and the interpolation
 coefficients) is one expression over the tableau entries, written out per
-component.  The kernel converts nothing: the stages take fun's values as
-they are.  That source is generated from the tableau the first time a
-state size is solved (see :func:`_stage_functions`).  The solve returns
-lists of floats; numpy is imported only to evaluate the dense output at
-an array of samples, and :meth:`DenseSolution.at` evaluates one sample
-on floats.
+component, and so is the error norm.  The kernel converts nothing: the
+stages take fun's values as they are.  A right-hand side can itself be
+written as source, a :class:`Derivative`, and passed as the
+:class:`CompiledDerivative` that also serves as ``fun``: its body then runs
+inline in every stage, on only the stage arguments it reads, in place of a
+call of ``fun`` with the stage's time and whole state.  This is how
+:func:`warpgeo.geodesics.integrate` solves.  That source is generated from
+the tableau the first time a system and state size are solved (see
+:func:`_kernel`).  The solve returns lists of floats; numpy is imported
+only to evaluate the dense output at an array of samples, and
+:meth:`DenseSolution.at` evaluates one sample on floats.
 
 A step's interpolant costs three more evaluations of ``fun`` (stages 13-15,
 which the rows through D weigh), 3 of the 15 of an accepted step.  As scipy
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 
 from ._brentq import brentq
 
-__all__ = ["solve_ivp", "Solution", "DenseSolution"]
+__all__ = ["solve_ivp", "Solution", "DenseSolution", "Derivative", "CompiledDerivative"]
 
 # scipy's step controller: the factor SAFETY * err^(-1/8), clamped to
 # [MIN_FACTOR, MAX_FACTOR], and no growth right after a rejection.
@@ -141,7 +146,46 @@ D = (
      -149.72683625798564),
 )
 
-_STAGE_CODE: dict = {}  # state size -> (stages, extra), see _stage_functions
+_KERNELS: dict = {}  # (derivative, state size) -> (call, stages, extra), see _kernel
+
+
+@dataclass(frozen=True)
+class Derivative:
+    """A right-hand side written as source, which :func:`_kernel` compiles
+    into the step it generates.
+
+    ``body`` is statements that assign the derivative, a sequence of n
+    values, to ``{out}``.  They read the time as ``{t}``, component j of the
+    state as ``{y[j]}`` and the whole state, a list, as ``{state}``.  Each
+    of these is an expression, formed only where the body names it, so the
+    body names each at most once.  ``params`` names the values the body
+    reads besides: the kernel's functions take them as one tuple.  The body
+    may call ``isfinite`` (``math.isfinite``).  Its own names must not
+    clash with the kernel's: ``p``, ``t``, ``h``, ``y``, ``f``, ``ks``,
+    ``out``, ``err``, ``denom``, ``rtol``, ``atol``, ``sqrt``, ``nan`` and
+    names with an underscore or a digit.
+    """
+
+    params: str
+    body: str
+
+
+# A plain callable: every stage calls fun(t + c h, [...]).
+CALL = Derivative("fun", "{out} = fun({t}, {state})")
+
+
+class CompiledDerivative:
+    """``fun(t, y)`` compiled from ``derivative`` for the values ``args`` of
+    its params and an ``n``-component state.  :func:`solve_ivp` runs the
+    same source inline in its step: it calls this only to start the solve.
+    """
+
+    def __init__(self, derivative: Derivative, args: tuple, n: int):
+        self.args = args
+        self.kernel = _kernel(derivative, n)
+
+    def __call__(self, t, y):
+        return self.kernel[0](self.args, t, y)
 
 
 @dataclass(frozen=True)
@@ -188,12 +232,12 @@ class DenseSolution:
     operations on floats, to the same doubles.
     """
 
-    def __init__(self, fun, extra, ts: list, steps: list, coefficients: list):
+    def __init__(self, args, extra, ts: list, steps: list, coefficients: list):
         """``ts`` are the segment bounds; each step is (t_old, h, y_old,
-        y_new, ks), the arguments of ``extra`` (see :func:`_stage_functions`)
-        after ``fun``, and ``coefficients`` holds its interpolation rows, or
-        None until they are built."""
-        self._fun, self._extra = fun, extra
+        y_new, ks), the arguments of ``extra`` (see :func:`_kernel`) after
+        the derivative's ``args``, and ``coefficients`` holds its
+        interpolation rows, or None until they are built."""
+        self._args, self._extra = args, extra
         self._ts = ts
         self._steps = steps
         self._coefficients = coefficients
@@ -206,7 +250,7 @@ class DenseSolution:
         """The seven interpolation coefficient rows of step i, concatenated."""
         F = self._coefficients[i]
         if F is None:
-            F = self._coefficients[i] = self._extra(self._fun, *self._steps[i])
+            F = self._coefficients[i] = self._extra(self._args, *self._steps[i])
             self.nfev += 3
         return F
 
@@ -245,63 +289,96 @@ class DenseSolution:
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
 
 
-def _stage_functions(n: int) -> tuple:
-    """The step functions for an ``n``-component state, compiled on first use.
+def _kernel(derivative: Derivative, n: int) -> tuple:
+    """The functions of ``derivative`` for an ``n``-component state, compiled
+    on first use.  Each takes the values of its params as ``p``.
 
-    ``stages(fun, t, h, y, f)`` makes one step attempt from ``y`` and its
-    derivative ``f``: stages 1-11, the update ``y_new`` through B, its
-    derivative ``f_new`` (stage 12) and the error sums through E5 and E3.
-    It returns ``y_new, f_new, err5, err3, ks``, with the stages that the
-    interpolant reads in ``ks``: 0 and 5-12 (A_EXTRA and D weigh stages 1-4
-    by zero).  ``extra(fun, t, h, y, y_new, ks)`` evaluates the dense-output
-    stages 13-15 of the accepted step and returns its seven interpolation
-    coefficient rows, concatenated: three from ``dy = y_new - y`` and the
-    step's end derivatives, ``dy``, ``h f - dy`` and
-    ``2 dy - h (f_new + f)``, and four through D, times h.
+    ``call(p, t, y)`` returns the derivative at ``t`` and the sequence ``y``.
+    ``stages(p, t, h, y, f, rtol, atol)`` makes one step attempt from ``y``
+    and its derivative ``f``: stages 1-11, the update ``y_new`` through B,
+    its derivative ``f_new`` (stage 12) and the error norm of the step.  It
+    returns ``y_new, f_new, err, ks``, with the stages that the interpolant
+    reads in ``ks``: 0 and 5-12 (A_EXTRA and D weigh stages 1-4 by zero).
+    ``extra(p, t, h, y, y_new, ks)`` evaluates the dense-output stages 13-15
+    of the accepted step and returns its seven interpolation coefficient
+    rows, concatenated: three from ``dy = y_new - y`` and the step's end
+    derivatives, ``dy``, ``h f - dy`` and ``2 dy - h (f_new + f)``, and four
+    through D, times h.
 
-    Every sum is written out left to right per component j, as
-    ``w[0] * k0_j + w[1] * k1_j + ...``.  The stage rows and D skip their
-    zero entries; B, E5 and E3 keep them (see :func:`solve_ivp`).  D is
-    reached only after a step is accepted, when every stage is finite.
+    Each stage runs the derivative's body inline, on the stage arguments
+    that the body names.  Every sum is written out left to right per
+    component j, as ``w[0] * k0_j + w[1] * k1_j + ...``.  The stage rows and
+    D skip their zero entries; B, E5 and E3 keep them (see
+    :func:`solve_ivp`).  D is reached only after a step is accepted, when
+    every stage is finite.  The error norm is scipy's: per component j, the
+    sums through E5 and E3 divided by ``atol + max(|y_j|, |y_new_j|) rtol``
+    (a nan-propagating max), their squares summed left to right into e5 and
+    e3, and ``h n5 / sqrt((n5 + 0.01 n3) n)`` with ``n5, n3 = e5, e3`` as
+    scipy gets them, the squares of their roots; 0 when both sums are 0.
     """
-    if n not in _STAGE_CODE:
+    key = derivative, n
+    if key not in _KERNELS:
         def names(s):
             return "".join(f"k{s}_{j}, " for j in range(n))
 
         def total(w, j, zeros=False):
             return " + ".join(f"{x!r} * k{i}_{j}" for i, x in enumerate(w) if x or zeros)
 
+        def inline(t, y, out, state=None):
+            """The body's lines at the time and component expressions t and
+            y, assigning to out."""
+            state = state or "[" + ", ".join(y) + "]"
+            return derivative.body.format(t=t, y=y, state=state, out=out).splitlines()
+
         def stage(s, a, c):
-            args = ", ".join(f"y{j} + ({total(a, j)}) * h" for j in range(n))
-            return f"{names(s)}= fun(t + {c!r} * h, [{args}])"
+            return inline(f"t + {c!r} * h", [f"y{j} + ({total(a, j)}) * h" for j in range(n)],
+                          names(s))
 
-        def error(e):
-            return "[" + ", ".join(total(e, j, zeros=True) for j in range(n)) + "]"
+        def each(line):
+            return [line.format(j=j) for j in range(n)]
 
+        params = f"{derivative.params} = p"
         ys = "".join(f"y{j}, " for j in range(n)) + "= y"
+        yn = [f"yn{j}" for j in range(n)]
         dense_stages = [s for s in range(13) if any(len(w) > s and w[s] for w in A_EXTRA + D)]
         ks = "".join(names(s) for s in dense_stages)
-        y_new = ", ".join(f"y{j} + h * ({total(B, j, zeros=True)})" for j in range(n))
         ends = [f"d{j}" for j in range(n)] + [f"h * k0_{j} - d{j}" for j in range(n)]
         ends += [f"2 * d{j} - h * (k12_{j} + k0_{j})" for j in range(n)]
         rows = ", ".join(ends + [f"h * ({total(d, j)})" for d in D for j in range(n)])
         lines = [
-            "def stages(fun, t, h, y, f):", ys, f"{names(0)}= f",
-            *(stage(s, A[s], C[s]) for s in range(1, 12)),
-            f"y_new = [{y_new}]",
-            f"{names(12)}= f_new = fun(t + h, y_new)",
-            f"return y_new, f_new, {error(E5)}, {error(E3)}, ({ks})",
-            "def extra(fun, t, h, y, y_new, ks):", ys, f"{ks}= ks",
-            *(stage(13 + s, a, c) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA))),
+            "def call(p, t, y):", params, *inline("t", [f"y[{j}]" for j in range(n)], "out", "y"),
+            "return out",
+            "def stages(p, t, h, y, f, rtol, atol):", params, ys, f"{names(0)}= f",
+            *(ln for s in range(1, 12) for ln in stage(s, A[s], C[s])),
+            *(f"yn{j} = y{j} + h * ({total(B, j, zeros=True)})" for j in range(n)),
+            f"y_new = [{', '.join(yn)}]",
+            *inline("t + h", yn, "f_new", "y_new"),
+            f"{names(12)}= f_new",
+            *each("v{j}, w{j} = abs(y{j}), abs(yn{j})"),
+            *each("s{j} = atol + (w{j} if w{j} > v{j} or w{j} != w{j} else v{j}) * rtol"),
+            *(f"a{j}, c{j} = ({total(E5, j, True)}) / s{j}, ({total(E3, j, True)}) / s{j}"
+              for j in range(n)),
+            "e5 = " + " + ".join(each("a{j} * a{j}")),
+            "e3 = " + " + ".join(each("c{j} * c{j}")),
+            "if e5 == 0 and e3 == 0:",
+            "    err = 0.0",
+            "else:",
+            "    n5, n3 = sqrt(e5), sqrt(e3)",
+            "    n5, n3 = n5 * n5, n3 * n3",  # scipy squares the norms it took the root of
+            f"    denom = sqrt((n5 + 0.01 * n3) * {n})",
+            "    err = h * n5 / denom if denom else nan",
+            f"return y_new, f_new, err, ({ks})",
+            "def extra(p, t, h, y, y_new, ks):", params, ys, f"{ks}= ks",
+            *(ln for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA)) for ln in stage(13 + s, a, c)),
             "".join(f"d{j}, " for j in range(n)) + "= "
             + "".join(f"y_new[{j}] - y{j}, " for j in range(n)),
             f"return [{rows}]",
         ]
         src = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in lines)
-        namespace: dict = {}
-        exec(compile(src, f"<DOP853 stages, n={n}>", "exec"), namespace)
-        _STAGE_CODE[n] = namespace["stages"], namespace["extra"]
-    return _STAGE_CODE[n]
+        namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan}
+        exec(compile(src, f"<DOP853 kernel, n={n}>", "exec"), namespace)
+        _KERNELS[key] = namespace["call"], namespace["stages"], namespace["extra"]
+    return _KERNELS[key]
 
 
 def _interpolate(x, y_old, rows):
@@ -360,7 +437,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     t and the state as a list of Python floats and returns the derivative as
     a sequence of ``n`` Python floats, which the step uses as they are: a
     numpy scalar would carry every later operation of the step through
-    numpy.  Every event ``e(t, y)`` is terminal and stops only at the rising
+    numpy.  A :class:`CompiledDerivative` ``fun`` is called only for the
+    derivative at the start and for the initial step's probe: the stages of
+    every step attempt and interpolant run its source inline.  Any other
+    ``fun`` is called at every stage, as ``fun(t + c h, [...])``.  Every event ``e(t, y)`` is terminal and stops only at the rising
     (``direction`` attribute > 0) or falling (< 0) crossings: the first
     root, located on the step's interpolant by ``brentq`` with
     ``xtol = rtol = 4 eps``, ends the solve.  Only that step's interpolant
@@ -393,7 +473,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
 
     size = _initial_step(fun, t, y, f, t_bound, rtol, atol)  # of the next step attempt
     nfev, nrej = 2, 0
-    stages, extra = _stage_functions(n)
+    if isinstance(fun, CompiledDerivative):
+        args, (_, stages, extra) = fun.args, fun.kernel
+    else:
+        args, (_, stages, extra) = fun, _kernel(CALL, n)
 
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -407,26 +490,8 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             t_new = min(t_bound, t + size)  # a tie takes t_bound, with its sign of zero
             h = t_new - t
 
-            y_new, f_new, err5, err3, ks = stages(fun, t, h, y, f)
+            y_new, f_new, err, ks = stages(args, t, h, y, f, rtol, atol)
             nfev += 12
-
-            e5 = e3 = 0.0
-            for v, w, x5, x3 in zip(y, y_new, err5, err3):
-                v, w = abs(v), abs(w)
-                scale = atol + (w if w > v or w != w else v) * rtol  # nan-propagating max
-                x5 /= scale
-                x3 /= scale
-                e5 += x5 * x5
-                e3 += x3 * x3
-            if e5 == 0 and e3 == 0:
-                err = 0.0
-            else:
-                # scipy squares the norms it took the root of.
-                n5, n3 = math.sqrt(e5), math.sqrt(e3)
-                n5, n3 = n5 * n5, n3 * n3
-                denom = math.sqrt((n5 + 0.01 * n3) * n)
-                err = h * n5 / denom if denom else math.nan
-
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
                 if rejected:
@@ -449,7 +514,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
                       if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)]
             if active:
-                F = extra(fun, *step)
+                F = extra(args, *step)
                 nfev += 3
                 segment = (*step[:3], F)
                 roots = [
@@ -476,5 +541,5 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         t_events=t_events,
         nfev=nfev,
         nrej=nrej,
-        sol=DenseSolution(fun, extra, ts, steps, coefficients),
+        sol=DenseSolution(args, extra, ts, steps, coefficients),
     )

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 
-from .connect import DEFAULT_TOL, connect_flat, connect_neg2, connect_neg2_same_r
+from .connect import DEFAULT_TOL, _linspace, connect_flat, connect_neg2, connect_neg2_same_r
 from .geodesics import GeodesicState, integrate
 from .geometry import curvature_oracle, sectional_curvature
 from .isometry import AffineMap, classify
@@ -172,21 +172,6 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"range bounds must be finite, got {text!r}")
     return lo, hi, n
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """``np.linspace(lo, hi, n)`` on Python floats, bit for bit: numpy's
-    operations, in its order, and its error for a negative ``n``."""
-    if n < 0:
-        raise ValueError(f"Number of samples, {n}, must be non-negative.")
-    delta = hi - lo
-    if n < 2:
-        return [0.0 * delta + lo][:n]
-    div = n - 1
-    step = delta / div
-    if step == 0:  # numpy's route for a step that underflows
-        return [i / div * delta + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
 
 
 # -- subcommands ---------------------------------------------------------------

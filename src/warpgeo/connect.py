@@ -57,15 +57,32 @@ DEFAULT_TOL = 1e-9
 _SCAN_SEEDS = 64
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` on Python floats, bit for bit: numpy's
+    operations, in its order, and its error for a negative ``n``."""
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    delta = hi - lo
+    if n < 2:
+        return [0.0 * delta + lo][:n]
+    div = n - 1
+    step = delta / div
+    if step == 0:  # numpy's route for a step that underflows
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
 @cache
 def _phases() -> tuple[list[float], list[float]]:
     """The arch phases (rise, fall) that connect_neg2 scans, built on its
     first call: asin(x) on the rising half and pi - asin(x) on the falling
     half, with x spread over 16 decades so that both very small and very
-    large transverse gaps are bracketed."""
-    import numpy as np
-
-    rise = [math.asin(x) for x in np.geomspace(1e-16, 1.0, _SCAN_SEEDS)]
+    large transverse gaps are bracketed.  x is 10.0 ** e over the exponents
+    of ``np.geomspace(1e-16, 1.0, _SCAN_SEEDS)``, with its exact ends, on
+    Python floats: libm's power, not numpy's, whose SIMD kernels round
+    differently on different CPUs."""
+    exponents = _linspace(-16.0, 0.0, _SCAN_SEEDS)[1:-1]
+    rise = [math.asin(x) for x in [1e-16, *(10.0 ** e for e in exponents), 1.0]]
     return rise, sorted({math.pi - x for x in rise})
 
 

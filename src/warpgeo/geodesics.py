@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from ._dop853 import solve_ivp
+from ._dop853 import CompiledDerivative, Derivative, solve_ivp
 from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
@@ -71,6 +71,25 @@ UNIT_SPEED_TOL = 1e-6
 
 # Samples of a path when the caller names no number.
 _SAMPLES = 129
+
+# The derivative of integrate's reduced system, which _dop853 compiles into
+# its step: (r', t', f') = (f, b h^2, -b^2 h h') at r = y[0] and f = y[2],
+# with h and h' evaluated by hf and dhf in the range lo <= r <= hi and taken
+# from clamped(r) outside it, on a division by zero and where h h' is not
+# finite (see integrate).
+_DERIVATIVE = Derivative("b, lo, hi, hf, dhf, clamped", """\
+r = {y[0]}
+if lo <= r <= hi:
+    try:
+        hr, dhr = hf(r), dhf(r)
+    except ZeroDivisionError:
+        hr, dhr = clamped(r)
+    else:
+        if not isfinite(hr * dhr):
+            hr, dhr = clamped(r)
+else:
+    hr, dhr = clamped(r)
+{out} = {y[2]}, b * hr * hr, -b * b * hr * dhr""")
 
 # Warp families whose h and h' are plain + - * / on their argument, so a
 # Python float in gives a Python float out (see integrate).
@@ -331,20 +350,7 @@ def integrate(
         lo = -math.inf if extends(d_lo) else inner_lo
         hi = math.inf if extends(d_hi) else inner_hi
 
-        # The range is tested first, and a division by zero takes the clamp
-        # like a non-finite h h'.
-        def rhs(s, y):
-            r = y[0]
-            if lo <= r <= hi:
-                try:
-                    hr, dhr = hf(r), dhf(r)
-                    if math.isfinite(hr * dhr):
-                        return (y[2], b * hr * hr, -b * b * hr * dhr)
-                except ZeroDivisionError:
-                    pass
-            hr, dhr = clamped(r)
-            return (y[2], b * hr * hr, -b * b * hr * dhr)
-
+        rhs = CompiledDerivative(_DERIVATIVE, (b, lo, hi, hf, dhf, clamped), 3)
         sol = solve_ivp(
             rhs, (0.0, float(s_max)), (init.r, init.t, init.f),
             rtol=RTOL, atol=ATOL, events=events,

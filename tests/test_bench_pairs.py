@@ -65,6 +65,43 @@ def test_summary_of_canned_runs():
     assert p50["change_runs"] == [1.5, 1.0, 1.2, 1.1]
 
 
+# name: (parent throughputs, change throughputs, verdict), ten pairs each
+# with bound 0.25.  Throughput is better higher; the p50 of each run is its
+# reciprocal, better lower, and gets the same verdict.
+VERDICTS = {
+    # 10 of 10 pairs won, medians 104.5 and 124.5 apart by more than the
+    # parent's interquartile range of 4.5.
+    "gain": ([100.0 + i for i in range(10)], [120.0 + i for i in range(10)], "gain"),
+    # 9 of 10 won; the medians are as above.
+    "gain-9-of-10": ([100.0 + i for i in range(10)], [120.0 + i for i in range(9)] + [99.0],
+                     "gain"),
+    # 8 of 10 won.
+    "8-of-10": ([100.0 + i for i in range(10)], [120.0 + i for i in range(8)] + [99.0, 99.0],
+                "unchanged"),
+    # 10 of 10 won by less than the parent's interquartile range.
+    "within-spread": ([100.0 + i for i in range(10)], [101.0 + i for i in range(10)],
+                      "unchanged"),
+    # 30 % slower, beyond the bound of 25 %.
+    "regression": ([100.0] * 10, [70.0] * 10, "regression"),
+    # 18 % slower, and a p50 22 % higher: within the bound.
+    "within-bound": ([100.0] * 10, [82.0] * 10, "unchanged"),
+    # The parent spreads over 50 to 150 (interquartile range 50, wider than
+    # 25 % of its median 100), and the change overlaps it.
+    "unresolved": ([50.0, 150.0] * 5, [60.0, 140.0] * 5, "unresolved"),
+    # The same spread, but every change run beats every parent run, by less
+    # than the parent's interquartile range.
+    "all-runs-better": ([50.0, 150.0] * 5, [151.0, 152.0] * 5, "unchanged"),
+}
+
+
+@pytest.mark.parametrize("name", VERDICTS)
+def test_verdict_of_canned_runs(name):
+    parent, change, want = VERDICTS[name]
+    pairs = _pairs([(p, 1.0 / p) for p in parent], [(c, 1.0 / c) for c in change])
+    got = bench_pairs.summarize(list(range(1, 11)), pairs, E2E)
+    assert [m["verdict"] for m in got["metrics"].values()] == [want, want]
+
+
 def test_one_pair_is_its_own_median():
     got = bench_pairs.summarize([7], _pairs([(100.0, 2.0)], [(120.0, 1.0)]), E2E)
     assert got["metrics"]["throughput_tasks_s"]["change"] == {
@@ -153,7 +190,8 @@ def test_reproduces_a_committed_summary(workload):
         entry = got["metrics"][name]
         for side in ("parent", "change"):
             assert entry[side] == pytest.approx(want[side], abs=1.5e-6)
-        rest = {k: v for k, v in entry.items() if k not in ("parent", "change")}
+        # The verdict postdates the recorded file.
+        rest = {k: v for k, v in entry.items() if k not in ("parent", "change", "verdict")}
         assert rest == {k: v for k, v in want.items() if k not in ("parent", "change")}
 
 

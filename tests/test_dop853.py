@@ -12,7 +12,9 @@ sums, and so does the next step size.
 The step code the kernel generates must equal one left-to-right sum per
 tableau row, for the stages and for the sums that close a step, and the
 kernel's steps must not depend on how the built-in ``sum`` rounds, which
-changed in Python 3.12.
+changed in Python 3.12.  Where the derivative is compiled into the step
+(:func:`integrate`'s), each step attempt must give the bits of the call
+template, which calls the derivative at every stage.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
-from test_geodesics import ESCAPING, child_stdout
+from test_geodesics import ESCAPING, bits, child_stdout
 
 from warpgeo import (
     FlatGeodesic,
@@ -33,6 +35,9 @@ from warpgeo import (
     inverse_square_profile,
     riccati,
     solve_prescribed,
+    warp_exp,
+    warp_flat,
+    warp_neg2,
     warp_one_over_r,
     warp_r,
 )
@@ -139,17 +144,30 @@ def _returned_types(monkeypatch, module, run) -> set:
     return types
 
 
+def _stage_types(monkeypatch, module, run) -> set:
+    """Run ``run()``; return the types of the values that the kernel's
+    accepted steps in ``module`` made: each update, the stages it keeps and
+    the interpolation rows.  B weighs stages 0-11, zeros included, and D
+    stages 12-15, so a numpy scalar in any stage would show here."""
+    types = set()
+    for sol in _kernel_solutions(monkeypatch, module, run):
+        for i, (_, _, _, y_new, ks) in enumerate(sol.sol._steps):
+            types.update(map(type, [*y_new, *ks, *sol.sol._rows(i)]))
+    return types
+
+
 @pytest.mark.parametrize("name", ["one_over_r", "r", "exp", "flat(2,5)", "neg2(1,1,1)"])
 def test_geodesic_right_hand_side_returns_floats(monkeypatch, warp_family, name):
-    # The kernel converts nothing: the stages take fun's values as they are.
+    # The kernel converts nothing: the stages take the derivative's values
+    # as they are, here computed inline in the step.
     w = warp_family[name]
     init = GeodesicState.from_angle(max(w.domain.lo + 0.5, 0.8) + 0.5, 0.0, 2.0)
-    assert _returned_types(monkeypatch, geodesics, lambda: integrate(w, init, 1.5)) == {float}
+    assert _stage_types(monkeypatch, geodesics, lambda: integrate(w, init, 1.5)) == {float}
 
 
 def test_custom_right_hand_side_returns_floats(monkeypatch):
     w, init = ESCAPING["custom-sqrt"]
-    assert _returned_types(monkeypatch, geodesics, lambda: integrate(w, init, 5.0)) == {float}
+    assert _stage_types(monkeypatch, geodesics, lambda: integrate(w, init, 5.0)) == {float}
 
 
 def test_riccati_right_hand_side_returns_floats(monkeypatch):
@@ -263,13 +281,18 @@ def _left_sum(products) -> float:
     return total
 
 
+# The tolerances of the error norm in _stage_calls.
+RTOL, ATOL = 1e-3, 1e-6
+
+
 def _stage_calls(n, t, h, y, ks) -> tuple:
-    """Run the generated step functions for an ``n``-component state on the
-    stage rows ``ks``; return (stage, node, argument) of each call of ``fun``
-    (stage 12's argument is the update ``y_new``), the two error sums and
-    the interpolation rows through D.  The three rows before them, from the
-    step's ends, must be the kernel's list formulas, nan for nan."""
-    stages, extra = _dop853._stage_functions(n)
+    """Run the call template's step functions for an ``n``-component state
+    on the stage rows ``ks``; return (stage, node, argument) of each call of
+    ``fun`` (stage 12's argument is the update ``y_new``), the update, the
+    error norm and the interpolation rows through D.  The three rows before
+    them, from the step's ends, must be the kernel's list formulas, nan for
+    nan."""
+    _, stages, extra = _dop853._kernel(_dop853.CALL, n)
     order = iter(range(1, 16))
     calls = []
 
@@ -277,7 +300,7 @@ def _stage_calls(n, t, h, y, ks) -> tuple:
         calls.append((next(order), s, x))
         return ks[calls[-1][0]]
 
-    y_new, f_new, err5, err3, rows = stages(fun, t, h, y, ks[0])
+    y_new, f_new, err, rows = stages(fun, t, h, y, ks[0], RTOL, ATOL)
     assert y_new == calls[-1][2] and f_new == ks[12]
     assert list(rows) == [v for s in (0, *range(5, 13)) for v in ks[s]]
     dense = extra(fun, t, h, y, y_new, rows)
@@ -285,7 +308,7 @@ def _stage_calls(n, t, h, y, ks) -> tuple:
     ends = dy + [h * fo - d for fo, d in zip(ks[0], dy)]
     ends += [2 * d - h * (fn + fo) for d, fn, fo in zip(dy, ks[12], ks[0])]
     np.testing.assert_array_equal(dense[:3 * n], ends)
-    return calls, err5, err3, dense[3 * n:]
+    return calls, y_new, err, dense[3 * n:]
 
 
 def _reference_argument(i, h, y, ks) -> list:
@@ -302,6 +325,26 @@ def _reference_sums(w, ks) -> list:
     return [_left_sum(map(mul, w, col)) for col in zip(*ks[:len(w)])]
 
 
+def _reference_norm(h, y, y_new, ks) -> float:
+    """The error norm as :func:`solve_ivp` computed it per component before
+    the kernel generated it, from the reference sums through E5 and E3."""
+    e5 = e3 = 0.0
+    for v, w, x5, x3 in zip(y, y_new, _reference_sums(_dop853.E5, ks),
+                            _reference_sums(_dop853.E3, ks)):
+        v, w = abs(v), abs(w)
+        scale = ATOL + (w if w > v or w != w else v) * RTOL  # nan-propagating max
+        x5 /= scale
+        x3 /= scale
+        e5 += x5 * x5
+        e3 += x3 * x3
+    if e5 == 0 and e3 == 0:
+        return 0.0
+    n5, n3 = math.sqrt(e5), math.sqrt(e3)
+    n5, n3 = n5 * n5, n3 * n3
+    denom = math.sqrt((n5 + 0.01 * n3) * len(y))
+    return h * n5 / denom if denom else math.nan
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generated_stages_are_the_reference_sums(n):
     rng = np.random.default_rng(n)
@@ -309,15 +352,85 @@ def test_generated_stages_are_the_reference_sums(n):
         t, h = float(rng.normal()), float(rng.uniform(1e-3, 1.0) * rng.choice([-1.0, 1.0]))
         y = rng.normal(size=n).tolist()
         ks = (rng.normal(size=(16, n)) * 10.0 ** rng.integers(-3, 4, size=(16, 1))).tolist()
-        calls, err5, err3, dense = _stage_calls(n, t, h, y, ks)
+        calls, y_new, err, dense = _stage_calls(n, t, h, y, ks)
         assert [i for i, _, _ in calls] == list(range(1, 16))
         for i, s, x in calls:
             c = _dop853.C[i] if i < 12 else 1.0 if i == 12 else _dop853.C_EXTRA[i - 13]
             assert s == t + c * h
             assert x == _reference_argument(i, h, y, ks)
-        assert err5 == _reference_sums(_dop853.E5, ks)
-        assert err3 == _reference_sums(_dop853.E3, ks)
+        assert err == _reference_norm(h, y, y_new, ks)
         assert dense == [h * v for d in _dop853.D for v in _reference_sums(d, ks)]
+
+
+# name: a warp whose geodesic derivative the kernel compiles into its step.
+# At r = 1, neg2(1, 0, 1e-300) divides by zero in h' on floats (the clamp
+# takes numpy's inf); e^r at r = 750 and r^1.5 at r < 0 make h h' not finite.
+INLINE = {
+    "one_over_r": warp_one_over_r(),
+    "r": warp_r(),
+    "exp": warp_exp(),
+    "flat(2,5)": warp_flat(2.0, 5.0),
+    "neg2(1,1,1)": warp_neg2(1.0, 1.0, 1.0),
+    "neg2(1,0,1e-300)": warp_neg2(1.0, 0.0, 1e-300),
+    **{name: w for name, (w, _) in ESCAPING.items() if name.startswith("custom")},
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _geodesic_rhs(monkeypatch, w):
+    """The derivative that :func:`integrate` hands the solver for ``w``."""
+    def capture(fun, *args, **kwargs):
+        raise _Captured(fun)
+
+    init = GeodesicState.from_angle(max(w.domain.lo, 0.0) + 1.0, 0.0, 2.0)
+    with monkeypatch.context() as m, pytest.raises(_Captured) as captured:
+        m.setattr(geodesics, "solve_ivp", capture)
+        integrate(w, init, 5.0)
+    return captured.value.args[0]
+
+
+@pytest.mark.parametrize("name", sorted(INLINE))
+def test_inline_derivative_is_the_call_template(monkeypatch, name):
+    # The step attempt and interpolation rows of the kernel that runs the
+    # geodesic derivative inline against those of the call template, which
+    # calls it at every stage, on the kernel's own tolerances.  With h = 0
+    # every stage falls on the start's radius: the clamp's range ends
+    # exactly, a double off either end, the domain's edges, r <= 0.  The
+    # template's stage values are Python floats, and the bits agree, so the
+    # inline stages' are too.
+    rhs = _geodesic_rhs(monkeypatch, INLINE[name])
+    _, lo, hi = rhs.args[:3]
+    radii = {0.0, -0.5, 1.0, 750.0}
+    for edge in (lo, hi, INLINE[name].domain.lo, INLINE[name].domain.hi):
+        if math.isfinite(edge):
+            radii |= {edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)}
+    rng = np.random.default_rng(sorted(INLINE).index(name))
+    states = [([r, 0.0, -1.0], 0.0) for r in sorted(radii)]
+    states += [([r, float(rng.normal()), float(rng.uniform(-1.0, 1.0))], h)
+               for r in sorted(radii) + rng.uniform(-0.5, 6.0, size=8).tolist()
+               for h in rng.uniform(1e-4, 0.5, size=2).tolist()]
+    _, stages, extra = rhs.kernel
+    _, template, template_extra = _dop853._kernel(_dop853.CALL, 3)
+    values = []
+
+    def fun(s, x):
+        out = rhs(s, x)
+        values.extend(out)
+        return out
+
+    with np.errstate(all="ignore"):  # as integrate solves
+        for y, h in states:
+            t, f = float(rng.normal()), rhs(0.0, y)
+            inline = stages(rhs.args, t, h, y, f, geodesics.RTOL, geodesics.ATOL)
+            called = template(fun, t, h, y, f, geodesics.RTOL, geodesics.ATOL)
+            assert bits(inline) == bits(called), (y, h)
+            assert bits(extra(rhs.args, t, h, y, inline[0], inline[3])) == bits(
+                template_extra(fun, t, h, y, called[0], called[3])), (y, h)
+    assert {type(v) for v in values} == {float}
+    assert len(values) == 3 * 15 * len(states)
 
 
 def test_an_infinite_stage_meets_no_zero_coefficient():
@@ -330,7 +443,7 @@ def test_an_infinite_stage_meets_no_zero_coefficient():
     # does, so the kernel rejects such a step.
     y, ks = [0.5, -1.0], np.linspace(-1.0, 1.0, 32).reshape(16, 2).tolist()
     ks[1] = [math.inf, -math.inf]
-    calls, err5, err3, dense = _stage_calls(2, 0.0, 0.1, y, ks)
+    calls, _, err, dense = _stage_calls(2, 0.0, 0.1, y, ks)
     for i, _, x in calls:
         ref = _reference_argument(i, 0.1, y, ks)
         if i == 2:
@@ -340,7 +453,7 @@ def test_an_infinite_stage_meets_no_zero_coefficient():
         else:
             assert all(map(math.isfinite, x))
             assert (i == 1) == all(map(math.isfinite, ref))
-    assert all(map(math.isnan, err5 + err3))
+    assert math.isnan(err)
     assert all(map(math.isfinite, dense))
 
 
@@ -395,8 +508,20 @@ def test_span_must_run_forward(t_span):
 
 
 def test_import_compiles_no_stage_code():
-    code = "import warpgeo.cli; from warpgeo import _dop853; print(_dop853._STAGE_CODE)"
+    code = "import warpgeo.cli; from warpgeo import _dop853; print(_dop853._KERNELS)"
     assert child_stdout(code) == "{}\n"
+
+
+def test_one_flat_connect_compiles_one_kernel():
+    # Each process compiles the geodesic system's kernel once, for its
+    # three components, and no other.
+    code = (
+        "import contextlib, io, warpgeo.cli; from warpgeo import _dop853, geodesics\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    warpgeo.cli.main(['connect', '1,0', '1,1.5707963267948966'])\n"
+        "print([(d == geodesics._DERIVATIVE, n) for d, n in _dop853._KERNELS])"
+    )
+    assert child_stdout(code) == "[(True, 3)]\n"
 
 
 def test_nan_initial_step_ends_the_solve():

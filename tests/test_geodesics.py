@@ -27,7 +27,7 @@ from warpgeo import (
     warp_one_over_r,
     warp_r,
 )
-from warpgeo import geodesics
+from warpgeo import _dop853, geodesics
 
 
 def child_stdout(code: str) -> str:
@@ -39,6 +39,15 @@ def child_stdout(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     return proc.stdout
+
+
+def bits(value):
+    """``value`` with each number spelled as its type and its hex digits,
+    nested as it is: equal only when every number has the same type and
+    bits (nan for nan)."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return type(value).__name__, float(value).hex()
 
 
 class TestIntegrate:
@@ -263,26 +272,42 @@ PROBED["neg2(1,1,1)"] = (
 @pytest.mark.parametrize("name", sorted(PROBED))
 def test_right_hand_side_stays_finite(monkeypatch, name):
     w, init, radii = PROBED[name]
-    probes = []
+    probes, attempts = [], []
+
+    def checked(s, y):
+        out = rhs[0](s, y)
+        probes.append(y[0])
+        assert all(math.isfinite(v) for v in out), (y, out)
+        return out
 
     def checking(fun, *args, **kwargs):
-        def checked(s, y):
-            out = fun(s, y)
-            probes.append(y[0])
-            assert all(math.isfinite(v) for v in out), (y, out)
-            return out
-
+        rhs.append(fun)
         # As an array's np.float64 and as the kernel's list of Python floats.
         for r in radii:
             checked(0.0, np.array([r, 0.0, -1.0]))
             checked(0.0, [r, 0.0, -1.0])
-        return real(checked, *args, **kwargs)
+        call, stages, extra = fun.kernel
 
-    real = geodesics.solve_ivp
+        def recording(*step):
+            attempts.append((step, stages(*step)))
+            return attempts[-1][1]
+
+        fun.kernel = call, recording, extra
+        return real(fun, *args, **kwargs)
+
+    rhs, real = [], geodesics.solve_ivp
     monkeypatch.setattr(geodesics, "solve_ivp", checking)
     path = integrate(w, init, 5.0)
-    assert path.escaped and min(probes[2 * len(radii):]) < 0.0
-    assert path.stats.max_speed_drift <= 1e-9
+    assert path.escaped and path.stats.max_speed_drift <= 1e-9
+    # The solve ran the derivative inline.  Replayed through the call
+    # template, which calls it at every stage, each step attempt gives the
+    # same bits, and every stage is finite, also where a trial stage of an
+    # escaping step probes past r = 0.
+    _, template, _ = _dop853._kernel(_dop853.CALL, 3)
+    with np.errstate(all="ignore"):  # as integrate solves
+        for (_, *step), out in attempts:
+            assert bits(template(checked, *step)) == bits(out)
+    assert min(probes[2 * len(radii):]) < 0.0
 
 
 def test_division_by_zero_at_the_clamp_is_numpys_inf():

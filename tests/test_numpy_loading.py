@@ -1,9 +1,9 @@
-"""``warpgeo connect`` and ``sweep`` on the flat metric run without numpy.
+"""``warpgeo connect`` and ``sweep`` run without numpy.
 
 Each step runs in a fresh interpreter, which then reports whether numpy is
 in ``sys.modules``: importing the package or its CLI must not load it, and
-neither may the flat ``connect`` (found, blocked and horizontal) or the
-flat and same-radius ``sweep``.  The commands that build arrays load it at
+neither may ``connect`` (flat found, blocked and horizontal, and on
+``h = r``) or the flat and same-radius ``sweep``.  The commands that build arrays load it at
 first use, and their bytes are pinned by ``test_output_bytes.py``.
 """
 
@@ -36,6 +36,7 @@ STEPS = {
     "connect-found": ("warpgeo connect 1,0 1,1.5707963267948966", 0),
     "connect-blocked": ("warpgeo connect 1,0 1,3.14159265358979", 2),
     "connect-horizontal": ("warpgeo connect 1,0 2,0", 0),
+    "connect-neg2": ("warpgeo --warp r connect 1,0 2,0.5", 0),
     "sweep-flat": ("warpgeo --format csv sweep --metric flat --p0 1,0 --r1 1 --t1=-3.5:3.5:57", 0),
     "sweep-same-r": ("warpgeo --format csv sweep --same-r --r0 1 --dt 0.5:7:14", 0),
 }
@@ -57,9 +58,3 @@ def test_step_loads_no_numpy(name):
     assert (got_code, numpy_loaded) == (code, False)
     assert out or step.startswith("import")
 
-
-def test_neg2_connect_loads_numpy_for_its_scan_nodes():
-    # The h = r scan nodes come from np.geomspace, built on the first call.
-    code, numpy_loaded, out = _child("warpgeo --warp r connect 1,0 2,0.5")
-    assert (code, numpy_loaded) == (0, True)
-    assert json.loads(out)["variant"] == "found"

@@ -15,7 +15,7 @@ adds one pair on seed K, kept apart from the medians.
 
 Per workload and end-to-end metric of CHANGE_DIR/BENCHMARK.json the file
 holds each side's median and quartiles, their ratio, the pairs the change
-won and every run's value, with the machine, the Python and numpy versions,
+won, a verdict (see :func:`verdict`) and every run's value, with the machine, the Python and numpy versions,
 the OpenBLAS kernel and the SIMD features numpy dispatches to, and whether
 ``PYTHONDONTWRITEBYTECODE`` is set (then every CLI child compiles the
 package afresh).  The sides are labelled with each checkout's short commit
@@ -44,7 +44,11 @@ METHOD = (
     "Alternated pairs: odd pairs run the parent first, even pairs the change first; each "
     "side runs from its own checkout. Medians and inclusive quartiles over the pairs' runs; "
     "change_better_pairs counts pairs the change won. A held-out seed is one pair outside "
-    "the medians."
+    "the medians. verdict: gain when the change won at least 9 of 10 pairs and its median "
+    "is better by more than the parent's interquartile range; regression when its median is "
+    "worse by more than the bound (relative to the parent's median); unresolved when the "
+    "parent's interquartile range is wider than the bound and not every change run beats "
+    "every parent run; unchanged otherwise."
 )
 
 # Run in a child with the benchmark's interpreter: numpy's version, the
@@ -99,6 +103,27 @@ def _better(spec: dict, change: float, parent: float) -> bool:
     return change > parent if spec["better"] == "higher" else change < parent
 
 
+def verdict(spec: dict, entry: dict, runs: dict) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``unchanged`` for one
+    metric's summary ``entry`` and its runs per side (see ``METHOD``).  The
+    bound is relative to the parent's median, as BENCHMARK.json states it."""
+    parent, change = entry["parent"], entry["change"]
+    spread = parent["q3"] - parent["q1"]
+    worse = change["median"] - parent["median"]  # by how much the change's median is worse
+    if spec["better"] == "higher":
+        worse = -worse
+    allowed = spec["bound"] * abs(parent["median"])
+    if 10 * entry["change_better_pairs"] >= 9 * len(runs["parent"]) and -worse > spread:
+        return "gain"
+    if worse > allowed:
+        return "regression"
+    if spread > allowed and not all(
+        _better(spec, c, p) for c in runs["change"] for p in runs["parent"]
+    ):
+        return "unresolved"
+    return "unchanged"
+
+
 def summarize(seeds: list, pairs: list, e2e: list) -> dict:
     """One workload's entry from its runs.
 
@@ -124,6 +149,7 @@ def summarize(seeds: list, pairs: list, e2e: list) -> dict:
         entry["change_better_pairs"] = sum(
             _better(spec, c, p) for p, c in zip(runs["parent"], runs["change"])
         )
+        entry["verdict"] = verdict(spec, entry, runs)
         entry.update({f"{side}_runs": [round(v, 6) for v in runs[side]] for side in SIDES})
         out["metrics"][name] = entry
     return out
