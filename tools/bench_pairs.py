@@ -15,12 +15,13 @@ adds one pair on seed K, kept apart from the medians.
 
 Per workload and end-to-end metric of CHANGE_DIR/BENCHMARK.json the file
 holds each side's median and quartiles, their ratio, the pairs the change
-won, a verdict (see :func:`verdict`) and every run's value, with the machine, the Python and numpy versions,
-the OpenBLAS kernel and the SIMD features numpy dispatches to, and whether
-``PYTHONDONTWRITEBYTECODE`` is set (then every CLI child compiles the
-package afresh).  The sides are labelled with each checkout's short commit
-when it is a git checkout, else with its directory name.  Only the
-standard library is imported here; numpy is queried in a child process.
+won, a verdict (see :func:`verdict`) and every run's value, with the
+machine, the Python and numpy versions, the OpenBLAS kernel and the SIMD
+features numpy dispatches to, and whether ``PYTHONDONTWRITEBYTECODE`` is
+set (then every CLI child compiles the package afresh).  The sides are
+labelled with each checkout's short commit when it is a git checkout, else
+with its directory name.  Only the standard library is imported here;
+numpy is queried in a child process.
 
 The exit status is 1 when a run, held-out pairs included, reports outputs
 that are not correct, or the change failed more tasks than the parent in
