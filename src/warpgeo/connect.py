@@ -14,11 +14,13 @@ would pass within the integrator's escape margin the replay cannot confirm
 it, and the result is ``search_exhausted``.
 
 For h = r (:func:`connect_neg2`) shooting works through the closed-form
-arches.  Both solvers run one scan-bracket-replay routine over an angle of
-the geodesic at one endpoint, in which the transverse gain is smooth over
-the whole family.  :func:`connect_neg2_same_r` implements, separately, the
-classical same-radius candidate enumeration b s = 2 k pi with its
-pi r0 <= |dt| threshold.  The two operations intentionally disagree below
+arches.  Both solvers shoot over an angle of the geodesic at one endpoint,
+over which the transverse gain is smooth and monotone (:func:`connect_neg2`
+says why for h = r), so bisection over the sorted angle nodes finds the one
+bracket of the miss; ``iterations`` counts the gain evaluations of the
+bisection and of ``brentq``.  :func:`connect_neg2_same_r` implements,
+separately, the classical same-radius candidate enumeration b s = 2 k pi
+with its pi r0 <= |dt| threshold.  The two operations intentionally disagree below
 that threshold: the enumeration's candidates close up only at formula level
 (their trajectories cross r = 0, leaving the half plane), while honest
 shooting finds in-chart connections through the apex branch for every
@@ -37,7 +39,6 @@ from .warp import Point, WarpFunction, warp_one_over_r, warp_r
 
 __all__ = [
     "ConnectResult",
-    "GeodesicHit",
     "ChordParam",
     "ChordCandidate",
     "SameRCandidate",
@@ -74,7 +75,7 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 @cache
 def _phases() -> tuple[list[float], list[float]]:
-    """The arch phases (rise, fall) that connect_neg2 scans, built on its
+    """The arch phases (rise, fall) that connect_neg2 searches, built on its
     first call: asin(x) on the rising half and pi - asin(x) on the falling
     half, with x spread over 16 decades so that both very small and very
     large transverse gaps are bracketed.  x is 10.0 ** e over the exponents
@@ -88,16 +89,6 @@ def _phases() -> tuple[list[float], list[float]]:
 
 _FLAT = warp_one_over_r()
 _NEG2 = warp_r()
-
-
-@dataclass(frozen=True)
-class GeodesicHit:
-    """Lightweight record of one confirmed shot (used for alternates)."""
-
-    s: float
-    param: float
-    sign: float
-    length: float
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,6 @@ class ConnectResult:
     reason: str | None = None
     in_chart: bool | None = None
     iterations: int = 0
-    alternates: tuple[GeodesicHit, ...] = ()
 
     @cached_property
     def path(self) -> GeodesicPath | None:
@@ -152,11 +142,6 @@ class ConnectResult:
         if self.in_chart is not None:
             d["in_chart"] = self.in_chart
         d["iterations"] = self.iterations
-        if self.alternates:
-            d["alternates"] = [
-                {"s": h.s, "param": h.param, "sign": h.sign, "length": h.length}
-                for h in self.alternates
-            ]
         return d
 
 
@@ -167,23 +152,26 @@ def _check_distinct(p0: Point, p1: Point) -> None:
 
 def _shoot(
     w: WarpFunction, p0: Point, p1: Point, tol: float, shot, nodes: list[float]
-) -> tuple[list[tuple[float, float, float, GeodesicPath]], int]:
+) -> tuple[tuple[float, float, float, GeodesicPath] | None, int]:
     """Shoot from p0 to p1 over a one-parameter family of geodesics.
 
     ``shot(x)`` returns the closed-form arc length s and transverse gain
     |dt| of the family member x at the radius of p1, and its initial
-    (f, |g|) at p0.  Every sign change of the gain miss over ``nodes`` is
-    bracketed and refined to a few ulps of x; zero-length roots and repeats
-    are dropped, and each remaining root is replayed once through the
+    (f, |g|) at p0.  The gain is monotone over the sorted ``nodes``, so the
+    miss changes sign at most once.  The end nodes are evaluated first,
+    walking inward past any whose miss is not finite (at huge radii the gain
+    of the flattest arches overflows).  Bisection over the node indices,
+    keyed on the first end's sign because the flat sweep falls, finds the
+    bracket, and ``brentq`` refines it to a few ulps of x.  A root of zero
+    length confirms nothing; any other is replayed once through the
     integrator, which must succeed and end within ``tol`` of p1 in both
     coordinates.  The replay samples only its two ends: its endpoint is the
     last step's interpolant at the same arc length as at any sample count,
     and the full path is sampled from its solve only when it is read.
-    Returns the confirmed shots (s, x, f0, replay) sorted by s, and the
-    number of gain evaluations.
+    Returns the confirmed shot (s, x, f0, replay) or None, and the number of
+    gain evaluations, the bisection's and ``brentq``'s.
     """
     target = abs(p1.t - p0.t)
-    mirror = math.copysign(1.0, p1.t - p0.t)
     evals = 0
 
     def miss(x):
@@ -191,32 +179,41 @@ def _shoot(
         evals += 1
         return shot(x)[1] - target
 
-    vals = [miss(x) for x in nodes]
-    roots = []
-    for x0, x1, v0, v1 in zip(nodes, nodes[1:], vals, vals[1:]):
-        if not (math.isfinite(v0) and math.isfinite(v1)):
-            continue
-        if v0 == 0.0:
-            roots.append(x0)
-        elif v0 * v1 < 0.0:
-            roots.append(brentq(miss, x0, x1, xtol=1e-300, rtol=8.9e-16, maxiter=200))
-
-    confirmed = []
-    last_s = None
-    shots = sorted((s, x, f0, g0) for x in roots for s, _, f0, g0 in [shot(x)])
-    for s, x, f0, g0 in shots:
-        if s <= 0.0 or (last_s is not None and s - last_s <= 1e-9 * max(1.0, s)):
-            continue
-        last_s = s
-        init = GeodesicState(p0.r, p0.t, f0, mirror * g0)
-        try:
-            replay = integrate(w, init, s, n_samples=2)
-        except ValueError:  # the step size underflowed: nothing to confirm
-            continue
-        end = replay.endpoint
-        if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
-            confirmed.append((s, x, f0, replay))
-    return confirmed, evals
+    lo, hi = 0, len(nodes) - 1
+    v_lo, v_hi = miss(nodes[lo]), miss(nodes[hi])
+    while not math.isfinite(v_lo) and lo + 1 < hi:
+        lo += 1
+        v_lo = miss(nodes[lo])
+    while not math.isfinite(v_hi) and lo + 1 < hi:
+        hi -= 1
+        v_hi = miss(nodes[hi])
+    side = math.copysign(1.0, v_lo)
+    if side * v_hi > 0.0:
+        return None, evals
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = miss(nodes[mid])
+        if side * v > 0.0:
+            lo, v_lo = mid, v
+        else:
+            hi, v_hi = mid, v
+    if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
+        return None, evals
+    x = nodes[hi] if v_hi == 0.0 else brentq(
+        miss, nodes[lo], nodes[hi], xtol=1e-300, rtol=8.9e-16, maxiter=200
+    )
+    s, _, f0, g0 = shot(x)
+    if s <= 0.0:
+        return None, evals
+    init = GeodesicState(p0.r, p0.t, f0, math.copysign(g0, p1.t - p0.t))
+    try:
+        replay = integrate(w, init, s, n_samples=2)
+    except ValueError:  # the step size underflowed: nothing to confirm
+        return None, evals
+    end = replay.endpoint
+    if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
+        return (s, x, f0, replay), evals
+    return None, evals
 
 
 # -- flat metric (h = 1/r) ----------------------------------------------------
@@ -262,7 +259,7 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     # s^2 + 2 c s = d for c = r_in sin(x) and d = r_out^2 - r_in^2; e = c + s
     # is r_out times the outward radial speed there (hypot, because c^2
     # underflows at the tiniest gaps).  Each form of s below is free of
-    # cancellation on its side of x = 0, and the scan splits there: for
+    # cancellation on its side of x = 0, and the nodes split there: for
     # equal radii the sweep is 0 for all x >= 0, and a bracket straddling
     # that kink would converge only linearly.
     r_in, r_out = min(r0, r1), max(r0, r1)
@@ -279,11 +276,11 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
 
     nodes = [-math.pi / 2.0, 0.0, math.pi / 2.0]
     confirmed, evals = _shoot(_FLAT, p0, p1, tol, shot, nodes)
-    if not confirmed:
+    if confirmed is None:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
         )
-    s, _, f0, replay = confirmed[0]
+    s, _, f0, replay = confirmed
     return ConnectResult(
         variant="found",
         length=s,
@@ -423,11 +420,14 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     point, where the conserved transverse momentum is b = sin(theta)/r_out.
     Below pi/2 the arch meets the outer point while rising (an ascent from
     the inner point, or a direct descent from the outer one); above pi/2 it
-    has passed the apex.  The transverse miss is bracketed over the whole
-    phase range, every hit is confirmed by replaying the integrator, and
-    the shortest confirmed connection is returned, the rest as
-    ``alternates``.  ``search_exhausted`` is an honest "not found", not a
-    nonexistence proof.
+    has passed the apex.  The transverse gain, u^2 times the integral of
+    sin^2 over the phases [phi, theta] the arch spans, rises with theta:
+    below pi/2 it equals the integral of b r^2 / sqrt(1 - b^2 r^2) dr over
+    [r_in, r_out], which grows with b; above pi/2, u = 1/b grows and the
+    interval widens.  So bisection brackets the one root, and a replay of
+    the integrator confirms it.  Below about 1e-8 r_out^2 the computed
+    rising gain is rounding noise and can fall.  ``search_exhausted`` is an
+    honest "not found", not a nonexistence proof.
 
     Note: because the apex branch sweeps every positive transverse gap, a
     connection is found for every pair in practice, including same-radius
@@ -457,24 +457,20 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     rise, fall = _phases()
     nodes = fall if r0 == r1 else rise[:-1] + fall
     confirmed, evals = _shoot(_NEG2, p0, p1, tol, shot, nodes)
-    if not confirmed:
+    if confirmed is None:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
         )
-    hits = [
-        GeodesicHit(s=s, param=math.sin(x) / r_out, sign=math.copysign(1.0, f0), length=s)
-        for s, x, f0, _ in confirmed
-    ]
+    s, x, f0, replay = confirmed
     return ConnectResult(
         variant="found",
-        length=hits[0].s,
-        s=hits[0].s,
-        param=hits[0].param,
-        sign=hits[0].sign,
-        _replay=confirmed[0][3],
+        length=s,
+        s=s,
+        param=math.sin(x) / r_out,
+        sign=math.copysign(1.0, f0),
+        _replay=replay,
         in_chart=True,
         iterations=evals,
-        alternates=tuple(hits[1:]),
     )
 
 

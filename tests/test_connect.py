@@ -412,14 +412,15 @@ class TestConnectNeg2:
             connect_neg2(Point(1.0, 0.0), Point(1.0, 0.0))
 
     def test_huge_radii_return_cleanly(self):
-        # At r ~ 1e200 the gain of the flattest arches overflows; the scan
-        # skips those nodes instead of bracketing through infinities, and
-        # neither raises nor warns.
-        p1 = Point(2e200, 1.0)
-        res = connect_neg2(Point(1e200, 0.0), p1)
-        if res.found:
-            end = res.path.endpoint
-            assert abs(end.r - p1.r) <= DEFAULT_TOL and abs(end.t - p1.t) <= DEFAULT_TOL
+        # At r ~ 1e160 and beyond the gain of the flattest arches overflows;
+        # the search walks inward past those end nodes instead of bracketing
+        # through infinities, and neither raises nor warns.
+        for r0, r1, dt in [(1e200, 2e200, 1.0), (1e160, 5e160, 1.0), (1e165, 5e165, 1.0)]:
+            p1 = Point(r1, dt)
+            res = connect_neg2(Point(r0, 0.0), p1)
+            if res.found:
+                end = res.path.endpoint
+                assert abs(end.r - p1.r) <= DEFAULT_TOL and abs(end.t - p1.t) <= DEFAULT_TOL
 
     @pytest.mark.parametrize("r0, r1", [(1.0, 2.0), (2.0, 1.0)])
     def test_gaps_near_the_apex_arrival(self, r0, r1):
@@ -438,6 +439,106 @@ class TestConnectNeg2:
             assert res.s == pytest.approx(s_apex, abs=1e-5)
             end = res.path.endpoint
             assert abs(end.r - p1.r) <= DEFAULT_TOL and abs(end.t - p1.t) <= DEFAULT_TOL
+
+
+def recorded_shots(monkeypatch):
+    """Patch connect._shoot to record the (shot, nodes, target) it is given."""
+    calls = []
+    shoot = connect_module._shoot
+
+    def recording(w, p0, p1, tol, shot, nodes):
+        calls.append((shot, nodes, abs(p1.t - p0.t)))
+        return shoot(w, p0, p1, tol, shot, nodes)
+
+    monkeypatch.setattr(connect_module, "_shoot", recording)
+    return calls
+
+
+def every_root(shot, nodes, target):
+    """Reference scan: the miss at every node, and each sign change refined
+    by the same brentq, as connect._shoot did before it bisected for one."""
+
+    def miss(x):
+        return shot(x)[1] - target
+
+    vals = [miss(x) for x in nodes]
+    roots = []
+    for x0, x1, v0, v1 in zip(nodes, nodes[1:], vals, vals[1:]):
+        if not (math.isfinite(v0) and math.isfinite(v1)):
+            continue
+        if v0 == 0.0:
+            roots.append(x0)
+        elif v0 * v1 < 0.0:
+            roots.append(
+                connect_module.brentq(miss, x0, x1, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+            )
+    return roots
+
+
+def neg2_pairs(rng, n):
+    """Seeded h = r pairs: radii 1e-3 to 1e2, gaps 1e-6 to 1e3; a third at
+    equal radii and a third 1e-12 to 1e-1 apart relative."""
+    for k in range(n):
+        r0 = 10.0 ** rng.uniform(-3.0, 2.0)
+        r1 = [r0, r0 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)),
+              10.0 ** rng.uniform(-3.0, 2.0)][k % 3]
+        t0 = rng.uniform(-3.0, 3.0)
+        gap = 10.0 ** rng.uniform(-6.0, 3.0) * rng.choice([-1.0, 1.0])
+        yield Point(float(r0), float(t0)), Point(float(r1), float(t0 + gap))
+
+
+# The computed rising-half gain is rounding noise below about 1.3e-8 r_out^2
+# (cancellation in sin 2 theta - sin 2 phi) and can fall from node to node
+# there; the tests hold it to rise from this multiple of r_out^2 up.
+GAIN_FLOOR = 1e-7
+
+
+class TestOneBracket:
+    """_shoot bisects the nodes for the one sign change of the miss, which
+    relies on the computed miss being monotone over them."""
+
+    def test_miss_is_monotone_over_the_nodes(self, monkeypatch, rng):
+        # h = r: the gain rises with the phase, from its rounding floor up;
+        # at equal radii (the falling half only) everywhere.  Flat: the
+        # sweep falls with the elevation over the three nodes.
+        calls = recorded_shots(monkeypatch)
+        ratios = [0.0, 1e-300, 1.0 - 1e-6, *rng.uniform(0.0, 1.0 - 1e-6, 200), 1.0]
+        for rho in ratios:
+            r_out = 10.0 ** rng.uniform(-3.0, 2.0)
+            r_in = max(rho * r_out, 5e-324)
+            for p0, p1 in [(Point(r_in, 0.0), Point(r_out, 1.0)),
+                           (Point(r_out, 0.0), Point(r_in, -1.0))]:
+                connect_neg2(p0, p1)
+                shot, nodes, _ = calls.pop()
+                gain = [shot(x)[1] for x in nodes]
+                floor = 0.0 if r_in == r_out else GAIN_FLOOR * r_out**2
+                assert all(g0 <= g1 or g0 < floor for g0, g1 in zip(gain, gain[1:]))
+        for _ in range(200):
+            r0, r1 = 10.0 ** rng.uniform(-3.0, 2.0, size=2)
+            for p1 in [Point(r1, 1.0), Point(r0, -1.0)]:
+                connect_flat(Point(r0, 0.0), p1)
+                shot, nodes, _ = calls.pop()
+                assert len(nodes) == 3
+                sweep = [shot(x)[1] for x in nodes]
+                assert sweep[0] >= sweep[1] >= sweep[2]
+
+    def test_one_sign_change_and_its_root(self, monkeypatch, rng):
+        calls = recorded_shots(monkeypatch)
+        found = 0
+        for p0, p1 in neg2_pairs(rng, 600):
+            res = connect_neg2(p0, p1)
+            shot, nodes, target = calls.pop()
+            roots = every_root(shot, nodes, target)
+            r_out = max(p0.r, p1.r)
+            if target >= GAIN_FLOOR * r_out**2:
+                assert len(roots) == 1
+            if res.found:
+                found += 1
+                hits = [(shot(x)[0], math.sin(x) / r_out, math.copysign(1.0, shot(x)[2]))
+                        for x in roots]
+                assert (res.s, res.param, res.sign) in hits
+                assert res.length == res.s
+        assert found >= 400
 
 
 class TestTranslationInvariance:

@@ -2,9 +2,9 @@
 
 Every README command, plus two commands whose bytes depend on the order in
 which the solver sums its stages and one whose error message names the
-start of a backward Riccati side, and two that write a connecting path,
-runs in a fresh process.  The exit code and the digests of stdout and
-stderr must equal the ones recorded here, as must the digests of the
+start of a backward Riccati side, two that write a connecting path and
+the h = r sweep, runs in a fresh process.  The exit code and the digests of
+stdout and stderr must equal the ones recorded here, as must the digests of the
 ``field.csv`` that README's ``riccati zero`` line writes and of each
 ``--path-out`` file.  A change that moves one output bit fails this test; to record a
 deliberate change, rerun with ``-s`` and copy the printed digests.
@@ -64,7 +64,10 @@ PINNED = {
         0, "073efef6bf6fe9aa6444307e627147dbe15d0e944fc7eb24310fe4d2c3c96dbd",
         EMPTY),
     "warpgeo --warp r connect 1,0 2,1 --path-out p.csv": (
-        0, "6aa2c0d95ec1d9b27d8dbb2a17672d3cd332df626808ccafe1665cf6538ab29b",
+        0, "8aeee5c6dd21f258b36a16a74b52df4d657c28a9bb91a2b31279f99f8b6eb76b",
+        EMPTY),
+    "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-3:3:25": (
+        0, "5fb1d05f13c3f02da3a7a357c346085fb01ba3da875e8904c6012422d60eace9",
         EMPTY),
 }
 FIELD_CSV = "8168f9c58bf5c6db9974fc4738c6d9c68afa724cf51753d21d8820cafa1f8f67"
@@ -82,6 +85,9 @@ EXTRA_COMMANDS = [
     # The backward side fails at its start, which its error names as r0.
     "warpgeo riccati const:inf 1 1 0.5 3",
     *PATH_CSV,
+    # Its iterations column counts the h = r bisection's and brentq's
+    # evaluations.
+    "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-3:3:25",
 ]
 
 
@@ -149,10 +155,10 @@ def test_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
     assert got == want
 
 
-# connect_neg2 scans phases asin(x) over x from np.geomspace, whose last bit
-# depends on the SIMD code numpy dispatches to: on an AVX-512 machine the
-# second node differs in the last bit with the dispatched features off.
-# The outputs must not.
+# connect_neg2 scans phases asin(x) with x = 10.0 ** e from libm
+# (connect._phases), not from np.geomspace, whose last bit depends on the
+# SIMD code numpy dispatches to.  The outputs must not change with numpy's
+# dispatched CPU features off.
 SIMD_COMMANDS = [
     "warpgeo --warp r connect 1,0 2,1 --path-out p.csv",
     "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-3:3:25",
@@ -173,4 +179,4 @@ def test_neg2_bytes_do_not_depend_on_simd_dispatch(line, tmp_path):
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 0 and runs[0][0][2] == EMPTY
     if line in PINNED:
-        assert runs[0] == (PINNED[line], PATH_CSV[line])
+        assert runs[0] == (PINNED[line], PATH_CSV.get(line))

@@ -12,7 +12,7 @@ MODULES = (warp, geometry, riccati, geodesics, connect, isometry)
 PUBLIC_NAMES = (
     "AffineMap", "ChordCandidate", "ChordParam", "ConnectResult",
     "ConnectionCoeffs", "CurvatureProfile", "DOMAIN_MARGIN", "Domain", "DomainError",
-    "ESCAPE_MARGIN", "FlatGeodesic", "GeodesicHit", "GeodesicPath", "GeodesicState",
+    "ESCAPE_MARGIN", "FlatGeodesic", "GeodesicPath", "GeodesicState",
     "HField", "IsometryReport", "Neg2Geodesic", "Point", "RiccatiReport",
     "SameRCandidate", "TangentVector", "WarpFunction", "WarpSpec", "affine_act",
     "analytic_flat", "analytic_neg2", "apply_J", "chord_angle", "classify",
@@ -41,7 +41,7 @@ def test_every_name_resolves_to_its_module_binding():
 
 
 def test_no_public_name_lost():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert set(PUBLIC_NAMES) <= set(warpgeo.__all__)
     assert {"DEFAULT_TOL", "UNIT_SPEED_TOL"} <= set(warpgeo.__all__)
 
