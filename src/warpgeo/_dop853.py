@@ -29,9 +29,10 @@ inline in every stage, on only the stage arguments it reads, in place of a
 call of ``fun`` with the stage's time and whole state.  This is how
 :func:`warpgeo.geodesics.integrate` solves.  That source is generated from
 the tableau the first time a system and state size are solved (see
-:func:`_kernel`).  The solve returns lists of floats; numpy is imported
-only to evaluate the dense output at an array of samples, and
-:meth:`DenseSolution.at` evaluates one sample on floats.
+:func:`_kernel`).  The solve returns lists of floats.  numpy, which every
+module of the package reaches through the lazy binding ``np`` of
+:mod:`warpgeo._np`, is loaded only to evaluate the dense output at an array
+of samples, and :meth:`DenseSolution.at` evaluates one sample on floats.
 
 A step's interpolant costs three more evaluations of ``fun`` (stages 13-15,
 which the rows through D weigh), 3 of the 15 of an accepted step.  As scipy
@@ -60,6 +61,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._brentq import brentq
+from ._np import loaded, np
 
 __all__ = ["solve_ivp", "Solution", "DenseSolution", "Derivative", "CompiledDerivative"]
 
@@ -157,9 +159,11 @@ class Derivative:
     ``body`` is statements that assign the derivative, a sequence of n
     values, to ``{out}``.  They read the time as ``{t}``, component j of the
     state as ``{y[j]}`` and the whole state, a list, as ``{state}``.  Each
-    of these is an expression, formed only where the body names it, so the
-    body names each at most once.  ``params`` names the values the body
-    reads besides: the kernel's functions take them as one tuple.  The body
+    of these is a parenthesised expression, formed only where the body names
+    it, so the body names each at most once.  ``params`` names the values
+    the body reads besides, which the kernel's functions take as one
+    argument: one name takes the value itself (``CALL`` takes ``fun``),
+    several names a tuple of as many, and an empty string none.  The body
     may call ``isfinite`` (``math.isfinite``).  Its own names must not
     clash with the kernel's: ``p``, ``t``, ``h``, ``y``, ``f``, ``ks``,
     ``out``, ``err``, ``denom``, ``rtol``, ``atol``, ``sqrt``, ``nan`` and
@@ -222,7 +226,9 @@ class DenseSolution:
     its samples fall in.  ``nfev`` counts the evaluations made here, 3 per
     step built after the solve.  They run under the ``np.errstate`` that was
     in force during the solve, so ``fun`` warns of what it would have warned
-    of there; a solve that ran before numpy was imported set none.
+    of there.  That state is read only when numpy is loaded
+    (:func:`warpgeo._np.loaded`), so a solve that ran before numpy was
+    imported set none, and :meth:`at` then loads none.
 
     A sample picks its segment by scipy's ``OdeSolution`` rule (a step end
     belongs to the earlier step, and samples outside the span use the first
@@ -241,8 +247,7 @@ class DenseSolution:
         self._ts = ts
         self._steps = steps
         self._coefficients = coefficients
-        np = sys.modules.get("numpy")
-        self._errstate = None if np is None else np.geterr()
+        self._errstate = np.geterr() if loaded() else None
         self._arrays = None
         self.nfev = 0
 
@@ -258,8 +263,6 @@ class DenseSolution:
         """The rows of each of ``segments``, built under the solve's errstate."""
         if self._errstate is None:
             return [self._rows(i) for i in segments]
-        import numpy as np
-
         with np.errstate(**self._errstate):
             return [self._rows(i) for i in segments]
 
@@ -270,8 +273,6 @@ class DenseSolution:
 
     def __call__(self, t) -> np.ndarray:
         """States at the 1-D array of samples ``t``, shape (n, len(t))."""
-        import numpy as np
-
         if self._arrays is None:
             h, y_old = (np.array([step[k] for step in self._steps]) for k in (1, 2))
             F, filled = np.empty((len(h), 7, y_old.shape[1])), np.zeros(len(h), bool)
@@ -331,13 +332,13 @@ def _kernel(derivative: Derivative, n: int) -> tuple:
             return derivative.body.format(t=t, y=y, state=state, out=out).splitlines()
 
         def stage(s, a, c):
-            return inline(f"t + {c!r} * h", [f"y{j} + ({total(a, j)}) * h" for j in range(n)],
+            return inline(f"(t + {c!r} * h)", [f"(y{j} + ({total(a, j)}) * h)" for j in range(n)],
                           names(s))
 
         def each(line):
             return [line.format(j=j) for j in range(n)]
 
-        params = f"{derivative.params} = p"
+        params = [f"{derivative.params} = p"] if derivative.params.strip() else []
         ys = "".join(f"y{j}, " for j in range(n)) + "= y"
         yn = [f"yn{j}" for j in range(n)]
         dense_stages = [s for s in range(13) if any(len(w) > s and w[s] for w in A_EXTRA + D)]
@@ -346,13 +347,13 @@ def _kernel(derivative: Derivative, n: int) -> tuple:
         ends += [f"2 * d{j} - h * (k12_{j} + k0_{j})" for j in range(n)]
         rows = ", ".join(ends + [f"h * ({total(d, j)})" for d in D for j in range(n)])
         lines = [
-            "def call(p, t, y):", params, *inline("t", [f"y[{j}]" for j in range(n)], "out", "y"),
+            "def call(p, t, y):", *params, *inline("t", [f"y[{j}]" for j in range(n)], "out", "y"),
             "return out",
-            "def stages(p, t, h, y, f, rtol, atol):", params, ys, f"{names(0)}= f",
+            "def stages(p, t, h, y, f, rtol, atol):", *params, ys, f"{names(0)}= f",
             *(ln for s in range(1, 12) for ln in stage(s, A[s], C[s])),
             *(f"yn{j} = y{j} + h * ({total(B, j, zeros=True)})" for j in range(n)),
             f"y_new = [{', '.join(yn)}]",
-            *inline("t + h", yn, "f_new", "y_new"),
+            *inline("(t + h)", yn, "f_new", "y_new"),
             f"{names(12)}= f_new",
             *each("v{j}, w{j} = abs(y{j}), abs(yn{j})"),
             *each("s{j} = atol + (w{j} if w{j} > v{j} or w{j} != w{j} else v{j}) * rtol"),
@@ -368,7 +369,7 @@ def _kernel(derivative: Derivative, n: int) -> tuple:
             f"    denom = sqrt((n5 + 0.01 * n3) * {n})",
             "    err = h * n5 / denom if denom else nan",
             f"return y_new, f_new, err, ({ks})",
-            "def extra(p, t, h, y, y_new, ks):", params, ys, f"{ks}= ks",
+            "def extra(p, t, h, y, y_new, ks):", *params, ys, f"{ks}= ks",
             *(ln for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA)) for ln in stage(13 + s, a, c)),
             "".join(f"d{j}, " for j in range(n)) + "= "
             + "".join(f"y_new[{j}] - y{j}, " for j in range(n)),
@@ -453,7 +454,9 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     weight 0 in both error sums, and only ``0.0 * inf`` (nan) lets an
     infinite ``f_new`` reject its step rather than end in a non-finite
     interpolant.  Every accepted state thus has a finite derivative but the
-    start's.  The step is Python float arithmetic, which warns of nothing.
+    start's.  The step is Python float arithmetic, which warns of nothing,
+    and the solve loads no numpy: it reads ``np.geterr`` through
+    :mod:`warpgeo._np` only when numpy is already loaded.
     When the derivative at the start is itself not finite, the message says
     so instead of naming the step size.
     """

@@ -1,0 +1,39 @@
+"""The package's one boundary with numpy.
+
+``import warpgeo`` loads no numpy, so the commands that build no array
+(``connect`` and the flat and same-radius ``sweep``) start and finish
+without it.  Every module reads numpy through :data:`np`, which imports
+numpy on the first read of one of its attributes.
+"""
+
+import sys
+
+
+class _LazyNumpy:
+    """numpy, imported on the first read of an attribute.  The attribute is
+    then stored on this object, so later reads are plain attribute lookups.
+    Dunder names raise ``AttributeError`` without importing, so probes such
+    as ``inspect.unwrap`` load nothing."""
+
+    def __getattr__(self, name):
+        if name.startswith("__") and name.endswith("__"):
+            raise AttributeError(name)
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _LazyNumpy()
+
+
+def loaded() -> bool:
+    """Whether numpy is imported, by this package or by anyone else."""
+    return sys.modules.get("numpy") is not None
+
+
+def on_float64(fn):
+    """``fn`` evaluated at np.float64, its value returned as a Python float."""
+    float64 = np.float64  # bound once: the returned function runs per stage
+    return lambda r: float(fn(float64(r)))

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 
+from ._np import np
 from .connect import DEFAULT_TOL, _linspace, connect_flat, connect_neg2, connect_neg2_same_r
 from .geodesics import GeodesicState, integrate
 from .geometry import curvature_oracle, sectional_curvature
@@ -180,8 +181,6 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 def cmd_curvature(cfg: RunConfig, args) -> int:
     if not (0.0 < args.r_min < args.r_max) or args.n < 2:
         raise UsageError("curvature requires 0 < r_min < r_max and n >= 2")
-    import numpy as np
-
     w = cfg.warp()
     rs = np.linspace(args.r_min, args.r_max, args.n)
     ks = sectional_curvature(w, rs)

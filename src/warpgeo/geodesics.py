@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 from ._dop853 import CompiledDerivative, Derivative, solve_ivp
+from ._np import loaded, np, on_float64
 from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
@@ -101,13 +101,6 @@ def _margin(edge: float) -> float:
     doubles at a finite edge of 65,536 or more, where ESCAPE_MARGIN would
     round the event threshold, the clamp and the final clip onto the edge."""
     return max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
-
-
-def _on_float64(fn):
-    """``fn`` evaluated at np.float64, its value returned as a Python float."""
-    from numpy import float64
-
-    return lambda r: float(fn(float64(r)))
 
 
 @dataclass(frozen=True)
@@ -177,8 +170,6 @@ class _Column:
             raise AttributeError(self.name)  # a dataclass field without default
         value = path.__dict__[self.name]
         if isinstance(value, list):
-            import numpy as np
-
             value = path.__dict__[self.name] = np.array(value)
         return value
 
@@ -319,13 +310,12 @@ def integrate(
     # not finite.  e^r and caller code see np.float64, as they would from
     # an array: e^r keeps np.exp (math.exp differs in the last bit), and
     # r**1.5 at r < 0 is nan, not a complex.
-    hf, dhf = (h, dh) if floats else (_on_float64(h), _on_float64(dh))
+    hf, dhf = (h, dh) if floats else (on_float64(h), on_float64(dh))
     # Evaluations on and past the boundary may divide by zero or take the
     # root of a negative number; the clamp replaces those values, so numpy's
     # warnings carry no information.  Before numpy is imported, nothing
     # can warn.
-    np = sys.modules.get("numpy")
-    quiet = contextlib.nullcontext() if np is None else np.errstate(all="ignore")
+    quiet = np.errstate(all="ignore") if loaded() else contextlib.nullcontext()
 
     def extends(edge: float) -> bool:
         try:
@@ -341,10 +331,8 @@ def integrate(
         try:
             return hf(r), dhf(r)
         except ZeroDivisionError:
-            import numpy as np
-
             with np.errstate(all="ignore"):
-                return _on_float64(h)(r), _on_float64(dh)(r)
+                return on_float64(h)(r), on_float64(dh)(r)
 
     with quiet:
         lo = -math.inf if extends(d_lo) else inner_lo
@@ -391,8 +379,6 @@ def _sample(
         drifts = [abs(f * f + g * g - 1.0) for f, g in zip(f_v, g_v)]
         drift = math.nan if any(map(math.isnan, drifts)) else max(drifts)  # as np.max
     else:
-        import numpy as np
-
         s = np.linspace(0.0, s_end, n)
         r_v, t_v, f_v = sol.sol(s)
         r_v = np.clip(r_v, *clip)  # as above
@@ -442,8 +428,6 @@ def path_length_quadrature(w: WarpFunction, path: GeodesicPath) -> float:
     sqrt(dr^2 + dt^2/h^2) evaluated at midpoints.  Second-order accurate in
     the sample spacing; used as a cross-check of :func:`path_length`.
     """
-    import numpy as np
-
     dr = np.diff(path.r)
     dt = np.diff(path.t)
     mid = 0.5 * (path.r[1:] + path.r[:-1])
@@ -462,8 +446,6 @@ def _flat_param(s, r0: float, r1: float):
 
 def _flat_sweep(s, r0: float, a):
     """Continuous transverse angle swept by the flat geodesic (r0, a) at s."""
-    import numpy as np
-
     s = np.asarray(s, dtype=float)
     beta = np.maximum(r0 * r0 - a * a, 0.0)
     return np.arctan2(s * np.sqrt(beta), r0 * r0 + a * s)
@@ -508,8 +490,6 @@ class FlatGeodesic:
         return self.t0 - self.sign * math.atan2(self.a, math.sqrt(self.beta))
 
     def radius(self, s):
-        import numpy as np
-
         s = np.asarray(s, dtype=float)
         return np.sqrt(s * s + 2.0 * self.a * s + self.r0 * self.r0)
 
@@ -525,8 +505,6 @@ class FlatGeodesic:
 
     def point(self, s):
         """Position (r, t) at arc length s (s may be an array)."""
-        import numpy as np
-
         r = self.radius(s)
         t = self.t0 + self.sign * self.angle(s)
         if np.ndim(s) == 0:
@@ -593,27 +571,19 @@ class Neg2Geodesic:
         return ((psi0 - math.pi) / self.b, psi0 / self.b)
 
     def _phase(self, s):
-        import numpy as np
-
         return self.sign * self.b * np.asarray(s, dtype=float) + self.phase0
 
     def _require_arch(self, s):
-        import numpy as np
-
         lo, hi = self.arch()
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= lo) or np.any(s_arr >= hi):
             raise DomainError(f"arc length {s!r} outside the positive arch ({lo}, {hi})")
 
     def radius(self, s):
-        import numpy as np
-
         self._require_arch(s)
         return np.sin(self._phase(s)) / self.b
 
     def transverse(self, s):
-        import numpy as np
-
         self._require_arch(s)
         s_arr = np.asarray(s, dtype=float)
         psi = self._phase(s_arr)
@@ -623,8 +593,6 @@ class Neg2Geodesic:
         ) / (4.0 * b * b)
 
     def point(self, s):
-        import numpy as np
-
         r = self.radius(s)
         t = self.transverse(s)
         if np.ndim(s) == 0:
@@ -655,8 +623,6 @@ def transverse_unit_b_form(geo: Neg2Geodesic, s):
     equation-consistent antiderivative and agrees with this expression
     exactly when b == 1 (for the positive radial sign).
     """
-    import numpy as np
-
     s_arr = np.asarray(s, dtype=float)
     psi = geo.sign * geo.b * s_arr + geo.phase0
     return geo.t0 + s_arr / 2.0 - (np.sin(2.0 * psi) - math.sin(2.0 * geo.phase0)) / 4.0

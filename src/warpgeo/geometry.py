@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._np import np
 from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
 def _finite(x) -> bool:
     if isinstance(x, float):
         return math.isfinite(x)
-    import numpy as np
-
     return bool(np.isfinite(x))
 
 

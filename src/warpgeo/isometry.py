@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._np import np
 from .geometry import TangentVector, metric_at
 from .warp import DomainError, Point, WarpFunction
 
@@ -135,8 +136,6 @@ def pullback_residual(
     DomainError
         If any sample point's image escapes the warp's domain.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     if vectors is None:
         vectors = [v for p in points for v in _default_vectors(w, p, rng)]
@@ -211,8 +210,6 @@ def classify(
     ValueError
         If an image coordinate or a sample vector is not finite.
     """
-    import numpy as np
-
     lo = max(R_RANGE[0], w.domain.lo * (1.0 + 1e-9) + 1e-9)
     hi = min(R_RANGE[1], w.domain.hi * (1.0 - 1e-9))
     if not lo < hi:

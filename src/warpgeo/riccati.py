@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._dop853 import solve_ivp
+from ._np import np, on_float64
 from .geometry import sectional_curvature
 from .warp import DOMAIN_MARGIN, WarpFunction, _constant, warp_flat, warp_neg2
 
@@ -111,18 +112,16 @@ def _integrate_side(f, r0, H0, r_end, atol):
     reach the samples: u' itself is carried, not -u', and a step that
     lands on the end r = 0 ends there, at x = -0.0.
     """
-    import numpy as np
-
     if r_end == r0:  # the start alone; 0.0 - H0 is +0.0 for H0 = 0.0
         y = np.array([[r0], [1.0], [0.0 - H0]], dtype=float)
         return y[:, y[1] > atol], None
     sign = 1.0 if r_end > r0 else -1.0  # x = sign * r runs forward
-    f64 = np.float64
-
     # The profile sees np.float64 radii, as it would from an array; the
-    # solver takes Python floats, so its product is converted (same bits).
+    # solver takes Python floats, so its value is converted (same bits).
+    fx = on_float64(f)
+
     def rhs(x, y):
-        return (sign * y[1], float(-sign * f(f64(sign * x)) * y[0]))
+        return (sign * y[1], -sign * fx(sign * x) * y[0])
 
     def u_zero(x, y):
         return y[0]
@@ -188,8 +187,6 @@ def solve_prescribed(
         (an endpoint may be 0 itself, but not within ``DOMAIN_MARGIN``
         above it), ``atol`` is not positive, or u overflows.
     """
-    import numpy as np
-
     lo, hi = float(r_range[0]), float(r_range[1])
     if not np.isfinite([r0, H0, lo, hi]).all():
         raise ValueError(f"r0={r0}, H0={H0} and range ({lo}, {hi}) must be finite")
@@ -248,8 +245,6 @@ def verify_riccati(
     Never raises on mismatch; the report carries the maximal residual and
     the pass/fail verdict against ``tol``.
     """
-    import numpy as np
-
     grid = np.asarray(grid, dtype=float)
     residual = np.abs(np.asarray(sectional_curvature(w, grid)) - np.asarray(profile.f(grid)))
     max_res = float(np.max(residual)) if grid.size else 0.0
@@ -270,8 +265,6 @@ def verify_field(field: HField, profile: CurvatureProfile, tol: float) -> Riccat
     not by the integrator).  The report carries the field's blow-up
     location.
     """
-    import numpy as np
-
     g_lo, g_hi = field.grid[0], field.grid[-1]
     span = g_hi - g_lo
     # Next to a blow-up H^2 and its differences can overflow.  Those samples

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ._np import np
+
 __all__ = [
     "DomainError",
     "Domain",
@@ -78,8 +80,6 @@ class Domain:
         if isinstance(r, float):
             # NaN and infinities fail the chained comparison.
             return bool(self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN)
-        import numpy as np
-
         r = np.asarray(r, dtype=float)
         inside = (r > self.lo + DOMAIN_MARGIN) & np.isfinite(r)
         if math.isfinite(self.hi):
@@ -92,8 +92,6 @@ class Domain:
             if ok:
                 return
         else:
-            import numpy as np
-
             if np.all(ok):
                 return
             # Name the first radius outside, not the whole array.
@@ -102,8 +100,6 @@ class Domain:
 
     def sample(self) -> np.ndarray:
         """Interior grid of ``SAMPLE_SIZE`` radii, used for validation sweeps."""
-        import numpy as np
-
         lo = self.lo
         hi = self.hi if math.isfinite(self.hi) else max(10.0, 4.0 * lo + 10.0)
         pad = (hi - lo) * 1e-3
@@ -189,8 +185,6 @@ class WarpFunction:
         self.domain.require(r)
         if _scalar(r):
             return fn(float(r))
-        import numpy as np
-
         return fn(np.asarray(r, dtype=float))
 
     def h(self, r):
@@ -235,8 +229,6 @@ def _scalar(r) -> bool:
     right-hand side and every checked evaluation ask this."""
     if isinstance(r, float):
         return True
-    import numpy as np
-
     return not np.ndim(r)
 
 
@@ -246,8 +238,6 @@ def _constant(v: float) -> Callable:
     def constant(r):
         if _scalar(r):
             return v
-        import numpy as np
-
         return np.full_like(np.asarray(r, dtype=float), v)
 
     return constant
@@ -283,8 +273,6 @@ def warp_r() -> WarpFunction:
 
 def warp_exp() -> WarpFunction:
     """h(r) = e^r on (0, inf); constant curvature -1."""
-    import numpy as np
-
     return WarpFunction(
         kind="exp",
         params=(),
@@ -423,8 +411,6 @@ def warp_custom(
     def step(r, scale):
         # Both probes stay inside the domain: the step is at most half the
         # distance to the nearer edge.
-        import numpy as np
-
         return np.minimum(_fd_step(r, scale), 0.5 * np.minimum(r - dom.lo, dom.hi - r))
 
     if dh is None:
@@ -465,16 +451,12 @@ def _fd_step(r, scale: float):
     """Central-difference step ``scale * max(1, |r|)`` at a scalar or array r."""
     if _scalar(r):
         return scale * max(1.0, abs(r))
-    import numpy as np
-
     return scale * np.maximum(1.0, np.abs(r))
 
 
 def _validate(w: WarpFunction, check_dh: bool, check_d2h: bool) -> WarpFunction:
     """Reject non-positive h and derivative evaluators that differ from
     central differences by more than ``CONSISTENCY_TOL`` (relative)."""
-    import numpy as np
-
     grid = w.domain.sample()
     hv = np.asarray(w._h(grid), dtype=float)
     if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):

@@ -433,6 +433,45 @@ def test_inline_derivative_is_the_call_template(monkeypatch, name):
     assert len(values) == 3 * 15 * len(states)
 
 
+# Bodies that scale and negate the substituted time and components: the
+# params' values (one name takes its value as it is, and none), the plain
+# callable the body computes and the exact state at t = 1 from (1, 1).
+SCALING = {
+    "one-param": (_dop853.Derivative("c", "{out} = c * {y[0]}, {t} * {y[1]}"), -2.0,
+                  lambda t, y: (-2.0 * y[0], t * y[1]), (math.exp(-2.0), math.exp(0.5))),
+    "no-param": (_dop853.Derivative("", "{out} = -{y[0]}, 2.0 * {t} * {y[1]}"), None,
+                 lambda t, y: (-y[0], 2.0 * t * y[1]), (math.exp(-1.0), math.e)),
+}
+
+
+@pytest.mark.parametrize("name", SCALING)
+def test_scaled_substitutions_are_the_call_template(name):
+    # The stage time t + c h and the components y_j + (...) h are
+    # substituted in parentheses, so an inline body that scales or negates
+    # them computes its operations on the whole expression.  Each step
+    # attempt and interpolant must give the bits of the call template, and
+    # the solve those of the plain callable.
+    derivative, args, fun, exact = SCALING[name]
+    rhs = _dop853.CompiledDerivative(derivative, args, 2)
+    _, stages, extra = rhs.kernel
+    _, template, template_extra = _dop853._kernel(_dop853.CALL, 2)
+    rng = np.random.default_rng(sorted(SCALING).index(name))
+    for _ in range(20):
+        t, h, y = float(rng.normal()), float(rng.uniform(1e-3, 0.5)), rng.normal(size=2).tolist()
+        f = rhs(t, y)
+        assert bits(f) == bits(fun(t, y))
+        inline = stages(args, t, h, y, f, RTOL, ATOL)
+        called = template(fun, t, h, y, f, RTOL, ATOL)
+        assert bits(inline) == bits(called), (t, h, y)
+        assert bits(extra(args, t, h, y, inline[0], inline[3])) == bits(
+            template_extra(fun, t, h, y, called[0], called[3])), (t, h, y)
+    sol, ref = (_dop853.solve_ivp(g, (0.0, 1.0), (1.0, 1.0), rtol=1e-8, atol=1e-10)
+                for g in (rhs, fun))
+    assert (sol.t, sol.nfev, sol.nrej) == (ref.t, ref.nfev, ref.nrej)
+    assert bits(sol.sol.at(1.0)) == bits(ref.sol.at(1.0))
+    assert sol.sol.at(1.0) == pytest.approx(exact, rel=1e-7)
+
+
 def test_an_infinite_stage_meets_no_zero_coefficient():
     # The reference sums multiply every earlier stage, so an infinite stage 1
     # makes the argument of every later stage whose row has A[s][1] = 0 nan

@@ -3,8 +3,10 @@
 Each step runs in a fresh interpreter, which then reports whether numpy is
 in ``sys.modules``: importing the package or its CLI must not load it, and
 neither may ``connect`` (flat found, blocked and horizontal, and on
-``h = r``) or the flat and same-radius ``sweep``.  The commands that build arrays load it at
-first use, and their bytes are pinned by ``test_output_bytes.py``.
+``h = r``) or the flat and same-radius ``sweep``.  The package reads numpy
+only through the lazy binding ``warpgeo._np.np`` (``test_numpy_boundary.py``
+checks that), so the commands that build arrays load it at their first
+array, and their bytes are pinned by ``test_output_bytes.py``.
 """
 
 import json
