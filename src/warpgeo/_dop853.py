@@ -31,8 +31,9 @@ call of ``fun`` with the stage's time and whole state.  This is how
 the tableau the first time a system and state size are solved (see
 :func:`_kernel`).  The solve returns lists of floats.  numpy, which every
 module of the package reaches through the lazy binding ``np`` of
-:mod:`warpgeo._np`, is loaded only to evaluate the dense output at an array
-of samples, and :meth:`DenseSolution.at` evaluates one sample on floats.
+:mod:`warpgeo._np`, is needed only to evaluate the dense output at an array
+of samples, and :meth:`DenseSolution.at` evaluates one sample on floats.  A
+later read evaluates ``fun`` under its own caller's numpy error handling.
 
 A step's interpolant costs three more evaluations of ``fun`` (stages 13-15,
 which the rows through D weigh), 3 of the 15 of an accepted step.  As scipy
@@ -61,7 +62,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._brentq import brentq
-from ._np import loaded, np
+from ._np import np
 
 __all__ = ["solve_ivp", "Solution", "DenseSolution", "Derivative", "CompiledDerivative"]
 
@@ -224,11 +225,7 @@ class DenseSolution:
     ``fun`` (stages 13-15).  Each is built on first use and then kept: the
     event search builds the step it searches, and a call builds the steps
     its samples fall in.  ``nfev`` counts the evaluations made here, 3 per
-    step built after the solve.  They run under the ``np.errstate`` that was
-    in force during the solve, so ``fun`` warns of what it would have warned
-    of there.  That state is read only when numpy is loaded
-    (:func:`warpgeo._np.loaded`), so a solve that ran before numpy was
-    imported set none, and :meth:`at` then loads none.
+    step built after the solve, under the numpy error handling of the reader.
 
     A sample picks its segment by scipy's ``OdeSolution`` rule (a step end
     belongs to the earlier step, and samples outside the span use the first
@@ -247,7 +244,6 @@ class DenseSolution:
         self._ts = ts
         self._steps = steps
         self._coefficients = coefficients
-        self._errstate = np.geterr() if loaded() else None
         self._arrays = None
         self.nfev = 0
 
@@ -259,17 +255,10 @@ class DenseSolution:
             self.nfev += 3
         return F
 
-    def _build(self, segments: list) -> list:
-        """The rows of each of ``segments``, built under the solve's errstate."""
-        if self._errstate is None:
-            return [self._rows(i) for i in segments]
-        with np.errstate(**self._errstate):
-            return [self._rows(i) for i in segments]
-
     def at(self, t: float) -> list:
         """The state at the one sample ``t``, as a list of floats."""
         i = min(max(bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
-        return _segment_at((*self._steps[i][:3], *self._build([i])), t)
+        return _segment_at((*self._steps[i][:3], self._rows(i)), t)
 
     def __call__(self, t) -> np.ndarray:
         """States at the 1-D array of samples ``t``, shape (n, len(t))."""
@@ -284,7 +273,7 @@ class DenseSolution:
         hit[seg] = True
         new = np.flatnonzero(hit & ~filled)
         if new.size:
-            F[new] = np.array(self._build(new.tolist())).reshape(new.size, 7, -1)
+            F[new] = np.array([self._rows(i) for i in new.tolist()]).reshape(new.size, 7, -1)
             filled[new] = True
         x = ((t - ts[seg]) / h[seg])[:, None]  # step i starts at ts[i]
         return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
@@ -455,8 +444,8 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     infinite ``f_new`` reject its step rather than end in a non-finite
     interpolant.  Every accepted state thus has a finite derivative but the
     start's.  The step is Python float arithmetic, which warns of nothing,
-    and the solve loads no numpy: it reads ``np.geterr`` through
-    :mod:`warpgeo._np` only when numpy is already loaded.
+    and the solve imports no numpy.  ``fun`` runs under the numpy error
+    handling of the caller, here and in later reads of ``sol``.
     When the derivative at the start is itself not finite, the message says
     so instead of naming the step size.
     """

@@ -6,8 +6,6 @@ without it.  Every module reads numpy through :data:`np`, which imports
 numpy on the first read of one of its attributes.
 """
 
-import sys
-
 
 class _LazyNumpy:
     """numpy, imported on the first read of an attribute.  The attribute is
@@ -26,11 +24,6 @@ class _LazyNumpy:
 
 
 np = _LazyNumpy()
-
-
-def loaded() -> bool:
-    """Whether numpy is imported, by this package or by anyone else."""
-    return sys.modules.get("numpy") is not None
 
 
 def on_float64(fn):

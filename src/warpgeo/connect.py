@@ -30,6 +30,7 @@ transverse separation.  See the docstrings for details.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -485,6 +486,45 @@ class SameRCandidate:
     confirmed: bool
 
 
+def _same_r_span(r0: float, dt: float) -> float:
+    """|dt|, once r0 and dt are checked."""
+    for name, value in (("r0", r0), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if r0 <= 0.0:
+        raise ValueError("r0 must be positive")
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero")
+    return abs(dt)
+
+
+def _turns(k: int, adt: float) -> tuple[float, float]:
+    """b of candidate k and its formula-level transverse gain |dt|/b."""
+    b = k * math.pi / adt
+    return b, adt / b
+
+
+def _candidate(k: int, adt: float, tol: float) -> SameRCandidate:
+    b, formula_dt = _turns(k, adt)
+    return SameRCandidate(k, b, 2.0 * adt, formula_dt, bool(abs(formula_dt - adt) <= tol))
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """The least k in [lo, hi] with pred(k), or hi + 1; pred(k) implies pred(k + 1)."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+    return lo
+
+
+def _same_r_count(r0: float, adt: float) -> int:
+    """floor(|dt|/(pi r0)), at most the largest float, less the tail of k whose
+    b exceeds 1/r0: each operation of b is monotone, so b grows with k."""
+    k_max = int(math.floor(min(adt / (math.pi * r0) + 1e-12, sys.float_info.max)))
+    return _first(lambda k: _turns(k, adt)[0] > 1.0 / r0 + 1e-12, 1, k_max) - 1
+
+
 def same_r_candidates(r0: float, dt: float, tol: float = DEFAULT_TOL) -> list[SameRCandidate]:
     """Enumerate same-radius connection candidates for the h = r metric.
 
@@ -495,29 +535,8 @@ def same_r_candidates(r0: float, dt: float, tol: float = DEFAULT_TOL) -> list[Sa
     transverse gain of the equation-consistent closed form is |dt|/b, so a
     candidate is confirmed exactly when its b is 1 to within ``tol``.
     """
-    if r0 <= 0.0:
-        raise ValueError("r0 must be positive")
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    adt = abs(dt)
-    out = []
-    k_max = int(math.floor(adt / (math.pi * r0) + 1e-12))
-    for k in range(1, k_max + 1):
-        b = k * math.pi / adt
-        if b > 1.0 / r0 + 1e-12:
-            continue
-        s = 2.0 * adt
-        formula_dt = adt / b
-        out.append(
-            SameRCandidate(
-                k=k,
-                b=b,
-                s=s,
-                formula_dt=formula_dt,
-                confirmed=bool(abs(formula_dt - adt) <= tol),
-            )
-        )
-    return out
+    adt = _same_r_span(r0, dt)
+    return [_candidate(k, adt, tol) for k in range(1, _same_r_count(r0, adt) + 1)]
 
 
 def connect_neg2_same_r(r0: float, dt: float, tol: float = DEFAULT_TOL) -> ConnectResult:
@@ -533,25 +552,21 @@ def connect_neg2_same_r(r0: float, dt: float, tol: float = DEFAULT_TOL) -> Conne
     :func:`connect_neg2`, which finds apex-branch geodesics for every
     transverse gap; the two verdicts differ by design below the threshold.
 
+    ``iterations`` is the number of candidates, which are not built: their
+    gain |dt|/b falls as k grows, so bisection finds the first confirmed.
+
     Raises
     ------
     ValueError
-        If r0 <= 0 or dt == 0.
+        If r0 or dt is not finite, r0 <= 0 or dt == 0.
     """
-    candidates = same_r_candidates(r0, dt, tol)
-    if math.pi * r0 > abs(dt):
+    adt = _same_r_span(r0, dt)
+    if math.pi * r0 > adt:
         return ConnectResult(variant="no_geodesic", reason="threshold_violated")
-    for cand in candidates:
-        if cand.confirmed:
-            return ConnectResult(
-                variant="found",
-                length=cand.s,
-                s=cand.s,
-                param=cand.b,
-                sign=1.0 if dt > 0 else -1.0,
-                in_chart=False,
-                iterations=len(candidates),
-            )
-    return ConnectResult(
-        variant="no_geodesic", reason="search_exhausted", iterations=len(candidates)
-    )
+    n = _same_r_count(r0, adt)
+    k = _first(lambda k: _turns(k, adt)[1] - adt <= tol, 1, n)
+    cand = _candidate(k, adt, tol)
+    if k <= n and cand.confirmed:
+        return ConnectResult(variant="found", length=cand.s, s=cand.s, param=cand.b,
+                             sign=1.0 if dt > 0 else -1.0, in_chart=False, iterations=n)
+    return ConnectResult(variant="no_geodesic", reason="search_exhausted", iterations=n)

@@ -41,7 +41,7 @@ from functools import partial
 from typing import Callable
 
 from ._dop853 import CompiledDerivative, Derivative, solve_ivp
-from ._np import loaded, np, on_float64
+from ._np import np, on_float64
 from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
@@ -79,15 +79,11 @@ _SAMPLES = 129
 # finite (see integrate).
 _DERIVATIVE = Derivative("b, lo, hi, hf, dhf, clamped", """\
 r = {y[0]}
-if lo <= r <= hi:
-    try:
-        hr, dhr = hf(r), dhf(r)
-    except ZeroDivisionError:
-        hr, dhr = clamped(r)
-    else:
-        if not isfinite(hr * dhr):
-            hr, dhr = clamped(r)
-else:
+try:
+    hr, dhr = (hf(r), dhf(r)) if lo <= r <= hi else clamped(r)
+except ZeroDivisionError:
+    hr, dhr = clamped(r)
+if not isfinite(hr * dhr):
     hr, dhr = clamped(r)
 {out} = {y[2]}, b * hr * hr, -b * b * hr * dhr""")
 
@@ -142,9 +138,8 @@ class IntegrationStats:
     (the escape event's step and every step that a sample falls in), so
     rhs_evals = 2 + 12 (accepted_steps + rejected_steps) + 3 per step whose
     interpolant was built; ``max_speed_drift`` is the largest
-    |f^2 + b^2 h^2 - 1| over the
-    returned samples; ``stop`` says why the integration ended:
-    ``"s_max"``, ``"escaped_lower"`` or ``"escaped_upper"``.
+    |f^2 + b^2 h^2 - 1| over the returned samples; ``stop`` says why the
+    integration ended: ``"s_max"``, ``"escaped_lower"`` or ``"escaped_upper"``.
     """
 
     rhs_evals: int
@@ -313,9 +308,9 @@ def integrate(
     hf, dhf = (h, dh) if floats else (on_float64(h), on_float64(dh))
     # Evaluations on and past the boundary may divide by zero or take the
     # root of a negative number; the clamp replaces those values, so numpy's
-    # warnings carry no information.  Before numpy is imported, nothing
-    # can warn.
-    quiet = np.errstate(all="ignore") if loaded() else contextlib.nullcontext()
+    # warnings carry no information.  A float kind's solve makes no numpy
+    # call but clamped's fallback, which holds its own errstate.
+    quiet = contextlib.nullcontext() if floats else np.errstate(all="ignore")
 
     def extends(edge: float) -> bool:
         try:
@@ -326,7 +321,7 @@ def integrate(
     def clamped(r: float) -> tuple:
         # Inside the domain a Python float divides by zero only where a
         # product underflows (q^2 in neg2's h' for tiny parameters); numpy's
-        # inf or nan is taken then, as before.
+        # inf or nan is taken then.
         r = min(max(r, inner_lo), inner_hi)
         try:
             return hf(r), dhf(r)
@@ -380,7 +375,8 @@ def _sample(
         drift = math.nan if any(map(math.isnan, drifts)) else max(drifts)  # as np.max
     else:
         s = np.linspace(0.0, s_end, n)
-        r_v, t_v, f_v = sol.sol(s)
+        with np.errstate(all="ignore"):  # the steps it builds evaluate h as the solve did
+            r_v, t_v, f_v = sol.sol(s)
         r_v = np.clip(r_v, *clip)  # as above
         g_v = b * np.asarray(h(r_v), dtype=float)
         drift = float(np.max(np.abs(f_v * f_v + g_v * g_v - 1.0)))

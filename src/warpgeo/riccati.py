@@ -19,6 +19,7 @@ a finite-radius blow-up of H is a simple zero of the smooth u.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ._dop853 import solve_ivp
@@ -128,8 +129,10 @@ def _integrate_side(f, r0, H0, r_end, atol):
 
     u_zero.direction = -1  # u starts at 1, so its first zero is crossed falling
 
-    # u can overflow before r_end (h underflows); the failure is raised.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # u can overflow before r_end (h underflows): the solve's failure is
+    # raised, and the dense reads below build steps from the same rhs.
+    quiet = partial(np.errstate, over="ignore", invalid="ignore")
+    with quiet():
         sol = solve_ivp(rhs, (sign * r0, sign * r_end), (1.0, -H0),
                         rtol=RTOL, atol=atol, events=[u_zero])
     if sol.status < 0:
@@ -141,7 +144,8 @@ def _integrate_side(f, r0, H0, r_end, atol):
     # unique sorts and drops the repeats of a step shorter than _REFINE
     # floating-point spacings.
     r = np.unique([sign * np.linspace(a, b, _REFINE + 1) for a, b in zip(sol.t[:-1], sol.t[1:])])
-    y = np.vstack([r, sol.sol(sign * r)])
+    with quiet():
+        y = np.vstack([r, sol.sol(sign * r)])
     while True:
         r, u, du = y
         # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
@@ -159,7 +163,9 @@ def _integrate_side(f, r0, H0, r_end, atol):
             # solver controls.
             return y[:, u > atol], blow
         mid = mid[split]
-        y = np.insert(y, np.flatnonzero(split) + 1, np.vstack([mid, sol.sol(sign * mid)]), axis=1)
+        with quiet():
+            y = np.insert(y, np.flatnonzero(split) + 1, np.vstack([mid, sol.sol(sign * mid)]),
+                          axis=1)
 
 
 def solve_prescribed(

@@ -1,7 +1,26 @@
+import os
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from warpgeo import warp_exp, warp_flat, warp_neg2, warp_one_over_r, warp_r
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(argv: list, *, env_extra=None, timeout=120, **kwargs):
+    """``subprocess.run(argv)`` with its output captured, in the one
+    environment every test child gets: the absolute ``src`` first on
+    PYTHONPATH, so the child imports this package from any cwd; no
+    WARPGEO_CONFIG but one that ``env_extra`` sets; and a timeout, so a
+    hang fails its test instead of stalling the suite."""
+    env = dict(os.environ)
+    env.pop("WARPGEO_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return subprocess.run(argv, capture_output=True, env=env, timeout=timeout, **kwargs)
 
 
 @pytest.fixture(scope="session")

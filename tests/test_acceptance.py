@@ -7,12 +7,11 @@ under two minutes.
 
 import json
 import math
-import os
-import subprocess
 import sys
 
 import numpy as np
 import pytest
+from conftest import run_child
 
 from warpgeo import (
     AffineMap,
@@ -352,14 +351,8 @@ def test_c11_isometry_classification():
 
 
 def test_c12_cli_determinism_and_exit_codes(tmp_path):
-    env = dict(os.environ)
-    env.pop("WARPGEO_CONFIG", None)
-
     def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "warpgeo.cli", *args],
-            capture_output=True, text=True, env=env,
-        )
+        return run_child([sys.executable, "-m", "warpgeo.cli", *args], text=True)
 
     args = ("--seed", "0", "--format", "csv", "sweep", "--metric", "flat",
             "--p0", "1,0", "--r1", "1", "--t1=-3.5:3.5:29")

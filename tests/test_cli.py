@@ -1,13 +1,12 @@
 import json
 import math
-import os
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_child
 
 from warpgeo import cli
 
@@ -16,16 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
-def run_cli(*args, env_extra=None, cwd=None, timeout=None):
-    env = dict(os.environ)
-    env.pop("WARPGEO_CONFIG", None)
-    # An absolute source path, so the package imports from any cwd.
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout
-    )
+def run_cli(*args, **kwargs):
+    return run_child(CLI + list(args), text=True, **kwargs)
 
 
 def readme_blocks(lang: str) -> list[str]:
@@ -271,6 +262,11 @@ class TestSweep:
         assert res.stdout == ""
         text = argv[-1].partition("=")[2]
         assert res.stderr == f"warpgeo: error: range bounds must be finite, got {text!r}\n"
+
+    def test_non_finite_same_radius_is_one_error_line(self):
+        res = run_cli("--format", "csv", "sweep", "--same-r", "--r0", "nan", "--dt", "0.5:7:3")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "warpgeo: error: r0 must be finite, got nan\n"
 
     def test_negative_sample_count_keeps_numpys_message(self):
         res = run_cli("--format", "csv", "sweep", "--t1=-1:1:-2")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -358,6 +359,77 @@ class TestSameRadius:
             connect_neg2_same_r(-1.0, 1.0)
         with pytest.raises(ValueError):
             connect_neg2_same_r(1.0, 0.0)
+
+    @pytest.mark.parametrize("r0, dt, name", [
+        (1.0, math.inf, "dt"), (1.0, -math.inf, "dt"), (1.0, math.nan, "dt"),
+        (math.nan, 1.0, "r0"), (math.inf, 1.0, "r0"),
+    ])
+    def test_non_finite_input_is_named(self, r0, dt, name):
+        for solve in (connect_neg2_same_r, same_r_candidates):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+                solve(r0, dt)
+
+    def test_count_past_the_float_range(self):
+        # At a subnormal r0, |dt|/(pi r0) overflows a float: the count is
+        # taken at the largest float, and the search still ends at once.
+        res = connect_neg2_same_r(5e-324, 7.0)
+        assert res.to_dict() == {"variant": "no_geodesic", "reason": "search_exhausted",
+                                 "iterations": int(sys.float_info.max)}
+
+    def test_builds_no_candidate_list(self, monkeypatch):
+        # 222,816 candidates lie below the momentum bound; the verdict needs
+        # only their number and the first confirmed one.
+        built = []
+
+        class Counted(connect_module.SameRCandidate):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(connect_module, "SameRCandidate", Counted)
+        res = connect_neg2_same_r(1e-5, 7.0)
+        assert (res.variant, res.iterations) == ("no_geodesic", 222816)
+        assert len(built) < 10
+
+    def test_search_matches_the_enumeration(self, rng):
+        # The candidates as first written: every k up to |dt|/(pi r0) with b
+        # below the momentum bound, each confirmed when |dt|/b is within tol
+        # of |dt|, and the first confirmed one reported.
+        def enumerated(r0, dt, tol):
+            adt = abs(dt)
+            bs = [k * math.pi / adt for k in range(1, int(adt / (math.pi * r0) + 1e-12) + 1)]
+            bs = [b for b in bs if not b > 1.0 / r0 + 1e-12]
+            if math.pi * r0 > adt:
+                return bs, {"variant": "no_geodesic", "reason": "threshold_violated",
+                            "iterations": 0}
+            for b in bs:
+                if abs(adt / b - adt) <= tol:
+                    return bs, {"variant": "found", "length": 2.0 * adt, "s": 2.0 * adt,
+                                "param": b, "sign": math.copysign(1.0, dt), "in_chart": False,
+                                "iterations": len(bs)}
+            return bs, {"variant": "no_geodesic", "reason": "search_exhausted",
+                        "iterations": len(bs)}
+
+        found = 0
+        for i in range(1200):
+            r0 = float(10.0 ** rng.uniform(-2.0, 1.0))
+            k = int(rng.integers(1, 40))
+            if i % 4 == 0:
+                dt = float(10.0 ** rng.uniform(-1.0, 2.0))
+            elif i % 4 == 1:  # near a closure, |dt| = k pi
+                dt = k * math.pi + float(rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-12, 0))
+            elif i % 4 == 2:  # near the threshold and the momentum bound, |dt| = k pi r0
+                dt = k * math.pi * r0 * (1.0 + float(rng.uniform(-1e-12, 1e-12)))
+            else:  # below pi, where the bound can drop the last k
+                r0 = float(10.0 ** rng.uniform(-12.0, -4.0))
+                dt = k * math.pi * r0 * (1.0 - float(10.0 ** rng.uniform(-15.0, -11.0)))
+            dt *= float(rng.choice([-1.0, 1.0]))
+            tol = float(10.0 ** rng.uniform(-9.0, 0.7))
+            bs, want = enumerated(r0, dt, tol)
+            assert connect_neg2_same_r(r0, dt, tol).to_dict() == want, (r0, dt, tol)
+            assert [c.b for c in same_r_candidates(r0, dt, tol)] == bs
+            found += want["variant"] == "found"
+        assert found > 100
 
 
 class TestConnectNeg2:

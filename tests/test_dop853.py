@@ -18,6 +18,7 @@ template, which calls the derivative at every stage.
 """
 
 import math
+import warnings
 from operator import mul
 
 import numpy as np
@@ -525,18 +526,27 @@ def test_an_infinite_step_end_derivative_rejects_the_step():
     assert np.allclose(samples[0], np.exp(-np.linspace(0.0, 4.0, 33)), rtol=1e-5)
 
 
-def test_interpolants_built_later_keep_the_solves_errstate():
+def test_interpolants_built_later_run_under_the_readers_errstate():
     # Every evaluation of fun overflows in numpy.  The solve runs where that
-    # is ignored, and so must the evaluations that build the interpolants
-    # the samples read later (the suite turns a warning into an error).
+    # is ignored.  A later read builds its interpolants under the errstate
+    # of its reader: it warns outside one that ignores the overflow and is
+    # silent inside one.
     def fun(t, y):
         return (-y[0] if np.isinf(np.exp(np.float64(1000.0))) else 0.0,)
 
     with np.errstate(over="ignore"):
         sol = _dop853.solve_ivp(fun, (0.0, 2.0), (1.0,), rtol=1e-6, atol=1e-9)
     steps = len(sol.t) - 1
+    assert steps > 1
     assert sol.nfev == 2 + 12 * (steps + sol.nrej) and sol.sol.nfev == 0
-    assert np.allclose(sol.sol(sol.t)[0], np.exp(-np.array(sol.t)), rtol=1e-5)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        first = sol.sol.at(sol.t[1])
+    assert sol.sol.nfev == 3
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = sol.sol(sol.t)
+    assert samples[0, 1] == first[0]
+    assert np.allclose(samples[0], np.exp(-np.array(sol.t)), rtol=1e-5)
     assert sol.sol.nfev == 3 * steps
 
 

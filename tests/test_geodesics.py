@@ -1,11 +1,9 @@
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_child
 
 from warpgeo import (
     DomainError,
@@ -31,14 +29,8 @@ from warpgeo import _dop853, geodesics
 
 
 def child_stdout(code: str) -> str:
-    """What a fresh interpreter running ``code`` prints; the timeout turns a
-    hang into a failure."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    return proc.stdout
+    """What a fresh interpreter running ``code`` prints."""
+    return run_child([sys.executable, "-c", code], text=True).stdout
 
 
 def bits(value):
@@ -283,9 +275,10 @@ def test_right_hand_side_stays_finite(monkeypatch, name):
     def checking(fun, *args, **kwargs):
         rhs.append(fun)
         # As an array's np.float64 and as the kernel's list of Python floats.
-        for r in radii:
-            checked(0.0, np.array([r, 0.0, -1.0]))
-            checked(0.0, [r, 0.0, -1.0])
+        with np.errstate(all="ignore"):  # np.float64 probes past r = 0 may warn
+            for r in radii:
+                checked(0.0, np.array([r, 0.0, -1.0]))
+                checked(0.0, [r, 0.0, -1.0])
         call, stages, extra = fun.kernel
 
         def recording(*step):
@@ -317,6 +310,40 @@ def test_division_by_zero_at_the_clamp_is_numpys_inf():
     w = warp_neg2(1.0, 0.0, 1e-300)
     with pytest.raises(ValueError, match="The derivative is not finite at t = 0.0."):
         integrate(w, GeodesicState(1.0, 0.0, -1.0, 0.0), 5.0)
+
+
+# One escaping ray per warp family whose h and h' are plain arithmetic.
+FLOAT_KIND_RAYS = {
+    "one_over_r": (warp_one_over_r(), GeodesicState(1.0, 0.0, -1.0, 0.0)),
+    "r": (warp_r(), GeodesicState.from_angle(1.0, 0.0, 1.0)),
+    "flat(2,5)": (warp_flat(2.0, 5.0), GeodesicState(4.0, 0.0, 1.0, 0.0)),
+    "neg2(1,1,1)": (warp_neg2(1.0, 1.0, 1.0), GeodesicState.from_angle(1.0, 0.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("n_samples", [2, 129])
+@pytest.mark.parametrize("name", sorted(FLOAT_KIND_RAYS))
+def test_float_kind_solve_needs_no_errstate(name, n_samples):
+    # A float kind's solve is Python float arithmetic, so integrate holds no
+    # errstate for it: under one that raises on every numpy error, with
+    # numpy loaded, the escaping ray gives the same path.
+    w, init = FLOAT_KIND_RAYS[name]
+    assert w.kind in geodesics._FLOAT_KINDS
+    want = integrate(w, init, 5.0, n_samples=n_samples)
+    with np.errstate(all="raise"):
+        got = integrate(w, init, 5.0, n_samples=n_samples)
+    assert got.escaped and got.stats == want.stats
+    for name in "srtfg":
+        assert bits(getattr(got, name).tolist()) == bits(getattr(want, name).tolist())
+
+
+def test_float_kind_clamp_holds_its_own_errstate():
+    # neg2(1, 0, 1e-300)'s clamp takes numpy's -inf under its own errstate,
+    # so a caller's errstate that raises changes nothing.
+    w = warp_neg2(1.0, 0.0, 1e-300)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="The derivative is not finite at t = 0.0."):
+            integrate(w, GeodesicState(1.0, 0.0, -1.0, 0.0), 5.0)
 
 
 def test_power_warp_probes_below_zero_as_nan():

@@ -10,12 +10,10 @@ array, and their bytes are pinned by ``test_output_bytes.py``.
 """
 
 import json
-import os
-import subprocess
 import sys
 
 import pytest
-from test_cli import ROOT
+from conftest import run_child
 
 CHILD = r"""
 import contextlib, io, json, shlex, sys
@@ -45,11 +43,7 @@ STEPS = {
 
 
 def _child(step: str) -> list:
-    env = dict(os.environ)
-    env.pop("WARPGEO_CONFIG", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, step], capture_output=True, text=True,
-                          env=env, check=True, timeout=120)
+    proc = run_child([sys.executable, "-c", CHILD, step], text=True, check=True)
     return json.loads(proc.stdout)
 
 

@@ -15,13 +15,12 @@ BLAS numpy loads or on the kernel it picks for the CPU.
 """
 
 import hashlib
-import os
 import shlex
-import subprocess
 
 import numpy as np
 import pytest
-from test_cli import CLI, README_COMMANDS, ROOT
+from conftest import run_child
+from test_cli import CLI, README_COMMANDS
 
 # (exit code, sha256(stdout), sha256(stderr)) per command line.
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256(b"")
@@ -96,11 +95,7 @@ def _digest(data: bytes) -> str:
 
 
 def _run(line: str, cwd, **env_extra) -> tuple:
-    env = dict(os.environ, **env_extra)
-    env.pop("WARPGEO_CONFIG", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(CLI + shlex.split(line, comments=True)[1:], capture_output=True,
-                          env=env, cwd=cwd, timeout=120)
+    proc = run_child(CLI + shlex.split(line, comments=True)[1:], env_extra=env_extra, cwd=cwd)
     return proc.returncode, _digest(proc.stdout), _digest(proc.stderr)
 
 

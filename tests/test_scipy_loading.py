@@ -10,13 +10,12 @@ solver work by patching them; ``connect.brentq`` keeps scipy's
 
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import scipy.optimize
+from conftest import run_child
 from test_cli import README_COMMANDS, readme_exit_status
 
 from warpgeo import (
@@ -68,13 +67,8 @@ DEMOS = sorted(str(p) for p in (ROOT / "demos").glob("*.py"))
 
 
 def _without_scipy(steps: list[str], cwd: Path) -> dict:
-    env = dict(os.environ)
-    env.pop("WARPGEO_CONFIG", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(steps)],
-        capture_output=True, text=True, env=env, cwd=cwd, check=True,
-    )
+    proc = run_child([sys.executable, "-c", CHILD, json.dumps(steps)], text=True, cwd=cwd,
+                     check=True)
     return json.loads(proc.stdout)
 
 
