@@ -232,7 +232,10 @@ class DenseSolution:
     or last step).  A call evaluates all its samples in one vectorised pass
     of the DOP853 interpolation polynomial, with the operations of scipy's
     ``Dop853DenseOutput``; :meth:`at` evaluates one sample by the same
-    operations on floats, to the same doubles.
+    operations on floats, to the same doubles.  The first call stacks the
+    steps into arrays.  Until every step's rows are in them, a call copies
+    in the rows of the steps its samples fall in; after that, a call only
+    picks the segments and evaluates.
     """
 
     def __init__(self, args, extra, ts: list, steps: list, coefficients: list):
@@ -245,6 +248,7 @@ class DenseSolution:
         self._steps = steps
         self._coefficients = coefficients
         self._arrays = None
+        self._unread = None  # mask of the steps whose rows the arrays lack; None if none
         self.nfev = 0
 
     def _rows(self, i: int) -> list:
@@ -261,22 +265,34 @@ class DenseSolution:
         return _segment_at((*self._steps[i][:3], self._rows(i)), t)
 
     def __call__(self, t) -> np.ndarray:
-        """States at the 1-D array of samples ``t``, shape (n, len(t))."""
+        """States at the 1-D array of samples ``t``, shape (n, len(t)).
+
+        The arrays hold y_old as (n, steps) and the rows as (7, n, steps):
+        the samples' columns are taken along the last axis, and the
+        polynomial runs on (n, len(t)) arrays with no transpose."""
         if self._arrays is None:
             h, y_old = (np.array([step[k] for step in self._steps]) for k in (1, 2))
-            F, filled = np.empty((len(h), 7, y_old.shape[1])), np.zeros(len(h), bool)
-            self._arrays = np.array(self._ts), h, y_old, F, filled
-        ts, h, y_old, F, filled = self._arrays
+            F = np.empty((7, y_old.shape[1], len(h)))
+            self._arrays = np.array(self._ts), h, y_old.T, F
+            self._unread = np.ones(len(h), bool)
+        ts, h, y_old, F = self._arrays
         t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
-        hit = np.zeros(len(h), bool)
-        hit[seg] = True
-        new = np.flatnonzero(hit & ~filled)
-        if new.size:
-            F[new] = np.array([self._rows(i) for i in new.tolist()]).reshape(new.size, 7, -1)
-            filled[new] = True
-        x = ((t - ts[seg]) / h[seg])[:, None]  # step i starts at ts[i]
-        return _interpolate(x, y_old[seg], F[seg].transpose(1, 0, 2)).T
+        seg = np.searchsorted(ts, t, side="left")
+        seg -= 1
+        np.maximum(seg, 0, out=seg)
+        np.minimum(seg, len(h) - 1, out=seg)
+        if self._unread is not None:
+            hit = np.zeros(len(h), bool)
+            hit[seg] = True
+            new = np.flatnonzero(hit & self._unread)
+            if new.size:
+                rows = np.array([self._rows(i) for i in new.tolist()])
+                F[:, :, new] = rows.reshape(new.size, 7, -1).transpose(1, 2, 0)
+                self._unread[new] = False
+                if not self._unread.any():
+                    self._unread = None
+        x = (t - ts.take(seg)) / h.take(seg)  # step i starts at ts[i]
+        return _interpolate(x, 1 - x, y_old.take(seg, axis=1), F.take(seg, axis=2))
 
 
 def _kernel(derivative: Derivative, n: int) -> tuple:
@@ -371,13 +387,14 @@ def _kernel(derivative: Derivative, n: int) -> tuple:
     return _KERNELS[key]
 
 
-def _interpolate(x, y_old, rows):
-    """The DOP853 interpolation polynomial at x = (t - t_old)/h from a step's
-    start ``y_old`` and its seven coefficient ``rows``, on floats (events) or
-    arrays (samples) by the same operations, so the two agree bit for bit."""
+def _interpolate(x, x1, y_old, rows):
+    """The DOP853 interpolation polynomial at x = (t - t_old)/h, with x1 =
+    1 - x, from a step's start ``y_old`` and its seven coefficient ``rows``,
+    on floats (events) or arrays (samples) by the same operations, so the
+    two agree bit for bit."""
     y = 0.0
     for i in range(7):
-        y = (y + rows[6 - i]) * (x if i % 2 == 0 else 1 - x)
+        y = (y + rows[6 - i]) * (x if i % 2 == 0 else x1)
     return y + y_old
 
 
@@ -385,8 +402,9 @@ def _segment_at(segment: tuple, t: float) -> list:
     """State at ``t`` on one step's interpolant, as the event root finder sees it."""
     t_old, h, y_old, F = segment
     x = (t - t_old) / h
+    x1 = 1 - x
     n = len(y_old)
-    return [_interpolate(x, y0, F[j::n]) for j, y0 in enumerate(y_old)]
+    return [_interpolate(x, x1, y0, F[j::n]) for j, y0 in enumerate(y_old)]
 
 
 def _rms(v) -> float:

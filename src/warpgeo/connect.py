@@ -56,6 +56,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
+# same_r_candidates refuses to list more candidates than this (about 30 MB
+# of them); connect_neg2_same_r counts any number without a list.
+MAX_SAME_R_CANDIDATES = 100_000
+
 _SCAN_SEEDS = 64
 
 
@@ -506,7 +510,10 @@ def _turns(k: int, adt: float) -> tuple[float, float]:
 
 def _candidate(k: int, adt: float, tol: float) -> SameRCandidate:
     b, formula_dt = _turns(k, adt)
-    return SameRCandidate(k, b, 2.0 * adt, formula_dt, bool(abs(formula_dt - adt) <= tol))
+    s = 2.0 * adt
+    if s == math.inf:
+        raise ValueError(f"dt is too large: the length 2|dt| overflows at |dt| = {adt!r}")
+    return SameRCandidate(k, b, s, formula_dt, bool(abs(formula_dt - adt) <= tol))
 
 
 def _first(pred, lo: int, hi: int) -> int:
@@ -534,9 +541,20 @@ def same_r_candidates(r0: float, dt: float, tol: float = DEFAULT_TOL) -> list[Sa
     b <= 1/r0 caps k.  Each candidate is replayed at formula level: the
     transverse gain of the equation-consistent closed form is |dt|/b, so a
     candidate is confirmed exactly when its b is 1 to within ``tol``.
+
+    Raises
+    ------
+    ValueError
+        If r0 or dt is not finite, r0 <= 0, dt == 0, there are more than
+        :data:`MAX_SAME_R_CANDIDATES` candidates (about |dt|/(pi r0)), or
+        there is one and its length 2 |dt| overflows.
     """
     adt = _same_r_span(r0, dt)
-    return [_candidate(k, adt, tol) for k in range(1, _same_r_count(r0, adt) + 1)]
+    n = _same_r_count(r0, adt)
+    if n > MAX_SAME_R_CANDIDATES:
+        raise ValueError(f"{n} same-radius candidates, more than the "
+                         f"{MAX_SAME_R_CANDIDATES} a list may hold")
+    return [_candidate(k, adt, tol) for k in range(1, n + 1)]
 
 
 def connect_neg2_same_r(r0: float, dt: float, tol: float = DEFAULT_TOL) -> ConnectResult:
@@ -558,7 +576,9 @@ def connect_neg2_same_r(r0: float, dt: float, tol: float = DEFAULT_TOL) -> Conne
     Raises
     ------
     ValueError
-        If r0 or dt is not finite, r0 <= 0 or dt == 0.
+        If r0 or dt is not finite, r0 <= 0 or dt == 0, or when the threshold
+        holds and the length 2 |dt| overflows (|dt| above half the largest
+        float), which no verdict could report.
     """
     adt = _same_r_span(r0, dt)
     if math.pi * r0 > adt:

@@ -45,7 +45,7 @@ def _finite(x) -> bool:
     return bool(np.isfinite(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TangentVector:
     """Tangent vector in coordinate components (dr, dt) at a base point.
 
@@ -58,8 +58,22 @@ class TangentVector:
     dt: float
     base: Point
 
+    # Built as Point is: the instance dict is written directly, and
+    # __post_init__ is the one check every construction runs.
+    def __init__(self, dr: float, dt: float, base: Point):
+        d = self.__dict__
+        d["dr"] = dr
+        d["dt"] = dt
+        d["base"] = base
+        self.__post_init__()
+
     def __post_init__(self):
-        if not (_finite(self.dr) and _finite(self.dt)):
+        dr, dt = self.dr, self.dt
+        if isinstance(dr, float) and isinstance(dt, float):
+            finite = math.isfinite(dr) and math.isfinite(dt)
+        else:
+            finite = _finite(dr) and _finite(dt)
+        if not finite:
             raise ValueError("tangent vector components must be finite")
 
 
@@ -74,7 +88,7 @@ def vector_from_frame(w: WarpFunction, p: Point, f: float, g: float) -> TangentV
 
 
 def _same_base(u: TangentVector, v: TangentVector) -> Point:
-    if u.base != v.base:
+    if u.base is not v.base and u.base != v.base:
         raise ValueError(f"base-point mismatch: {u.base} vs {v.base}")
     return u.base
 

@@ -105,6 +105,14 @@ def _integrate_side(f, r0, H0, r_end, atol):
     and the first zero of u between them (the blow-up of H = -u'/u) or
     None.  The samples stop short of that zero, where u falls to atol.
 
+    The samples cut each solver step into _REFINE intervals, and then halve
+    intervals in rounds.  An interval that is not halved keeps its end
+    values, so it is never halved later: each round tests only the halves
+    that the last round made and reads only their midpoints, in one call of
+    the dense output.  A midpoint's value does not depend on the other
+    samples of its call, so the rows, sorted once at the end, are those of
+    re-testing the whole grid every round.
+
     The solver runs forward only, so a backward side is solved in x = -r
     for (v, w)(x) = (u, u')(-x): v' = -w, w' = f(-x) v.  Round-to-nearest
     is symmetric under negation: against the backward solve, x, each step
@@ -141,31 +149,39 @@ def _integrate_side(f, r0, H0, r_end, atol):
         raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
     blow = sign * float(sol.t_events[0][0]) if sol.status == 1 else None
 
-    # unique sorts and drops the repeats of a step shorter than _REFINE
-    # floating-point spacings.
-    r = np.unique([sign * np.linspace(a, b, _REFINE + 1) for a, b in zip(sol.t[:-1], sol.t[1:])])
+    # One row of _REFINE + 1 samples per step; unique sorts and drops the
+    # repeats of a step shorter than _REFINE floating-point spacings.
+    ts = np.array(sol.t)
+    r = np.unique(sign * np.linspace(ts[:-1], ts[1:], _REFINE + 1, axis=1))
     with quiet():
-        y = np.vstack([r, sol.sol(sign * r)])
+        rows = [np.concatenate([r[None], sol.sol(sign * r)])]
+    left, right = rows[0][:, :-1], rows[0][:, 1:]
     while True:
-        r, u, du = y
         # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
         # a blow-up node.  A midpoint that rounds to an end is no split, nor
         # is an interval whose ends both have u <= atol, which are dropped:
         # at a zero of u on the range end r = 0 the relative criterion
         # would otherwise split without bound.
-        dr, lim, slope = np.diff(r), _MAX_H_STEP * np.abs(u), np.abs(du)
-        mid = 0.5 * (r[:-1] + r[1:])
-        split = (slope[:-1] * dr > lim[:-1]) | (slope[1:] * dr > lim[1:])
-        split &= (mid != r[:-1]) & (mid != r[1:])
-        split &= (u[:-1] > atol) | (u[1:] > atol)
+        (a, ua, dua), (b, ub, dub) = left, right
+        dr, mid = b - a, 0.5 * (a + b)
+        split = ((np.abs(dua) * dr > _MAX_H_STEP * np.abs(ua))
+                 | (np.abs(dub) * dr > _MAX_H_STEP * np.abs(ub)))
+        split &= (mid != a) & (mid != b)
+        split &= (ua > atol) | (ub > atol)
         if not split.any():
-            # Where u falls to atol, next to a zero, H keeps no digit the
-            # solver controls.
-            return y[:, u > atol], blow
+            break
         mid = mid[split]
         with quiet():
-            y = np.insert(y, np.flatnonzero(split) + 1, np.vstack([mid, sol.sol(sign * mid)]),
-                          axis=1)
+            new = np.concatenate([mid[None], sol.sol(sign * mid)])
+        rows.append(new)
+        left = np.concatenate([left[:, split], new], axis=1)
+        right = np.concatenate([new, right[:, split]], axis=1)
+    # Every midpoint lies strictly inside its interval, so the radii are
+    # distinct and one sort orders them.  Where u falls to atol, next to a
+    # zero, H keeps no digit the solver controls.
+    y = np.concatenate(rows, axis=1)
+    y = y[:, np.argsort(y[0])]
+    return y[:, y[1] > atol], blow
 
 
 def solve_prescribed(

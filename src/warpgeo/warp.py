@@ -87,15 +87,23 @@ class Domain:
         return bool(inside) if inside.ndim == 0 else inside
 
     def require(self, r) -> None:
-        ok = self.contains(r)
-        if isinstance(ok, bool):
-            if ok:
+        """Raise :class:`DomainError`, naming the first radius outside,
+        unless every radius of ``r`` is inside."""
+        if isinstance(r, float):
+            # contains' float test, inline: each checked scalar evaluation
+            # makes this one call.
+            if self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN:
                 return
         else:
-            if np.all(ok):
+            ok = self.contains(r)
+            if isinstance(ok, bool):
+                if ok:
+                    return
+            elif np.all(ok):
                 return
-            # Name the first radius outside, not the whole array.
-            r = float(np.asarray(r, dtype=float)[~ok][0])
+            else:
+                # Name the first radius outside, not the whole array.
+                r = float(np.asarray(r, dtype=float)[~ok][0])
         raise DomainError(f"radius {r!r} outside open domain ({self.lo}, {self.hi})")
 
     def sample(self) -> np.ndarray:
@@ -106,12 +114,22 @@ class Domain:
         return np.linspace(lo + pad, hi - pad, SAMPLE_SIZE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
     """A point (r, t) of the right half plane; r must be strictly positive."""
 
     r: float
     t: float
+
+    # The generated __init__ of a frozen dataclass sets each field through
+    # object.__setattr__; writing the instance dict builds the same object
+    # in about half the time.  __post_init__ stays the one check every
+    # construction runs.
+    def __init__(self, r: float, t: float):
+        d = self.__dict__
+        d["r"] = r
+        d["t"] = t
+        self.__post_init__()
 
     def __post_init__(self):
         if not (math.isfinite(self.r) and math.isfinite(self.t)):
@@ -183,7 +201,7 @@ class WarpFunction:
     # The checked evaluators: the domain check, then fn at a float or float array.
     def _checked(self, fn: Callable, r):
         self.domain.require(r)
-        if _scalar(r):
+        if isinstance(r, float) or _scalar(r):
             return fn(float(r))
         return fn(np.asarray(r, dtype=float))
 

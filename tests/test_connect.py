@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_geodesics import child_stdout
 
 from warpgeo import (
     DEFAULT_TOL,
@@ -375,6 +376,49 @@ class TestSameRadius:
         res = connect_neg2_same_r(5e-324, 7.0)
         assert res.to_dict() == {"variant": "no_geodesic", "reason": "search_exhausted",
                                  "iterations": int(sys.float_info.max)}
+
+    @pytest.mark.parametrize("r0, dt", [(1.0, 1e308), (1.0, -1e308), (1e306, 1e308)])
+    def test_length_past_the_float_range_is_named(self, r0, dt):
+        # s = 2 |dt| overflows: no verdict can report that length, so the
+        # call raises and names dt.  connect_neg2_same_r(1.0, 1e308) gave a
+        # found verdict with an infinite length and a 308-digit count.
+        message = r"^dt is too large: the length 2\|dt\| overflows at \|dt\| = 1e\+308$"
+        with pytest.raises(ValueError, match=message):
+            connect_neg2_same_r(r0, dt)
+        with pytest.raises(ValueError, match=message):
+            same_r_candidates(1e306, dt)  # 31 candidates, each of that length
+
+    def test_length_at_the_float_range_is_reported(self):
+        # At |dt| = max/2 the length is the largest float; above the
+        # threshold nothing is counted twice.
+        half = sys.float_info.max / 2
+        res = connect_neg2_same_r(1.0, half)
+        assert (res.variant, res.length, res.s, res.param) == ("found", sys.float_info.max,
+                                                                sys.float_info.max, 1.0)
+        assert connect_neg2_same_r(1e308, 1e308).reason == "threshold_violated"
+        assert same_r_candidates(1e308, 1e308) == []
+
+    def test_candidate_list_is_bounded(self, monkeypatch):
+        # Up to MAX_SAME_R_CANDIDATES the list is built; past it the count is
+        # refused by name, before any candidate is made.
+        monkeypatch.setattr(connect_module, "MAX_SAME_R_CANDIDATES", 3)
+        assert [c.k for c in same_r_candidates(1.0, 3.5 * math.pi)] == [1, 2, 3]
+        with pytest.raises(ValueError, match="^4 same-radius candidates, more than the 3 a "
+                                             "list may hold$"):
+            same_r_candidates(1.0, 4.5 * math.pi)
+
+    def test_small_radius_list_is_refused_in_bounded_memory(self):
+        # same_r_candidates(1e-8, 7.0) has about 2.2e8 candidates (tens of
+        # GB): under this address-space cap a list of them raised MemoryError.
+        code = (
+            "import resource; "
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+            "from warpgeo import same_r_candidates\n"
+            "try:\n    same_r_candidates(1e-8, 7.0)\n"
+            "except ValueError as exc:\n    print(exc)"
+        )
+        assert child_stdout(code) == (
+            "222816920 same-radius candidates, more than the 100000 a list may hold\n")
 
     def test_builds_no_candidate_list(self, monkeypatch):
         # 222,816 candidates lie below the momentum bound; the verdict needs

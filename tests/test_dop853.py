@@ -220,6 +220,55 @@ def test_one_sample_on_floats_is_the_array_call(monkeypatch, name):
         assert [x.hex() for x in sol.sol.at(t)] == [x.hex() for x in want]
 
 
+def _oscillator(event: bool):
+    """u'' = -u from u = 1, u' = 0 over (0, 12), stopped where u first rises
+    through 0.99 (near t = 2 pi) when ``event``."""
+    def rise(t, y):
+        return y[0] - 0.99
+
+    rise.direction = 1
+    return _dop853.solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 12.0), (1.0, 0.0),
+                             rtol=1e-7, atol=1e-9, events=[rise] if event else [])
+
+
+@pytest.mark.parametrize("event", [False, True])
+def test_dense_reads_in_parts_are_one_read(event):
+    # Samples on every step end, inside every step and outside the span,
+    # read in several calls that each build other steps, and with a step
+    # built by `at` after the arrays exist, give the bits of one call on a
+    # fresh solution and of `at`.  Each step costs 3 evaluations, once; the
+    # step the event search built costs none.
+    sol = _oscillator(event)
+    ts, steps = sol.t, len(sol.t) - 1
+    assert steps > 8 and sol.status == (1 if event else 0)
+    inner = [a + x * (b - a) for a, b in zip(ts[:-1], ts[1:]) for x in (0.25, 0.5, 0.75)]
+    samples = np.array([ts[0] - 1.0, *ts, *inner, ts[-1] + 1.0])
+    by_step = np.clip(np.searchsorted(ts, samples) - 1, 0, steps - 1)
+    prebuilt = {steps - 1} if event else set()
+
+    fresh = _oscillator(event)
+    whole = fresh.sol(samples)
+    assert fresh.sol.nfev == 3 * (steps - len(prebuilt))
+
+    dense, parts, built = sol.sol, np.empty_like(whole), set(prebuilt)
+    assert dense.nfev == 0
+    first, late = by_step < steps // 3, steps // 2
+    parts[:, first] = dense(samples[first])  # makes the arrays
+    built.update(by_step[first].tolist())
+    assert dense.nfev == 3 * len(built - prebuilt)
+    dense.at(float(samples[by_step == late][0]))  # a step the arrays lack
+    built.add(late)
+    assert dense.nfev == 3 * len(built - prebuilt)
+    for group in (by_step == late, by_step >= steps // 3, by_step >= 0):
+        parts[:, group] = dense(samples[group])
+        built.update(by_step[group].tolist())
+        assert dense.nfev == 3 * len(built - prebuilt)
+    assert len(built) == steps
+    assert bits(parts.tolist()) == bits(whole.tolist())
+    assert bits([dense.at(t) for t in samples.tolist()]) == bits(whole.T.tolist())
+    assert dense.nfev == 3 * (steps - len(prebuilt))
+
+
 def _kernel_solutions(monkeypatch, module, run) -> list:
     """Run ``run()``; return the kernel's solution of each solver call in ``module``."""
     sols = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgeo import (
+    Domain,
     DomainError,
     Point,
     TangentVector,
@@ -262,3 +264,107 @@ class TestCurvatureOracle:
     def test_rejects_bad_step(self, flat_warp):
         with pytest.raises(ValueError):
             curvature_oracle(flat_warp, 1.0, 0.0)
+
+
+class TestConstruction:
+    """Point and TangentVector write their fields straight into the instance
+    and then run ``__post_init__``, the one check of every construction
+    (and the hook that perfbench's tracer counts); scalar checked
+    evaluations make one ``Domain.require`` call each."""
+
+    def test_each_construction_runs_the_hook_once(self, monkeypatch, neg2_warp):
+        calls = {Point: 0, TangentVector: 0}
+        for cls in calls:
+            def spy(obj, cls=cls, orig=cls.__post_init__):
+                calls[cls] += 1
+                orig(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        p = Point(1.5, 0.25)
+        q = Point(r=1.5, t=0.25)
+        assert calls == {Point: 2, TangentVector: 0}
+        u = TangentVector(0.5, -1.0, p)
+        apply_J(neg2_warp, u)
+        vector_from_frame(neg2_warp, q, 0.3, 0.4)
+        TangentVector(dr=0.5, dt=-1.0, base=q)
+        assert calls == {Point: 2, TangentVector: 4}
+        dataclasses.replace(p, t=1.0)
+        dataclasses.replace(u, dr=2.0)
+        assert calls == {Point: 3, TangentVector: 5}
+
+    def test_frozen_dataclass_semantics(self):
+        p, q = Point(1.5, 0.25), Point(r=1.5, t=0.25)
+        u, v = TangentVector(0.5, -1.0, p), TangentVector(dr=0.5, dt=-1.0, base=q)
+        assert p == q and hash(p) == hash(q) and p != Point(1.5, 0.5)
+        assert u == v and hash(u) == hash(v) and u != TangentVector(0.5, 1.0, p)
+        assert repr(p) == "Point(r=1.5, t=0.25)"
+        assert repr(u) == "TangentVector(dr=0.5, dt=-1.0, base=Point(r=1.5, t=0.25))"
+        assert [f.name for f in dataclasses.fields(u)] == ["dr", "dt", "base"]
+        assert dataclasses.astuple(u) == (0.5, -1.0, (1.5, 0.25))
+        for obj, name in ((p, "r"), (p, "t"), (u, "dr"), (u, "base")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 2.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        with pytest.raises(TypeError):
+            Point(1.0)
+        with pytest.raises(TypeError):
+            TangentVector(1.0, 2.0, p, 3.0)
+
+    def test_float64_components_stay_float64(self, neg2_warp):
+        p = Point(np.float64(1.5), np.float64(0.25))
+        u = TangentVector(np.float64(0.5), np.float64(-1.0), p)
+        assert {type(x) for x in (p.r, p.t, u.dr, u.dt)} == {np.float64}
+        ju = apply_J(neg2_warp, u)
+        assert type(ju.dr) is np.float64 and type(ju.dt) is np.float64
+        # A checked scalar evaluation runs the evaluator on a Python float.
+        assert type(neg2_warp.log_deriv(p.r)) is float
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Point(math.nan, 0.0), "point coordinates must be finite"),
+        (lambda: Point(1.0, -math.inf), "point coordinates must be finite"),
+        (lambda: Point(np.float64(np.inf), 0.0), "point coordinates must be finite"),
+        (lambda: Point(0.0, 0.0), "point requires r > 0, got r=0.0"),
+        (lambda: Point(np.float64(-2.0), 1.0), "point requires r > 0, got r=-2.0"),
+        (lambda: Point(-1, 1.0), "point requires r > 0, got r=-1"),
+        (lambda: TangentVector(math.nan, 0.0, Point(1.0, 0.0)),
+         "tangent vector components must be finite"),
+        (lambda: TangentVector(0.0, np.float64(-np.inf), Point(1.0, 0.0)),
+         "tangent vector components must be finite"),
+        (lambda: TangentVector(1, math.inf, Point(1.0, 0.0)),
+         "tangent vector components must be finite"),
+        (lambda: TangentVector(np.array(math.nan), 1, Point(1.0, 0.0)),
+         "tangent vector components must be finite"),
+        (lambda: kahler_form(warp_r(), _vec(None, 1.0, 0.0, 1.0, 0.0), _vec(None, 1.0, 1.0, 0.0, 1.0)),
+         "base-point mismatch: Point(r=1.0, t=0.0) vs Point(r=1.0, t=1.0)"),
+        (lambda: warp_r().h(0.0), "radius 0.0 outside open domain (0.0, inf)"),
+        (lambda: warp_r().h(math.nan), "radius nan outside open domain (0.0, inf)"),
+        (lambda: warp_r().h(np.float64(-1.0)),
+         "radius np.float64(-1.0) outside open domain (0.0, inf)"),
+        (lambda: warp_r().h(-3), "radius -3 outside open domain (0.0, inf)"),
+        (lambda: warp_r().h(np.array([1.0, -2.0, -3.0])),
+         "radius -2.0 outside open domain (0.0, inf)"),
+        (lambda: warp_flat(1.0, 2.0).dh(2.0), "radius 2.0 outside open domain (0.0, 2.0)"),
+    ])
+    def test_messages(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_one_counted_domain_check_per_evaluation(self, monkeypatch, neg2_warp):
+        # require answers a float itself and asks contains only otherwise.
+        calls = {"require": 0, "contains": 0}
+        for name in calls:
+            def counted(self, r, name=name, orig=getattr(Domain, name)):
+                calls[name] += 1
+                return orig(self, r)
+
+            monkeypatch.setattr(Domain, name, counted)
+        p = Point(np.float64(1.5), 0.0)
+        u = TangentVector(1.0, 2.0, p)
+        kahler_form(neg2_warp, u, apply_J(neg2_warp, u))
+        neg2_warp.h(1.5)
+        assert calls == {"require": 3, "contains": 0}
+        neg2_warp.h(np.array([1.0, 2.0]))
+        neg2_warp.log_deriv(2)
+        assert calls == {"require": 5, "contains": 2}

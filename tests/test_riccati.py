@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from test_geodesics import child_stdout
 
+from warpgeo import riccati
 from warpgeo import (
+    CurvatureProfile,
     DomainError,
     HField,
     analytic_flat,
@@ -287,3 +289,89 @@ class TestProperties:
         k_scaled = np.asarray(sectional_curvature(scaled, rs))
         k_base = np.asarray(sectional_curvature(base, rs))
         assert np.max(np.abs(k_scaled - k_base)) < 1e-12
+
+
+def _side_by_insertion(f, r0, H0, r_end, atol):
+    """``riccati._integrate_side`` as first written: the whole grid is
+    re-tested every round, and each round's midpoints are inserted in place."""
+    if r_end == r0:
+        y = np.array([[r0], [1.0], [0.0 - H0]], dtype=float)
+        return y[:, y[1] > atol], None
+    sign = 1.0 if r_end > r0 else -1.0
+    fx = riccati.on_float64(f)
+
+    def rhs(x, y):
+        return (sign * y[1], -sign * fx(sign * x) * y[0])
+
+    def u_zero(x, y):
+        return y[0]
+
+    u_zero.direction = -1
+    sol = riccati.solve_ivp(rhs, (sign * r0, sign * r_end), (1.0, -H0),
+                            rtol=riccati.RTOL, atol=atol, events=[u_zero])
+    if sol.status < 0:
+        message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
+        raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
+    blow = sign * float(sol.t_events[0][0]) if sol.status == 1 else None
+    r = np.unique([sign * np.linspace(a, b, riccati._REFINE + 1)
+                   for a, b in zip(sol.t[:-1], sol.t[1:])])
+    y = np.vstack([r, sol.sol(sign * r)])
+    while True:
+        r, u, du = y
+        dr, lim, slope = np.diff(r), riccati._MAX_H_STEP * np.abs(u), np.abs(du)
+        mid = 0.5 * (r[:-1] + r[1:])
+        split = (slope[:-1] * dr > lim[:-1]) | (slope[1:] * dr > lim[1:])
+        split &= (mid != r[:-1]) & (mid != r[1:])
+        split &= (u[:-1] > atol) | (u[1:] > atol)
+        if not split.any():
+            return y[:, u > atol], blow
+        mid = mid[split]
+        y = np.insert(y, np.flatnonzero(split) + 1, np.vstack([mid, sol.sol(sign * mid)]),
+                      axis=1)
+
+
+def _seeded_fields(rng, n):
+    """n seeded solve_prescribed arguments over six profiles, with ranges
+    that start at 0, r0 on a range end (one side only) and blow-ups on
+    either side."""
+    profiles = (
+        constant_profile(0.0),
+        constant_profile(-1.0),
+        constant_profile(1.0),
+        inverse_square_profile(-2.0),
+        CurvatureProfile(f=lambda r: -np.sin(r)),
+        CurvatureProfile(f=lambda r: -r**1.5),
+    )
+    for i in range(n):
+        lo = 0.0 if i % 5 == 0 else float(rng.uniform(0.05, 1.0))
+        hi = lo + float(rng.uniform(0.5, 4.0))
+        r0 = float(rng.choice([lo, hi, rng.uniform(lo, hi)])) if i % 7 else float(lo or hi)
+        if r0 == 0.0:
+            r0 = hi
+        H0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.5))
+        atol = float(10.0 ** rng.uniform(-12.0, -8.0))
+        yield profiles[i % len(profiles)], r0, H0, (lo, hi), atol
+
+
+def _field_or_error(profile, r0, H0, r_range, atol):
+    try:
+        field = solve_prescribed(profile, r0, H0, r_range, atol=atol)
+    except ValueError as exc:
+        return str(exc)
+    return (field.grid.tobytes(), field.H.tobytes(), field.h.tobytes(), field.blowup,
+            field.grid.shape)
+
+
+def test_one_pass_refinement_is_the_insertion_reference(monkeypatch):
+    # Testing only the halves a round made, and sorting once at the end,
+    # gives the grid of re-testing and inserting into the whole array every
+    # round, to the bit, on either side of r0.
+    rng = np.random.default_rng(20261019)
+    cases = list(_seeded_fields(rng, 300))
+    with np.errstate(all="ignore"):
+        got = [_field_or_error(*case) for case in cases]
+        monkeypatch.setattr(riccati, "_integrate_side", _side_by_insertion)
+        want = [_field_or_error(*case) for case in cases]
+    assert got == want
+    assert sum(isinstance(g, str) for g in got) < 30
+    assert sum(g[3] is not None for g in got if not isinstance(g, str)) > 30
