@@ -243,8 +243,8 @@ class WarpFunction:
 
 def _scalar(r) -> bool:
     """Whether r is a scalar.  A float (np.float64 is one) is answered without
-    np.ndim, which on a Python float first builds an array: the geodesic
-    right-hand side and every checked evaluation ask this."""
+    np.ndim, which on a Python float first builds an array: the constant
+    evaluators and warp_r's h ask this at every scalar call."""
     if isinstance(r, float):
         return True
     return not np.ndim(r)

@@ -389,8 +389,8 @@ class TestSameRadius:
             same_r_candidates(1e306, dt)  # 31 candidates, each of that length
 
     def test_length_at_the_float_range_is_reported(self):
-        # At |dt| = max/2 the length is the largest float; above the
-        # threshold nothing is counted twice.
+        # At |dt| = max/2 the length is the largest float, and is reported.
+        # Below the threshold no length is formed, so a huge dt is no error.
         half = sys.float_info.max / 2
         res = connect_neg2_same_r(1.0, half)
         assert (res.variant, res.length, res.s, res.param) == ("found", sys.float_info.max,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from test_geodesics import child_stdout
 
-from warpgeo import riccati
 from warpgeo import (
     CurvatureProfile,
     DomainError,
@@ -22,6 +21,7 @@ from warpgeo import (
     warp_one_over_r,
     warp_r,
 )
+from warpgeo import riccati
 
 
 class TestSolvePrescribed:
