@@ -345,9 +345,7 @@ def _seeded_fields(rng, n):
     for i in range(n):
         lo = 0.0 if i % 5 == 0 else float(rng.uniform(0.05, 1.0))
         hi = lo + float(rng.uniform(0.5, 4.0))
-        r0 = float(rng.choice([lo, hi, rng.uniform(lo, hi)])) if i % 7 else float(lo or hi)
-        if r0 == 0.0:
-            r0 = hi
+        r0 = float(rng.choice([lo or hi, hi, rng.uniform(lo, hi)]))
         H0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.5))
         atol = float(10.0 ** rng.uniform(-12.0, -8.0))
         yield profiles[i % len(profiles)], r0, H0, (lo, hi), atol
