@@ -193,7 +193,7 @@ class CompiledDerivative:
         return self.kernel[0](self.args, t, y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Solution:
     """Outcome of :func:`solve_ivp`, with scipy's field names.
 
@@ -216,6 +216,18 @@ class Solution:
     nfev: int
     nrej: int
     sol: "DenseSolution"
+
+    # One per solve.  Writing the instance dict, as warpgeo.warp.Point does,
+    # builds the same frozen object without an object.__setattr__ per field.
+    def __init__(self, status, message, t, t_events, nfev, nrej, sol):
+        d = self.__dict__
+        d["status"] = status
+        d["message"] = message
+        d["t"] = t
+        d["t_events"] = t_events
+        d["nfev"] = nfev
+        d["nrej"] = nrej
+        d["sol"] = sol
 
 
 class DenseSolution:
@@ -421,9 +433,13 @@ def _initial_step(fun, t0, y, f, t_bound, rtol, atol) -> float:
     into inf or nan are spelled out, since Python floats raise instead.
     """
     interval = t_bound - t0
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(f, scale)])
+    scale, y_scaled, f_scaled = [], [], []
+    for v, fv in zip(y, f):
+        s = atol + abs(v) * rtol
+        scale.append(s)
+        y_scaled.append(v / s)
+        f_scaled.append(fv / s)
+    d0, d1 = _rms(y_scaled), _rms(f_scaled)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t0 + h0, [v + h0 * fv for v, fv in zip(y, f)])
@@ -455,17 +471,20 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     is built during the solve; the returned ``sol`` builds the others on
     first use.
 
-    A non-finite stage makes the error estimate nan, and the rejected step
-    shrinks until the solve ends with status -1.  The update and the error
-    sums keep the zero entries of B, E5 and E3 for this: ``f_new`` has
-    weight 0 in both error sums, and only ``0.0 * inf`` (nan) lets an
-    infinite ``f_new`` reject its step rather than end in a non-finite
-    interpolant.  Every accepted state thus has a finite derivative but the
-    start's.  The step is Python float arithmetic, which warns of nothing,
-    and the solve imports no numpy.  ``fun`` runs under the numpy error
-    handling of the caller, here and in later reads of ``sol``.
-    When the derivative at the start is itself not finite, the message says
-    so instead of naming the step size.
+    The step controller is scipy's, with its ``min`` and ``max`` written out
+    as comparisons that keep their rules: a nan error estimate shrinks the
+    step by ``MIN_FACTOR``, and a step end that ties with t_bound takes
+    t_bound.  A non-finite stage makes the error estimate nan, and the
+    rejected step shrinks until the solve ends with status -1.  The update
+    and the error sums keep the zero entries of B, E5 and E3 for this:
+    ``f_new`` has weight 0 in both error sums, and only ``0.0 * inf`` (nan)
+    lets an infinite ``f_new`` reject its step rather than end in a
+    non-finite interpolant.  Every accepted state thus has a finite
+    derivative but the start's.  The step is Python float arithmetic, which
+    warns of nothing, and the solve imports no numpy.  ``fun`` runs under
+    the numpy error handling of the caller, here and in later reads of
+    ``sol``.  When the derivative at the start is itself not finite, the
+    message says so instead of naming the step size.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t0:
@@ -487,9 +506,14 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         args, (_, stages, extra) = fun.args, fun.kernel
     else:
         args, (_, stages, extra) = fun, _kernel(CALL, n)
+    nextafter, inf = math.nextafter, math.inf
+    safety, exponent, min_factor, max_factor = SAFETY, ERROR_EXPONENT, MIN_FACTOR, MAX_FACTOR
 
+    # The clamps below are min and max written out, with their rules: a tie
+    # or a nan compares false and keeps the first argument of min(a, x) or
+    # max(a, x).
     while status is None:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        min_step = 10 * (nextafter(t, inf) - t)
         if size < min_step:
             size = min_step
         rejected = False
@@ -497,18 +521,28 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             if not size >= min_step:  # true for a nan step too
                 status, message = -1, TOO_SMALL_STEP
                 break
-            t_new = min(t_bound, t + size)  # a tie takes t_bound, with its sign of zero
+            t_new = t + size  # size is not nan here
+            if t_new >= t_bound:
+                t_new = t_bound  # a tie takes t_bound, with its sign of zero
             h = t_new - t
 
             y_new, f_new, err, ks = stages(args, t, h, y, f, rtol, atol)
             nfev += 12
             if err < 1:
-                factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
+                if err == 0:
+                    factor = max_factor
+                else:
+                    factor = safety * err**exponent
+                    if not factor < max_factor:
+                        factor = max_factor
+                if rejected and not factor < 1.0:
+                    factor = 1.0
                 size = h * factor
                 break
-            size = h * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+            factor = safety * err**exponent
+            if not factor > min_factor:  # a nan err gives min_factor
+                factor = min_factor
+            size = h * factor
             rejected = True
             nrej += 1
         if status is not None:
@@ -520,9 +554,12 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
             status = 0
         F = None  # the interpolant, built here only for the event search
         if events:
-            g_new = [ev(t, y) for ev in events]
-            active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
-                      if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)]
+            g_new, active = [], []
+            for i, (ev, a, d) in enumerate(zip(events, g, directions)):
+                b = ev(t, y)
+                g_new.append(b)
+                if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b):
+                    active.append(i)
             if active:
                 F = extra(args, *step)
                 nfev += 3

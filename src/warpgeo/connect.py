@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
-from .geodesics import FlatGeodesic, GeodesicPath, GeodesicState, _flat_param, integrate
+from .geodesics import (ESCAPE_MARGIN, FlatGeodesic, GeodesicPath, GeodesicState, _flat_param,
+                        integrate)
 from .warp import Point, WarpFunction, warp_one_over_r, warp_r
 
 __all__ = [
@@ -155,8 +156,15 @@ def _check_distinct(p0: Point, p1: Point) -> None:
         raise ValueError("the two points must be distinct")
 
 
+def _check_tol(tol: float) -> None:
+    """A replay within ``tol`` confirms: nan, zero or a negative ``tol``
+    would confirm nothing, and an infinite one anything."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _shoot(
-    w: WarpFunction, p0: Point, p1: Point, tol: float, shot, nodes: list[float]
+    w: WarpFunction, p0: Point, p1: Point, tol: float, shot, nodes: list[float], escapes=None
 ) -> tuple[tuple[float, float, float, GeodesicPath] | None, int]:
     """Shoot from p0 to p1 over a one-parameter family of geodesics.
 
@@ -168,8 +176,9 @@ def _shoot(
     of the flattest arches overflows).  Bisection over the node indices,
     keyed on the first end's sign because the flat sweep falls, finds the
     bracket, and ``brentq`` refines it to a few ulps of x.  A root of zero
-    length confirms nothing; any other is replayed once through the
-    integrator, which must succeed and end within ``tol`` of p1 in both
+    length confirms nothing, nor does one for which ``escapes(x)`` holds
+    (its replay would leave the domain); any other is replayed once through
+    the integrator, which must succeed and end within ``tol`` of p1 in both
     coordinates.  The replay samples only its two ends: its endpoint is the
     last step's interpolant at the same arc length as at any sample count,
     and the full path is sampled from its solve only when it is read.
@@ -208,7 +217,7 @@ def _shoot(
         miss, nodes[lo], nodes[hi], xtol=1e-300, rtol=8.9e-16, maxiter=200
     )
     s, _, f0, g0 = shot(x)
-    if s <= 0.0:
+    if s <= 0.0 or (escapes is not None and escapes(x)):
         return None, evals
     init = GeodesicState(p0.r, p0.t, f0, math.copysign(g0, p1.t - p0.t))
     try:
@@ -242,13 +251,16 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     distance of about (pi - |dt|) r0 r1 / (r0 + r1).  When that perihelion
     falls inside the integrator's :data:`~warpgeo.geodesics.ESCAPE_MARGIN`
     the replay escapes, and the result is ``search_exhausted``, an honest
-    "not found" rather than a nonexistence claim.
+    "not found" rather than a nonexistence claim.  A shot whose perihelion
+    r_in cos(x), for an elevation x < 0, lies within half that margin
+    cannot be confirmed and is not replayed.
 
     Raises
     ------
     ValueError
-        If the points coincide.
+        If the points coincide, or ``tol`` is not positive and finite.
     """
+    _check_tol(tol)
     _check_distinct(p0, p1)
     r0, r1 = p0.r, p1.r
     dt = p1.t - p0.t
@@ -279,8 +291,13 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
             return s, sweep, math.sin(x), math.cos(x)
         return s, sweep, -e / r_out, r_in * math.cos(x) / r_out
 
+    # An inward shot (x < 0) passes its perihelion r_in cos(x) before it
+    # reaches r_out.  Within half the escape margin its replay must escape.
+    def escapes(x):
+        return x < 0.0 and r_in * math.cos(x) < 0.5 * ESCAPE_MARGIN
+
     nodes = [-math.pi / 2.0, 0.0, math.pi / 2.0]
-    confirmed, evals = _shoot(_FLAT, p0, p1, tol, shot, nodes)
+    confirmed, evals = _shoot(_FLAT, p0, p1, tol, shot, nodes, escapes)
     if confirmed is None:
         return ConnectResult(
             variant="no_geodesic", reason="search_exhausted", iterations=evals
@@ -439,7 +456,13 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     pairs below the pi r0 threshold of :func:`connect_neg2_same_r` (whose
     candidate enumeration tracks formula-level closure instead; see its
     docstring).
+
+    Raises
+    ------
+    ValueError
+        If the points coincide, or ``tol`` is not positive and finite.
     """
+    _check_tol(tol)
     _check_distinct(p0, p1)
     r0, r1 = p0.r, p1.r
     if p1.t == p0.t:
@@ -545,10 +568,12 @@ def same_r_candidates(r0: float, dt: float, tol: float = DEFAULT_TOL) -> list[Sa
     Raises
     ------
     ValueError
-        If r0 or dt is not finite, r0 <= 0, dt == 0, there are more than
+        If r0 or dt is not finite, r0 <= 0, dt == 0, ``tol`` is not
+        positive and finite, there are more than
         :data:`MAX_SAME_R_CANDIDATES` candidates (about |dt|/(pi r0)), or
         there is one and its length 2 |dt| overflows.
     """
+    _check_tol(tol)
     adt = _same_r_span(r0, dt)
     n = _same_r_count(r0, adt)
     if n > MAX_SAME_R_CANDIDATES:
@@ -576,10 +601,12 @@ def connect_neg2_same_r(r0: float, dt: float, tol: float = DEFAULT_TOL) -> Conne
     Raises
     ------
     ValueError
-        If r0 or dt is not finite, r0 <= 0 or dt == 0, or when the threshold
-        holds and the length 2 |dt| overflows (|dt| above half the largest
-        float), which no verdict could report.
+        If r0 or dt is not finite, r0 <= 0, dt == 0 or ``tol`` is not
+        positive and finite, or when the threshold holds and the length
+        2 |dt| overflows (|dt| above half the largest float), which no
+        verdict could report.
     """
+    _check_tol(tol)
     adt = _same_r_span(r0, dt)
     if math.pi * r0 > adt:
         return ConnectResult(variant="no_geodesic", reason="threshold_violated")

@@ -72,24 +72,48 @@ UNIT_SPEED_TOL = 1e-6
 # Samples of a path when the caller names no number.
 _SAMPLES = 129
 
-# The derivative of integrate's reduced system, which _dop853 compiles into
-# its step: (r', t', f') = (f, b h^2, -b^2 h h') at r = y[0] and f = y[2],
-# with h and h' evaluated by hf and dhf in the range lo <= r <= hi and taken
-# from clamped(r) outside it, on a division by zero and where h h' is not
-# finite (see integrate).
-_DERIVATIVE = Derivative("b, lo, hi, hf, dhf, clamped", """\
-r = {y[0]}
-try:
-    hr, dhr = (hf(r), dhf(r)) if lo <= r <= hi else clamped(r)
-except ZeroDivisionError:
-    hr, dhr = clamped(r)
-if not isfinite(hr * dhr):
-    hr, dhr = clamped(r)
-{out} = {y[2]}, b * hr * hr, -b * b * hr * dhr""")
 
-# Warp families whose h and h' are plain + - * / on their argument, so a
-# Python float in gives a Python float out (see integrate).
-_FLOAT_KINDS = frozenset({"one_over_r", "r", "flat", "neg2"})
+def _derivative(params: str, *warp: str) -> Derivative:
+    """The derivative of integrate's reduced system, which _dop853 compiles
+    into its step: (r', t', f') = (f, b h^2, -b^2 h h') at r = y[0] and
+    f = y[2].  In the range lo <= r <= hi the lines ``warp`` assign h and h'
+    at r to hr and dhr, reading the ``params`` that follow b, lo and hi;
+    outside it, on a division by zero and where h h' is not finite, both
+    are taken from clamped(r) (see integrate)."""
+    return Derivative(f"b, lo, hi, {params}clamped", "\n".join([
+        "r = {y[0]}",
+        "try:",
+        "    if lo <= r <= hi:",
+        *("        " + line for line in warp),
+        "    else:",
+        "        hr, dhr = clamped(r)",
+        "except ZeroDivisionError:",
+        "    hr, dhr = clamped(r)",
+        "if not isfinite(hr * dhr):",
+        "    hr, dhr = clamped(r)",
+        "{out} = {y[2]}, b * hr * hr, -b * b * hr * dhr",
+    ]))
+
+
+# The warp families whose h and h' are plain + - * / on their argument, so a
+# Python float in gives a Python float out (see integrate).  Each evaluates
+# them inline, by warp.py's operations in warp.py's order, with the family's
+# WarpFunction.params as kernel params: one kernel per family and process.
+_DERIVATIVES = {
+    "one_over_r": _derivative("", "hr = 1.0 / r", "dhr = -1.0 / (r * r)"),
+    "r": _derivative("", "hr = r", "dhr = 1.0"),
+    "flat": _derivative("num, pole, ", "hr = num / (pole - r)", "dr = pole - r",
+                        "dhr = num / (dr * dr)"),
+    "neg2": _derivative("scale, const, cube, ", "hr = scale * r / (const + cube * r * r * r)",
+                        "q = const + cube * r * r * r",
+                        "dhr = scale * (const - 2.0 * cube * r * r * r) / (q * q)"),
+}
+_FLOAT_KINDS = frozenset(_DERIVATIVES)
+
+# Any other warp calls its evaluators hf and dhf, or hf alone where h' is h
+# (e^r): see integrate.
+_CALLED = _derivative("hf, dhf, ", "hr, dhr = hf(r), dhf(r)")
+_CALLED_ONCE = _derivative("hf, ", "hr = dhr = hf(r)")
 
 
 def _margin(edge: float) -> float:
@@ -99,7 +123,7 @@ def _margin(edge: float) -> float:
     return max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeodesicState:
     """Point plus unit frame velocity (r, t, f, g) along a geodesic."""
 
@@ -107,6 +131,17 @@ class GeodesicState:
     t: float
     f: float
     g: float
+
+    # Two per replay (its start and its endpoint).  Writing the instance
+    # dict, as Point does, builds the same frozen object without an
+    # object.__setattr__ per field; __post_init__ stays the one check.
+    def __init__(self, r: float, t: float, f: float, g: float):
+        d = self.__dict__
+        d["r"] = r
+        d["t"] = t
+        d["f"] = f
+        d["g"] = g
+        self.__post_init__()
 
     def __post_init__(self):
         if self.r <= 0.0 or not math.isfinite(self.r):
@@ -128,7 +163,7 @@ class GeodesicState:
         return cls(r, t, math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegrationStats:
     """How :func:`integrate` obtained a path, and how good it is.
 
@@ -147,6 +182,16 @@ class IntegrationStats:
     rejected_steps: int
     max_speed_drift: float
     stop: str
+
+    # One per solve.  Writing the instance dict, as Point does, builds the
+    # same frozen object without an object.__setattr__ per field.
+    def __init__(self, rhs_evals, accepted_steps, rejected_steps, max_speed_drift, stop):
+        d = self.__dict__
+        d["rhs_evals"] = rhs_evals
+        d["accepted_steps"] = accepted_steps
+        d["rejected_steps"] = rejected_steps
+        d["max_speed_drift"] = max_speed_drift
+        d["stop"] = stop
 
 
 class _Column:
@@ -172,7 +217,7 @@ class _Column:
         path.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeodesicPath:
     """Arc-length-sampled trajectory with escape metadata.
 
@@ -196,6 +241,21 @@ class GeodesicPath:
     _resample: Callable[..., "GeodesicPath"] | None = field(
         default=None, repr=False, compare=False
     )
+
+    # One per solve.  Writing the instance dict, as Point does, builds the
+    # same frozen object without a call per field (a _Column's __set__
+    # writes the same entry).
+    def __init__(self, s, r, t, f, g, escaped, total_length, stats=None, _resample=None):
+        d = self.__dict__
+        d["s"] = s
+        d["r"] = r
+        d["t"] = t
+        d["f"] = f
+        d["g"] = g
+        d["escaped"] = escaped
+        d["total_length"] = total_length
+        d["stats"] = stats
+        d["_resample"] = _resample
 
     @property
     def endpoint(self) -> GeodesicState:
@@ -299,12 +359,12 @@ def integrate(
     floats = w.kind in _FLOAT_KINDS
 
     # The solver's state and the derivative it takes are Python floats.
-    # The plain-arithmetic families (_FLOAT_KINDS) get the radius as it is:
-    # on a float, + - * / give the bits np.float64 arithmetic gives, and a
-    # division by zero, numpy's inf or nan, raises instead, which counts as
-    # not finite.  e^r and caller code see np.float64, as they would from
-    # an array: e^r keeps np.exp (math.exp differs in the last bit), and
-    # r**1.5 at r < 0 is nan, not a complex.
+    # The plain-arithmetic families (_FLOAT_KINDS) evaluate h and h' inline
+    # on the radius as it is: on a float, + - * / give the bits np.float64
+    # arithmetic gives, and a division by zero, numpy's inf or nan, raises
+    # instead, which counts as not finite.  e^r and caller code see
+    # np.float64, as they would from an array: e^r keeps np.exp (math.exp
+    # differs in the last bit), and r**1.5 at r < 0 is nan, not a complex.
     hf, dhf = (h, dh) if floats else (on_float64(h), on_float64(dh))
     # Evaluations on and past the boundary may divide by zero or take the
     # root of a negative number; the clamp replaces those values, so numpy's
@@ -333,7 +393,13 @@ def integrate(
         lo = -math.inf if extends(d_lo) else inner_lo
         hi = math.inf if extends(d_hi) else inner_hi
 
-        rhs = CompiledDerivative(_DERIVATIVE, (b, lo, hi, hf, dhf, clamped), 3)
+        if floats:
+            derivative, args = _DERIVATIVES[w.kind], (b, lo, hi, *w.params, clamped)
+        elif dh is h:
+            derivative, args = _CALLED_ONCE, (b, lo, hi, hf, clamped)
+        else:
+            derivative, args = _CALLED, (b, lo, hi, hf, dhf, clamped)
+        rhs = CompiledDerivative(derivative, args, 3)
         sol = solve_ivp(
             rhs, (0.0, float(s_max)), (init.r, init.t, init.f),
             rtol=RTOL, atol=ATOL, events=events,
@@ -365,14 +431,17 @@ def _sample(
     n = max(2, int(n_samples))
     if floats and n == 2:
         s = [0.0, s_end]  # np.linspace(0.0, s_end, 2)
-        r_v, t_v, f_v = map(list, zip(*map(sol.sol.at, s)))
+        (r0, t0, f0), (r1, t1, f1) = sol.sol.at(0.0), sol.sol.at(s_end)
         # The event is located the margin inside the boundary; interpolation
         # noise may put the final sample a hair past it.  Clamp to keep
         # states constructible and h inside its domain.
-        r_v = [min(max(r, clip[0]), clip[1]) for r in r_v]
-        g_v = [b * h(r) for r in r_v]
-        drifts = [abs(f * f + g * g - 1.0) for f, g in zip(f_v, g_v)]
-        drift = math.nan if any(map(math.isnan, drifts)) else max(drifts)  # as np.max
+        lo, hi = clip
+        r_v = [min(max(r0, lo), hi), min(max(r1, lo), hi)]
+        t_v, f_v = [t0, t1], [f0, f1]
+        g_v = [b * h(r_v[0]), b * h(r_v[1])]
+        d0 = abs(f0 * f0 + g_v[0] * g_v[0] - 1.0)
+        d1 = abs(f1 * f1 + g_v[1] * g_v[1] - 1.0)
+        drift = math.nan if math.isnan(d0) or math.isnan(d1) else max(d0, d1)  # as np.max
     else:
         s = np.linspace(0.0, s_end, n)
         with np.errstate(all="ignore"):  # the steps it builds evaluate h as the solve did

@@ -152,16 +152,20 @@ class TestConnectFlat:
     def test_escape_margin_edge_exhausts_without_retry(self, monkeypatch):
         # README's target 3.2e-15 short of a half turn: the chord would pass
         # r = 0 well inside the escape margin.  The verdict is an honest
-        # search_exhausted, and no replay tightens the integrator: each
-        # samples only its two ends.
+        # search_exhausted, and no replay runs.  At a gap of 1.6e-10 the
+        # perihelion, 8e-11, lies inside the margin but outside half of it:
+        # the shot is replayed once, sampling only its two ends, and
+        # escapes.
         calls = []
         replay = connect_module.integrate
         monkeypatch.setattr(
             connect_module, "integrate", lambda *a, **kw: calls.append(kw) or replay(*a, **kw)
         )
         res = connect_flat(Point(1.0, 0.0), Point(1.0, 3.14159265358979))
+        assert (res.reason, res.iterations, calls) == ("search_exhausted", 6, [])
+        res = connect_flat(Point(1.0, 0.0), Point(1.0, math.pi - 1.6e-10))
         assert res.reason == "search_exhausted"
-        assert calls and all(kw == {"n_samples": 2} for kw in calls)
+        assert calls == [{"n_samples": 2}]
 
     @pytest.mark.parametrize("solver", [connect_flat, connect_neg2])
     def test_failed_replay_is_unconfirmed(self, monkeypatch, solver):
@@ -562,9 +566,9 @@ def recorded_shots(monkeypatch):
     calls = []
     shoot = connect_module._shoot
 
-    def recording(w, p0, p1, tol, shot, nodes):
+    def recording(w, p0, p1, tol, shot, nodes, escapes=None):
         calls.append((shot, nodes, abs(p1.t - p0.t)))
-        return shoot(w, p0, p1, tol, shot, nodes)
+        return shoot(w, p0, p1, tol, shot, nodes, escapes)
 
     monkeypatch.setattr(connect_module, "_shoot", recording)
     return calls

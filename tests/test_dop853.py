@@ -611,13 +611,13 @@ def test_import_compiles_no_stage_code():
 
 
 def test_one_flat_connect_compiles_one_kernel():
-    # Each process compiles the geodesic system's kernel once, for its
-    # three components, and no other.
+    # Each process compiles the geodesic system's kernel for h = 1/r once,
+    # for its three components, and no other.
     code = (
         "import contextlib, io, warpgeo.cli; from warpgeo import _dop853, geodesics\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    warpgeo.cli.main(['connect', '1,0', '1,1.5707963267948966'])\n"
-        "print([(d == geodesics._DERIVATIVE, n) for d, n in _dop853._KERNELS])"
+        "print([(d == geodesics._DERIVATIVES['one_over_r'], n) for d, n in _dop853._KERNELS])"
     )
     assert child_stdout(code) == "[(True, 3)]\n"
 

@@ -4,14 +4,22 @@ Usage (from the repository root)::
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \\
         --workload atlas:10 --workload rays:5 --held-out atlas:104729 \\
-        --claimed atlas:throughput_tasks_s --what "..." --out BENCH_label.json
+        --claimed atlas:throughput_tasks_s --control atlas:5 --what "..." \\
+        --out BENCH_label.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts (for example ``git archive``
 copies of two commits).  ``--workload W:N`` runs N pairs of the checkouts'
 unchanged ``perfbench/run.py --workload W --seed K --seconds S --trace 0``
 with seeds K = 1..N and S the ``run_seconds`` of CHANGE_DIR/BENCHMARK.json;
 odd pairs run the parent first, even pairs the change first.  Each run's last stdout line is its JSON result.  ``--held-out W:K``
-adds one pair on seed K, kept apart from the medians.
+adds one pair on seed K, kept apart from the medians.  ``--control W:N``
+runs N pairs of the parent against a copy of it, on seeds 1..N, as a
+same-code control: the workload's ``control`` block holds, per metric, the
+copy's median over the parent's, the pairs the copy won, each pair's ratio
+and their range, and each metric of the workload gets ``outside_control``,
+whether the change's ratio lies outside that range.  The verdicts do not
+read the control.  A workload or control of fewer than ``MIN_PAIRS`` pairs
+gets a warning on stderr: the gain rule needs 9 wins of 10.
 
 Per workload and end-to-end metric of CHANGE_DIR/BENCHMARK.json the file
 holds each side's median and quartiles, their ratio, the pairs the change
@@ -34,12 +42,15 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
 RUN_COMMAND = "python3 perfbench/run.py --workload W --seed K --seconds {seconds:g} --trace 0"
 METHOD = (
     "Alternated pairs: odd pairs run the parent first, even pairs the change first; each "
@@ -49,7 +60,9 @@ METHOD = (
     "is better by more than the parent's interquartile range; regression when its median is "
     "worse by more than the bound (relative to the parent's median); unresolved when the "
     "parent's interquartile range is wider than the bound and not every change run beats "
-    "every parent run; unchanged otherwise."
+    "every parent run; unchanged otherwise. A control runs the parent against a copy of "
+    "itself; outside_control says whether the change's ratio lies outside the range of the "
+    "control's pair ratios, and no verdict reads it."
 )
 
 # Run in a child with the benchmark's interpreter: numpy's version, the
@@ -165,6 +178,44 @@ def held_out(seed: int, pair: dict, e2e: list) -> dict:
     return out
 
 
+def control(pairs: list, e2e: list) -> dict:
+    """The same-code control of one workload from its pairs, each
+    ``{"parent": result, "change": result}`` with the parent's copy as the
+    change: per end-to-end metric the copy's median over the parent's, the
+    pairs the copy won, each pair's ratio and the range of those ratios."""
+    out = {"pairs": len(pairs), "metrics": {}}
+    for spec in e2e:
+        name = spec["name"]
+        runs = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        parent = statistics.median(runs["parent"])
+        ratios = [round(c / p, 4) for p, c in zip(runs["parent"], runs["change"]) if p]
+        out["metrics"][name] = {
+            "ratio": round(statistics.median(runs["change"]) / parent, 4) if parent else None,
+            "copy_better_pairs": sum(
+                _better(spec, c, p) for p, c in zip(runs["parent"], runs["change"])),
+            "pair_ratios": ratios,
+            "range": [min(ratios), max(ratios)] if ratios else None,
+        }
+    return out
+
+
+def outside_control(entry: dict, same_code: dict) -> bool | None:
+    """Whether a metric's change-over-parent ratio lies outside the range of
+    its control's pair ratios; None when either is missing."""
+    ratio, span = entry["change_over_parent"], same_code["range"]
+    if ratio is None or span is None:
+        return None
+    return not span[0] <= ratio <= span[1]
+
+
+def few_pairs(workload: str, pairs: int, what: str = "") -> str | None:
+    """The warning for a workload or control of fewer than MIN_PAIRS pairs."""
+    if pairs >= MIN_PAIRS:
+        return None
+    return (f"warning: {workload}{what} ran {pairs} pairs, fewer than the {MIN_PAIRS} "
+            f"that the gain rule needs")
+
+
 def faults(workload: str, seed: int, pair: dict) -> list[str]:
     """One line per run of the pair with wrong outputs, and one for the
     change when it failed more tasks than the parent."""
@@ -189,13 +240,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def run_pair(dirs: dict, workload: str, seed: int, seconds: float, parent_first: bool) -> dict:
+def run_pair(dirs: dict, workload: str, seed: int, seconds: float, parent_first: bool,
+             what: str = "") -> dict:
     order = SIDES if parent_first else SIDES[::-1]
     pair = {side: run_once(dirs[side], workload, seed, seconds) for side in order}
     values = ", ".join(
         f"{side} {pair[side]['metrics']['throughput_tasks_s']['value']:.1f}" for side in SIDES
     )
-    print(f"{workload} seed {seed}: throughput {values}", file=sys.stderr, flush=True)
+    print(f"{workload}{what} seed {seed}: throughput {values}", file=sys.stderr, flush=True)
     return pair
 
 
@@ -265,6 +317,9 @@ def parse_args(argv=None):
                         metavar="W:N", help="run N pairs of workload W on seeds 1..N")
     parser.add_argument("--held-out", type=_spec, action="append", default=[],
                         metavar="W:K", help="one more pair of workload W on seed K")
+    parser.add_argument("--control", type=_spec, action="append", default=[],
+                        metavar="W:N", help="N pairs of workload W, parent against a copy "
+                                            "of the parent, on seeds 1..N")
     parser.add_argument("--claimed", metavar="W:METRIC", help="the metric a gain is claimed on")
     parser.add_argument("--target", default="", help="the claimed gain, in words")
     parser.add_argument("--what", default="", help="what the change is")
@@ -273,9 +328,10 @@ def parse_args(argv=None):
                              "or its directory name outside git)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    unrun = sorted({w for w, _ in args.held_out} - {w for w, _ in args.workload})
-    if unrun:
-        parser.error(f"--held-out names workloads with no --workload: {', '.join(unrun)}")
+    for flag, specs in (("--held-out", args.held_out), ("--control", args.control)):
+        unrun = sorted({w for w, _ in specs} - {w for w, _ in args.workload})
+        if unrun:
+            parser.error(f"{flag} names workloads with no --workload: {', '.join(unrun)}")
     return args
 
 
@@ -296,21 +352,39 @@ def main(argv=None) -> int:
     if args.claimed:
         workload, _, metric = args.claimed.partition(":")
         report["claimed"] = {"workload": workload, "metric": metric, "target": args.target}
-    held = dict(args.held_out)
+    held, controls = dict(args.held_out), dict(args.control)
     report["workloads"] = {}
-    bad = []
-    for workload, n in args.workload:
-        seeds = list(range(1, n + 1))
-        pairs = [run_pair(dirs, workload, seed, seconds, i % 2 == 0)
-                 for i, seed in enumerate(seeds)]
-        report["workloads"][workload] = summarize(seeds, pairs, e2e)
-        bad += [line for seed, pair in zip(seeds, pairs) for line in faults(workload, seed, pair)]
-        if workload in held:
-            pair = run_pair(dirs, workload, held[workload], seconds, True)
-            report["workloads"][workload]["held_out_seed"] = held_out(held[workload], pair, e2e)
-            bad += faults(workload, held[workload], pair)
+    bad, warnings = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        if controls:  # the same code from a second directory
+            copy = Path(tmp) / args.parent.resolve().name
+            shutil.copytree(args.parent, copy,
+                            ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        for workload, n in args.workload:
+            seeds = list(range(1, n + 1))
+            pairs = [run_pair(dirs, workload, seed, seconds, i % 2 == 0)
+                     for i, seed in enumerate(seeds)]
+            entry = report["workloads"][workload] = summarize(seeds, pairs, e2e)
+            bad += [line for seed, pair in zip(seeds, pairs)
+                    for line in faults(workload, seed, pair)]
+            warnings.append(few_pairs(workload, n))
+            if workload in held:
+                pair = run_pair(dirs, workload, held[workload], seconds, True)
+                entry["held_out_seed"] = held_out(held[workload], pair, e2e)
+                bad += faults(workload, held[workload], pair)
+            if workload in controls:
+                same = {"parent": args.parent, "change": copy}
+                pairs = [run_pair(same, workload, seed, seconds, i % 2 == 0, " control")
+                         for i, seed in enumerate(range(1, controls[workload] + 1))]
+                entry["control"] = control(pairs, e2e)
+                for name, metric in entry["metrics"].items():
+                    metric["outside_control"] = outside_control(
+                        metric, entry["control"]["metrics"][name])
+                bad += [line for seed, pair in enumerate(pairs, 1)
+                        for line in faults(f"{workload} control", seed, pair)]
+                warnings.append(few_pairs(workload, controls[workload], " control"))
     args.out.write_text(dumps(report) + "\n")
-    for line in bad:
+    for line in [w for w in warnings if w] + bad:
         print(line, file=sys.stderr)
     return 1 if bad else 0
 
