@@ -572,9 +572,9 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
                 root, i = min(roots)
                 t_events[i].append(root)
                 status, t = 1, root
+                if len(ts) > 1 and ts[-1] == t:
+                    continue  # a root on the previous step end adds no segment
             g = g_new
-        if len(ts) > 1 and ts[-1] == t:
-            continue  # an event root on the previous step end adds no segment
         ts.append(t)
         steps.append(step)
         coefficients.append(F)

@@ -123,7 +123,7 @@ def _margin(edge: float) -> float:
     return max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GeodesicState:
     """Point plus unit frame velocity (r, t, f, g) along a geodesic."""
 
@@ -131,17 +131,6 @@ class GeodesicState:
     t: float
     f: float
     g: float
-
-    # Two per replay (its start and its endpoint).  Writing the instance
-    # dict, as Point does, builds the same frozen object without an
-    # object.__setattr__ per field; __post_init__ stays the one check.
-    def __init__(self, r: float, t: float, f: float, g: float):
-        d = self.__dict__
-        d["r"] = r
-        d["t"] = t
-        d["f"] = f
-        d["g"] = g
-        self.__post_init__()
 
     def __post_init__(self):
         if self.r <= 0.0 or not math.isfinite(self.r):

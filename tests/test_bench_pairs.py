@@ -237,3 +237,80 @@ def test_machine_block_records_bytecode_and_simd(monkeypatch):
     assert "(dispatched; baseline " in env["numpy_simd"]
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_pairs.environment()["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_control_of_canned_runs():
+    # Same code on both sides: the parent against its copy.
+    pairs = _pairs([(100.0, 2.0), (110.0, 1.0), (90.0, 3.0), (120.0, 2.5)],
+                   [(105.0, 2.0), (99.0, 1.1), (99.0, 2.7), (108.0, 2.5)])
+    got = bench_pairs.control(pairs, E2E)
+    assert got["pairs"] == 4
+    tput = got["metrics"]["throughput_tasks_s"]
+    # Medians 105 of 90, 100, 110, 120 and 102 of 99, 99, 105, 108.
+    assert tput["ratio"] == round(102.0 / 105.0, 4)
+    assert tput["copy_better_pairs"] == 2  # 100 -> 105 and 90 -> 99
+    assert tput["pair_ratios"] == [1.05, 0.9, 1.1, 0.9]
+    assert tput["range"] == [0.9, 1.1]
+    p50 = got["metrics"]["task_p50_ms"]
+    assert p50["copy_better_pairs"] == 1  # 3.0 -> 2.7; the ties count for neither
+    assert p50["pair_ratios"] == [1.0, 1.1, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("ratio, want", [(1.2, True), (0.85, True), (1.05, False),
+                                         (1.1, False), (None, None)])
+def test_outside_control(ratio, want):
+    # 1.05 is inside the control's spread of 0.9 to 1.1, the ends included.
+    same_code = {"range": [0.9, 1.1]}
+    assert bench_pairs.outside_control({"change_over_parent": ratio}, same_code) is want
+
+
+def test_control_needs_its_workload(capsys):
+    argv = ["parent", "change", "--workload", "atlas:2", "--out", "bench.json"]
+    assert bench_pairs.parse_args(argv + ["--control", "atlas:5"]).control == [("atlas", 5)]
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(argv + ["--control", "rays:5"])
+    assert "--control names workloads with no --workload: rays" in capsys.readouterr().err
+
+
+def test_control_runs_the_parent_against_its_copy(monkeypatch, tmp_path, capsys):
+    # The copy is a second directory holding the parent's files.  Its pairs
+    # fill the control block and outside_control; the verdicts are those of
+    # the pairs alone, and both the 2 pairs and the 3 control pairs warn.
+    canned = {"parent": _result(100.0, 2.0), "change": _result(130.0, 1.5),
+              "copy": _result(104.0, 2.0)}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": E2E, "run_seconds": 1}))
+    (tmp_path / "parent" / "marker").write_text("parent")
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = {tmp_path / "parent": "parent", tmp_path / "change": "change"}.get(checkout, "copy")
+        if side == "copy":
+            assert (checkout / "marker").read_text() == "parent"
+        runs.append((side, seed))
+        return canned[side]
+
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "atlas:2",
+            "--control", "atlas:3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert sorted(runs) == sorted([("parent", 1), ("change", 1), ("parent", 2), ("change", 2),
+                                   ("parent", 1), ("copy", 1), ("parent", 2), ("copy", 2),
+                                   ("parent", 3), ("copy", 3)])
+    atlas = json.loads(out.read_text())["workloads"]["atlas"]
+    assert atlas["control"]["pairs"] == 3
+    assert atlas["control"]["metrics"]["throughput_tasks_s"]["range"] == [1.04, 1.04]
+    tput, p50 = atlas["metrics"]["throughput_tasks_s"], atlas["metrics"]["task_p50_ms"]
+    assert (tput["change_over_parent"], tput["outside_control"]) == (1.3, True)
+    assert (p50["change_over_parent"], p50["outside_control"]) == (0.75, True)
+    plain = bench_pairs.summarize([1, 2], _pairs([(100.0, 2.0)] * 2, [(130.0, 1.5)] * 2), E2E)
+    assert [m["verdict"] for m in atlas["metrics"].values()] == [
+        m["verdict"] for m in plain["metrics"].values()]
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "warning: atlas ran 2 pairs, fewer than the 10 that the gain rule needs",
+        "warning: atlas control ran 3 pairs, fewer than the 10 that the gain rule needs",
+    ]

@@ -167,6 +167,36 @@ class TestConnectFlat:
         assert res.reason == "search_exhausted"
         assert calls == [{"n_samples": 2}]
 
+    def test_replay_skip_keeps_every_verdict(self, monkeypatch):
+        # Seeded pairs whose chord passes r = 0 at 1e-12 to 1e-9, and at
+        # 3e-11 to 6e-11 around half the escape margin, over radii 1e-2 to
+        # 1e2.  With connect's ESCAPE_MARGIN at 0 no shot is skipped, and
+        # every one is replayed as without the skip: the results must be
+        # the same, and each replay that the skip saved must have escaped.
+        rng = np.random.default_rng(2026)
+        replays = []
+        replay = connect_module.integrate
+        monkeypatch.setattr(connect_module, "integrate",
+                            lambda *a, **kw: replays.append(replay(*a, **kw)) or replays[-1])
+        skipped, found = 0, 0
+        for i in range(240):
+            r0, r1 = (float(r) for r in 10.0 ** rng.uniform(-2.0, 2.0, size=2))
+            perihelion = float(10.0 ** rng.uniform(-12.0, -9.0) if i % 2 else
+                               rng.uniform(3e-11, 6e-11))
+            dt = (math.pi - perihelion * (r0 + r1) / (r0 * r1)) * (1.0 if i % 4 < 2 else -1.0)
+            p0, p1 = Point(r0, 0.5), Point(r1, 0.5 + dt)
+            del replays[:]
+            got = connect_flat(p0, p1)
+            skip = not replays
+            with monkeypatch.context() as m:
+                m.setattr(connect_module, "ESCAPE_MARGIN", 0.0)
+                assert connect_flat(p0, p1).to_dict() == got.to_dict()
+            if skip:
+                assert len(replays) == 1 and replays[0].escaped
+            skipped += skip
+            found += got.found
+        assert 100 < skipped < 200 and found > 20
+
     @pytest.mark.parametrize("solver", [connect_flat, connect_neg2])
     def test_failed_replay_is_unconfirmed(self, monkeypatch, solver):
         # A replay whose solver fails (its step size underflows) confirms
@@ -177,6 +207,27 @@ class TestConnectFlat:
         monkeypatch.setattr(connect_module, "integrate", failing)
         res = solver(Point(1.0, 0.0), Point(1.0, 1.0))
         assert res.reason == "search_exhausted"
+
+
+class TestTolerance:
+    CALLS = {
+        "connect_flat": lambda tol: connect_flat(Point(1.0, 0.0), Point(1.5, 1.0), tol=tol),
+        "connect_neg2": lambda tol: connect_neg2(Point(1.0, 0.0), Point(1.5, 1.0), tol=tol),
+        "connect_neg2_same_r": lambda tol: connect_neg2_same_r(1.0, 7.0, tol=tol),
+        "same_r_candidates": lambda tol: same_r_candidates(1.0, 7.0, tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, -math.inf, math.inf])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_tol_must_be_positive_and_finite(self, name, tol):
+        # A nan, zero or negative tol confirms nothing, and an infinite one
+        # would confirm any replay, even one that escaped.
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol!r}$"):
+            self.CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_finite_tol_is_taken(self, name):
+        assert self.CALLS[name](1e-6) is not None
 
 
 class TestChordCandidates:

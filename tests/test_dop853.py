@@ -34,6 +34,7 @@ from warpgeo import (
     geodesics,
     integrate,
     inverse_square_profile,
+    make_warp,
     riccati,
     solve_prescribed,
     warp_exp,
@@ -483,6 +484,33 @@ def test_inline_derivative_is_the_call_template(monkeypatch, name):
     assert len(values) == 3 * 15 * len(states)
 
 
+@pytest.mark.parametrize("spec", ["one_over_r", "r", "flat:2,5", "flat:-1,0", "flat:-0.5,-3",
+                                  "neg2:1,1,1", "neg2:2,1,0.5", "neg2:1,2,-0.25"])
+def test_inline_warp_is_warp_py(monkeypatch, spec):
+    # A plain-arithmetic family spells out h and h' in the kernel's source.
+    # Inside the clamp's range, wherever warp.py's h h' is finite, the
+    # derivative must be (f, b h^2, -b^2 h h') from warp.py's evaluators,
+    # bit for bit, for each parameter set.
+    w = make_warp(spec)
+    rhs = _geodesic_rhs(monkeypatch, w)
+    b, lo, hi = rhs.args[:3]
+    rng = np.random.default_rng(len(spec))
+    top = min(w.domain.hi, 50.0)
+    radii = np.concatenate([rng.uniform(w.domain.lo, top, 200),
+                            w.domain.lo + np.geomspace(1e-9, 1.0, 50) * (top - w.domain.lo)])
+    checked = 0
+    for r in radii.tolist():
+        try:
+            hr, dhr = w._h(r), w._dh(r)
+        except ZeroDivisionError:  # at a pole
+            continue
+        if lo <= r <= hi and math.isfinite(hr * dhr):
+            f = float(rng.uniform(-1.0, 1.0))
+            assert bits(rhs(0.0, [r, 0.0, f])) == bits((f, b * hr * hr, -b * b * hr * dhr)), r
+            checked += 1
+    assert checked > 200
+
+
 # Bodies that scale and negate the substituted time and components: the
 # params' values (one name takes its value as it is, and none), the plain
 # callable the body computes and the exact state at t = 1 from (1, 1).
@@ -620,6 +648,27 @@ def test_one_flat_connect_compiles_one_kernel():
         "print([(d == geodesics._DERIVATIVES['one_over_r'], n) for d, n in _dop853._KERNELS])"
     )
     assert child_stdout(code) == "[(True, 3)]\n"
+
+
+def test_each_family_compiles_one_kernel():
+    # The plain-arithmetic families take their parameters as kernel params
+    # and e^r has its own derivative, so integrating every built-in family,
+    # with two parameter sets where it has parameters, in three directions
+    # compiles one kernel per family and no other.
+    code = (
+        "from warpgeo import GeodesicState, _dop853, geodesics, integrate, make_warp\n"
+        "for spec in ('one_over_r', 'r', 'exp', 'flat:2,5', 'flat:-1,0', 'neg2:1,1,1',\n"
+        "             'neg2:2,1,0.5'):\n"
+        "    w = make_warp(spec)\n"
+        "    for angle in (0.5, 2.0, 3.5):\n"
+        "        integrate(w, GeodesicState.from_angle(1.0, 0.0, angle), 2.0)\n"
+        "names = {d: kind for kind, d in geodesics._DERIVATIVES.items()}\n"
+        "names[geodesics._CALLED_ONCE] = 'exp'\n"
+        "print(sorted((names.get(d, 'other'), n) for d, n in _dop853._KERNELS))"
+    )
+    assert child_stdout(code) == (
+        "[('exp', 3), ('flat', 3), ('neg2', 3), ('one_over_r', 3), ('r', 3)]\n"
+    )
 
 
 def test_nan_initial_step_ends_the_solve():

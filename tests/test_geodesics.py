@@ -20,6 +20,7 @@ from warpgeo import (
     path_length_quadrature,
     transverse_unit_b_form,
     warp_custom,
+    warp_exp,
     warp_flat,
     warp_neg2,
     warp_one_over_r,
@@ -301,6 +302,29 @@ def test_right_hand_side_stays_finite(monkeypatch, name):
         for (_, *step), out in attempts:
             assert bits(template(checked, *step)) == bits(out)
     assert min(probes[2 * len(radii):]) < 0.0
+
+
+def test_exp_evaluates_h_once_per_stage(monkeypatch):
+    # e^r is its own derivative, so every right-hand-side evaluation of the
+    # solve and of its interpolants calls the evaluator once.  The only
+    # other calls are the edge probes before the solve, h and h' at r = 0
+    # and at r = inf; no stage is clamped.
+    calls = []
+    wrap = geodesics.on_float64
+
+    def counting(fn):
+        evaluate = wrap(fn)
+
+        def spy(r):
+            calls.append(r)
+            return evaluate(r)
+
+        return spy
+
+    monkeypatch.setattr(geodesics, "on_float64", counting)
+    path = integrate(warp_exp(), GeodesicState.from_angle(1.0, 0.0, 2.0), 1.5)
+    assert calls[:4] == [0.0, 0.0, math.inf, math.inf]
+    assert len(calls) == path.stats.rhs_evals + 4
 
 
 def test_division_by_zero_at_the_clamp_is_numpys_inf():
