@@ -496,7 +496,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
 
     ts, steps, coefficients = [t0], [], []
     t_events = [[] for _ in events]
-    directions = [ev.direction for ev in events]
+    checks = [(i, ev, ev.direction) for i, ev in enumerate(events)]
     g = [ev(t, y) for ev in events]
     status, message = None, None
 
@@ -555,8 +555,8 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         F = None  # the interpolant, built here only for the event search
         if events:
             g_new, active = [], []
-            for i, (ev, a, d) in enumerate(zip(events, g, directions)):
-                b = ev(t, y)
+            for i, ev, d in checks:
+                a, b = g[i], ev(t, y)
                 g_new.append(b)
                 if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b):
                     active.append(i)
