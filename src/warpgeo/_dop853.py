@@ -464,7 +464,8 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     numpy.  A :class:`CompiledDerivative` ``fun`` is called only for the
     derivative at the start and for the initial step's probe: the stages of
     every step attempt and interpolant run its source inline.  Any other
-    ``fun`` is called at every stage, as ``fun(t + c h, [...])``.  Every event ``e(t, y)`` is terminal and stops only at the rising
+    ``fun`` is called at every stage, as ``fun(t + c h, [...])``.  Every
+    event ``e(t, y)`` is terminal and stops only at the rising
     (``direction`` attribute > 0) or falling (< 0) crossings: the first
     root, located on the step's interpolant by ``brentq`` with
     ``xtol = rtol = 4 eps``, ends the solve.  Only that step's interpolant

@@ -98,10 +98,6 @@ class RunConfig:
         elif "warp" in file_cfg:
             warp_cfg = file_cfg["warp"]
             try:
-                # A JSON array of numbers: from_dict reads "25" as (2, 5) and true as 1.
-                params = warp_cfg.get("params", [])
-                if not (isinstance(params, list) and all(type(p) in (int, float) for p in params)):
-                    raise TypeError("warp params must be an array of numbers")
                 self.warp_spec = WarpSpec.from_dict(warp_cfg)
             except (AttributeError, TypeError, KeyError, OverflowError) as exc:
                 raise UsageError(f"malformed config warp {warp_cfg!r}") from exc

@@ -134,19 +134,12 @@ class ConnectResult:
         return self.variant in ("found", "horizontal")
 
     def to_dict(self) -> dict:
+        """The variant, each optional field that is not None, and the iterations."""
         d: dict = {"variant": self.variant}
-        if self.length is not None:
-            d["length"] = self.length
-        if self.s is not None:
-            d["s"] = self.s
-        if self.param is not None:
-            d["param"] = self.param
-        if self.sign is not None:
-            d["sign"] = self.sign
-        if self.reason is not None:
-            d["reason"] = self.reason
-        if self.in_chart is not None:
-            d["in_chart"] = self.in_chart
+        for key in ("length", "s", "param", "sign", "reason", "in_chart"):
+            value = getattr(self, key)
+            if value is not None:
+                d[key] = value
         d["iterations"] = self.iterations
         return d
 
@@ -163,10 +156,28 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
+def _horizontal(p0: Point, p1: Point, tol: float) -> ConnectResult | None:
+    """The two solvers' common start: check ``tol``, then that the points are
+    distinct.  Two points of equal t lie on the horizontal segment, which is
+    returned; any other pair gives None."""
+    _check_tol(tol)
+    _check_distinct(p0, p1)
+    if p1.t != p0.t:
+        return None
+    return ConnectResult(variant="horizontal", length=abs(p1.r - p0.r), sign=0.0, in_chart=True)
+
+
+def _exhausted(evals: int) -> ConnectResult:
+    return ConnectResult(variant="no_geodesic", reason="search_exhausted", iterations=evals)
+
+
 def _shoot(
-    w: WarpFunction, p0: Point, p1: Point, tol: float, shot, nodes: list[float], escapes=None
-) -> tuple[tuple[float, float, float, GeodesicPath] | None, int]:
-    """Shoot from p0 to p1 over a one-parameter family of geodesics.
+    w: WarpFunction, p0: Point, p1: Point, tol: float, shot, nodes: list[float], read,
+    escapes=None,
+) -> ConnectResult:
+    """Shoot from p0 to p1 over a one-parameter family of geodesics: the
+    two-point driver of both solvers, once :func:`_horizontal` has passed
+    the pair.
 
     ``shot(x)`` returns the closed-form arc length s and transverse gain
     |dt| of the family member x at the radius of p1, and its initial
@@ -182,8 +193,11 @@ def _shoot(
     coordinates.  The replay samples only its two ends: its endpoint is the
     last step's interpolant at the same arc length as at any sample count,
     and the full path is sampled from its solve only when it is read.
-    Returns the confirmed shot (s, x, f0, replay) or None, and the number of
-    gain evaluations, the bisection's and ``brentq``'s.
+
+    Returns the ``found`` result, whose ``param`` and ``sign`` are
+    ``read(x, f0)`` of the confirmed root x and its initial f0, or else
+    ``search_exhausted``.  Either counts in ``iterations`` the gain
+    evaluations of the bisection and of ``brentq``.
     """
     target = abs(p1.t - p0.t)
     evals = 0
@@ -203,7 +217,7 @@ def _shoot(
         v_hi = miss(nodes[hi])
     side = math.copysign(1.0, v_lo)
     if side * v_hi > 0.0:
-        return None, evals
+        return _exhausted(evals)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         v = miss(nodes[mid])
@@ -212,22 +226,24 @@ def _shoot(
         else:
             hi, v_hi = mid, v
     if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
-        return None, evals
+        return _exhausted(evals)
     x = nodes[hi] if v_hi == 0.0 else brentq(
         miss, nodes[lo], nodes[hi], xtol=1e-300, rtol=8.9e-16, maxiter=200
     )
     s, _, f0, g0 = shot(x)
     if s <= 0.0 or (escapes is not None and escapes(x)):
-        return None, evals
+        return _exhausted(evals)
     init = GeodesicState(p0.r, p0.t, f0, math.copysign(g0, p1.t - p0.t))
     try:
         replay = integrate(w, init, s, n_samples=2)
     except ValueError:  # the step size underflowed: nothing to confirm
-        return None, evals
+        return _exhausted(evals)
     end = replay.endpoint
-    if abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol:
-        return (s, x, f0, replay), evals
-    return None, evals
+    if not (abs(end.r - p1.r) <= tol and abs(end.t - p1.t) <= tol):
+        return _exhausted(evals)
+    param, sign = read(x, f0)
+    return ConnectResult(variant="found", length=s, s=s, param=param, sign=sign,
+                         _replay=replay, in_chart=True, iterations=evals)
 
 
 # -- flat metric (h = 1/r) ----------------------------------------------------
@@ -260,14 +276,10 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     ValueError
         If the points coincide, or ``tol`` is not positive and finite.
     """
-    _check_tol(tol)
-    _check_distinct(p0, p1)
+    if (horizontal := _horizontal(p0, p1, tol)) is not None:
+        return horizontal
     r0, r1 = p0.r, p1.r
     dt = p1.t - p0.t
-    if dt == 0.0:
-        return ConnectResult(
-            variant="horizontal", length=abs(r1 - r0), sign=0.0, in_chart=True
-        )
     if abs(dt) >= math.pi:
         return ConnectResult(variant="no_geodesic", reason="threshold_violated")
 
@@ -296,23 +308,12 @@ def connect_flat(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     def escapes(x):
         return x < 0.0 and r_in * math.cos(x) < 0.5 * ESCAPE_MARGIN
 
+    # The parameter is a = r0 f0, and the sign that of dt.
+    def read(x, f0):
+        return r0 * f0, math.copysign(1.0, dt)
+
     nodes = [-math.pi / 2.0, 0.0, math.pi / 2.0]
-    confirmed, evals = _shoot(_FLAT, p0, p1, tol, shot, nodes, escapes)
-    if confirmed is None:
-        return ConnectResult(
-            variant="no_geodesic", reason="search_exhausted", iterations=evals
-        )
-    s, _, f0, replay = confirmed
-    return ConnectResult(
-        variant="found",
-        length=s,
-        s=s,
-        param=r0 * f0,
-        sign=math.copysign(1.0, dt),
-        _replay=replay,
-        in_chart=True,
-        iterations=evals,
-    )
+    return _shoot(_FLAT, p0, p1, tol, shot, nodes, read, escapes)
 
 
 @dataclass(frozen=True)
@@ -462,13 +463,9 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     ValueError
         If the points coincide, or ``tol`` is not positive and finite.
     """
-    _check_tol(tol)
-    _check_distinct(p0, p1)
+    if (horizontal := _horizontal(p0, p1, tol)) is not None:
+        return horizontal
     r0, r1 = p0.r, p1.r
-    if p1.t == p0.t:
-        return ConnectResult(
-            variant="horizontal", length=abs(r1 - r0), sign=0.0, in_chart=True
-        )
     r_in, r_out = min(r0, r1), max(r0, r1)
 
     # With u = 1/b = r_out/sin(theta), finite on (0, pi) where b may
@@ -484,22 +481,13 @@ def connect_neg2(p0: Point, p1: Point, tol: float = DEFAULT_TOL) -> ConnectResul
     # Equal radii have no rising arrival: it would have zero length.
     rise, fall = _phases()
     nodes = fall if r0 == r1 else rise[:-1] + fall
-    confirmed, evals = _shoot(_NEG2, p0, p1, tol, shot, nodes)
-    if confirmed is None:
-        return ConnectResult(
-            variant="no_geodesic", reason="search_exhausted", iterations=evals
-        )
-    s, x, f0, replay = confirmed
-    return ConnectResult(
-        variant="found",
-        length=s,
-        s=s,
-        param=math.sin(x) / r_out,
-        sign=math.copysign(1.0, f0),
-        _replay=replay,
-        in_chart=True,
-        iterations=evals,
-    )
+
+    # The parameter is b = sin(theta)/r_out, and the sign that of the initial
+    # radial speed f0.
+    def read(theta, f0):
+        return math.sin(theta) / r_out, math.copysign(1.0, f0)
+
+    return _shoot(_NEG2, p0, p1, tol, shot, nodes, read)
 
 
 @dataclass(frozen=True)

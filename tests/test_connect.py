@@ -215,6 +215,20 @@ class TestTolerance:
         "connect_neg2": lambda tol: connect_neg2(Point(1.0, 0.0), Point(1.5, 1.0), tol=tol),
         "connect_neg2_same_r": lambda tol: connect_neg2_same_r(1.0, 7.0, tol=tol),
         "same_r_candidates": lambda tol: same_r_candidates(1.0, 7.0, tol=tol),
+        # The shooting solvers check tol before the pair: before the distinct
+        # points, the horizontal segment and the flat half-turn threshold.
+        "connect_flat:horizontal":
+            lambda tol: connect_flat(Point(1.0, 0.5), Point(2.0, 0.5), tol=tol),
+        "connect_flat:coincident":
+            lambda tol: connect_flat(Point(1.0, 0.5), Point(1.0, 0.5), tol=tol),
+        "connect_flat:half_turn":
+            lambda tol: connect_flat(Point(1.0, 0.0), Point(1.5, math.pi), tol=tol),
+        "connect_neg2:horizontal":
+            lambda tol: connect_neg2(Point(1.0, 0.5), Point(2.0, 0.5), tol=tol),
+        "connect_neg2:coincident":
+            lambda tol: connect_neg2(Point(1.0, 0.5), Point(1.0, 0.5), tol=tol),
+        "connect_neg2:half_turn":
+            lambda tol: connect_neg2(Point(1.0, 0.0), Point(1.5, math.pi), tol=tol),
     }
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, -math.inf, math.inf])
@@ -227,7 +241,21 @@ class TestTolerance:
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_finite_tol_is_taken(self, name):
-        assert self.CALLS[name](1e-6) is not None
+        if name.endswith(":coincident"):
+            with pytest.raises(ValueError, match="^the two points must be distinct$"):
+                self.CALLS[name](1e-6)
+        else:
+            assert self.CALLS[name](1e-6) is not None
+
+    @pytest.mark.parametrize("name, verdict", [
+        ("connect_flat:horizontal", "horizontal"),
+        ("connect_flat:half_turn", "threshold_violated"),
+        ("connect_neg2:horizontal", "horizontal"),
+        ("connect_neg2:half_turn", "found"),
+    ])
+    def test_pair_gets_its_verdict_after_a_good_tol(self, name, verdict):
+        res = self.CALLS[name](1e-6)
+        assert verdict in (res.variant, res.reason)
 
 
 class TestChordCandidates:
@@ -617,9 +645,9 @@ def recorded_shots(monkeypatch):
     calls = []
     shoot = connect_module._shoot
 
-    def recording(w, p0, p1, tol, shot, nodes, escapes=None):
+    def recording(w, p0, p1, tol, shot, nodes, read, escapes=None):
         calls.append((shot, nodes, abs(p1.t - p0.t)))
-        return shoot(w, p0, p1, tol, shot, nodes, escapes)
+        return shoot(w, p0, p1, tol, shot, nodes, read, escapes)
 
     monkeypatch.setattr(connect_module, "_shoot", recording)
     return calls

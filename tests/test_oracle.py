@@ -7,8 +7,9 @@ closed forms against 1/u.
 
 Curvature: sympy simplifies K = (h'' h - 2 h'^2)/h^2 of each built-in
 family, with symbolic parameters, to the library's exact curvature
-evaluated on the symbol itself; and the h = r geodesic's transverse
-coordinate differentiates to t' = b r^2.
+evaluated on the symbol itself, and the families' h, h', h'' and H match
+sympy's derivatives of h; the h = r geodesic's transverse coordinate
+differentiates to t' = b r^2.
 
 Escape lengths: mpmath's Taylor-series ODE solver integrates the geodesic
 equation r'' = -b^2 h h' at 30 digits, and its root finder locates the arc
@@ -91,12 +92,21 @@ CURVATURES = {
 
 @pytest.mark.parametrize("name", sorted(CURVATURES))
 def test_family_curvature_is_the_symbolic_curvature(name):
+    # make_warp does not check the families' h', h'' and H at run time:
+    # this test holds each against sympy's derivative of h.
     h, values, w = CURVATURES[name]
     K = (sp.diff(h, r, 2) * h - 2 * sp.diff(h, r) ** 2) / h**2
     assert sp.simplify(K - sp.nsimplify(w._curvature(r))) == 0
     rs = np.linspace(0.2, 1.8, 9)
-    want = sp.lambdify(r, h.subs(values), "numpy")(rs)
-    np.testing.assert_allclose(np.asarray(w.h(rs)), want, rtol=1e-14, atol=0.0)
+    exact = [
+        (w.h, h, 1e-14),
+        (w.dh, sp.diff(h, r), 1e-13),
+        (w.d2h, sp.diff(h, r, 2), 1e-13),
+        (w.log_deriv, sp.diff(h, r) / h, 1e-13),
+    ]
+    for evaluator, expr, rtol in exact:
+        want = np.broadcast_to(sp.lambdify(r, expr.subs(values), "numpy")(rs), rs.shape)
+        np.testing.assert_allclose(np.asarray(evaluator(rs)), want, rtol=rtol, atol=0.0)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -77,6 +77,22 @@ class TestWarpSpec:
         d = {"kind": "neg2", "params": [1.0, -1.0, 1.0]}
         assert WarpSpec.from_dict(d) == WarpSpec("neg2", (1.0, -1.0, 1.0))
 
+    @pytest.mark.parametrize("params", [[2, 5], (2.0, 5), [np.float64(2.0), 5.0]])
+    def test_from_dict_takes_numbers(self, params):
+        spec = WarpSpec.from_dict({"kind": "flat", "params": params})
+        assert spec == WarpSpec("flat", (2.0, 5.0))
+
+    def test_from_dict_without_params(self):
+        assert WarpSpec.from_dict({"kind": "exp"}) == WarpSpec("exp")
+
+    # A string would be read digit by digit ("25" as (2, 5)), a boolean as 0 or 1.
+    @pytest.mark.parametrize(
+        "params", ["25", [True, 5], [2, False], 5, None, {"a0": 2, "a1": 5}, ["2", "5"], [[2], 5]]
+    )
+    def test_from_dict_rejects_params_that_are_not_numbers(self, params):
+        with pytest.raises(TypeError, match="^warp params must be an array of numbers$"):
+            WarpSpec.from_dict({"kind": "flat", "params": params})
+
 
 class TestBuiltinFamilies:
     def test_one_over_r_values(self):
@@ -144,6 +160,27 @@ class TestMakeWarp:
         w = make_warp(text)
         grid = w.domain.sample()
         assert np.all(np.asarray(w.h(grid)) > 0)
+
+    # Valid parameters that a finite-difference check of h' and h'' refused,
+    # or (flat:1,0.001, whose domain ends at the pole) passed only through a
+    # NaN, with four RuntimeWarnings.
+    @pytest.mark.parametrize(
+        "text", ["flat:1,1e-6", "neg2:1e8,1,1e-6", "neg2:1,1e-6,-1e-12", "flat:1,0.001"]
+    )
+    def test_narrow_and_rescaled_warps_build_quietly(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = make_warp(text)
+            grid = w.domain.sample()
+            assert np.all(np.isfinite(w.h(grid))) and np.all(np.asarray(w.h(grid)) > 0)
+            assert np.all(np.isfinite(w.log_deriv(grid)))
+
+    def test_overflowing_h_is_rejected_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^warp 'flat' is not strictly positive on "
+                                                 r"its domain \(0.0, 1e-06\)$"):
+                make_warp("flat:1e300,1e-6")
 
 
 class TestCustomWarp:
