@@ -134,7 +134,8 @@ class ConnectResult:
         return self.variant in ("found", "horizontal")
 
     def to_dict(self) -> dict:
-        """The variant, each optional field that is not None, and the iterations."""
+        """The variant, each optional field that is not None, and the iterations,
+        in that order."""
         d: dict = {"variant": self.variant}
         for key in ("length", "s", "param", "sign", "reason", "in_chart"):
             value = getattr(self, key)

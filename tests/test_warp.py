@@ -161,9 +161,9 @@ class TestMakeWarp:
         grid = w.domain.sample()
         assert np.all(np.asarray(w.h(grid)) > 0)
 
-    # Valid parameters that a finite-difference check of h' and h'' refused,
-    # or (flat:1,0.001, whose domain ends at the pole) passed only through a
-    # NaN, with four RuntimeWarnings.
+    # Valid parameters whose narrow domain or large scale defeats a
+    # finite-difference check of h' and h'' (flat:1,0.001's probes would
+    # hit its pole): make_warp must build them without a warning.
     @pytest.mark.parametrize(
         "text", ["flat:1,1e-6", "neg2:1e8,1,1e-6", "neg2:1,1e-6,-1e-12", "flat:1,0.001"]
     )
