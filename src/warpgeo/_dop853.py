@@ -4,14 +4,16 @@ The explicit Runge-Kutta pair of order 8(5,3) of Dormand and Prince
 (Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
 sec. II.5-II.6) with scipy's initial step selection, step controller,
 blended err5/err3 error norm, dense output and event location.  The
-tableau is written out below and events are located by the Brent port in
+tableau is written out below and stops are located by the Brent port in
 :mod:`warpgeo._brentq`, so the kernel needs no scipy.
 
 Of scipy's ``solve_ivp`` surface the kernel keeps what the package uses.
 Spans run forward only (t_bound > t0); a caller with a backward problem
 solves its mirror in -t, which IEEE rounding makes exact (see
-:func:`warpgeo.riccati._integrate_side`).  Every event is terminal and
-directed: it stops at rising or at falling crossings, never at both.
+:func:`warpgeo.riccati._integrate_side`).  Of scipy's events it keeps the
+one kind both callers use: a solve stops where ``y[0]`` falls through a
+level ``lo`` or rises through a level ``hi``, as a terminal, directed event
+``y[0] - level`` would stop it.
 
 scipy runs the method on numpy arrays: for the two- and three-component
 systems of this package most of its time goes to numpy calls on tiny
@@ -37,8 +39,8 @@ later read evaluates ``fun`` under its own caller's numpy error handling.
 
 A step's interpolant costs three more evaluations of ``fun`` (stages 13-15,
 which the rows through D weigh), 3 of the 15 of an accepted step.  As scipy
-does with ``dense_output=False``, the solve builds it only for the step an
-event search reads.  Every accepted step keeps what its interpolant needs
+does with ``dense_output=False``, the solve builds it only for the step the
+stop search reads.  Every accepted step keeps what its interpolant needs
 (t, h, y and the stages 0 and 5-12, with y_new shared with the next step),
 and :class:`DenseSolution` builds a step's interpolant when a sample first
 falls in it, then keeps it.  ``Solution.nfev`` counts the evaluations of
@@ -197,34 +199,32 @@ class CompiledDerivative:
 class Solution:
     """Outcome of :func:`solve_ivp`, with scipy's field names.
 
-    ``status`` is 0 at the end of the interval, 1 at a terminal event and -1
-    when the step size underflowed, which ``message`` then explains (it is
-    None otherwise); ``t`` lists the start and the accepted step ends (the
-    last one is the event root after an event); ``t_events`` holds one list
-    of roots per event; ``nfev`` counts the right-hand-side evaluations of
-    the solve and ``nrej`` its rejected step attempts; ``sol`` evaluates the
-    dense output.  As with scipy's ``dense_output=False``, ``nfev`` is 2 to start,
-    12 per step attempt and 3 for the interpolant of each step that the
-    event search read; ``sol.nfev`` counts the evaluations that the dense
-    output makes later.
+    ``status`` is 0 at the end of the interval, 1 where ``y[0]`` fell through
+    the lower stop, 2 where it rose through the upper one, and -1 when the
+    step size underflowed, which ``message`` then explains (it is None
+    otherwise); ``t`` lists the start and the accepted step ends (at a stop
+    the last one is its root); ``nfev`` counts the right-hand-side
+    evaluations of the solve and ``nrej`` its rejected step attempts; ``sol``
+    evaluates the dense output.  As with scipy's ``dense_output=False``,
+    ``nfev`` is 2 to start, 12 per step attempt and 3 for the interpolant of
+    the step that the stop search read; ``sol.nfev`` counts the evaluations
+    that the dense output makes later.
     """
 
     status: int
     message: str | None
     t: list
-    t_events: list
     nfev: int
     nrej: int
     sol: "DenseSolution"
 
     # One per solve.  Writing the instance dict, as warpgeo.warp.Point does,
     # builds the same frozen object without an object.__setattr__ per field.
-    def __init__(self, status, message, t, t_events, nfev, nrej, sol):
+    def __init__(self, status, message, t, nfev, nrej, sol):
         d = self.__dict__
         d["status"] = status
         d["message"] = message
         d["t"] = t
-        d["t_events"] = t_events
         d["nfev"] = nfev
         d["nrej"] = nrej
         d["sol"] = sol
@@ -235,7 +235,7 @@ class DenseSolution:
 
     A segment's interpolation coefficients cost three more evaluations of
     ``fun`` (stages 13-15).  Each is built on first use and then kept: the
-    event search builds the step it searches, and a call builds the steps
+    stop search builds the step it searches, and a call builds the steps
     its samples fall in.  ``nfev`` counts the evaluations made here, 3 per
     step built after the solve, under the numpy error handling of the reader.
 
@@ -402,7 +402,7 @@ def _kernel(derivative: Derivative, n: int) -> tuple:
 def _interpolate(x, x1, y_old, rows):
     """The DOP853 interpolation polynomial at x = (t - t_old)/h, with x1 =
     1 - x, from a step's start ``y_old`` and its seven coefficient ``rows``,
-    on floats (events) or arrays (samples) by the same operations, so the
+    on floats (stops) or arrays (samples) by the same operations, so the
     two agree bit for bit."""
     y = 0.0
     for i in range(7):
@@ -411,12 +411,20 @@ def _interpolate(x, x1, y_old, rows):
 
 
 def _segment_at(segment: tuple, t: float) -> list:
-    """State at ``t`` on one step's interpolant, as the event root finder sees it."""
+    """State at ``t`` on one step's interpolant."""
     t_old, h, y_old, F = segment
     x = (t - t_old) / h
     x1 = 1 - x
     n = len(y_old)
     return [_interpolate(x, x1, y0, F[j::n]) for j, y0 in enumerate(y_old)]
+
+
+def _first_at(segment: tuple, t: float) -> float:
+    """y[0] at ``t`` on one step's interpolant, by the operations of
+    :func:`_segment_at`: the function whose root ends a solve at a stop."""
+    t_old, h, y_old, F = segment
+    x = (t - t_old) / h
+    return _interpolate(x, 1 - x, y_old[0], F[::len(y_old)])
 
 
 def _rms(v) -> float:
@@ -453,7 +461,9 @@ def _initial_step(fun, t0, y, f, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Solution:
+def solve_ivp(
+    fun, t_span, y0, *, rtol: float, atol: float, stops=(-math.inf, math.inf)
+) -> Solution:
     """Integrate y' = fun(t, y) forward over ``t_span`` = (t0, t_bound) by DOP853.
 
     The span must run forward, t_bound > t0 (a ``ValueError`` otherwise); a
@@ -464,13 +474,20 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     numpy.  A :class:`CompiledDerivative` ``fun`` is called only for the
     derivative at the start and for the initial step's probe: the stages of
     every step attempt and interpolant run its source inline.  Any other
-    ``fun`` is called at every stage, as ``fun(t + c h, [...])``.  Every
-    event ``e(t, y)`` is terminal and stops only at the rising
-    (``direction`` attribute > 0) or falling (< 0) crossings: the first
-    root, located on the step's interpolant by ``brentq`` with
-    ``xtol = rtol = 4 eps``, ends the solve.  Only that step's interpolant
-    is built during the solve; the returned ``sol`` builds the others on
-    first use.
+    ``fun`` is called at every stage, as ``fun(t + c h, [...])``.
+
+    ``stops = (lo, hi)`` ends the solve where ``y[0]`` falls through ``lo``
+    (status 1) or rises through ``hi`` (status 2), as scipy's terminal events
+    ``y[0] - lo`` with direction -1 and ``y[0] - hi`` with direction 1 would.
+    An accepted step crosses ``lo`` when ``a >= 0 >= b`` and ``hi`` when
+    ``a <= 0 <= b``, for a and b the values ``y[0] - level`` at its start and
+    end; an infinite level is never tested.  So a start beyond a level does
+    not stop the solve, and a start on a level that moves past it stops at
+    its start.  The root is located on the step's interpolant of ``y[0]``
+    (:func:`_first_at`) by ``brentq`` with ``xtol = rtol = 4 eps``, the
+    earlier root wins when one step crosses both levels, and the root is
+    the last entry of ``t``.  Only that step's interpolant is built during
+    the solve; the returned ``sol`` builds the others on first use.
 
     The step controller is scipy's, with its ``min`` and ``max`` written out
     as comparisons that keep their rules: a nan error estimate shrinks the
@@ -496,9 +513,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
     f = fun(t, y)
 
     ts, steps, coefficients = [t0], [], []
-    t_events = [[] for _ in events]
-    checks = [(i, ev, ev.direction) for i, ev in enumerate(events)]
-    g = [ev(t, y) for ev in events]
+    levels = [(level, code) for level, code in zip(stops, (1, 2)) if math.isfinite(level)]
     status, message = None, None
 
     size = _initial_step(fun, t, y, f, t_bound, rtol, atol)  # of the next step attempt
@@ -553,29 +568,24 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         t_old, t, y, f = t, t_new, y_new, f_new
         if t >= t_bound:
             status = 0
-        F = None  # the interpolant, built here only for the event search
-        if events:
-            g_new, active = [], []
-            for i, ev, d in checks:
-                a, b = g[i], ev(t, y)
-                g_new.append(b)
-                if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b):
-                    active.append(i)
-            if active:
-                F = extra(args, *step)
-                nfev += 3
-                segment = (*step[:3], F)
-                roots = [
-                    (brentq(lambda s, ev=events[i]: ev(s, _segment_at(segment, s)),
-                            t_old, t, xtol=4 * EPS, rtol=4 * EPS), i)
-                    for i in active
-                ]
-                root, i = min(roots)
-                t_events[i].append(root)
-                status, t = 1, root
-                if len(ts) > 1 and ts[-1] == t:
-                    continue  # a root on the previous step end adds no segment
-            g = g_new
+        F = None  # the interpolant, built here only for the stop search
+        a = step[2][0]  # y[0] at the step's start
+        crossed = [
+            (level, code) for level, code in levels
+            if (a - level >= 0 >= y[0] - level if code == 1 else a - level <= 0 <= y[0] - level)
+        ]
+        if crossed:
+            F = extra(args, *step)
+            nfev += 3
+            segment = (*step[:3], F)
+            roots = [
+                (brentq(lambda s, level=level: _first_at(segment, s) - level,
+                        t_old, t, xtol=4 * EPS, rtol=4 * EPS), code)
+                for level, code in crossed
+            ]
+            t, status = min(roots)
+            if len(ts) > 1 and ts[-1] == t:
+                continue  # a root on the previous step end adds no segment
         ts.append(t)
         steps.append(step)
         coefficients.append(F)
@@ -586,7 +596,6 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events=()) -> Soluti
         status=status,
         message=message,
         t=ts,
-        t_events=t_events,
         nfev=nfev,
         nrej=nrej,
         sol=DenseSolution(args, extra, ts, steps, coefficients),

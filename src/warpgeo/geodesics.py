@@ -116,11 +116,15 @@ _CALLED = _derivative("hf, dhf, ", "hr, dhr = hf(r), dhf(r)")
 _CALLED_ONCE = _derivative("hf, ", "hr = dhr = hf(r)")
 
 
-def _margin(edge: float) -> float:
-    """Escape distance from a domain edge: ESCAPE_MARGIN, or 8 spacings of
-    doubles at a finite edge of 65,536 or more, where ESCAPE_MARGIN would
-    round the event threshold, the clamp and the final clip onto the edge."""
-    return max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
+def _margin(edge: float, distance: float = math.inf) -> float:
+    """Escape distance from a domain edge for a start ``distance`` from it:
+    ESCAPE_MARGIN, or 8 spacings of doubles at a finite edge of 65,536 or
+    more, where ESCAPE_MARGIN would round the stop level, the clamp and the
+    final clip onto the edge.  A start that lies that margin or nearer to
+    the edge takes half its distance instead: a stop is a crossing, which a
+    start past its level would never make."""
+    margin = max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
+    return margin if distance > margin else 0.5 * distance
 
 
 @dataclass(frozen=True)
@@ -159,11 +163,14 @@ class IntegrationStats:
     ``rhs_evals``, ``accepted_steps`` and ``rejected_steps`` are the
     solver's right-hand-side evaluations and accepted and rejected step
     attempts.  The solver builds a step's interpolant only where it is read
-    (the escape event's step and every step that a sample falls in), so
+    (the escape's step and every step that a sample falls in), so
     rhs_evals = 2 + 12 (accepted_steps + rejected_steps) + 3 per step whose
     interpolant was built; ``max_speed_drift`` is the largest
     |f^2 + b^2 h^2 - 1| over the returned samples; ``stop`` says why the
-    integration ended: ``"s_max"``, ``"escaped_lower"`` or ``"escaped_upper"``.
+    integration ended: ``"s_max"``, or ``"escaped_lower"`` or
+    ``"escaped_upper"`` where r fell through the stop level next to the
+    lower edge or rose through the one next to the upper edge (see
+    :func:`integrate`).
     """
 
     rhs_evals: int
@@ -213,7 +220,7 @@ class GeodesicPath:
     ``s`` strictly increases from 0 to ``total_length``; ``escaped`` is set
     when integration halted because the radius reached the domain boundary
     (within :data:`ESCAPE_MARGIN`; see :func:`integrate`), in which case
-    ``total_length`` is the event location rather than the requested span.
+    ``total_length`` is the stop's root rather than the requested span.
     ``stats`` is set on paths returned by :func:`integrate`.  A path that
     :func:`integrate` sampled at fewer than its default 129 points keeps
     its solve, and ``_resample()`` samples that solve again at 129.
@@ -292,9 +299,11 @@ def integrate(
 
     Integration stops early, with ``escaped`` set, when the radius reaches
     either domain boundary to within :data:`ESCAPE_MARGIN` (8 spacings of
-    doubles at an edge of 65,536 or more, where 1e-10 would round away); the
-    boundary crossing is located by the solver's root finder on the dense
-    output and ``total_length`` is the arc length at the event.
+    doubles at an edge of 65,536 or more, where 1e-10 would round away), or
+    to within half its distance at the start where the start lies that
+    margin or nearer to the edge; the solver stops where r crosses that
+    level, located by its root finder on the dense output, and
+    ``total_length`` is the arc length there.
 
     Raises
     ------
@@ -311,27 +320,11 @@ def integrate(
         raise ValueError(
             f"initial state is not unit speed: f^2+g^2 = {init.speed_sq!r}"
         )
-    b = float(init.g / w.h(init.r))
     d_lo, d_hi = w.domain.lo, w.domain.hi
-    m_lo, m_hi = _margin(d_lo), _margin(d_hi)
+    m_lo, m_hi = _margin(d_lo, init.r - d_lo), _margin(d_hi, d_hi - init.r)
     stop_lo, stop_hi = d_lo + m_lo, d_hi - m_hi
 
-    events = []
-
-    def hit_lower(s, y):
-        return y[0] - stop_lo
-
-    hit_lower.direction = -1
-    events.append(hit_lower)
-
-    if math.isfinite(d_hi):
-        def hit_upper(s, y):
-            return y[0] - stop_hi
-
-        hit_upper.direction = 1
-        events.append(hit_upper)
-
-    # Trial stages of the step that crosses the escape event probe past the
+    # Trial stages of the step that crosses a stop level probe past the
     # boundary.  Where h h' is finite on the boundary (h = r or e^r at
     # r = 0) the warp is evaluated there as written: its continuation keeps
     # the force smooth across that step (h = r gives -b^2 r on both sides),
@@ -340,8 +333,8 @@ def integrate(
     # finite (the root of a negative radius), r is clamped just inside the
     # domain instead: there t' = b h^2 is huge, so the solver shrinks its
     # step and resolves the layer next to the pole instead of stepping over
-    # it.  The clamp engages beyond the event threshold, so no state the
-    # solver keeps depends on it.
+    # it.  The clamp engages beyond the stop level, so no state the solver
+    # keeps depends on it.
     h, dh = w._h, w._dh  # raw evaluators: the probes leave the domain on purpose
     inner_lo = d_lo + 0.25 * m_lo
     inner_hi = d_hi - 0.25 * m_hi
@@ -379,6 +372,7 @@ def integrate(
                 return on_float64(h)(r), on_float64(dh)(r)
 
     with quiet:
+        b = float(init.g / w.h(init.r))
         lo = -math.inf if extends(d_lo) else inner_lo
         hi = math.inf if extends(d_hi) else inner_hi
 
@@ -391,17 +385,12 @@ def integrate(
         rhs = CompiledDerivative(derivative, args, 3)
         sol = solve_ivp(
             rhs, (0.0, float(s_max)), (init.r, init.t, init.f),
-            rtol=RTOL, atol=ATOL, events=events,
+            rtol=RTOL, atol=ATOL, stops=(stop_lo, stop_hi),
         )
     if sol.status < 0:
         raise ValueError(f"geodesic integration failed: {sol.message}")
 
-    if sol.status == 0:
-        stop = "s_max"
-    elif sol.t_events[0]:
-        stop = "escaped_lower"
-    else:
-        stop = "escaped_upper"
+    stop = ("s_max", "escaped_lower", "escaped_upper")[sol.status]
     clip = (d_lo + 0.5 * m_lo, d_hi - 0.5 * m_hi)
     return _sample(sol, b, h, clip, stop, n_samples, floats)
 
@@ -421,7 +410,7 @@ def _sample(
     if floats and n == 2:
         s = [0.0, s_end]  # np.linspace(0.0, s_end, 2)
         (r0, t0, f0), (r1, t1, f1) = sol.sol.at(0.0), sol.sol.at(s_end)
-        # The event is located the margin inside the boundary; interpolation
+        # The stop is located the margin inside the boundary; interpolation
         # noise may put the final sample a hair past it.  Clamp to keep
         # states constructible and h inside its domain.
         lo, hi = clip
@@ -451,7 +440,7 @@ def _sample(
         t=t_v,
         f=f_v,
         g=g_v,
-        escaped=sol.status == 1,
+        escaped=sol.status > 0,
         total_length=s_end,
         stats=stats,
         _resample=partial(_sample, sol, b, h, clip, stop) if n_samples < _SAMPLES else None,

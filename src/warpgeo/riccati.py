@@ -18,6 +18,7 @@ a finite-radius blow-up of H is a simple zero of the smooth u.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -132,22 +133,18 @@ def _integrate_side(f, r0, H0, r_end, atol):
     def rhs(x, y):
         return (sign * y[1], -sign * fx(sign * x) * y[0])
 
-    def u_zero(x, y):
-        return y[0]
-
-    u_zero.direction = -1  # u starts at 1, so its first zero is crossed falling
-
     # u can overflow before r_end (h underflows): the solve's failure is
     # raised, and the dense reads below build steps from the same rhs.
     quiet = partial(np.errstate, over="ignore", invalid="ignore")
     with quiet():
+        # u starts at 1, so its first zero is crossed falling.
         sol = solve_ivp(rhs, (sign * r0, sign * r_end), (1.0, -H0),
-                        rtol=RTOL, atol=atol, events=[u_zero])
+                        rtol=RTOL, atol=atol, stops=(0.0, math.inf))
     if sol.status < 0:
         # Only the start's derivative can be reported as not finite: name it r0.
         message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
         raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
-    blow = sign * float(sol.t_events[0][0]) if sol.status == 1 else None
+    blow = sign * sol.t[-1] if sol.status == 1 else None
 
     # One row of _REFINE + 1 samples per step; unique sorts and drops the
     # repeats of a step shorter than _REFINE floating-point spacings.

@@ -114,6 +114,23 @@ class TestGeodesic:
         assert res.stderr == ("warpgeo: error: geodesic integration failed: "
                               "The derivative is not finite at t = 0.0.\n")
 
+    def test_overflowing_warp_at_the_start_is_one_error_line(self):
+        # e^800 overflows in the momentum b = g/h, inside the solve's errstate.
+        res = run_cli("--warp", "exp", "geodesic", "800", "0", "1", "1", timeout=60)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == ("warpgeo: error: geodesic integration failed: "
+                              "The derivative is not finite at t = 0.0.\n")
+
+    def test_start_inside_the_escape_margin_escapes(self):
+        # 5e-11 from r = 0, inside ESCAPE_MARGIN: the ray stops after half
+        # that distance.
+        res = run_cli("geodesic", "5e-11", "0", "3.141592653589793", "1", timeout=60)
+        assert res.returncode == 0 and res.stderr == ""
+        summary = res.stdout.strip().split("\n")[-1]
+        assert summary.startswith("# escaped=true length=")
+        assert float(summary.split("length=")[1]) == pytest.approx(2.5e-11, rel=1e-9)
+
     @pytest.mark.parametrize("s_max", ["inf", "nan"])
     def test_non_finite_length_is_one_error_line(self, s_max):
         res = run_cli("--warp", "one_over_r", "geodesic", "1", "0", "1", s_max)

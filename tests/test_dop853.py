@@ -67,24 +67,38 @@ def test_tableau_is_scipys():
         assert ours.shape == theirs.shape and np.all(ours == theirs), name
 
 
+def _stop_events(stops) -> list:
+    """The stops ``(lo, hi)`` as scipy's terminal events: ``y[0] - lo``
+    falling and ``y[0] - hi`` rising, in that order.  An infinite level
+    gives an event that never changes sign."""
+    def level_event(level, direction):
+        def event(t, y):
+            return y[0] - level
+
+        event.terminal, event.direction = True, direction
+        return event
+
+    return [level_event(stops[0], -1), level_event(stops[1], 1)]
+
+
 def _with_scipy(monkeypatch, module, run) -> list:
     """Run ``run()``; return (kernel, scipy) solutions of each solver call.
 
-    The kernel's solve builds a step's interpolant only for the event
-    search, as scipy does with ``dense_output=False``: scipy's counts come
-    from that run, and its dense output from a ``dense_output=True`` run,
-    which takes the same steps.
+    scipy solves with the stops as its terminal, directed events (see
+    :func:`_stop_events`), so it locates every root independently.  The
+    kernel's solve builds a step's interpolant only for the stop search, as
+    scipy does with ``dense_output=False``: scipy's counts come from that
+    run, and its dense output from a ``dense_output=True`` run, which takes
+    the same steps.
     """
     pairs = []
     kernel = module.solve_ivp
 
-    def both(fun, t_span, y0, *, rtol, atol, events=()):
-        sol = kernel(fun, t_span, y0, rtol=rtol, atol=atol, events=events)
-        for ev in events:
-            ev.terminal = True
+    def both(fun, t_span, y0, *, rtol, atol, stops=(-math.inf, math.inf)):
+        sol = kernel(fun, t_span, y0, rtol=rtol, atol=atol, stops=stops)
         ref, dense = (
             scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                            events=list(events), dense_output=d)
+                            events=_stop_events(stops), dense_output=d)
             for d in (False, True)
         )
         assert np.array_equal(ref.t, dense.t) and ref.sol is None
@@ -106,13 +120,15 @@ def _close(got, want, tol=TOL) -> bool:
 
 
 def _assert_same(sol, ref, same_steps=True):
-    assert sol.status == ref.status
+    # scipy's status is 1 at either terminal event; the kernel's is 1 at
+    # the lower stop, the first event, and 2 at the upper one.
+    assert sol.status == (2 if ref.status == 1 and ref.t_events[1].size else ref.status)
     if same_steps:
         assert sol.nfev == ref.nfev
         assert len(sol.t) == len(ref.t)
-    assert len(sol.t_events) == len(ref.t_events)
-    for got, want in zip(sol.t_events, ref.t_events):
-        assert _close(got, want)
+    if ref.status == 1:
+        (root,) = np.concatenate(ref.t_events)
+        assert _close(sol.t[-1], root)
     grid = np.linspace(ref.t[0], ref.t[-1], 257)
     # Other steps agree only to the solver's accuracy.
     assert _close(sol.sol(grid), ref.sol(grid), TOL if same_steps else 1e-9)
@@ -222,14 +238,11 @@ def test_one_sample_on_floats_is_the_array_call(monkeypatch, name):
 
 
 def _oscillator(event: bool):
-    """u'' = -u from u = 1, u' = 0 over (0, 12), stopped where u first rises
-    through 0.99 (near t = 2 pi) when ``event``."""
-    def rise(t, y):
-        return y[0] - 0.99
-
-    rise.direction = 1
-    return _dop853.solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 12.0), (1.0, 0.0),
-                             rtol=1e-7, atol=1e-9, events=[rise] if event else [])
+    """u'' = -u from u = -1, u' = 0 over (0, 12), stopped where u first
+    falls through -0.99 (near t = 2 pi) when ``event``, with status 1."""
+    stops = (-0.99 if event else -math.inf, math.inf)
+    return _dop853.solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 12.0), (-1.0, 0.0),
+                             rtol=1e-7, atol=1e-9, stops=stops)
 
 
 @pytest.mark.parametrize("event", [False, True])
@@ -268,6 +281,41 @@ def test_dense_reads_in_parts_are_one_read(event):
     assert bits(parts.tolist()) == bits(whole.tolist())
     assert bits([dense.at(t) for t in samples.tolist()]) == bits(whole.T.tolist())
     assert dense.nfev == 3 * (steps - len(prebuilt))
+
+
+# stops: (status, root) for u = cos t, the solution of u'' = -u from u = 1,
+# u' = 0 over (0, 12), whose stop root is sol.t[-1].
+STOP_CASES = {
+    "lower": ((0.5, math.inf), 1, math.pi / 3),
+    "upper": ((-math.inf, 0.99), 2, 2 * math.pi - math.acos(0.99)),
+    "both": ((-0.5, 0.9), 1, 2 * math.pi / 3),
+    # u falls through 0.5 first, which the upper level does not test.
+    "start-beyond-upper": ((-math.inf, 0.5), 2, 5 * math.pi / 3),
+    "start-beyond-both": ((2.0, -2.0), 0, 12.0),
+    "start-on-lower": ((1.0, math.inf), 1, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOP_CASES))
+def test_stops_are_scipys_directed_terminal_events(monkeypatch, name):
+    # scipy solves with the stops as its events (see _with_scipy), and its
+    # roots and status must be the kernel's.  The root function reads y[0]
+    # alone, to the bits of the whole state's interpolation.
+    stops, status, root = STOP_CASES[name]
+
+    def run():
+        _dop853.solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 12.0), (1.0, 0.0),
+                          rtol=1e-10, atol=1e-12, stops=stops)
+
+    ((sol, ref),) = _with_scipy(monkeypatch, _dop853, run)
+    _assert_same(sol, ref)
+    assert sol.status == status
+    assert sol.t[-1] == pytest.approx(root, abs=1e-9)
+    dense = sol.sol
+    segment = (*dense._steps[-1][:3], dense._rows(len(dense._steps) - 1))
+    t_old, h = segment[:2]
+    for t in (t_old + x * h for x in (0.0, 0.125, 0.5, 0.875, 1.0)):
+        assert _dop853._first_at(segment, t).hex() == _dop853._segment_at(segment, t)[0].hex()
 
 
 def _kernel_solutions(monkeypatch, module, run) -> list:

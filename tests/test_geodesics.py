@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from warpgeo import (
     Neg2Geodesic,
     Point,
     connect_flat,
+    connect_neg2,
     escape_length,
     integrate,
     path_length,
@@ -405,6 +407,53 @@ class TestEscapeLength:
         expected = geo.arch()[1]
         got = escape_length(neg2_warp, geo.initial_state(), 50.0)
         assert got == pytest.approx(expected, abs=1e-6)
+
+
+class TestStartInsideEscapeMargin:
+    # A stop is a crossing of its level, which a start past the level never
+    # makes: a start that lies the margin or nearer to an edge takes half
+    # its distance to that edge as the margin.
+
+    @pytest.mark.parametrize("r0", [5e-11, 1e-10])
+    def test_inward_flat_ray_escapes_after_half_its_distance(self, flat_warp, r0):
+        # From exactly 1e-10 the start lay on the stop level: length 0.
+        length = escape_length(flat_warp, GeodesicState(r0, 0.0, -1.0, 0.0), 10.0)
+        assert length == pytest.approx(0.5 * r0, rel=1e-9)
+
+    def test_inward_flat_ray_reports_the_lower_escape(self, flat_warp):
+        path = integrate(flat_warp, GeodesicState(5e-11, 0.0, -1.0, 0.0), 10.0)
+        assert path.escaped and path.stats.stop == "escaped_lower"
+        assert path.r[-1] == pytest.approx(2.5e-11, rel=1e-9)
+
+    def test_outward_ray_next_to_a_pole_reports_the_upper_escape(self):
+        path = integrate(warp_flat(2.0, 5.0), GeodesicState(5.0 - 5e-11, 0.0, 1.0, 0.0), 10.0)
+        assert path.escaped and path.stats.stop == "escaped_upper"
+        assert path.total_length == pytest.approx(2.5e-11, rel=1e-4)
+        assert path.r[-1] < 5.0
+
+    def test_h_equals_r_ray_escapes_in_a_few_steps(self):
+        # It oscillated through the clamp, 5,093 accepted steps per 1e-7 of
+        # arc length, and never stopped.
+        path = integrate(warp_r(), GeodesicState(5e-11, 0.0, -0.6, 0.8), 1e-6)
+        assert path.stats.stop == "escaped_lower"
+        assert path.stats.rhs_evals < 100
+
+    @pytest.mark.parametrize("r0", [5e-11, 3e-11])
+    def test_connections_from_inside_the_margin_are_found(self, r0):
+        p0, p1 = Point(r0, 0.0), Point(1.0, 0.5)
+        flat = connect_flat(p0, p1)
+        assert flat.variant == "found"
+        assert flat.s == pytest.approx(math.sqrt(r0 * r0 + 1.0 - 2.0 * r0 * math.cos(0.5)),
+                                       abs=1e-12)
+        assert connect_neg2(p0, p1).variant == "found"
+
+
+def test_overflowing_h_at_the_start_fails_without_a_warning():
+    # e^800 overflows: the solve's errstate covers the momentum b = g/h.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"not finite at t = 0\.0\.$"):
+            integrate(warp_exp(), GeodesicState.from_angle(800.0, 0.0, 1.0), 1.0)
 
 
 class TestPathLength:

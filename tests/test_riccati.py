@@ -303,16 +303,12 @@ def _side_by_insertion(f, r0, H0, r_end, atol):
     def rhs(x, y):
         return (sign * y[1], -sign * fx(sign * x) * y[0])
 
-    def u_zero(x, y):
-        return y[0]
-
-    u_zero.direction = -1
     sol = riccati.solve_ivp(rhs, (sign * r0, sign * r_end), (1.0, -H0),
-                            rtol=riccati.RTOL, atol=atol, events=[u_zero])
+                            rtol=riccati.RTOL, atol=atol, stops=(0.0, math.inf))
     if sol.status < 0:
         message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
         raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
-    blow = sign * float(sol.t_events[0][0]) if sol.status == 1 else None
+    blow = sign * sol.t[-1] if sol.status == 1 else None
     r = np.unique([sign * np.linspace(a, b, riccati._REFINE + 1)
                    for a, b in zip(sol.t[:-1], sol.t[1:])])
     y = np.vstack([r, sol.sol(sign * r)])
