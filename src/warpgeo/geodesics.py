@@ -299,11 +299,11 @@ def integrate(
 
     Integration stops early, with ``escaped`` set, when the radius reaches
     either domain boundary to within :data:`ESCAPE_MARGIN` (8 spacings of
-    doubles at an edge of 65,536 or more, where 1e-10 would round away), or
-    to within half its distance at the start where the start lies that
-    margin or nearer to the edge; the solver stops where r crosses that
-    level, located by its root finder on the dense output, and
-    ``total_length`` is the arc length there.
+    doubles at an edge of 65,536 or more, where 1e-10 would round away); a
+    start that lies that margin or nearer to an edge stops at half its
+    distance from it instead.  The solver stops where r crosses that level,
+    located by its root finder on the dense output, and ``total_length`` is
+    the arc length there.
 
     Raises
     ------

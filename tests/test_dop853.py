@@ -67,25 +67,13 @@ def test_tableau_is_scipys():
         assert ours.shape == theirs.shape and np.all(ours == theirs), name
 
 
-def _stop_events(stops) -> list:
-    """The stops ``(lo, hi)`` as scipy's terminal events: ``y[0] - lo``
-    falling and ``y[0] - hi`` rising, in that order.  An infinite level
-    gives an event that never changes sign."""
-    def level_event(level, direction):
-        def event(t, y):
-            return y[0] - level
-
-        event.terminal, event.direction = True, direction
-        return event
-
-    return [level_event(stops[0], -1), level_event(stops[1], 1)]
-
-
 def _with_scipy(monkeypatch, module, run) -> list:
     """Run ``run()``; return (kernel, scipy) solutions of each solver call.
 
-    scipy solves with the stops as its terminal, directed events (see
-    :func:`_stop_events`), so it locates every root independently.  The
+    scipy solves with the stops ``(lo, hi)`` as its terminal events
+    ``y[0] - lo`` falling and ``y[0] - hi`` rising, in that order, so it
+    locates every root independently (an infinite level gives an event
+    that never changes sign).  The
     kernel's solve builds a step's interpolant only for the stop search, as
     scipy does with ``dense_output=False``: scipy's counts come from that
     run, and its dense output from a ``dense_output=True`` run, which takes
@@ -96,9 +84,12 @@ def _with_scipy(monkeypatch, module, run) -> list:
 
     def both(fun, t_span, y0, *, rtol, atol, stops=(-math.inf, math.inf)):
         sol = kernel(fun, t_span, y0, rtol=rtol, atol=atol, stops=stops)
+        events = [lambda t, y, level=level: y[0] - level for level in stops]
+        for event, direction in zip(events, (-1, 1)):
+            event.terminal, event.direction = True, direction
         ref, dense = (
             scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                            events=_stop_events(stops), dense_output=d)
+                            events=events, dense_output=d)
             for d in (False, True)
         )
         assert np.array_equal(ref.t, dense.t) and ref.sol is None
