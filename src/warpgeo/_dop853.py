@@ -419,14 +419,6 @@ def _segment_at(segment: tuple, t: float) -> list:
     return [_interpolate(x, x1, y0, F[j::n]) for j, y0 in enumerate(y_old)]
 
 
-def _first_at(segment: tuple, t: float) -> float:
-    """y[0] at ``t`` on one step's interpolant, by the operations of
-    :func:`_segment_at`: the function whose root ends a solve at a stop."""
-    t_old, h, y_old, F = segment
-    x = (t - t_old) / h
-    return _interpolate(x, 1 - x, y_old[0], F[::len(y_old)])
-
-
 def _rms(v) -> float:
     total = 0.0
     for x in v:
@@ -479,12 +471,12 @@ def solve_ivp(
     ``stops = (lo, hi)`` ends the solve where ``y[0]`` falls through ``lo``
     (status 1) or rises through ``hi`` (status 2), as scipy's terminal events
     ``y[0] - lo`` with direction -1 and ``y[0] - hi`` with direction 1 would.
-    An accepted step crosses ``lo`` when ``a >= 0 >= b`` and ``hi`` when
-    ``a <= 0 <= b``, for a and b the values ``y[0] - level`` at its start and
-    end; an infinite level is never tested.  So a start beyond a level does
-    not stop the solve, and a start on a level that moves past it stops at
-    its start.  The root is located on the step's interpolant of ``y[0]``
-    (:func:`_first_at`) by ``brentq`` with ``xtol = rtol = 4 eps``, the
+    An accepted step crosses ``lo`` when ``a - lo >= 0 >= b - lo`` and ``hi``
+    when ``a - hi <= 0 <= b - hi``, for a and b its ``y[0]`` at start and
+    end; an infinite level never passes that test.  So a start beyond a
+    level does not stop the solve, and a start on a level that moves past it
+    stops at its start.  The root is located on the step's interpolant, as
+    ``_segment_at(...)[0]``, by ``brentq`` with ``xtol = rtol = 4 eps``, the
     earlier root wins when one step crosses both levels, and the root is
     the last entry of ``t``.  Only that step's interpolant is built during
     the solve; the returned ``sol`` builds the others on first use.
@@ -513,7 +505,7 @@ def solve_ivp(
     f = fun(t, y)
 
     ts, steps, coefficients = [t0], [], []
-    levels = [(level, code) for level, code in zip(stops, (1, 2)) if math.isfinite(level)]
+    lo, hi = stops
     status, message = None, None
 
     size = _initial_step(fun, t, y, f, t_bound, rtol, atol)  # of the next step attempt
@@ -569,21 +561,18 @@ def solve_ivp(
         if t >= t_bound:
             status = 0
         F = None  # the interpolant, built here only for the stop search
-        a = step[2][0]  # y[0] at the step's start
-        crossed = [
-            (level, code) for level, code in levels
-            if (a - level >= 0 >= y[0] - level if code == 1 else a - level <= 0 <= y[0] - level)
-        ]
-        if crossed:
+        a, b = step[2][0], y[0]  # y[0] at the step's start and end
+        falls = a - lo >= 0 >= b - lo
+        rises = a - hi <= 0 <= b - hi
+        if falls or rises:
             F = extra(args, *step)
             nfev += 3
             segment = (*step[:3], F)
-            roots = [
-                (brentq(lambda s, level=level: _first_at(segment, s) - level,
+            t, status = min(
+                (brentq(lambda s, level=level: _segment_at(segment, s)[0] - level,
                         t_old, t, xtol=4 * EPS, rtol=4 * EPS), code)
-                for level, code in crossed
-            ]
-            t, status = min(roots)
+                for level, code, crossed in ((lo, 1, falls), (hi, 2, rises)) if crossed
+            )
             if len(ts) > 1 and ts[-1] == t:
                 continue  # a root on the previous step end adds no segment
         ts.append(t)

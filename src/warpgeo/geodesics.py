@@ -116,15 +116,31 @@ _CALLED = _derivative("hf, dhf, ", "hr, dhr = hf(r), dhf(r)")
 _CALLED_ONCE = _derivative("hf, ", "hr = dhr = hf(r)")
 
 
-def _margin(edge: float, distance: float = math.inf) -> float:
-    """Escape distance from a domain edge for a start ``distance`` from it:
-    ESCAPE_MARGIN, or 8 spacings of doubles at a finite edge of 65,536 or
-    more, where ESCAPE_MARGIN would round the stop level, the clamp and the
-    final clip onto the edge.  A start that lies that margin or nearer to
-    the edge takes half its distance instead: a stop is a crossing, which a
-    start past its level would never make."""
-    margin = max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
-    return margin if distance > margin else 0.5 * distance
+def _margin(edge: float) -> float:
+    """Escape distance from a domain edge: ESCAPE_MARGIN, or 8 spacings of
+    doubles at a finite edge of 65,536 or more, where ESCAPE_MARGIN would
+    round the stop level, the clamp and the final clip onto the edge."""
+    return max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
+
+
+def _levels(edge: float, start: float) -> tuple:
+    """The stop level, the clip and the clamp next to a domain ``edge`` for
+    a solve from ``start``: the edge's :func:`_margin`, half of it and a
+    quarter of it inside the edge.  A stop is a crossing, which a start past
+    its level would never make, so a start that lies the margin or nearer
+    to the edge takes half its distance to it as the margin.  Where that
+    would round the clamp onto the edge (a start a few spacings of doubles
+    from a large edge), all three lie on the start instead, and the solve
+    stops there, with length 0, unless its first step moves r at least a
+    spacing away from the edge.  Each level lies strictly inside a finite
+    edge."""
+    margin, distance = _margin(edge), abs(start - edge)
+    near = distance <= margin
+    if near:
+        margin = 0.5 * distance
+    inward = margin if start > edge else -margin
+    levels = edge + inward, edge + 0.5 * inward, edge + 0.25 * inward
+    return (start,) * 3 if near and levels[2] == edge else levels
 
 
 @dataclass(frozen=True)
@@ -301,9 +317,10 @@ def integrate(
     either domain boundary to within :data:`ESCAPE_MARGIN` (8 spacings of
     doubles at an edge of 65,536 or more, where 1e-10 would round away); a
     start that lies that margin or nearer to an edge stops at half its
-    distance from it instead.  The solver stops where r crosses that level,
-    located by its root finder on the dense output, and ``total_length`` is
-    the arc length there.
+    distance from it instead, and one a few spacings of doubles from a large
+    edge on itself (see :func:`_levels`).  The solver stops where r crosses
+    that level, located by its root finder on the dense output, and
+    ``total_length`` is the arc length there.
 
     Raises
     ------
@@ -321,8 +338,8 @@ def integrate(
             f"initial state is not unit speed: f^2+g^2 = {init.speed_sq!r}"
         )
     d_lo, d_hi = w.domain.lo, w.domain.hi
-    m_lo, m_hi = _margin(d_lo, init.r - d_lo), _margin(d_hi, d_hi - init.r)
-    stop_lo, stop_hi = d_lo + m_lo, d_hi - m_hi
+    stop_lo, clip_lo, inner_lo = _levels(d_lo, init.r)
+    stop_hi, clip_hi, inner_hi = _levels(d_hi, init.r)
 
     # Trial stages of the step that crosses a stop level probe past the
     # boundary.  Where h h' is finite on the boundary (h = r or e^r at
@@ -336,8 +353,6 @@ def integrate(
     # it.  The clamp engages beyond the stop level, so no state the solver
     # keeps depends on it.
     h, dh = w._h, w._dh  # raw evaluators: the probes leave the domain on purpose
-    inner_lo = d_lo + 0.25 * m_lo
-    inner_hi = d_hi - 0.25 * m_hi
     floats = w.kind in _FLOAT_KINDS
 
     # The solver's state and the derivative it takes are Python floats.
@@ -391,8 +406,7 @@ def integrate(
         raise ValueError(f"geodesic integration failed: {sol.message}")
 
     stop = ("s_max", "escaped_lower", "escaped_upper")[sol.status]
-    clip = (d_lo + 0.5 * m_lo, d_hi - 0.5 * m_hi)
-    return _sample(sol, b, h, clip, stop, n_samples, floats)
+    return _sample(sol, b, h, (clip_lo, clip_hi), stop, n_samples, floats)
 
 
 def _sample(

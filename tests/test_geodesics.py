@@ -447,6 +447,33 @@ class TestStartInsideEscapeMargin:
                                        abs=1e-12)
         assert connect_neg2(p0, p1).variant == "found"
 
+    @pytest.mark.parametrize("spacings", [1, 2, 4])
+    def test_outward_ray_doubles_next_to_a_large_pole_escapes(self, spacings):
+        # Half the distance would round the clamp onto the pole, which no
+        # state reaches: from one spacing it ran to s_max, 761 evaluations
+        # for 1e-6 of arc length.  The levels lie on the start instead.
+        r0 = 1e9
+        for _ in range(spacings):
+            r0 = math.nextafter(r0, 0.0)
+        path = integrate(warp_flat(1.0, 1e9), GeodesicState(r0, 0.0, 1.0, 0.0), 1e-6)
+        assert path.stats.stop == "escaped_upper"
+        assert (path.total_length, path.r[-1], path.stats.rhs_evals) == (0.0, r0, 17)
+
+    @pytest.mark.parametrize("edge", [0.0, 5.0, 65536.0, 1e9, 2.0**30])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_levels_lie_strictly_inside_the_edge(self, edge, side):
+        # The start, stop level, clip and clamp run toward the edge, for
+        # starts from one spacing of doubles to beyond the margin.
+        starts, r = [], edge
+        for _ in range(12):
+            r = math.nextafter(r, side * math.inf)
+            starts.append(r)
+        starts += [edge + side * geodesics._margin(edge) * x for x in (0.5, 1.0, 3.0)]
+        for start in starts:
+            stop, clip, clamp = geodesics._levels(edge, start)
+            assert side * (start - stop) >= 0 and side * (stop - clip) >= 0
+            assert side * (clip - clamp) >= 0 and side * (clamp - edge) > 0
+
 
 def test_overflowing_h_at_the_start_fails_without_a_warning():
     # e^800 overflows: the solve's errstate covers the momentum b = g/h.
