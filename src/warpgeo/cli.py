@@ -6,8 +6,8 @@ Grammar::
 
 Common options: ``--warp NAME[:params]`` selects the warp function
 (``one_over_r``, ``r``, ``exp``, ``flat:a0,a1``, ``neg2:c0,c1,c2``),
-``--format json|csv``, ``--out PATH`` (stdout when omitted), ``--seed N``
-and ``--tol X``.  The environment variable ``WARPGEO_CONFIG`` may point at a
+``--format json|csv``, ``--out PATH`` (stdout when omitted) and
+``--tol X``.  The environment variable ``WARPGEO_CONFIG`` may point at a
 JSON configuration file supplying defaults; explicit flags win.  Numeric
 output carries 17 significant digits so that doubles round-trip exactly and
 repeated runs are byte-identical.
@@ -66,15 +66,14 @@ def _require_positive(value: float, flag: str) -> None:
 
 
 class RunConfig:
-    """Resolved run configuration: warp, output, seed and solver tolerance.
+    """Resolved run configuration: warp, output and solver tolerance.
 
     Built from defaults, then the JSON file named by ``WARPGEO_CONFIG``
     (an object with no keys but those below), then command-line flags::
 
         {
           "warp": {"kind": "flat", "params": [2, 5]},
-          "output": {"format": "json", "path": null},
-          "seed": 0
+          "output": {"format": "json", "path": null}
         }
     """
 
@@ -90,8 +89,8 @@ class RunConfig:
             if not isinstance(file_cfg, dict):
                 raise UsageError(f"config {cfg_path} must hold a JSON object")
             for key in file_cfg:
-                if key not in ("warp", "output", "seed"):
-                    raise UsageError(f"unknown config key {key!r}; expected warp, output or seed")
+                if key not in ("warp", "output"):
+                    raise UsageError(f"unknown config key {key!r}; expected warp or output")
 
         if args.warp is not None:
             self.warp_spec = WarpSpec.from_string(args.warp)
@@ -111,10 +110,6 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown output format {self.format!r}")
         self.out = args.out if args.out is not None else out_cfg.get("path")
-        try:
-            self.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"malformed config seed {file_cfg['seed']!r}") from exc
         self.tol = args.tol if args.tol is not None else DEFAULT_TOL
         _require_positive(self.tol, "--tol")
 
@@ -303,7 +298,7 @@ def cmd_isometry(cfg: RunConfig, args) -> int:
     if args.k <= 0.0:
         raise UsageError("isometry requires k > 0")
     w = cfg.warp()
-    report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol, seed=cfg.seed)
+    report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol)
     _emit(cfg, _json(report.to_dict()))
     return EXIT_OK
 
@@ -315,7 +310,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="warpgeo", description=__doc__.splitlines()[0])
     parser.add_argument("--warp", help="warp kind, e.g. one_over_r, r, exp, flat:2,5")
     parser.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--out", default=None, help="output file (stdout when omitted)")
     sub = parser.add_subparsers(dest="command", required=True)

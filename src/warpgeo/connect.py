@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
 from .geodesics import (ESCAPE_MARGIN, FlatGeodesic, GeodesicPath, GeodesicState, _flat_param,
                         integrate)
-from .warp import Point, WarpFunction, warp_one_over_r, warp_r
+from .warp import Point, WarpFunction, _check_tol, warp_one_over_r, warp_r
 
 __all__ = [
     "ConnectResult",
@@ -148,13 +148,6 @@ class ConnectResult:
 def _check_distinct(p0: Point, p1: Point) -> None:
     if p0.r == p1.r and p0.t == p1.t:
         raise ValueError("the two points must be distinct")
-
-
-def _check_tol(tol: float) -> None:
-    """A replay within ``tol`` confirms: nan, zero or a negative ``tol``
-    would confirm nothing, and an infinite one anything."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _horizontal(p0: Point, p1: Point, tol: float) -> ConnectResult | None:

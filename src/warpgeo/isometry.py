@@ -9,7 +9,10 @@ map may or may not preserve are measured separately:
   differential of an affine map is the diagonal matrix diag(k, k), so the
   pointwise Cauchy-Riemann residual reduces to |k (h(r) - h(k r))|;
 * the metric: the pullback residual compares inner products before and
-  after the map.
+  after the map.  Both quadratic forms are diagonal, so by polarization the
+  orthonormal frame e1 = (1, 0), e2 = (0, h(r)) decides the pullback.  The
+  map scales the unit vector e1 by k, so its term is |k^2 - 1|, which in
+  doubles is 0 exactly when k == 1.
 
 For the featured warps h = r and h = 1/r both residuals vanish exactly when
 k = 1 (pure transverse translations) and only then, which
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 from ._np import np
 from .geometry import TangentVector, metric_at
-from .warp import DomainError, Point, WarpFunction
+from .warp import DomainError, Point, WarpFunction, _check_tol
 
 __all__ = [
     "AffineMap",
@@ -106,39 +109,28 @@ def cr_residual(w: WarpFunction, m: AffineMap, p: Point) -> float:
     return abs(m.k * hr - m.k * hu)
 
 
-def _default_vectors(w: WarpFunction, p: Point, rng) -> list[TangentVector]:
-    """The two frame vectors plus one random vector at p."""
-    hr = float(w.h(p.r))
-    return [
-        TangentVector(1.0, 0.0, base=p),
-        TangentVector(0.0, hr, base=p),
-        TangentVector(float(rng.standard_normal()), float(rng.standard_normal()), base=p),
-    ]
+def _frame(w: WarpFunction, p: Point) -> list[TangentVector]:
+    """The orthonormal frame e1 = (1, 0), e2 = (0, h(r)) at p."""
+    return [TangentVector(1.0, 0.0, base=p), TangentVector(0.0, float(w.h(p.r)), base=p)]
 
 
-def pullback_residual(
-    w: WarpFunction,
-    m: AffineMap,
-    points,
-    vectors=None,
-    seed: int = 0,
-) -> float:
+def pullback_residual(w: WarpFunction, m: AffineMap, points, vectors=None) -> float:
     """Max metric-pullback violation over sample points and vectors.
 
     For each tangent vector u the residual compares g(DG u, DG u) at the
     image point with g(u, u) at the source.  When ``vectors`` is None, the
-    two frame vectors and one seeded random vector are used at every point;
-    otherwise ``vectors`` must be tangent vectors whose base points are used
-    directly (``points`` is ignored then).
+    orthonormal frame is used at every point, which decides the pullback
+    (both forms are diagonal); otherwise ``vectors`` must be tangent
+    vectors whose base points are used directly (``points`` is ignored
+    then).
 
     Raises
     ------
     DomainError
         If any sample point's image escapes the warp's domain.
     """
-    rng = np.random.default_rng(seed)
     if vectors is None:
-        vectors = [v for p in points for v in _default_vectors(w, p, rng)]
+        vectors = [v for p in points for v in _frame(w, p)]
     diffs = [0.0]
     for u in vectors:
         gu = metric_at(w, u, u)
@@ -151,7 +143,11 @@ def pullback_residual(
 
 @dataclass(frozen=True)
 class IsometryReport:
-    """Residual maxima and verdict for an affine candidate map."""
+    """Residual maxima and verdict for an affine candidate map.
+
+    ``tol`` is the bound the holomorphy residual was held to; the isometry
+    residual is held to 0.
+    """
 
     holomorphy_residual: float
     isometry_residual: float
@@ -162,7 +158,6 @@ class IsometryReport:
     r_range: tuple[float, float]
     t_range: tuple[float, float]
     grid_shape: tuple[int, int]
-    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -176,7 +171,6 @@ class IsometryReport:
                 "t_range": list(self.t_range),
                 "shape": list(self.grid_shape),
             },
-            "seed": self.seed,
         }
 
 
@@ -185,31 +179,38 @@ def classify(
     m: AffineMap,
     *,
     tol: float = 1e-9,
-    seed: int = 0,
+    seed=None,
 ) -> IsometryReport:
     """Classify an affine map by its residual maxima over a sample grid.
 
-    The verdict is ``holomorphic_isometry`` when both residual maxima fall
-    below ``tol``, ``isometry_only`` / ``holomorphic_only`` when exactly one
-    does, and ``neither`` otherwise.  The grid is a ``GRID_SHAPE``
-    (20 x 20) lattice over ``R_RANGE`` (r in [0.1, 5], clipped to the
-    warp's domain) by ``T_RANGE`` (t in [-3, 3]); vectors per point are the
-    two frame vectors plus one random vector drawn from the seeded
-    generator.
+    The map is holomorphic when the holomorphy residual maximum falls below
+    ``tol``, and an isometry when the isometry residual maximum is exactly
+    0, which in doubles holds iff k == 1 (k*k != 1 for every double k != 1).
+    The verdict is ``holomorphic_isometry`` for a holomorphic isometry,
+    ``holomorphic_only`` for a holomorphic map that is no isometry, and
+    ``neither`` otherwise.  There is no ``isometry_only``: an isometry has
+    k = 1, where the holomorphy residual is exactly 0.  The grid is a
+    ``GRID_SHAPE`` (20 x 20) lattice over ``R_RANGE`` (r in [0.1, 5],
+    clipped to the warp's domain) by ``T_RANGE`` (t in [-3, 3]); the vectors
+    at each point are the orthonormal frame.  ``seed`` is accepted and
+    ignored.
 
     h is evaluated once on the array of grid radii and once on their
     images, so the warp's evaluator must accept arrays (as every warp
     checked by ``make_warp`` or ``warp_custom`` does).  The residuals equal
-    ``max(cr_residual(w, m, p))`` and ``pullback_residual(w, m, points,
-    seed=seed)`` over the same grid.
+    ``max(cr_residual(w, m, p))`` and ``pullback_residual(w, m, points)``
+    over the same grid.
 
     Raises
     ------
     DomainError
         If the grid misses the warp's domain or an image radius leaves it.
     ValueError
-        If an image coordinate or a sample vector is not finite.
+        If ``tol`` is not positive and finite, or an image coordinate or a
+        frame vector is not finite.
     """
+    # seed is ignored; it stays because perfbench/workloads.py passes it.
+    _check_tol(tol)
     lo = max(R_RANGE[0], w.domain.lo * (1.0 + 1e-9) + 1e-9)
     hi = min(R_RANGE[1], w.domain.hi * (1.0 - 1e-9))
     if not lo < hi:
@@ -227,28 +228,24 @@ def classify(
 
     holo = float(np.max(np.abs(m.k * hr - m.k * hu)))
 
-    # The vectors of _default_vectors at every point: e1, e2 = (0, h(r))
-    # and (z0, z1), with the random components drawn in point order.
-    z = np.random.default_rng(seed).standard_normal(2 * r.size).reshape(r.size, 2)
-    ones, zeros = np.ones_like(r), np.zeros_like(r)
-    dr = np.column_stack((ones, zeros, z[:, 0]))
-    dt = np.column_stack((zeros, hr, z[:, 1]))
-    kdr, kdt = m.k * dr, m.k * dt
-    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(kdt))):
+    # The frame of _frame, e1 = (1, 0) and e2 = (0, h(r)), pushed to
+    # (k, 0) and (0, k h(r)); k h(r) is finite only where h(r) is.
+    kh = m.k * hr
+    if not np.all(np.isfinite(kh)):
         raise ValueError("tangent vector components must be finite")
-    # The operations of metric_at, in its order.
-    gu = dr * dr + (dt * dt) / (hr * hr)[:, None]
-    gpu = kdr * kdr + (kdt * kdt) / (hu * hu)[:, None]
-    iso = float(np.max(np.abs(gpu - gu)))
+    # The operations of metric_at, in its order, with the zero products
+    # written as 0.0: a zero or NaN h still makes its term NaN.
+    hr2, hu2 = hr * hr, hu * hu
+    e1 = np.abs((m.k * m.k + 0.0 / hu2) - (1.0 + 0.0 / hr2))
+    e2 = np.abs(kh * kh / hu2 - hr2 / hr2)
+    iso = float(np.max(np.maximum(e1, e2)))
 
-    if holo < tol and iso < tol:
-        verdict = "holomorphic_isometry"
-    elif iso < tol:
-        verdict = "isometry_only"
-    elif holo < tol:
-        verdict = "holomorphic_only"
-    else:
+    if not holo < tol:
         verdict = "neither"
+    elif iso == 0.0:
+        verdict = "holomorphic_isometry"
+    else:
+        verdict = "holomorphic_only"
     return IsometryReport(
         holomorphy_residual=holo,
         isometry_residual=iso,
@@ -259,5 +256,4 @@ def classify(
         r_range=(lo, hi),
         t_range=T_RANGE,
         grid_shape=GRID_SHAPE,
-        seed=seed,
     )

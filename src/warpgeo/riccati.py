@@ -261,11 +261,15 @@ def verify_riccati(
 ) -> RiccatiReport:
     """Check that the warp's curvature matches the profile on a grid.
 
-    Never raises on mismatch; the report carries the maximal residual and
-    the pass/fail verdict against ``tol``.
+    The curvature is the generic ``(h'' h - 2 h'^2) / h^2`` from the warp's
+    h, h' and h'', never a family's attached exact curvature, which is the
+    profile itself and would match it by construction.  Never raises on
+    mismatch; the report carries the maximal residual and the pass/fail
+    verdict against ``tol``.
     """
     grid = np.asarray(grid, dtype=float)
-    residual = np.abs(np.asarray(sectional_curvature(w, grid)) - np.asarray(profile.f(grid)))
+    k = sectional_curvature(w, grid, method="generic")
+    residual = np.abs(np.asarray(k) - np.asarray(profile.f(grid)))
     max_res = float(np.max(residual)) if grid.size else 0.0
     return RiccatiReport(
         max_residual=max_res,

@@ -56,6 +56,13 @@ FD_STEP_SCALE = 1e-6
 # Relative tolerance for warp_custom's check of the derivatives it is given.
 CONSISTENCY_TOL = 1e-5
 
+# Largest difference step, as a share of the distance to the nearer domain
+# edge, at which warp_custom compares a supplied derivative.  A central
+# difference at that share of the distance to a simple pole of h is off by
+# about share^2 relative, and that of h' (a double pole) by 2 share^2, which
+# this share holds to CONSISTENCY_TOL.
+RESOLVED_STEP = math.sqrt(CONSISTENCY_TOL / 2.0)
+
 # Size of Domain.sample's grid, on which make_warp and warp_custom validate.
 SAMPLE_SIZE = 33
 
@@ -429,10 +436,14 @@ def warp_custom(
     (eps/step^2) against truncation.  Both steps are cut to half the
     distance to the nearer domain edge.  The logarithmic derivative is
     dh(r)/h(r).  The domain must be an explicit open subinterval of
-    (0, inf).  Positivity and finiteness of h and of dh/h, and consistency
-    of supplied derivatives (at relative tolerance ``CONSISTENCY_TOL``), are
-    checked on the domain's ``SAMPLE_SIZE``-point grid; a failed check
-    raises ``ValueError``.
+    (0, inf).  Positivity and finiteness of h and of dh/h are checked on
+    the domain's ``SAMPLE_SIZE``-point grid.  A supplied dh (and d2h) is
+    compared with the central difference of h (of dh) at relative tolerance
+    ``CONSISTENCY_TOL``, at the samples where the step ``FD_STEP_SCALE *
+    max(1, r)`` is at most ``RESOLVED_STEP`` (about 0.2 %) of the distance
+    to the nearer domain edge; nearer an edge a difference may straddle a
+    pole.  A non-finite comparison fails, and so does a domain too narrow
+    to hold any such sample.  A failed check raises ``ValueError``.
     """
     dom = domain if isinstance(domain, Domain) else Domain(*domain)
     step2 = math.sqrt(FD_STEP_SCALE)
@@ -477,6 +488,13 @@ _FAMILIES = {
 }
 
 
+def _check_tol(tol: float) -> None:
+    """A residual below ``tol`` decides: nan, zero or a negative ``tol``
+    would accept nothing, and an infinite one anything."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _fd_step(r, scale: float):
     """Central-difference step ``scale * max(1, |r|)`` at a scalar or array r."""
     if _scalar(r):
@@ -488,7 +506,8 @@ def _validate(w: WarpFunction, check_dh: bool = False, check_d2h: bool = False) 
     """Reject an h that is not finite and positive, or an H that is not
     finite, on the domain's sample grid; and, where asked, derivative
     evaluators that differ from central differences by more than
-    ``CONSISTENCY_TOL`` (relative)."""
+    ``CONSISTENCY_TOL`` (relative) at the resolved samples (see
+    :func:`warp_custom`)."""
     grid = w.domain.sample()
     # A value that overflows or divides by zero is rejected by name below.
     with np.errstate(all="ignore"):
@@ -501,18 +520,24 @@ def _validate(w: WarpFunction, check_dh: bool = False, check_d2h: bool = False) 
         Hv = np.asarray(w.log_deriv(grid), dtype=float)
         if not np.all(np.isfinite(Hv)):
             raise ValueError(f"warp {w.kind!r} has a non-finite logarithmic derivative")
-    # Central-difference cross-check of dh against h, and d2h against dh.
-    step = _fd_step(grid, FD_STEP_SCALE)
-    if check_dh:
-        fd1 = (w._h(grid + step) - w._h(grid - step)) / (2.0 * step)
-        got1 = np.asarray(w._dh(grid), dtype=float)
-        if np.max(np.abs(got1 - fd1) / np.maximum(1.0, np.abs(fd1))) > CONSISTENCY_TOL:
-            raise ValueError(f"warp {w.kind!r}: h' evaluator inconsistent with h")
-    if check_d2h:
-        fd2 = (w._dh(grid + step) - w._dh(grid - step)) / (2.0 * step)
-        got2 = np.asarray(w._d2h(grid), dtype=float)
-        if np.max(np.abs(got2 - fd2) / np.maximum(1.0, np.abs(fd2))) > CONSISTENCY_TOL:
-            raise ValueError(f"warp {w.kind!r}: h'' evaluator inconsistent with h'")
+        if not check_dh:
+            return w
+        # Central-difference cross-check of dh against h, and d2h against dh.
+        step = _fd_step(grid, FD_STEP_SCALE)
+        keep = step <= RESOLVED_STEP * np.minimum(grid - w.domain.lo, w.domain.hi - grid)
+        if not np.any(keep):
+            raise ValueError(f"warp {w.kind!r}: domain too narrow to check h' against h; "
+                             "omit dh to difference h")
+        x, d = grid[keep], step[keep]
+        checks = [(w._dh, w._h, "h' evaluator inconsistent with h")]
+        if check_d2h:
+            checks.append((w._d2h, w._dh, "h'' evaluator inconsistent with h'"))
+        for got, f, message in checks:
+            fd = (f(x + d) - f(x - d)) / (2.0 * d)
+            rel = np.abs(np.asarray(got(x), dtype=float) - fd) / np.maximum(1.0, np.abs(fd))
+            # A NaN fails here too.
+            if not np.max(rel) <= CONSISTENCY_TOL:
+                raise ValueError(f"warp {w.kind!r}: {message}")
     return w
 
 

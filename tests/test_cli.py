@@ -400,7 +400,7 @@ class TestIsometry:
 
 class TestDeterminismAndConfig:
     def test_byte_identical_repeats(self, tmp_path):
-        args = ("--seed", "3", "--format", "csv", "sweep", "--metric", "flat",
+        args = ("--format", "csv", "sweep", "--metric", "flat",
                 "--p0", "1,0", "--r1", "1.3", "--t1=-3:3:11")
         a = run_cli(*args)
         b = run_cli(*args)
@@ -414,7 +414,7 @@ class TestDeterminismAndConfig:
 
     def test_config_file_supplies_warp(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"warp": {"kind": "r", "params": []}, "seed": 5}))
+        cfg.write_text(json.dumps({"warp": {"kind": "r", "params": []}}))
         res = run_cli("--format", "json", "curvature", "1", "1.5", "2",
                       env_extra={"WARPGEO_CONFIG": str(cfg)})
         rows = json.loads(res.stdout)
@@ -453,6 +453,13 @@ class TestDeterminismAndConfig:
         assert res.stdout == ""
         assert res.stderr == f"warpgeo: error: {flag} must be positive and finite\n"
 
+    def test_seed_flag_usage_error(self):
+        # The isometry frame is not random: there is no seed to set.
+        res = run_cli("--seed", "0", "isometry", "1", "0")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("warpgeo: error: ")
+
     def test_warp_parse_error(self):
         assert run_cli("--warp", "flat:1", "curvature", "1", "2", "3").returncode == 1
 
@@ -468,11 +475,13 @@ class TestDeterminismAndConfig:
             ('{"warp": {"kind": "flat", "params": [1%s, 5]}}' % ("0" * 400), "malformed config warp"),
             ('{"output": {"path": 5}}', "path is a string or null"),
             ('{"integrator": {"rel_tol": 1e-10}}', "unknown config key 'integrator'"),
-            ('{"seed": null}', "malformed config seed None"),
-            ('{"seed": 1e999}', "malformed config seed inf"),
+            ('{"seed": 0}', "unknown config key 'seed'; expected warp or output"),
+            ('{"seed": null}', "unknown config key 'seed'"),
+            ('{"seed": 1e999}', "unknown config key 'seed'"),
         ],
         ids=["warp-string", "warp-no-kind", "list", "params-number", "params-string",
-             "params-bool", "params-huge", "path-number", "integrator", "seed-null", "seed-overflow"],
+             "params-bool", "params-huge", "path-number", "integrator", "seed", "seed-null",
+             "seed-overflow"],
     )
     def test_malformed_config_usage_error(self, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"

@@ -27,6 +27,8 @@ from warpgeo import (
 
 K_SWEEP = (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0)
 L_SWEEP = (-2.0, 0.0, 3.0)
+# k = 1 +- 2^-j, j = 1 ... 52.
+NEAR_UNIT_K = tuple(1.0 + s * 2.0**-j for j in range(1, 53) for s in (1.0, -1.0))
 # The C11 warps plus the other built-in families.
 SWEEP_WARPS = ("one_over_r", "r", "flat:2,5", "neg2:1,1,1", "exp")
 
@@ -184,30 +186,29 @@ class TestClassify:
         assert classify(w_scalar, AffineMap(2.0, 0.0)).verdict == "holomorphic_only"
 
     @staticmethod
-    def pointwise_reference(w, m, seed, r_range):
+    def pointwise_reference(w, m, r_range):
         """max(cr_residual) and pullback_residual over classify's default grid
         clipped to r_range; np.max, unlike max, keeps a NaN in any position."""
         rs = np.linspace(*r_range, 20)
         ts = np.linspace(-3.0, 3.0, 20)
         points = [Point(float(r), float(t)) for r in rs for t in ts]
         holo = np.max([cr_residual(w, m, p) for p in points])
-        return holo, pullback_residual(w, m, points, seed=seed)
+        return holo, pullback_residual(w, m, points)
 
     @pytest.mark.parametrize("spec", SWEEP_WARPS)
     def test_matches_pointwise_reference_exactly(self, spec, rng):
         w = make_warp(spec)
         r_range = classify(w, AffineMap(1.0, 0.0)).r_range
-        for k in K_SWEEP:
+        for k in (*K_SWEEP, 1.0 + 2.0**-45, 1.0 - 2.0**-53, 1.0 + 1e-12):
             m = AffineMap(k, float(rng.uniform(-3.0, 3.0)))
-            seed = int(rng.integers(2**31))
             try:
-                ref = self.pointwise_reference(w, m, seed, r_range)
+                ref = self.pointwise_reference(w, m, r_range)
             except DomainError:
                 # The image leaves the domain (flat:2,5 with k > 1).
                 with pytest.raises(DomainError):
-                    classify(w, m, seed=seed)
+                    classify(w, m)
                 continue
-            rep = classify(w, m, seed=seed)
+            rep = classify(w, m)
             assert (rep.holomorphy_residual, rep.isometry_residual) == ref
 
     def test_nan_image_matches_pointwise_reference(self):
@@ -221,7 +222,7 @@ class TestClassify:
         m = AffineMap(2.0, 0.5)
         rep = classify(w, m)
         assert rep.r_range == (0.1, 5.0)
-        ref = self.pointwise_reference(w, m, 0, rep.r_range)
+        ref = self.pointwise_reference(w, m, rep.r_range)
         np.testing.assert_equal((rep.holomorphy_residual, rep.isometry_residual), ref)
         assert math.isnan(rep.isometry_residual)
         assert rep.verdict == "neither"
@@ -236,10 +237,57 @@ class TestClassify:
             classify(warp_flat(1.0, 0.05), AffineMap(1.0, 0.0))
 
     def test_report_serialization(self, flat_warp):
-        d = classify(flat_warp, AffineMap(1.0, 1.0), seed=7).to_dict()
+        d = classify(flat_warp, AffineMap(1.0, 1.0)).to_dict()
         assert d["verdict"] == "holomorphic_isometry"
-        assert d["seed"] == 7 and d["map"] == {"k": 1.0, "l": 1.0}
+        assert d["map"] == {"k": 1.0, "l": 1.0}
         assert d["grid"]["shape"] == [20, 20]
+        assert "seed" not in d
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, neg2_warp, tol):
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol!r}$"):
+            classify(neg2_warp, AffineMap(1.0, 0.0), tol=tol)
+
+
+def log_periodic_warp():
+    """h = 2 + sin(2 pi log2 r): h(2 r) = h(r), so k = 2^n is holomorphic."""
+    return warp_custom(lambda r: 2.0 + np.sin(2.0 * math.pi * np.log2(r)),
+                       domain=(0.0, math.inf))
+
+
+class TestVerdictNearUnitScale:
+    """No k != 1 is an isometry, however close to 1: the e1 term |k^2 - 1| of
+    the isometry residual is not 0 for any double k != 1."""
+
+    WARPS = ("r", "one_over_r", "exp", "neg2:1,1,1", "flat:2,5", "log_periodic")
+
+    @staticmethod
+    def warp(spec):
+        return log_periodic_warp() if spec == "log_periodic" else make_warp(spec)
+
+    @pytest.mark.parametrize("spec", WARPS)
+    def test_no_scaling_is_an_isometry(self, spec):
+        w = self.warp(spec)
+        ks = [*NEAR_UNIT_K, *(1.0 + n * 2.0**-52 for n in range(1, 1001)),
+              *(1.0 - n * 2.0**-53 for n in range(1, 1001))]
+        # flat:2,5 lives on (0, 5), which a scaling k > 1 of the grid leaves.
+        for k in (k for k in ks if k < 1.0 or spec != "flat:2,5"):
+            rep = classify(w, AffineMap(k, 0.5))
+            assert rep.verdict != "holomorphic_isometry", k
+            assert rep.isometry_residual > 0.0, k
+
+    @pytest.mark.parametrize("spec", WARPS)
+    @pytest.mark.parametrize("l", L_SWEEP)
+    def test_translations_are_holomorphic_isometries(self, spec, l):
+        rep = classify(self.warp(spec), AffineMap(1.0, l))
+        assert rep.verdict == "holomorphic_isometry"
+        assert (rep.holomorphy_residual, rep.isometry_residual) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("k", [2.0, 4.0, 0.5])
+    def test_log_periodic_scalings_holomorphic_only(self, k):
+        rep = classify(log_periodic_warp(), AffineMap(k, 1.0))
+        assert rep.verdict == "holomorphic_only"
+        assert rep.isometry_residual >= abs(k * k - 1.0)  # the e1 term
 
 
 def coordinate_geodesic_residual(w, r_arr, t_arr, s_arr) -> float:

@@ -48,7 +48,7 @@ PINNED = {
         0, "8d8ddb77721ea627b1c29d4005d2d1dca58f95602fb597ba81c3e5b391d28086",
         EMPTY),
     "warpgeo --warp r isometry 1 2                         # holomorphic_isometry": (
-        0, "98369b8b0c09458192445e5d45ee5bdc8c313d50dfbe814b61812e24da9f7290",
+        0, "7599911b377deadcfcd3635e4248c6de7f4993830efe1bceda739558f6a0ad95",
         EMPTY),
     "warpgeo --warp r geodesic 1 0 1 5": (
         0, "c36fdca208412555ca6aa6767922c9364890d38d1a010b7a5e0e4130b3838c11",

@@ -65,6 +65,8 @@ REMOVED_KEYWORDS = {
         warpgeo.warp_r(), warpgeo.AffineMap(1.0), r_range=(0.1, 5.0)),
     "classify-t_range": lambda: warpgeo.classify(
         warpgeo.warp_r(), warpgeo.AffineMap(1.0), t_range=(-3.0, 3.0)),
+    "pullback_residual-seed": lambda: warpgeo.pullback_residual(
+        warpgeo.warp_r(), warpgeo.AffineMap(1.0), [warpgeo.Point(1.0, 0.0)], seed=0),
     "warp_custom-check": lambda: warpgeo.warp_custom(
         lambda r: r, domain=(0.0, 1.0), check=False),
     "make_warp-domain": lambda: warpgeo.make_warp("r", domain=(1.0, 2.0)),

@@ -224,6 +224,36 @@ class TestCustomWarp:
                 domain=(0.0, 20.0),
             )
 
+    # h = 1/(1e-3 - r) has its pole on the domain's upper edge, and the
+    # difference step 1e-6 reaches it from the last sample.
+    POLE = 1e-3
+
+    @pytest.mark.parametrize("factor", [5.0, 1.0 + 1e-3])
+    def test_wrong_dh_next_to_a_pole_refused(self, factor):
+        a = self.POLE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="h' evaluator inconsistent with h$"):
+                warp_custom(lambda r: 1.0 / (a - r), lambda r: factor / (a - r) ** 2,
+                            domain=(0.0, a))
+
+    def test_exact_derivatives_next_to_a_pole_accepted(self):
+        a = self.POLE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = warp_custom(lambda r: 1.0 / (a - r), lambda r: 1.0 / (a - r) ** 2,
+                            lambda r: 2.0 / (a - r) ** 3, domain=(0.0, a))
+            with pytest.raises(ValueError, match="h'' evaluator inconsistent with h'$"):
+                warp_custom(lambda r: 1.0 / (a - r), lambda r: 1.0 / (a - r) ** 2,
+                            lambda r: 2.5 / (a - r) ** 3, domain=(0.0, a))
+        assert w.dh(5e-4) == 4e6
+
+    def test_domain_too_narrow_to_check_refused(self):
+        # Every sample lies within 500 steps of an edge.
+        with pytest.raises(ValueError, match="domain too narrow to check h' against h"):
+            warp_custom(lambda r: 1.0 + r, lambda r: np.ones_like(r), domain=(0.0, 8e-4))
+        assert warp_custom(lambda r: 1.0 + r, domain=(0.0, 8e-4)).dh(4e-4) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("supplied", [True, False], ids=["supplied_dh", "fd_dh"])
     def test_log_deriv_is_dh_over_h(self, supplied):
         w = warp_custom(
