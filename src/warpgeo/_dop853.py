@@ -18,33 +18,32 @@ level ``lo`` or rises through a level ``hi``, as a terminal, directed event
 scipy runs the method on numpy arrays: for the two- and three-component
 systems of this package most of its time goes to numpy calls on tiny
 arrays, the ``fun`` wrappers and one interpolant object per step.  Here the
-state is a list of Python floats, ``fun`` returns Python floats, and a step
-is straight-line float code, as in Hairer's ``dop853.f``, whose ``FCN``
-works on plain doubles: every stage argument and every sum that closes a
-step (the solution update, the two error sums and the interpolation
-coefficients) is one expression over the tableau entries, written out per
-component, and so is the error norm.  The kernel converts nothing: the
-stages take fun's values as they are.  A right-hand side can itself be
-written as source, a :class:`Derivative`, and passed as the
-:class:`CompiledDerivative` that also serves as ``fun``: its body then runs
-inline in every stage, on only the stage arguments it reads, in place of a
-call of ``fun`` with the stage's time and whole state.  This is how
-:func:`warpgeo.geodesics.integrate` solves.  That source is generated from
-the tableau the first time a system and state size are solved (see
-:func:`_kernel`).  The solve returns lists of floats.  numpy, which every
-module of the package reaches through the lazy binding ``np`` of
-:mod:`warpgeo._np`, is needed only to evaluate the dense output at an array
-of samples, and :meth:`DenseSolution.at` evaluates one sample on floats.  A
-later read evaluates ``fun`` under its own caller's numpy error handling.
+state is a list of Python floats and a step is straight-line float code, as
+in Hairer's ``dop853.f``, whose ``FCN`` works on plain doubles: every stage
+argument and every sum that closes a step (the solution update, the two
+error sums and the interpolation coefficients) is one expression over the
+tableau entries, written out per component, and so is the error norm.  The
+right-hand side enters in one form, as source: a :class:`Derivative`, whose
+body runs inline in every stage, on only the stage arguments it reads.  A
+plain callable ``fun(t, y)`` enters as the args of :data:`CALL`, whose body
+calls it with the stage's time and whole state.  The kernel converts
+nothing: the stages take the body's values as they are.  The step's source
+is generated from the tableau the first time a derivative and state size
+are solved (see :func:`_kernel`).  The solve returns lists of floats.
+numpy, which every module of the package reaches through the lazy binding
+``np`` of :mod:`warpgeo._np`, is needed only to evaluate the dense output
+at an array of samples, and :meth:`DenseSolution.at` evaluates one sample
+on floats.  A later read evaluates the derivative under its own caller's
+numpy error handling.
 
-A step's interpolant costs three more evaluations of ``fun`` (stages 13-15,
-which the rows through D weigh), 3 of the 15 of an accepted step.  As scipy
-does with ``dense_output=False``, the solve builds it only for the step the
-stop search reads.  Every accepted step keeps what its interpolant needs
-(t, h, y and the stages 0 and 5-12, with y_new shared with the next step),
-and :class:`DenseSolution` builds a step's interpolant when a sample first
-falls in it, then keeps it.  ``Solution.nfev`` counts the evaluations of
-the solve, ``DenseSolution.nfev`` those made later.
+A step's interpolant costs three more evaluations of the derivative (stages
+13-15, which the rows through D weigh), 3 of the 15 of an accepted step.
+As scipy does with ``dense_output=False``, the solve builds it only for the
+step the stop search reads.  Every accepted step keeps what its interpolant
+needs (t, h, y and the stages 0 and 5-12, with y_new shared with the next
+step), and :class:`DenseSolution` builds a step's interpolant when a sample
+first falls in it, then keeps it.  ``Solution.nfev`` counts the evaluations
+of the solve, ``DenseSolution.nfev`` those made later.
 
 The values agree with scipy's to rounding.  The steps agree as far as the
 error estimate does: where it is rounding rather than truncation error (the
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from ._brentq import brentq
 from ._np import np
 
-__all__ = ["solve_ivp", "Solution", "DenseSolution", "Derivative", "CompiledDerivative"]
+__all__ = ["solve_ivp", "Solution", "DenseSolution", "Derivative"]
 
 # scipy's step controller: the factor SAFETY * err^(-1/8), clamped to
 # [MIN_FACTOR, MAX_FACTOR], and no growth right after a rejection.
@@ -156,8 +155,9 @@ _KERNELS: dict = {}  # (derivative, state size) -> (call, stages, extra), see _k
 
 @dataclass(frozen=True)
 class Derivative:
-    """A right-hand side written as source, which :func:`_kernel` compiles
-    into the step it generates.
+    """A right-hand side written as source, the one form in which
+    :func:`solve_ivp` takes it: :func:`_kernel` compiles it into the step
+    it generates.
 
     ``body`` is statements that assign the derivative, a sequence of n
     values, to ``{out}``.  They read the time as ``{t}``, component j of the
@@ -177,25 +177,12 @@ class Derivative:
     body: str
 
 
-# A plain callable: every stage calls fun(t + c h, [...]).
+# A plain callable fun(t, y), solved as solve_ivp(CALL, fun, ...): every
+# stage calls fun(t + c h, [...]).
 CALL = Derivative("fun", "{out} = fun({t}, {state})")
 
 
-class CompiledDerivative:
-    """``fun(t, y)`` compiled from ``derivative`` for the values ``args`` of
-    its params and an ``n``-component state.  :func:`solve_ivp` runs the
-    same source inline in its step: it calls this only to start the solve.
-    """
-
-    def __init__(self, derivative: Derivative, args: tuple, n: int):
-        self.args = args
-        self.kernel = _kernel(derivative, n)
-
-    def __call__(self, t, y):
-        return self.kernel[0](self.args, t, y)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Solution:
     """Outcome of :func:`solve_ivp`, with scipy's field names.
 
@@ -218,26 +205,16 @@ class Solution:
     nrej: int
     sol: "DenseSolution"
 
-    # One per solve.  Writing the instance dict, as warpgeo.warp.Point does,
-    # builds the same frozen object without an object.__setattr__ per field.
-    def __init__(self, status, message, t, nfev, nrej, sol):
-        d = self.__dict__
-        d["status"] = status
-        d["message"] = message
-        d["t"] = t
-        d["nfev"] = nfev
-        d["nrej"] = nrej
-        d["sol"] = sol
-
 
 class DenseSolution:
     """Piecewise interpolant of the accepted steps, one segment per step.
 
     A segment's interpolation coefficients cost three more evaluations of
-    ``fun`` (stages 13-15).  Each is built on first use and then kept: the
-    stop search builds the step it searches, and a call builds the steps
-    its samples fall in.  ``nfev`` counts the evaluations made here, 3 per
-    step built after the solve, under the numpy error handling of the reader.
+    the derivative (stages 13-15).  Each is built on first use and then
+    kept: the stop search builds the step it searches, and a call builds
+    the steps its samples fall in.  ``nfev`` counts the evaluations made
+    here, 3 per step built after the solve, under the numpy error handling
+    of the reader.
 
     A sample picks its segment by scipy's ``OdeSolution`` rule (a step end
     belongs to the earlier step, and samples outside the span use the first
@@ -426,23 +403,21 @@ def _rms(v) -> float:
     return math.sqrt(total) / len(v) ** 0.5
 
 
-def _initial_step(fun, t0, y, f, t_bound, rtol, atol) -> float:
+def _initial_step(call, args, t0, y, f, t_bound, rtol, atol) -> float:
     """scipy's ``select_initial_step`` for an order-7 error estimate.
 
-    Makes one right-hand-side evaluation.  Divisions that numpy would turn
-    into inf or nan are spelled out, since Python floats raise instead.
+    Makes one right-hand-side evaluation, ``call(args, t, y)``.  Divisions
+    that numpy would turn into inf or nan are spelled out, since Python
+    floats raise instead.
     """
     interval = t_bound - t0
-    scale, y_scaled, f_scaled = [], [], []
-    for v, fv in zip(y, f):
-        s = atol + abs(v) * rtol
-        scale.append(s)
-        y_scaled.append(v / s)
-        f_scaled.append(fv / s)
+    scale = [atol + abs(v) * rtol for v in y]
+    y_scaled = [v / s for v, s in zip(y, scale)]
+    f_scaled = [fv / s for fv, s in zip(f, scale)]
     d0, d1 = _rms(y_scaled), _rms(f_scaled)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0, [v + h0 * fv for v, fv in zip(y, f)])
+    f1 = call(args, t0 + h0, [v + h0 * fv for v, fv in zip(y, f)])
     num = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)])
     d2 = num / h0 if h0 else (math.inf if num > 0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -454,19 +429,23 @@ def _initial_step(fun, t0, y, f, t_bound, rtol, atol) -> float:
 
 
 def solve_ivp(
-    fun, t_span, y0, *, rtol: float, atol: float, stops=(-math.inf, math.inf)
+    derivative: Derivative, args, t_span, y0, *, rtol: float, atol: float,
+    stops=(-math.inf, math.inf),
 ) -> Solution:
-    """Integrate y' = fun(t, y) forward over ``t_span`` = (t0, t_bound) by DOP853.
+    """Integrate y' = ``derivative`` forward over ``t_span`` = (t0, t_bound)
+    by DOP853, with ``args`` the values of the derivative's params.
 
-    The span must run forward, t_bound > t0 (a ``ValueError`` otherwise); a
-    problem posed backward is solved as its mirror in -t.  ``fun`` receives
-    t and the state as a list of Python floats and returns the derivative as
-    a sequence of ``n`` Python floats, which the step uses as they are: a
-    numpy scalar would carry every later operation of the step through
-    numpy.  A :class:`CompiledDerivative` ``fun`` is called only for the
-    derivative at the start and for the initial step's probe: the stages of
-    every step attempt and interpolant run its source inline.  Any other
-    ``fun`` is called at every stage, as ``fun(t + c h, [...])``.
+    The solve runs the kernel of ``derivative`` for ``len(y0)`` components
+    (see :func:`_kernel`): the stages of every step attempt and interpolant
+    run the body inline, and the kernel's ``call`` gives the derivative at
+    the start and the initial step's probe.  A plain callable ``fun(t, y)``
+    is solved as ``solve_ivp(CALL, fun, ...)``, which calls it at every
+    stage as ``fun(t + c h, [...])``.  The body reads t and the state as
+    Python floats and gives the derivative as ``n`` Python floats, which the
+    step uses as they are: a numpy scalar would carry every later operation
+    of the step through numpy.  The span must run forward, t_bound > t0 (a
+    ``ValueError`` otherwise); a problem posed backward is solved as its
+    mirror in -t.
 
     ``stops = (lo, hi)`` ends the solve where ``y[0]`` falls through ``lo``
     (status 1) or rises through ``hi`` (status 2), as scipy's terminal events
@@ -491,8 +470,8 @@ def solve_ivp(
     lets an infinite ``f_new`` reject its step rather than end in a
     non-finite interpolant.  Every accepted state thus has a finite
     derivative but the start's.  The step is Python float arithmetic, which
-    warns of nothing, and the solve imports no numpy.  ``fun`` runs under
-    the numpy error handling of the caller, here and in later reads of
+    warns of nothing, and the solve imports no numpy.  The derivative runs
+    under the numpy error handling of the caller, here and in later reads of
     ``sol``.  When the derivative at the start is itself not finite, the
     message says so instead of naming the step size.
     """
@@ -501,19 +480,15 @@ def solve_ivp(
         raise ValueError(f"t_span must run forward, got ({t0!r}, {t_bound!r})")
     t = t0
     y = [float(v) for v in y0]
-    n = len(y)
-    f = fun(t, y)
+    call, stages, extra = _kernel(derivative, len(y))
+    f = call(args, t, y)
 
     ts, steps, coefficients = [t0], [], []
     lo, hi = stops
     status, message = None, None
 
-    size = _initial_step(fun, t, y, f, t_bound, rtol, atol)  # of the next step attempt
+    size = _initial_step(call, args, t, y, f, t_bound, rtol, atol)  # of the next step attempt
     nfev, nrej = 2, 0
-    if isinstance(fun, CompiledDerivative):
-        args, (_, stages, extra) = fun.args, fun.kernel
-    else:
-        args, (_, stages, extra) = fun, _kernel(CALL, n)
     nextafter, inf = math.nextafter, math.inf
     safety, exponent, min_factor, max_factor = SAFETY, ERROR_EXPONENT, MIN_FACTOR, MAX_FACTOR
 

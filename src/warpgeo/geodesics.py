@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from ._dop853 import CompiledDerivative, Derivative, solve_ivp
+from ._dop853 import Derivative, solve_ivp
 from ._np import np, on_float64
 from .warp import DomainError, Point, WarpFunction
 
@@ -172,7 +173,7 @@ class GeodesicState:
         return cls(r, t, math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IntegrationStats:
     """How :func:`integrate` obtained a path, and how good it is.
 
@@ -194,16 +195,6 @@ class IntegrationStats:
     rejected_steps: int
     max_speed_drift: float
     stop: str
-
-    # One per solve.  Writing the instance dict, as Point does, builds the
-    # same frozen object without an object.__setattr__ per field.
-    def __init__(self, rhs_evals, accepted_steps, rejected_steps, max_speed_drift, stop):
-        d = self.__dict__
-        d["rhs_evals"] = rhs_evals
-        d["accepted_steps"] = accepted_steps
-        d["rejected_steps"] = rejected_steps
-        d["max_speed_drift"] = max_speed_drift
-        d["stop"] = stop
 
 
 class _Column:
@@ -229,7 +220,7 @@ class _Column:
         path.__dict__[self.name] = value
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GeodesicPath:
     """Arc-length-sampled trajectory with escape metadata.
 
@@ -253,21 +244,6 @@ class GeodesicPath:
     _resample: Callable[..., "GeodesicPath"] | None = field(
         default=None, repr=False, compare=False
     )
-
-    # One per solve.  Writing the instance dict, as Point does, builds the
-    # same frozen object without a call per field (a _Column's __set__
-    # writes the same entry).
-    def __init__(self, s, r, t, f, g, escaped, total_length, stats=None, _resample=None):
-        d = self.__dict__
-        d["s"] = s
-        d["r"] = r
-        d["t"] = t
-        d["f"] = f
-        d["g"] = g
-        d["escaped"] = escaped
-        d["total_length"] = total_length
-        d["stats"] = stats
-        d["_resample"] = _resample
 
     @property
     def endpoint(self) -> GeodesicState:
@@ -327,8 +303,15 @@ def integrate(
     ValueError
         If ``init`` violates the unit-speed constraint by more than
         :data:`UNIT_SPEED_TOL`, ``s_max`` is not finite or not positive,
-        or the step size underflows (the message is the solver's).
+        ``n_samples`` is not an integer of at least 2, or the step size
+        underflows (the message is the solver's).
     """
+    try:
+        n = operator.index(n_samples)
+    except TypeError:
+        n = 0
+    if n < 2:
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     if not math.isfinite(s_max):
         raise ValueError("s_max must be finite")
     if s_max <= 0.0:
@@ -397,16 +380,15 @@ def integrate(
             derivative, args = _CALLED_ONCE, (b, lo, hi, hf, clamped)
         else:
             derivative, args = _CALLED, (b, lo, hi, hf, dhf, clamped)
-        rhs = CompiledDerivative(derivative, args, 3)
         sol = solve_ivp(
-            rhs, (0.0, float(s_max)), (init.r, init.t, init.f),
+            derivative, args, (0.0, float(s_max)), (init.r, init.t, init.f),
             rtol=RTOL, atol=ATOL, stops=(stop_lo, stop_hi),
         )
     if sol.status < 0:
         raise ValueError(f"geodesic integration failed: {sol.message}")
 
     stop = ("s_max", "escaped_lower", "escaped_upper")[sol.status]
-    return _sample(sol, b, h, (clip_lo, clip_hi), stop, n_samples, floats)
+    return _sample(sol, b, h, (clip_lo, clip_hi), stop, n, floats)
 
 
 def _sample(
@@ -420,8 +402,7 @@ def _sample(
     fall in the same steps, whose interpolants are built either way.
     """
     s_end = float(sol.t[-1])
-    n = max(2, int(n_samples))
-    if floats and n == 2:
+    if floats and n_samples == 2:
         s = [0.0, s_end]  # np.linspace(0.0, s_end, 2)
         (r0, t0, f0), (r1, t1, f1) = sol.sol.at(0.0), sol.sol.at(s_end)
         # The stop is located the margin inside the boundary; interpolation
@@ -435,7 +416,7 @@ def _sample(
         d1 = abs(f1 * f1 + g_v[1] * g_v[1] - 1.0)
         drift = math.nan if math.isnan(d0) or math.isnan(d1) else max(d0, d1)  # as np.max
     else:
-        s = np.linspace(0.0, s_end, n)
+        s = np.linspace(0.0, s_end, n_samples)
         with np.errstate(all="ignore"):  # the steps it builds evaluate h as the solve did
             r_v, t_v, f_v = sol.sol(s)
         r_v = np.clip(r_v, *clip)  # as above

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from ._dop853 import solve_ivp
+from ._dop853 import Derivative, solve_ivp
 from ._np import np, on_float64
 from .geometry import sectional_curvature
 from .warp import DOMAIN_MARGIN, WarpFunction, _constant, warp_flat, warp_neg2
@@ -97,6 +97,10 @@ _MAX_H_STEP = 1.0 / (4 * _REFINE)
 # Relative tolerance of solve_prescribed's DOP853 solves.
 RTOL = 1e-10
 
+# u'' + f u = 0 as the first-order system of _integrate_side in x = sign * r,
+# which _dop853 compiles into its step: (v, w)' = (sign w, -sign f(sign x) v).
+_SIDE = Derivative("sign, fx", "{out} = sign * {y[1]}, -sign * fx(sign * {t}) * {y[0]}")
+
 
 def _integrate_side(f, r0, H0, r_end, atol):
     """One-directional DOP853 integration of u'' + f u = 0 from u = 1,
@@ -129,16 +133,12 @@ def _integrate_side(f, r0, H0, r_end, atol):
     # The profile sees np.float64 radii, as it would from an array; the
     # solver takes Python floats, so its value is converted (same bits).
     fx = on_float64(f)
-
-    def rhs(x, y):
-        return (sign * y[1], -sign * fx(sign * x) * y[0])
-
     # u can overflow before r_end (h underflows): the solve's failure is
-    # raised, and the dense reads below build steps from the same rhs.
+    # raised, and the dense reads below build steps from the same system.
     quiet = partial(np.errstate, over="ignore", invalid="ignore")
     with quiet():
         # u starts at 1, so its first zero is crossed falling.
-        sol = solve_ivp(rhs, (sign * r0, sign * r_end), (1.0, -H0),
+        sol = solve_ivp(_SIDE, (sign, fx), (sign * r0, sign * r_end), (1.0, -H0),
                         rtol=RTOL, atol=atol, stops=(0.0, math.inf))
     if sol.status < 0:
         # Only the start's derivative can be reported as not finite: name it r0.
@@ -204,7 +204,7 @@ def solve_prescribed(
         If r0, H0 or an endpoint of ``r_range`` is not finite, r0 lies
         outside ``r_range``, the range leaves the profile's domain r > 0
         (an endpoint may be 0 itself, but not within ``DOMAIN_MARGIN``
-        above it), ``atol`` is not positive, or u overflows.
+        above it), ``atol`` is not positive and finite, or u overflows.
     """
     lo, hi = float(r_range[0]), float(r_range[1])
     if not np.isfinite([r0, H0, lo, hi]).all():
@@ -213,8 +213,8 @@ def solve_prescribed(
         raise ValueError(f"r0={r0} not inside range ({lo}, {hi})")
     if not (lo == 0.0 or lo > DOMAIN_MARGIN) or not hi > DOMAIN_MARGIN:
         raise ValueError("range must lie inside the profile domain")
-    if atol <= 0.0:
-        raise ValueError("atol must be positive")
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"atol must be positive and finite, got {atol!r}")
 
     back, blow_b = _integrate_side(profile.f, r0, H0, lo, atol)
     fwd, blow_f = _integrate_side(profile.f, r0, H0, hi, atol)

@@ -138,6 +138,12 @@ class TestGeodesic:
         assert res.stdout == ""
         assert res.stderr == "warpgeo: error: s_max must be finite\n"
 
+    @pytest.mark.parametrize("count", ["0", "1", "-3"])
+    def test_sample_count_below_two_usage_error(self, count):
+        res = run_cli("--warp", "r", "geodesic", "1", "0", "1", "5", "--samples", count)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == f"warpgeo: error: n_samples must be an integer >= 2, got {count}\n"
+
     def test_quarter_turn_endpoint(self):
         res = run_cli("--warp", "one_over_r", "geodesic", "1", "0", str(math.pi / 2), "1",
                       "--samples", "3")

@@ -12,9 +12,10 @@ sums, and so does the next step size.
 The step code the kernel generates must equal one left-to-right sum per
 tableau row, for the stages and for the sums that close a step, and the
 kernel's steps must not depend on how the built-in ``sum`` rounds, which
-changed in Python 3.12.  Where the derivative is compiled into the step
-(:func:`integrate`'s), each step attempt must give the bits of the call
-template, which calls the derivative at every stage.
+changed in Python 3.12.  Every derivative is compiled into the step
+(:func:`integrate`'s and the Riccati system's), and each step attempt must
+give the bits of the call template, which calls the derivative at every
+stage.
 """
 
 import math
@@ -28,6 +29,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from test_geodesics import ESCAPING, bits, child_stdout
 
 from warpgeo import (
+    CurvatureProfile,
     FlatGeodesic,
     GeodesicState,
     constant_profile,
@@ -82,11 +84,12 @@ def _with_scipy(monkeypatch, module, run) -> list:
     pairs = []
     kernel = module.solve_ivp
 
-    def both(fun, t_span, y0, *, rtol, atol, stops=(-math.inf, math.inf)):
-        sol = kernel(fun, t_span, y0, rtol=rtol, atol=atol, stops=stops)
+    def both(derivative, args, t_span, y0, *, rtol, atol, stops=(-math.inf, math.inf)):
+        sol = kernel(derivative, args, t_span, y0, rtol=rtol, atol=atol, stops=stops)
         events = [lambda t, y, level=level: y[0] - level for level in stops]
         for event, direction in zip(events, (-1, 1)):
             event.terminal, event.direction = True, direction
+        fun = _scipy_fun(derivative, args, len(y0))
         ref, dense = (
             scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
                             events=events, dense_output=d)
@@ -101,6 +104,13 @@ def _with_scipy(monkeypatch, module, run) -> list:
     run()
     assert pairs
     return pairs
+
+
+def _scipy_fun(derivative, args, n):
+    """scipy's ``fun(t, y)`` for the kernel's ``(derivative, args)``: the
+    ``call`` of its kernel for ``n`` components."""
+    call = _dop853._kernel(derivative, n)[0]
+    return lambda t, y: call(args, t, y)
 
 
 def _close(got, want, tol=TOL) -> bool:
@@ -133,26 +143,6 @@ def test_ray_per_builtin_warp(monkeypatch, warp_family, name):
         _assert_same(sol, ref)
 
 
-def _returned_types(monkeypatch, module, run) -> set:
-    """Run ``run()``; return the types of all values that the right-hand
-    sides of the solver calls in ``module`` return."""
-    types = set()
-    kernel = module.solve_ivp
-
-    def recording(fun, *args, **kwargs):
-        def typed(t, y):
-            out = fun(t, y)
-            types.update(map(type, out))
-            return out
-
-        return kernel(typed, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(module, "solve_ivp", recording)
-        run()
-    return types
-
-
 def _stage_types(monkeypatch, module, run) -> set:
     """Run ``run()``; return the types of the values that the kernel's
     accepted steps in ``module`` made: each update, the stages it keeps and
@@ -180,11 +170,12 @@ def test_custom_right_hand_side_returns_floats(monkeypatch):
 
 
 def test_riccati_right_hand_side_returns_floats(monkeypatch):
-    # The profile c / r^2 returns np.float64 at the np.float64 radius it gets.
+    # The profile c / r^2 returns np.float64 at the np.float64 radius it
+    # gets; the system converts it, on both sides of r0.
     def run():
         solve_prescribed(inverse_square_profile(-2.0), 1.0, 0.5, (0.5, 3.0))
 
-    assert _returned_types(monkeypatch, riccati, run) == {float}
+    assert _stage_types(monkeypatch, riccati, run) == {float}
 
 
 @pytest.mark.parametrize("name", sorted(ESCAPING))
@@ -232,7 +223,7 @@ def _oscillator(event: bool):
     """u'' = -u from u = -1, u' = 0 over (0, 12), stopped where u first
     falls through -0.99 (near t = 2 pi) when ``event``, with status 1."""
     stops = (-0.99 if event else -math.inf, math.inf)
-    return _dop853.solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 12.0), (-1.0, 0.0),
+    return _dop853.solve_ivp(_dop853.CALL, lambda t, y: (y[1], -y[0]), (0.0, 12.0), (-1.0, 0.0),
                              rtol=1e-7, atol=1e-9, stops=stops)
 
 
@@ -294,7 +285,7 @@ def test_stops_are_scipys_directed_terminal_events(monkeypatch, name):
     stops, status, root = STOP_CASES[name]
 
     def run():
-        _dop853.solve_ivp(lambda t, y: (y[1], -y[0]), (0.0, 12.0), (1.0, 0.0),
+        _dop853.solve_ivp(_dop853.CALL, lambda t, y: (y[1], -y[0]), (0.0, 12.0), (1.0, 0.0),
                           rtol=1e-10, atol=1e-12, stops=stops)
 
     ((sol, ref),) = _with_scipy(monkeypatch, _dop853, run)
@@ -465,15 +456,15 @@ class _Captured(Exception):
 
 
 def _geodesic_rhs(monkeypatch, w):
-    """The derivative that :func:`integrate` hands the solver for ``w``."""
-    def capture(fun, *args, **kwargs):
-        raise _Captured(fun)
+    """The derivative and args that :func:`integrate` hands the solver for ``w``."""
+    def capture(derivative, args, *rest, **kwargs):
+        raise _Captured(derivative, args)
 
     init = GeodesicState.from_angle(max(w.domain.lo, 0.0) + 1.0, 0.0, 2.0)
     with monkeypatch.context() as m, pytest.raises(_Captured) as captured:
         m.setattr(geodesics, "solve_ivp", capture)
         integrate(w, init, 5.0)
-    return captured.value.args[0]
+    return captured.value.args
 
 
 @pytest.mark.parametrize("name", sorted(INLINE))
@@ -485,8 +476,8 @@ def test_inline_derivative_is_the_call_template(monkeypatch, name):
     # exactly, a double off either end, the domain's edges, r <= 0.  The
     # template's stage values are Python floats, and the bits agree, so the
     # inline stages' are too.
-    rhs = _geodesic_rhs(monkeypatch, INLINE[name])
-    _, lo, hi = rhs.args[:3]
+    derivative, args = _geodesic_rhs(monkeypatch, INLINE[name])
+    _, lo, hi = args[:3]
     radii = {0.0, -0.5, 1.0, 750.0}
     for edge in (lo, hi, INLINE[name].domain.lo, INLINE[name].domain.hi):
         if math.isfinite(edge):
@@ -496,22 +487,22 @@ def test_inline_derivative_is_the_call_template(monkeypatch, name):
     states += [([r, float(rng.normal()), float(rng.uniform(-1.0, 1.0))], h)
                for r in sorted(radii) + rng.uniform(-0.5, 6.0, size=8).tolist()
                for h in rng.uniform(1e-4, 0.5, size=2).tolist()]
-    _, stages, extra = rhs.kernel
+    call, stages, extra = _dop853._kernel(derivative, 3)
     _, template, template_extra = _dop853._kernel(_dop853.CALL, 3)
     values = []
 
     def fun(s, x):
-        out = rhs(s, x)
+        out = call(args, s, x)
         values.extend(out)
         return out
 
     with np.errstate(all="ignore"):  # as integrate solves
         for y, h in states:
-            t, f = float(rng.normal()), rhs(0.0, y)
-            inline = stages(rhs.args, t, h, y, f, geodesics.RTOL, geodesics.ATOL)
+            t, f = float(rng.normal()), call(args, 0.0, y)
+            inline = stages(args, t, h, y, f, geodesics.RTOL, geodesics.ATOL)
             called = template(fun, t, h, y, f, geodesics.RTOL, geodesics.ATOL)
             assert bits(inline) == bits(called), (y, h)
-            assert bits(extra(rhs.args, t, h, y, inline[0], inline[3])) == bits(
+            assert bits(extra(args, t, h, y, inline[0], inline[3])) == bits(
                 template_extra(fun, t, h, y, called[0], called[3])), (y, h)
     assert {type(v) for v in values} == {float}
     assert len(values) == 3 * 15 * len(states)
@@ -525,8 +516,9 @@ def test_inline_warp_is_warp_py(monkeypatch, spec):
     # derivative must be (f, b h^2, -b^2 h h') from warp.py's evaluators,
     # bit for bit, for each parameter set.
     w = make_warp(spec)
-    rhs = _geodesic_rhs(monkeypatch, w)
-    b, lo, hi = rhs.args[:3]
+    derivative, args = _geodesic_rhs(monkeypatch, w)
+    call = _dop853._kernel(derivative, 3)[0]
+    b, lo, hi = args[:3]
     rng = np.random.default_rng(len(spec))
     top = min(w.domain.hi, 50.0)
     radii = np.concatenate([rng.uniform(w.domain.lo, top, 200),
@@ -539,7 +531,8 @@ def test_inline_warp_is_warp_py(monkeypatch, spec):
             continue
         if lo <= r <= hi and math.isfinite(hr * dhr):
             f = float(rng.uniform(-1.0, 1.0))
-            assert bits(rhs(0.0, [r, 0.0, f])) == bits((f, b * hr * hr, -b * b * hr * dhr)), r
+            want = (f, b * hr * hr, -b * b * hr * dhr)
+            assert bits(call(args, 0.0, [r, 0.0, f])) == bits(want), r
             checked += 1
     assert checked > 200
 
@@ -563,24 +556,73 @@ def test_scaled_substitutions_are_the_call_template(name):
     # attempt and interpolant must give the bits of the call template, and
     # the solve those of the plain callable.
     derivative, args, fun, exact = SCALING[name]
-    rhs = _dop853.CompiledDerivative(derivative, args, 2)
-    _, stages, extra = rhs.kernel
+    call, stages, extra = _dop853._kernel(derivative, 2)
     _, template, template_extra = _dop853._kernel(_dop853.CALL, 2)
     rng = np.random.default_rng(sorted(SCALING).index(name))
     for _ in range(20):
         t, h, y = float(rng.normal()), float(rng.uniform(1e-3, 0.5)), rng.normal(size=2).tolist()
-        f = rhs(t, y)
+        f = call(args, t, y)
         assert bits(f) == bits(fun(t, y))
         inline = stages(args, t, h, y, f, RTOL, ATOL)
         called = template(fun, t, h, y, f, RTOL, ATOL)
         assert bits(inline) == bits(called), (t, h, y)
         assert bits(extra(args, t, h, y, inline[0], inline[3])) == bits(
             template_extra(fun, t, h, y, called[0], called[3])), (t, h, y)
-    sol, ref = (_dop853.solve_ivp(g, (0.0, 1.0), (1.0, 1.0), rtol=1e-8, atol=1e-10)
-                for g in (rhs, fun))
+    sol, ref = (_dop853.solve_ivp(d, a, (0.0, 1.0), (1.0, 1.0), rtol=1e-8, atol=1e-10)
+                for d, a in ((derivative, args), (_dop853.CALL, fun)))
     assert (sol.t, sol.nfev, sol.nrej) == (ref.t, ref.nfev, ref.nrej)
     assert bits(sol.sol.at(1.0)) == bits(ref.sol.at(1.0))
     assert sol.sol.at(1.0) == pytest.approx(exact, rel=1e-7)
+
+
+# name: a curvature profile whose Riccati system the kernel compiles into its
+# step.  The constant returns a Python float, c / r^2 and -sin r return
+# np.float64 at the np.float64 radius they get.
+RICCATI = {
+    "constant": constant_profile(1.0),
+    "inverse-square": inverse_square_profile(-2.0),
+    "sin": CurvatureProfile(f=lambda r: -np.sin(r)),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", sorted(RICCATI))
+def test_riccati_system_is_the_call_template(name, sign):
+    # The system riccati._integrate_side compiles, against the closure
+    # (sign * y[1], -sign * fx(sign * x) * y[0]) called at every stage by the
+    # call template: the same operations in the same order, in x = sign * r
+    # on either side of r0.  Each step attempt and interpolant must give the
+    # same bits, and the solve those of the closure's.
+    fx = riccati.on_float64(RICCATI[name].f)
+    args = (sign, fx)
+    call, stages, extra = _dop853._kernel(riccati._SIDE, 2)
+    _, template, template_extra = _dop853._kernel(_dop853.CALL, 2)
+    values = []
+
+    def fun(x, y):
+        out = (sign * y[1], -sign * fx(sign * x) * y[0])
+        values.extend(out)
+        return out
+
+    rng = np.random.default_rng(sorted(RICCATI).index(name))
+    for _ in range(20):
+        t, h = sign * float(rng.uniform(0.6, 4.0)), float(rng.uniform(1e-4, 0.5))
+        y = (rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)).tolist()
+        f = call(args, t, y)
+        assert bits(f) == bits(fun(t, y))
+        inline = stages(args, t, h, y, f, riccati.RTOL, 1e-10)
+        called = template(fun, t, h, y, f, riccati.RTOL, 1e-10)
+        assert bits(inline) == bits(called), (t, h, y)
+        assert bits(extra(args, t, h, y, inline[0], inline[3])) == bits(
+            template_extra(fun, t, h, y, called[0], called[3])), (t, h, y)
+    assert {type(v) for v in values} == {float}
+    span = (sign * 1.5, 3.0 if sign > 0 else -0.5)
+    sol, ref = (_dop853.solve_ivp(d, a, span, (1.0, -0.3), rtol=riccati.RTOL, atol=1e-10,
+                                  stops=(0.0, math.inf))
+                for d, a in ((riccati._SIDE, args), (_dop853.CALL, fun)))
+    assert (sol.status, sol.t, sol.nfev, sol.nrej) == (ref.status, ref.t, ref.nfev, ref.nrej)
+    samples = np.linspace(span[0], sol.t[-1], 33)
+    assert bits(sol.sol(samples).tolist()) == bits(ref.sol(samples).tolist())
 
 
 def test_an_infinite_stage_meets_no_zero_coefficient():
@@ -612,8 +654,8 @@ def test_an_infinite_derivative_ends_the_solve():
     # step across 0.5 is rejected until the step underflows; the last
     # accepted state's derivative is finite, so the message names the step
     # (the suite turns a warning into an error).
-    sol = _dop853.solve_ivp(lambda t, y: (math.inf if t > 0.5 else 1.0,), (0.0, 1.0), (0.0,),
-                            rtol=1e-6, atol=1e-9)
+    sol = _dop853.solve_ivp(_dop853.CALL, lambda t, y: (math.inf if t > 0.5 else 1.0,),
+                            (0.0, 1.0), (0.0,), rtol=1e-6, atol=1e-9)
     assert sol.status == -1 and sol.message == _dop853.TOO_SMALL_STEP
     assert 0.5 - 1e-12 < sol.t[-1] <= 0.5
 
@@ -629,7 +671,7 @@ def test_an_infinite_step_end_derivative_rejects_the_step():
         calls.append(t)
         return (math.inf,) if len(calls) == 14 else (-y[0],)
 
-    sol = _dop853.solve_ivp(fun, (0.0, 4.0), (1.0,), rtol=1e-6, atol=1e-9)
+    sol = _dop853.solve_ivp(_dop853.CALL, fun, (0.0, 4.0), (1.0,), rtol=1e-6, atol=1e-9)
     assert (sol.status, sol.nfev, sol.nrej) == (0, 98, 1)
     samples = sol.sol(np.linspace(0.0, 4.0, 33))
     assert np.all(np.isfinite(samples))
@@ -645,7 +687,7 @@ def test_interpolants_built_later_run_under_the_readers_errstate():
         return (-y[0] if np.isinf(np.exp(np.float64(1000.0))) else 0.0,)
 
     with np.errstate(over="ignore"):
-        sol = _dop853.solve_ivp(fun, (0.0, 2.0), (1.0,), rtol=1e-6, atol=1e-9)
+        sol = _dop853.solve_ivp(_dop853.CALL, fun, (0.0, 2.0), (1.0,), rtol=1e-6, atol=1e-9)
     steps = len(sol.t) - 1
     assert steps > 1
     assert sol.nfev == 2 + 12 * (steps + sol.nrej) and sol.sol.nfev == 0
@@ -663,7 +705,8 @@ def test_interpolants_built_later_run_under_the_readers_errstate():
 @pytest.mark.parametrize("t_span", [(1.0, 0.5), (1.0, 1.0)])
 def test_span_must_run_forward(t_span):
     with pytest.raises(ValueError, match="t_span must run forward"):
-        _dop853.solve_ivp(lambda t, y: (-y[0],), t_span, (1.0,), rtol=1e-6, atol=1e-9)
+        _dop853.solve_ivp(_dop853.CALL, lambda t, y: (-y[0],), t_span, (1.0,), rtol=1e-6,
+                          atol=1e-9)
 
 
 def test_import_compiles_no_stage_code():
@@ -704,12 +747,28 @@ def test_each_family_compiles_one_kernel():
     )
 
 
+def test_riccati_compiles_one_kernel():
+    # Three profiles, each solved on both sides of r0, share one system:
+    # one kernel for its two components, and no other.
+    code = (
+        "import numpy as np\n"
+        "from warpgeo import CurvatureProfile, _dop853, constant_profile, riccati\n"
+        "from warpgeo import inverse_square_profile, solve_prescribed\n"
+        "for profile in (constant_profile(1.0), inverse_square_profile(-2.0),\n"
+        "                CurvatureProfile(f=lambda r: -np.sin(r))):\n"
+        "    solve_prescribed(profile, 1.0, 0.3, (0.5, 3.0))\n"
+        "print([(d == riccati._SIDE, n) for d, n in _dop853._KERNELS])"
+    )
+    assert child_stdout(code) == "[(True, 2)]\n"
+
+
 def test_nan_initial_step_ends_the_solve():
     # A nan derivative gives a nan initial step, which no comparison with
     # the minimum step rejects.  The solve must stop and name the derivative.
     code = (
-        "import math; from warpgeo._dop853 import solve_ivp; "
-        "sol = solve_ivp(lambda t, y: (math.nan,), (0.0, 1.0), (1.0,), rtol=1e-6, atol=1e-9); "
+        "import math; from warpgeo._dop853 import CALL, solve_ivp; "
+        "sol = solve_ivp(CALL, lambda t, y: (math.nan,), (0.0, 1.0), (1.0,), rtol=1e-6, "
+        "atol=1e-9); "
         "print(sol.status, sol.message)"
     )
     assert child_stdout(code) == "-1 The derivative is not finite at t = 0.0.\n"

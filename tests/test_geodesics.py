@@ -77,6 +77,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="^s_max must be finite$"):
             integrate(flat_warp, GeodesicState(1.0, 0.0, 1.0, 0.0), s_max)
 
+    @pytest.mark.parametrize("n_samples", [0, 1, -3, 2.7, 2.0, True, "5", None])
+    def test_rejects_sample_count_below_two_or_not_integer(self, flat_warp, n_samples):
+        # These were read as 2 samples (or raised a TypeError).
+        with pytest.raises(ValueError, match="^n_samples must be an integer >= 2, got "):
+            integrate(flat_warp, GeodesicState(1.0, 0.0, 1.0, 0.0), 1.0, n_samples=n_samples)
+
+    def test_numpy_integer_sample_count(self, flat_warp):
+        init = GeodesicState(1.0, 0.0, 1.0, 0.0)
+        got = integrate(flat_warp, init, 1.0, n_samples=np.int64(5))
+        want = integrate(flat_warp, init, 1.0, n_samples=5)
+        assert got.s.size == 5
+        for name in "srtfg":
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_unit_speed_drift(self, flat_warp, rng):
         for _ in range(5):
             ang = rng.uniform(0.0, math.pi)
@@ -270,26 +284,28 @@ def test_right_hand_side_stays_finite(monkeypatch, name):
     probes, attempts = [], []
 
     def checked(s, y):
-        out = rhs[0](s, y)
+        call, args = rhs[0]
+        out = call(args, s, y)
         probes.append(y[0])
         assert all(math.isfinite(v) for v in out), (y, out)
         return out
 
-    def checking(fun, *args, **kwargs):
-        rhs.append(fun)
+    def checking(derivative, args, *rest, **kwargs):
+        call, stages, extra = _dop853._kernel(derivative, 3)
+        rhs.append((call, args))
         # As an array's np.float64 and as the kernel's list of Python floats.
         with np.errstate(all="ignore"):  # np.float64 probes past r = 0 may warn
             for r in radii:
                 checked(0.0, np.array([r, 0.0, -1.0]))
                 checked(0.0, [r, 0.0, -1.0])
-        call, stages, extra = fun.kernel
 
         def recording(*step):
             attempts.append((step, stages(*step)))
             return attempts[-1][1]
 
-        fun.kernel = call, recording, extra
-        return real(fun, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(_dop853, "_kernel", lambda d, n: (call, recording, extra))
+            return real(derivative, args, *rest, **kwargs)
 
     rhs, real = [], geodesics.solve_ivp
     monkeypatch.setattr(geodesics, "solve_ivp", checking)

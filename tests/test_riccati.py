@@ -21,7 +21,7 @@ from warpgeo import (
     warp_one_over_r,
     warp_r,
 )
-from warpgeo import riccati
+from warpgeo import _dop853, riccati
 
 
 class TestSolvePrescribed:
@@ -131,6 +131,13 @@ class TestSolvePrescribed:
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ValueError, match="atol must be positive"):
             solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 2.0), atol=-1.0)
+
+    @pytest.mark.parametrize("atol", [math.nan, math.inf, 0.0])
+    def test_atol_must_be_positive_and_finite(self, atol):
+        # A nan atol failed late, in the step controller, and an infinite one
+        # returned an empty field with a blow-up.
+        with pytest.raises(ValueError, match=f"^atol must be positive and finite, got {atol!r}$"):
+            solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 2.0), atol=atol)
 
     @pytest.mark.parametrize(
         "r0, H0, r_range",
@@ -293,7 +300,9 @@ class TestProperties:
 
 def _side_by_insertion(f, r0, H0, r_end, atol):
     """``riccati._integrate_side`` as first written: the whole grid is
-    re-tested every round, and each round's midpoints are inserted in place."""
+    re-tested every round, and each round's midpoints are inserted in place.
+    It solves its own closure through the call template, not the module's
+    compiled system."""
     if r_end == r0:
         y = np.array([[r0], [1.0], [0.0 - H0]], dtype=float)
         return y[:, y[1] > atol], None
@@ -303,7 +312,7 @@ def _side_by_insertion(f, r0, H0, r_end, atol):
     def rhs(x, y):
         return (sign * y[1], -sign * fx(sign * x) * y[0])
 
-    sol = riccati.solve_ivp(rhs, (sign * r0, sign * r_end), (1.0, -H0),
+    sol = riccati.solve_ivp(_dop853.CALL, rhs, (sign * r0, sign * r_end), (1.0, -H0),
                             rtol=riccati.RTOL, atol=atol, stops=(0.0, math.inf))
     if sol.status < 0:
         message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
