@@ -167,10 +167,11 @@ class Derivative:
     the body reads besides, which the kernel's functions take as one
     argument: one name takes the value itself (``CALL`` takes ``fun``),
     several names a tuple of as many, and an empty string none.  The body
-    may call ``isfinite`` (``math.isfinite``).  Its own names must not
-    clash with the kernel's: ``p``, ``t``, ``h``, ``y``, ``f``, ``ks``,
-    ``out``, ``err``, ``denom``, ``rtol``, ``atol``, ``sqrt``, ``nan`` and
-    names with an underscore or a digit.
+    may call ``isfinite`` (``math.isfinite``) and read ``nan``
+    (``math.nan``).  Its own names must not clash with the kernel's: ``p``,
+    ``t``, ``h``, ``y``, ``f``, ``ks``, ``out``, ``err``, ``denom``,
+    ``rtol``, ``atol``, ``sqrt``, ``nan`` and names with an underscore or a
+    digit.
     """
 
     params: str
@@ -247,6 +248,12 @@ class DenseSolution:
             F = self._coefficients[i] = self._extra(self._args, *self._steps[i])
             self.nfev += 3
         return F
+
+    @property
+    def end(self) -> list:
+        """The state at the end of the last accepted step, as the solve
+        accepted it (a stop lies inside that step)."""
+        return self._steps[-1][3]
 
     def at(self, t: float) -> list:
         """The state at the one sample ``t``, as a list of floats."""

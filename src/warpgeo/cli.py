@@ -14,7 +14,8 @@ repeated runs are byte-identical.
 
 Exit status: 0 on success (including found/horizontal connections), 2 when
 a connection problem reports no geodesic or an exhausted search, 1 on usage
-or domain errors.
+or domain errors, and on a result that JSON cannot carry: output is strict
+JSON, with no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _rows_to_csv(header: list[str], rows: list[tuple]) -> str:
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
 
 
 def _rows_to_json(header: list[str], rows: list[tuple]) -> str:
@@ -176,9 +177,13 @@ def cmd_curvature(cfg: RunConfig, args) -> int:
     rs = np.linspace(args.r_min, args.r_max, args.n)
     ks = sectional_curvature(w, rs)
     rows = []
-    for r, k in zip(rs.tolist(), ks.tolist()):
-        ko = curvature_oracle(w, r, args.step)
-        rows.append((r, k, ko, abs(k - ko)))
+    # The oracle's 1/h may overflow (e^r past r = 709.78): refused by name.
+    with np.errstate(all="ignore"):
+        for r, k in zip(rs.tolist(), ks.tolist()):
+            ko = curvature_oracle(w, r, args.step)
+            if not math.isfinite(ko):
+                raise ValueError(f"curvature oracle is not finite at r = {r!r}")
+            rows.append((r, k, ko, abs(k - ko)))
     _table(cfg, ["r", "K", "K_oracle", "abs_diff"], rows)
     return EXIT_OK
 
@@ -298,7 +303,9 @@ def cmd_isometry(cfg: RunConfig, args) -> int:
     if args.k <= 0.0:
         raise UsageError("isometry requires k > 0")
     w = cfg.warp()
-    report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol)
+    # A residual that overflows is refused by _json, without a warning.
+    with np.errstate(all="ignore"):
+        report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol)
     _emit(cfg, _json(report.to_dict()))
     return EXIT_OK
 

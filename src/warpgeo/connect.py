@@ -333,10 +333,6 @@ class ChordCandidate:
     a: float
     miss: float
 
-    @property
-    def valid(self) -> bool:
-        return math.isfinite(self.miss)
-
 
 def flat_chord_candidates(p0: Point, p1: Point) -> list[ChordCandidate]:
     """All sign-variant closed-form candidates for the flat connection.
@@ -359,24 +355,13 @@ def flat_chord_candidates(p0: Point, p1: Point) -> list[ChordCandidate]:
         for inner in (+1, -1):
             s_sq = r0 * r0 + r1 * r1 + inner * term
             for outer in (+1, -1):
-                if s_sq < 0.0:
-                    out.append(
-                        ChordCandidate(source, inner, outer, math.nan, math.nan, math.inf)
-                    )
-                    continue
-                s = outer * math.sqrt(s_sq)
-                if s == 0.0:
-                    out.append(
-                        ChordCandidate(source, inner, outer, s, math.nan, math.inf)
-                    )
-                    continue
-                a = _flat_param(s, r0, r1)
-                if abs(a) >= r0:
-                    out.append(ChordCandidate(source, inner, outer, s, a, math.inf))
-                    continue
-                geo = FlatGeodesic(r0=r0, t0=t0, a=a, sign=sigma)
-                pt = geo.point(s)
-                miss = math.hypot(pt.r - r1, pt.t - t1)
+                # s is nan without a real root, and a is nan at s = 0 or nan.
+                s = outer * math.sqrt(s_sq) if s_sq >= 0.0 else math.nan
+                a = _flat_param(s, r0, r1) if s else math.nan
+                miss = math.inf
+                if abs(a) < r0:
+                    pt = FlatGeodesic(r0=r0, t0=t0, a=a, sign=sigma).point(s)
+                    miss = math.hypot(pt.r - r1, pt.t - t1)
                 out.append(ChordCandidate(source, inner, outer, s, a, miss))
     out.sort(key=lambda cand: cand.miss)
     return out

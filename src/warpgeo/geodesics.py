@@ -78,18 +78,18 @@ def _derivative(params: str, *warp: str) -> Derivative:
     """The derivative of integrate's reduced system, which _dop853 compiles
     into its step: (r', t', f') = (f, b h^2, -b^2 h h') at r = y[0] and
     f = y[2].  In the range lo <= r <= hi the lines ``warp`` assign h and h'
-    at r to hr and dhr, reading the ``params`` that follow b, lo and hi;
-    outside it, on a division by zero and where h h' is not finite, both
-    are taken from clamped(r) (see integrate)."""
+    at r to hr and dhr, reading the ``params`` that follow b, lo and hi.
+    Both start as nan, so a radius outside the range or a line that divides
+    by zero leaves h h' nan; wherever h h' is not finite, both are taken
+    from clamped(r), the one clamp entry (see integrate)."""
     return Derivative(f"b, lo, hi, {params}clamped", "\n".join([
         "r = {y[0]}",
+        "hr = dhr = nan",
         "try:",
         "    if lo <= r <= hi:",
         *("        " + line for line in warp),
-        "    else:",
-        "        hr, dhr = clamped(r)",
         "except ZeroDivisionError:",
-        "    hr, dhr = clamped(r)",
+        "    pass",
         "if not isfinite(hr * dhr):",
         "    hr, dhr = clamped(r)",
         "{out} = {y[2]}, b * hr * hr, -b * b * hr * dhr",
@@ -163,10 +163,6 @@ class GeodesicState:
     def speed_sq(self) -> float:
         return self.f * self.f + self.g * self.g
 
-    @property
-    def point(self) -> Point:
-        return Point(self.r, self.t)
-
     @classmethod
     def from_angle(cls, r: float, t: float, angle: float) -> "GeodesicState":
         """Unit state with (f, g) = (cos angle, sin angle)."""
@@ -224,9 +220,13 @@ class _Column:
 class GeodesicPath:
     """Arc-length-sampled trajectory with escape metadata.
 
-    ``s`` strictly increases from 0 to ``total_length``; ``escaped`` is set
-    when integration halted because the radius reached the domain boundary
-    (within :data:`ESCAPE_MARGIN`; see :func:`integrate`), in which case
+    ``s`` runs from 0 to ``total_length`` without decreasing.  It strictly
+    increases unless ``total_length / (n_samples - 1)`` is below the
+    spacing of doubles near ``total_length``: a span of a few doubles
+    repeats samples, and a stop at the start (see :func:`_levels`) has
+    length 0 and every sample 0.  ``escaped`` is set when integration
+    halted because the radius reached the domain boundary (within
+    :data:`ESCAPE_MARGIN`; see :func:`integrate`), in which case
     ``total_length`` is the stop's root rather than the requested span.
     ``stats`` is set on paths returned by :func:`integrate`.  A path that
     :func:`integrate` sampled at fewer than its default 129 points keeps

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._np import np
 from .warp import DomainError, Point, WarpFunction
 
 __all__ = [
@@ -37,12 +36,6 @@ __all__ = [
     "frame_components",
     "vector_from_frame",
 ]
-
-
-def _finite(x) -> bool:
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return bool(np.isfinite(x))
 
 
 @dataclass(frozen=True, init=False)
@@ -68,12 +61,7 @@ class TangentVector:
         self.__post_init__()
 
     def __post_init__(self):
-        dr, dt = self.dr, self.dt
-        if isinstance(dr, float) and isinstance(dt, float):
-            finite = math.isfinite(dr) and math.isfinite(dt)
-        else:
-            finite = _finite(dr) and _finite(dt)
-        if not finite:
+        if not (math.isfinite(self.dr) and math.isfinite(self.dt)):
             raise ValueError("tangent vector components must be finite")
 
 

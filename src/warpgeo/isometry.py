@@ -114,23 +114,20 @@ def _frame(w: WarpFunction, p: Point) -> list[TangentVector]:
     return [TangentVector(1.0, 0.0, base=p), TangentVector(0.0, float(w.h(p.r)), base=p)]
 
 
-def pullback_residual(w: WarpFunction, m: AffineMap, points, vectors=None) -> float:
-    """Max metric-pullback violation over sample points and vectors.
+def pullback_residual(w: WarpFunction, m: AffineMap, points) -> float:
+    """Max metric-pullback violation over the orthonormal frame at each of
+    the sample points.
 
-    For each tangent vector u the residual compares g(DG u, DG u) at the
-    image point with g(u, u) at the source.  When ``vectors`` is None, the
-    orthonormal frame is used at every point, which decides the pullback
-    (both forms are diagonal); otherwise ``vectors`` must be tangent
-    vectors whose base points are used directly (``points`` is ignored
-    then).
+    For each frame vector u the residual compares g(DG u, DG u) at the
+    image point with g(u, u) at the source.  The frame decides the pullback
+    because both forms are diagonal.
 
     Raises
     ------
     DomainError
         If any sample point's image escapes the warp's domain.
     """
-    if vectors is None:
-        vectors = [v for p in points for v in _frame(w, p)]
+    vectors = [u for p in points for u in _frame(w, p)]
     diffs = [0.0]
     for u in vectors:
         gu = metric_at(w, u, u)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from ._dop853 import Derivative, solve_ivp
+from ._dop853 import TOO_SMALL_STEP, Derivative, solve_ivp
 from ._np import np, on_float64
 from .geometry import sectional_curvature
 from .warp import DOMAIN_MARGIN, WarpFunction, _constant, warp_flat, warp_neg2
@@ -143,6 +143,11 @@ def _integrate_side(f, r0, H0, r_end, atol):
     if sol.status < 0:
         # Only the start's derivative can be reported as not finite: name it r0.
         message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
+        if message == TOO_SMALL_STEP:
+            # Where: the last accepted step's end, or the start.  u is the
+            # state the solve accepted; the interpolant there may read nan.
+            r, u = (sign * sol.t[-1], sol.sol.end[0]) if len(sol.t) > 1 else (float(r0), 1.0)
+            message += f" It stopped at r = {r!r}, where u = {u!r}."
         raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
     blow = sign * sol.t[-1] if sol.status == 1 else None
 

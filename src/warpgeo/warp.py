@@ -102,13 +102,10 @@ class Domain:
             if self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN:
                 return
         else:
-            ok = self.contains(r)
-            if isinstance(ok, bool):
-                if ok:
-                    return
-            elif np.all(ok):
+            ok = np.asarray(self.contains(r))
+            if ok.all():
                 return
-            else:
+            if ok.ndim:
                 # Name the first radius outside, not the whole array.
                 r = float(np.asarray(r, dtype=float)[~ok][0])
         raise DomainError(f"radius {r!r} outside open domain ({self.lo}, {self.hi})")
@@ -325,19 +322,14 @@ def warp_exp() -> WarpFunction:
 def _positive_side(h_sample: Callable, pole: float | None) -> Domain:
     """Pick the maximal open subinterval of (0, inf), cut at the pole,
     on which the sampled h is strictly positive."""
-    cuts = [0.0, math.inf]
-    if pole is not None and pole > 0.0:
-        cuts = [0.0, pole, math.inf]
-    candidates = []
+    cuts = (0.0, pole, math.inf) if pole is not None and pole > 0.0 else (0.0, math.inf)
+    # A simple pole flips the sign, so at most one side is positive.
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         probe_hi = hi if math.isfinite(hi) else max(2.0 * lo + 10.0, 10.0)
         probe = lo + 0.5 * (probe_hi - lo)
         if h_sample(probe) > 0.0:
-            candidates.append(Domain(lo, hi))
-    if not candidates:
-        raise ValueError("warp parameters give no interval with h > 0 in (0, inf)")
-    # A simple pole flips the sign, so at most one side is positive.
-    return candidates[0]
+            return Domain(lo, hi)
+    raise ValueError("warp parameters give no interval with h > 0 in (0, inf)")
 
 
 def warp_flat(a0: float, a1: float) -> WarpFunction:
@@ -497,8 +489,6 @@ def _check_tol(tol: float) -> None:
 
 def _fd_step(r, scale: float):
     """Central-difference step ``scale * max(1, |r|)`` at a scalar or array r."""
-    if _scalar(r):
-        return scale * max(1.0, abs(r))
     return scale * np.maximum(1.0, np.abs(r))
 
 

@@ -58,6 +58,16 @@ class TestCurvature:
         rows = json.loads(res.stdout)
         assert all(row["K"] == -1.0 for row in rows)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_oracle_is_one_error_line(self, fmt):
+        # e^r overflows past r = 709.78, and the oracle's 1/h with it: the
+        # table is refused, naming the first such radius, with no NaN written
+        # and no warning.
+        res = run_cli("--warp", "exp", "--format", fmt, "curvature", "700", "720", "3")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "warpgeo: error: curvature oracle is not finite at r = 710.0\n"
+
     def test_bad_range(self):
         res = run_cli("curvature", "2", "1", "3")
         assert res.returncode == 1
@@ -362,13 +372,27 @@ class TestRiccati:
 
     def test_overflowing_u_is_one_error_line(self):
         # u = e^(r - 1) overflows near r = 710; the solver's step then
-        # shrinks below the spacing of the floats.
+        # shrinks below the spacing of the floats.  The message names the
+        # last accepted step's end and u there, as the solve accepted it.
         res = run_cli("riccati", "const:-1", "1", "-1", "0.5", "800")
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr == (
             "warpgeo: error: u'' + f u = 0 not integrable from 1.0 to 800.0: "
-            "Required step size is less than spacing between numbers.\n"
+            "Required step size is less than spacing between numbers. "
+            "It stopped at r = 707.1908064342697, where u = 4.951883313450973e+306.\n"
+        )
+
+    def test_collapse_at_the_singular_point_is_one_error_line(self):
+        # f = -2/r^2 is singular at r = 0: the steps collapse next to it,
+        # far below the range end.
+        res = run_cli("riccati", "neg2_over_r2", "1", "1", "0", "3")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == (
+            "warpgeo: error: u'' + f u = 0 not integrable from 1.0 to 0.0: "
+            "Required step size is less than spacing between numbers. "
+            "It stopped at r = 7.883674276586642e-103, where u = 1.2684440825669393e+102.\n"
         )
 
     @pytest.mark.parametrize(
@@ -402,6 +426,16 @@ class TestIsometry:
 
     def test_nonpositive_scale_usage_error(self):
         assert run_cli("isometry", "-1", "0").returncode == 1
+
+    def test_infinite_residual_is_one_error_line(self):
+        # k e^(k r) overflows in the holomorphy residual: JSON has no
+        # Infinity, so the report is refused, with no warning.
+        res = run_cli("--warp", "exp", "isometry", "200", "0")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(
+            "warpgeo: error: Out of range float values are not JSON compliant")
+        assert res.stderr.count("\n") == 1
 
 
 class TestDeterminismAndConfig:

@@ -285,6 +285,32 @@ class TestChordCandidates:
             round(5.0 - 8.0 * math.cos(1.0) ** 2, 3),
         }
         assert all(c.miss > 1e-3 for c in cos2)
+        # Each refuted case has an infinite miss: no real s (s and a are
+        # nan), s == 0 (a is nan) and |a| >= r0.  cos(1e-9) rounds to 1, so
+        # equal radii give s^2 = 0 on the inner sign -1.
+        def refuted(p0, p1):
+            return [(c.source, c.inner_sign, c.outer_sign, repr(c.s), repr(c.a))
+                    for c in flat_chord_candidates(Point(*p0), Point(*p1)) if c.miss == math.inf]
+
+        assert refuted((2.0, 0.0), (2.0, 0.5)) == [
+            ("cos_squared", 1, 1, "5.7135660400392885", "-2.8567830200196442"),
+            ("cos_squared", 1, -1, "-5.7135660400392885", "2.8567830200196442"),
+            ("cos_squared", -1, 1, "nan", "nan"),
+            ("cos_squared", -1, -1, "nan", "nan"),
+        ]
+        assert refuted((1.0, 0.0), (1.0, 1e-9)) == [
+            (source, inner, outer, s, a)
+            for source in ("law_of_cosines", "cos_squared")
+            for inner, outer, s, a in ((1, 1, "2.0", "-1.0"), (1, -1, "-2.0", "1.0"),
+                                       (-1, 1, "0.0", "nan"), (-1, -1, "-0.0", "nan"))
+        ]
+
+    def test_overflowing_variant_is_refuted(self):
+        # At r = 1e80 the squared-cosine s^2 overflows, and its candidates
+        # get an infinite miss; the law of cosines still replays.
+        cands = flat_chord_candidates(Point(1e80, 0.0), Point(1e80, 1.0))
+        assert (cands[0].source, cands[0].inner_sign, cands[0].miss) == ("law_of_cosines", -1, 0.0)
+        assert [c.miss for c in cands if c.source == "cos_squared"] == [math.inf] * 4
 
     def test_requires_open_gap(self):
         with pytest.raises(ValueError):

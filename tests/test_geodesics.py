@@ -491,6 +491,20 @@ class TestStartInsideEscapeMargin:
             assert side * (clip - clamp) >= 0 and side * (clamp - edge) > 0
 
 
+def test_samples_increase_unless_the_span_is_a_few_doubles():
+    # s strictly increases from 0 to total_length, except where the span per
+    # sample is below the spacing of doubles near it: a span of one double,
+    # or a stop at the start, which has length 0.
+    path = integrate(warp_r(), GeodesicState.from_angle(1.0, 0.0, 1.0), 1.0, n_samples=5)
+    assert np.all(np.diff(path.s) > 0.0) and path.s[-1] == path.total_length
+    tiny = integrate(warp_r(), GeodesicState.from_angle(1.0, 0.0, 1.0), 5e-324, n_samples=3)
+    assert tiny.s.tolist() == [0.0, 0.0, 5e-324] and not tiny.escaped
+    start = GeodesicState(math.nextafter(1e9, 0.0), 0.0, 1.0, 0.0)
+    stopped = integrate(warp_flat(1.0, 1e9), start, 1e-6, n_samples=5)
+    assert stopped.escaped and stopped.total_length == 0.0
+    assert stopped.s.tolist() == [0.0] * 5
+
+
 def test_overflowing_h_at_the_start_fails_without_a_warning():
     # e^800 overflows: the solve's errstate covers the momentum b = g/h.
     with warnings.catch_warnings():

@@ -351,6 +351,11 @@ class TestConstruction:
             make()
         assert str(info.value) == message
 
+    def test_array_components_are_refused(self):
+        # math.isfinite converts no array of several elements to a float.
+        with pytest.raises(TypeError):
+            TangentVector(np.array([1.0, 2.0]), 0.0, Point(1.0, 0.0))
+
     def test_one_counted_domain_check_per_evaluation(self, monkeypatch, neg2_warp):
         # require answers a float itself and asks contains only otherwise.
         calls = {"require": 0, "contains": 0}

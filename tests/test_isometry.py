@@ -8,7 +8,6 @@ from warpgeo import (
     Domain,
     DomainError,
     Point,
-    TangentVector,
     WarpFunction,
     affine_act,
     classify,
@@ -136,10 +135,10 @@ class TestPullbackResidual:
         assert pullback_residual(flat_warp, AffineMap(1.0, 3.0), pts) <= 1e-12
 
     def test_scaling_violation_value(self, flat_warp):
-        # h = 1/r, k = 2, u = dt at (1,0): pullback of the transverse block
-        # is k^4 r^2 against r^2, so the residual is 16 - 1 = 15.
-        u = TangentVector(0.0, 1.0, Point(1.0, 0.0))
-        res = pullback_residual(flat_warp, AffineMap(2.0, 0.0), [], vectors=[u])
+        # h = 1/r, k = 2 at (1,0): the frame vector e2 = (0, h(1)) = dt has a
+        # pullback of the transverse block k^4 r^2 against r^2, so its
+        # residual is 16 - 1 = 15, above e1's k^2 - 1 = 3.
+        res = pullback_residual(flat_warp, AffineMap(2.0, 0.0), [Point(1.0, 0.0)])
         assert res == pytest.approx(15.0, rel=1e-12)
 
     def test_radial_translations_isometric(self, neg2_warp):

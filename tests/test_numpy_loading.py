@@ -6,7 +6,8 @@ neither may ``connect`` (flat found, blocked and horizontal, and on
 ``h = r``) or the flat and same-radius ``sweep``.  The package reads numpy
 only through the lazy binding ``warpgeo._np.np`` (``test_numpy_boundary.py``
 checks that), so the commands that build arrays load it at their first
-array, and their bytes are pinned by ``test_output_bytes.py``.
+array, and their bytes are pinned by ``test_output_bytes.py``.  A
+tangent vector with integer components is checked without numpy too.
 """
 
 import json
@@ -54,3 +55,9 @@ def test_step_loads_no_numpy(name):
     assert (got_code, numpy_loaded) == (code, False)
     assert out or step.startswith("import")
 
+
+def test_integer_tangent_vector_loads_no_numpy():
+    code = ("import sys; from warpgeo import Point, TangentVector; "
+            "TangentVector(1, 2, Point(1.0, 0.0)); print('numpy' in sys.modules)")
+    proc = run_child([sys.executable, "-c", code], text=True, check=True)
+    assert proc.stdout == "False\n"

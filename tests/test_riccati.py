@@ -153,6 +153,12 @@ class TestSolvePrescribed:
         with pytest.raises(ValueError, match="must be finite"):
             solve_prescribed(constant_profile(-1.0), r0, H0, r_range)
 
+    def test_failure_without_an_accepted_step_names_the_start(self):
+        # The stages overflow, so every step attempt from r0 is rejected:
+        # the solve stopped at r0, where u = 1.
+        with pytest.raises(ValueError, match=r"numbers\. It stopped at r = 1\.0, where u = 1\.0\.$"):
+            solve_prescribed(constant_profile(-1e308), 1.0, 1e308, (0.5, 2.0))
+
     def test_blow_up_location_property(self, rng):
         # For f = 0 and H0 > 0 the pole sits at r0 + 1/H0.
         for _ in range(5):
@@ -316,6 +322,9 @@ def _side_by_insertion(f, r0, H0, r_end, atol):
                             rtol=riccati.RTOL, atol=atol, stops=(0.0, math.inf))
     if sol.status < 0:
         message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
+        if message == _dop853.TOO_SMALL_STEP:
+            r, u = (sign * sol.t[-1], sol.sol.end[0]) if len(sol.t) > 1 else (float(r0), 1.0)
+            message += f" It stopped at r = {r!r}, where u = {u!r}."
         raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
     blow = sign * sol.t[-1] if sol.status == 1 else None
     r = np.unique([sign * np.linspace(a, b, riccati._REFINE + 1)
