@@ -137,15 +137,11 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
 
 
-def _rows_to_json(header: list[str], rows: list[tuple]) -> str:
-    return _json([dict(zip(header, row)) for row in rows])
-
-
 def _table(cfg: RunConfig, header: list[str], rows: list[tuple]) -> None:
     if cfg.format == "csv":
         _emit(cfg, _rows_to_csv(header, rows))
     else:
-        _emit(cfg, _rows_to_json(header, rows))
+        _emit(cfg, _json([dict(zip(header, row)) for row in rows]))
 
 
 def _parse_point(text: str) -> Point:

@@ -298,6 +298,15 @@ def integrate(
     that level, located by its root finder on the dense output, and
     ``total_length`` is the arc length there.
 
+    h and h' are read by one rule, on and past the domain's edges too: a
+    division by zero reads as nan, in the solver's stages, in the test of
+    whether an edge extends the range and at the clamp.  A stage that holds
+    nan is rejected as one that holds inf would be; the first step's probe
+    is not, since its nan leaves the first step to the start's derivative
+    alone (scipy's rule), where an inf would shrink it to the least step.
+    The solve of a warp family whose h and h' are plain arithmetic (1/r,
+    r, flat, neg2) is float arithmetic throughout and makes no numpy call.
+
     Raises
     ------
     ValueError
@@ -342,37 +351,33 @@ def integrate(
     # The plain-arithmetic families (_FLOAT_KINDS) evaluate h and h' inline
     # on the radius as it is: on a float, + - * / give the bits np.float64
     # arithmetic gives, and a division by zero, numpy's inf or nan, raises
-    # instead, which counts as not finite.  e^r and caller code see
-    # np.float64, as they would from an array: e^r keeps np.exp (math.exp
-    # differs in the last bit), and r**1.5 at r < 0 is nan, not a complex.
+    # instead.  e^r and caller code see np.float64, as they would from an
+    # array: e^r keeps np.exp (math.exp differs in the last bit), and
+    # r**1.5 at r < 0 is nan, not a complex.
     hf, dhf = (h, dh) if floats else (on_float64(h), on_float64(dh))
     # Evaluations on and past the boundary may divide by zero or take the
     # root of a negative number; the clamp replaces those values, so numpy's
     # warnings carry no information.  A float kind's solve makes no numpy
-    # call but clamped's fallback, which holds its own errstate.
+    # call at all.
     quiet = contextlib.nullcontext() if floats else np.errstate(all="ignore")
 
-    def extends(edge: float) -> bool:
-        try:
-            return math.isfinite(hf(edge) * dhf(edge))
-        except ZeroDivisionError:
-            return False
-
-    def clamped(r: float) -> tuple:
-        # Inside the domain a Python float divides by zero only where a
-        # product underflows (q^2 in neg2's h' for tiny parameters); numpy's
-        # inf or nan is taken then.
-        r = min(max(r, inner_lo), inner_hi)
+    def pair(r: float) -> tuple:
+        # (h, h') at r.  A division by zero reads as nan, as in the kernel's
+        # own lines: inside the domain a Python float divides by zero only
+        # where a product underflows (q^2 in neg2's h' for tiny parameters).
         try:
             return hf(r), dhf(r)
         except ZeroDivisionError:
-            with np.errstate(all="ignore"):
-                return on_float64(h)(r), on_float64(dh)(r)
+            return math.nan, math.nan
+
+    def clamped(r: float) -> tuple:
+        return pair(min(max(r, inner_lo), inner_hi))
 
     with quiet:
         b = float(init.g / w.h(init.r))
-        lo = -math.inf if extends(d_lo) else inner_lo
-        hi = math.inf if extends(d_hi) else inner_hi
+        # An edge extends the range where h h' is finite on it.
+        lo = -math.inf if math.isfinite(math.prod(pair(d_lo))) else inner_lo
+        hi = math.inf if math.isfinite(math.prod(pair(d_hi))) else inner_hi
 
         if floats:
             derivative, args = _DERIVATIVES[w.kind], (b, lo, hi, *w.params, clamped)
@@ -482,11 +487,10 @@ def _flat_param(s, r0: float, r1: float):
     return (r1 * r1 - r0 * r0 - s * s) / (2.0 * s)
 
 
-def _flat_sweep(s, r0: float, a):
-    """Continuous transverse angle swept by the flat geodesic (r0, a) at s."""
-    s = np.asarray(s, dtype=float)
-    beta = np.maximum(r0 * r0 - a * a, 0.0)
-    return np.arctan2(s * np.sqrt(beta), r0 * r0 + a * s)
+def _point(s, r, t):
+    """A closed form's position at arc length s: a :class:`Point` at a
+    scalar s, else the arrays (r, t)."""
+    return Point(float(r), float(t)) if np.ndim(s) == 0 else (r, t)
 
 
 @dataclass(frozen=True)
@@ -539,15 +543,13 @@ class FlatGeodesic:
         the ratio would jump by pi), and confined to (-pi, pi): the sweep of
         any one geodesic of this family never reaches a half turn.
         """
-        return _flat_sweep(s, self.r0, self.a)
+        s = np.asarray(s, dtype=float)
+        beta = np.maximum(self.r0 * self.r0 - self.a * self.a, 0.0)
+        return np.arctan2(s * np.sqrt(beta), self.r0 * self.r0 + self.a * s)
 
     def point(self, s):
         """Position (r, t) at arc length s (s may be an array)."""
-        r = self.radius(s)
-        t = self.t0 + self.sign * self.angle(s)
-        if np.ndim(s) == 0:
-            return Point(float(r), float(t))
-        return r, t
+        return _point(s, self.radius(s), self.t0 + self.sign * self.angle(s))
 
     def state(self, s: float) -> GeodesicState:
         """Full state at arc length s, unit speed by construction."""
@@ -631,11 +633,7 @@ class Neg2Geodesic:
         ) / (4.0 * b * b)
 
     def point(self, s):
-        r = self.radius(s)
-        t = self.transverse(s)
-        if np.ndim(s) == 0:
-            return Point(float(r), float(t))
-        return r, t
+        return _point(s, self.radius(s), self.transverse(s))
 
     def state(self, s: float) -> GeodesicState:
         s = float(s)

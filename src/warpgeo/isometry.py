@@ -109,11 +109,6 @@ def cr_residual(w: WarpFunction, m: AffineMap, p: Point) -> float:
     return abs(m.k * hr - m.k * hu)
 
 
-def _frame(w: WarpFunction, p: Point) -> list[TangentVector]:
-    """The orthonormal frame e1 = (1, 0), e2 = (0, h(r)) at p."""
-    return [TangentVector(1.0, 0.0, base=p), TangentVector(0.0, float(w.h(p.r)), base=p)]
-
-
 def pullback_residual(w: WarpFunction, m: AffineMap, points) -> float:
     """Max metric-pullback violation over the orthonormal frame at each of
     the sample points.
@@ -127,7 +122,9 @@ def pullback_residual(w: WarpFunction, m: AffineMap, points) -> float:
     DomainError
         If any sample point's image escapes the warp's domain.
     """
-    vectors = [u for p in points for u in _frame(w, p)]
+    # The orthonormal frame e1 = (1, 0), e2 = (0, h(r)) at each point.
+    vectors = [u for p in points for u in (TangentVector(1.0, 0.0, base=p),
+                                            TangentVector(0.0, float(w.h(p.r)), base=p))]
     diffs = [0.0]
     for u in vectors:
         gu = metric_at(w, u, u)
@@ -192,11 +189,14 @@ def classify(
     at each point are the orthonormal frame.  ``seed`` is accepted and
     ignored.
 
-    h is evaluated once on the array of grid radii and once on their
-    images, so the warp's evaluator must accept arrays (as every warp
-    checked by ``make_warp`` or ``warp_custom`` does).  The residuals equal
+    Translations in t are isometries of every warped metric, so both
+    residuals at a grid point depend on its radius alone: h is evaluated
+    once on the array of the grid's 20 radii and once on their images, and
+    the transverse coordinates enter only the check that k t + l is finite.
+    The warp's evaluator must accept arrays (as every warp checked by
+    ``make_warp`` or ``warp_custom`` does).  The residuals equal
     ``max(cr_residual(w, m, p))`` and ``pullback_residual(w, m, points)``
-    over the same grid.
+    over the whole lattice.
 
     Raises
     ------
@@ -212,11 +212,11 @@ def classify(
     hi = min(R_RANGE[1], w.domain.hi * (1.0 - 1e-9))
     if not lo < hi:
         raise DomainError("sample grid does not intersect the warp domain")
-    rs = np.linspace(lo, hi, GRID_SHAPE[0])
-    ts = np.linspace(*T_RANGE, GRID_SHAPE[1])
-    # Row-major grid, the point order of the pointwise reference.
-    r = np.repeat(rs, ts.size)
-    t = np.tile(ts, rs.size)
+    # The residuals depend on r alone (see above).  The lattice's row-major
+    # order, that of the pointwise reference, meets the radii in this order,
+    # so a DomainError names the same first radius.
+    r = np.linspace(lo, hi, GRID_SHAPE[0])
+    t = np.linspace(*T_RANGE, GRID_SHAPE[1])
     # broadcast_to keeps a warp whose h returns one scalar for a constant.
     hr = np.broadcast_to(w.h(r), r.shape)
     if not np.all(np.isfinite(m.k * t + m.l)):
@@ -225,7 +225,7 @@ def classify(
 
     holo = float(np.max(np.abs(m.k * hr - m.k * hu)))
 
-    # The frame of _frame, e1 = (1, 0) and e2 = (0, h(r)), pushed to
+    # pullback_residual's frame, e1 = (1, 0) and e2 = (0, h(r)), pushed to
     # (k, 0) and (0, k h(r)); k h(r) is finite only where h(r) is.
     kh = m.k * hr
     if not np.all(np.isfinite(kh)):

@@ -133,9 +133,10 @@ def _integrate_side(f, r0, H0, r_end, atol):
     # The profile sees np.float64 radii, as it would from an array; the
     # solver takes Python floats, so its value is converted (same bits).
     fx = on_float64(f)
-    # u can overflow before r_end (h underflows): the solve's failure is
-    # raised, and the dense reads below build steps from the same system.
-    quiet = partial(np.errstate, over="ignore", invalid="ignore")
+    # u can overflow before r_end (h underflows), and f can divide by zero
+    # where r * r underflows: the solve's failure is raised, and the dense
+    # reads below build steps from the same system.
+    quiet = partial(np.errstate, all="ignore")
     with quiet():
         # u starts at 1, so its first zero is crossed falling.
         sol = solve_ivp(_SIDE, (sign, fx), (sign * r0, sign * r_end), (1.0, -H0),
@@ -295,10 +296,11 @@ def verify_field(field: HField, profile: CurvatureProfile, tol: float) -> Riccat
     """
     g_lo, g_hi = field.grid[0], field.grid[-1]
     span = g_hi - g_lo
-    # Next to a blow-up H^2 and its differences can overflow.  Those samples
+    # Next to a blow-up H^2 and its differences can overflow, and on a grid
+    # of subnormal spacings np.gradient can divide by zero.  Those samples
     # sit in the margins; a non-finite interior residual propagates through
     # np.max and fails the report.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         dH = np.gradient(field.H, field.grid)
         rhs_vals = field.H**2 + np.asarray(profile.f(field.grid))
         rel = np.abs(dH - rhs_vals) / np.maximum(1.0, np.abs(rhs_vals))

@@ -260,7 +260,7 @@ class WarpFunction:
 def _scalar(r) -> bool:
     """Whether r is a scalar.  A float (np.float64 is one) is answered without
     np.ndim, which on a Python float first builds an array: the constant
-    evaluators and warp_r's h ask this at every scalar call."""
+    evaluators ask this at every scalar call."""
     if isinstance(r, float):
         return True
     return not np.ndim(r)
@@ -297,7 +297,7 @@ def warp_r() -> WarpFunction:
         kind="r",
         params=(),
         domain=Domain(0.0),
-        _h=lambda r: float(r) if _scalar(r) else r,
+        _h=lambda r: r,  # every caller passes a float or a float array
         _dh=_constant(1.0),
         _d2h=_constant(0.0),
         _logderiv=lambda r: 1.0 / r,
@@ -436,7 +436,14 @@ def warp_custom(
     to the nearer domain edge; nearer an edge a difference may straddle a
     pole.  A non-finite comparison fails, and so does a domain too narrow
     to hold any such sample.  A failed check raises ``ValueError``.
+
+    A d2h is accepted only with its dh, against which it is checked: a
+    second difference of h is too coarse to check it by (correct d2h's of
+    2 + sin r or e^r miss ``CONSISTENCY_TOL`` against it), so a d2h given
+    alone raises ``ValueError``.
     """
+    if d2h is not None and dh is None:
+        raise ValueError("warp_custom: d2h is checked against dh; pass dh as well, or omit d2h")
     dom = domain if isinstance(domain, Domain) else Domain(*domain)
     step2 = math.sqrt(FD_STEP_SCALE)
     supplied = (dh is not None, d2h is not None)
@@ -467,7 +474,7 @@ def warp_custom(
     )
     # FD-built derivatives are consistent by construction; only cross-check
     # what the caller actually supplied.
-    return _validate(w, check_dh=supplied[0], check_d2h=supplied[0] and supplied[1])
+    return _validate(w, *supplied)
 
 
 # The families a WarpSpec may name: kind -> (constructor, parameter count).

@@ -366,6 +366,11 @@ class TestRiccati:
             fh.readline()
             for ln in fh:
                 assert float(ln.split(",")[1]) == pytest.approx(1.0, abs=1e-8)
+        # H = 0 from r0 = 1e-300, whose grid starts with subnormal spacings:
+        # the report alone, with no RuntimeWarning on stderr.
+        res = run_cli("--out", out, "riccati", "zero", "1e-300", "0", "0", "1")
+        assert (res.returncode, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["max_residual"] == 0.0
 
     def test_unknown_profile(self):
         assert run_cli("riccati", "cubic", "1", "1", "0.5", "3").returncode == 1
@@ -393,6 +398,13 @@ class TestRiccati:
             "warpgeo: error: u'' + f u = 0 not integrable from 1.0 to 0.0: "
             "Required step size is less than spacing between numbers. "
             "It stopped at r = 7.883674276586642e-103, where u = 1.2684440825669393e+102.\n"
+        )
+        # From r0 = 1e-170, r * r underflows and f divides by zero at once.
+        res = run_cli("riccati", "neg2_over_r2", "1e-170", "0", "0", "1")
+        assert res.returncode == 1
+        assert res.stderr == (
+            "warpgeo: error: u'' + f u = 0 not integrable from 1e-170 to 0.0: "
+            "The derivative is not finite at t = 1e-170.\n"
         )
 
     @pytest.mark.parametrize(

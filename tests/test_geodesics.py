@@ -345,13 +345,47 @@ def test_exp_evaluates_h_once_per_stage(monkeypatch):
     assert len(calls) == path.stats.rhs_evals + 4
 
 
-def test_division_by_zero_at_the_clamp_is_numpys_inf():
+def test_division_by_zero_at_the_clamp_reads_as_nan(monkeypatch):
     # At r = 1, q^2 = 1e-600 underflows in h' = c0 (c1 - 2 c2 r^3) / q^2:
-    # the in-range value and the clamp's both divide by zero, and the clamp
-    # takes numpy's -inf, which the solver reports, not a ZeroDivisionError.
+    # the in-range value and the clamp's both divide by zero, and both read
+    # as nan, which the solver reports, not a ZeroDivisionError.
     w = warp_neg2(1.0, 0.0, 1e-300)
+    init = GeodesicState(1.0, 0.0, -1.0, 0.0)
     with pytest.raises(ValueError, match="The derivative is not finite at t = 0.0."):
-        integrate(w, GeodesicState(1.0, 0.0, -1.0, 0.0), 5.0)
+        integrate(w, init, 5.0)
+
+    class Captured(Exception):
+        pass
+
+    def capture(derivative, args, *rest, **kwargs):
+        raise Captured(args[-1])
+
+    monkeypatch.setattr(geodesics, "solve_ivp", capture)
+    with pytest.raises(Captured) as captured:
+        integrate(w, init, 5.0)
+    clamped = captured.value.args[0]
+    assert all(math.isnan(v) for v in clamped(1.0))
+
+
+def test_first_step_ignores_a_probe_dividing_by_zero(monkeypatch):
+    # The first step's probe, about 0.017 along an inward ray from 1.001,
+    # lands past the pole r = 1 on the clamp, where q * q underflows and h'
+    # divides by zero.  It reads as nan, and a nan probe leaves the first
+    # step to the start's derivative alone: the whole span.  An inf probe
+    # (numpy's value there) would make the first step 0, the least step.
+    class FirstStep(Exception):
+        pass
+
+    def first_step(*args):
+        raise FirstStep(initial_step(*args))
+
+    initial_step = _dop853._initial_step
+    monkeypatch.setattr(_dop853, "_initial_step", first_step)
+    w = warp_neg2(1.0, -1e-155, 1e-155)
+    init = GeodesicState(1.001, 1e300, -math.sqrt(1 - 1e-8), 1e-4)
+    with pytest.raises(FirstStep) as step:
+        integrate(w, init, 0.01)
+    assert step.value.args[0] == 0.01
 
 
 # One escaping ray per warp family whose h and h' are plain arithmetic.

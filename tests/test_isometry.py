@@ -227,8 +227,10 @@ class TestClassify:
         assert rep.verdict == "neither"
 
     def test_image_leaving_domain_raises(self):
-        with pytest.raises(DomainError):
+        # The message names the first image radius outside the domain.
+        with pytest.raises(DomainError) as err:
             classify(warp_flat(1.0, 5.0), AffineMap(3.0, 0.0))
+        assert str(err.value) == "radius 5.715789468157896 outside open domain (0.0, 5.0)"
 
     def test_grid_missing_domain_raises(self):
         with pytest.raises(DomainError):

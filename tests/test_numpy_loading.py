@@ -7,7 +7,8 @@ neither may ``connect`` (flat found, blocked and horizontal, and on
 only through the lazy binding ``warpgeo._np.np`` (``test_numpy_boundary.py``
 checks that), so the commands that build arrays load it at their first
 array, and their bytes are pinned by ``test_output_bytes.py``.  A
-tangent vector with integer components is checked without numpy too.
+tangent vector with integer components, and a geodesic solve whose clamp
+divides by zero, are checked without numpy too.
 """
 
 import json
@@ -61,3 +62,20 @@ def test_integer_tangent_vector_loads_no_numpy():
             "TangentVector(1, 2, Point(1.0, 0.0)); print('numpy' in sys.modules)")
     proc = run_child([sys.executable, "-c", code], text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_clamp_dividing_by_zero_loads_no_numpy():
+    # Next to the pole of h = r / (1e-155 r^3 - 1e-155), q * q underflows
+    # and h' divides by zero, at the start and at the clamp: the failure
+    # is the solver's, read as nan by the float kernel's own rule.  The
+    # warp is built directly, as make_warp's validation loads numpy.
+    code = ("import sys; from warpgeo import GeodesicState, integrate, warp_neg2\n"
+            "w = warp_neg2(1.0, -1e-155, 1e-155)\n"
+            "try:\n"
+            "    integrate(w, GeodesicState.from_angle(1.0 + 1e-9, 0.0, 2.0), 1e-3, n_samples=2)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "print('numpy' in sys.modules)")
+    proc = run_child([sys.executable, "-c", code], text=True, check=True)
+    assert proc.stdout == ("geodesic integration failed: "
+                           "The derivative is not finite at t = 0.0.\nFalse\n")

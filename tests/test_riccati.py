@@ -159,6 +159,14 @@ class TestSolvePrescribed:
         with pytest.raises(ValueError, match=r"numbers\. It stopped at r = 1\.0, where u = 1\.0\.$"):
             solve_prescribed(constant_profile(-1e308), 1.0, 1e308, (0.5, 2.0))
 
+    def test_profile_dividing_by_zero_raises_only_the_failure(self):
+        # At r0 = 1e-170, r * r underflows and -2/r^2 divides by zero: the
+        # solve's own failure is raised, with no RuntimeWarning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not finite at t = 1e-170\.$"):
+                solve_prescribed(inverse_square_profile(-2.0), 1e-170, 0.0, (0.0, 1.0))
+
     def test_blow_up_location_property(self, rng):
         # For f = 0 and H0 > 0 the pole sits at r0 + 1/H0.
         for _ in range(5):
@@ -249,6 +257,15 @@ class TestVerifyField:
         assert abs(field.H[-1]) > np.sqrt(np.finfo(float).max)
         assert report.passed and report.blowup_location == 1.0
         assert report.max_residual == pytest.approx(2.3631100531607753e-4, rel=1e-6)
+
+    def test_subnormal_grid_spacing_stays_silent(self):
+        # From r0 = 1e-300 the grid's first steps are subnormal, and
+        # np.gradient divides by zero in the excluded margin.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = solve_prescribed(constant_profile(0.0), 1e-300, 0.0, (0.0, 1.0))
+            report = verify_field(field, constant_profile(0.0), 1e-3)
+        assert report.passed and report.max_residual == 0.0
 
     @pytest.mark.parametrize("bad", [1e200, math.inf, math.nan])
     def test_non_finite_interior_residual_fails(self, bad):

@@ -224,6 +224,15 @@ class TestCustomWarp:
                 domain=(0.0, 20.0),
             )
 
+    def test_d2h_without_dh_refused(self):
+        # Accepted unchecked, this d2h would make the curvature of r^1.5 at
+        # r = 1 read 95.5 instead of -3.75; with the right dh it is refused.
+        h, d2h = (lambda r: r**1.5), (lambda r: 100.0 + 0.0 * r)
+        with pytest.raises(ValueError, match="pass dh as well, or omit d2h$"):
+            warp_custom(h, d2h=d2h, domain=(0.5, 3.0))
+        with pytest.raises(ValueError, match="h'' evaluator inconsistent with h'$"):
+            warp_custom(h, lambda r: 1.5 * r**0.5, d2h, domain=(0.5, 3.0))
+
     # h = 1/(1e-3 - r) has its pole on the domain's upper edge, and the
     # difference step 1e-6 reaches it from the last sample.
     POLE = 1e-3
