@@ -13,7 +13,8 @@ solves its mirror in -t, which IEEE rounding makes exact (see
 :func:`warpgeo.riccati._integrate_side`).  Of scipy's events it keeps the
 one kind both callers use: a solve stops where ``y[0]`` falls through a
 level ``lo`` or rises through a level ``hi``, as a terminal, directed event
-``y[0] - level`` would stop it.
+``y[0] - level`` would stop it.  A step crosses both only when it starts and
+ends on ``lo == hi``, and then stops with status 1 at its start.
 
 scipy runs the method on numpy arrays: for the two- and three-component
 systems of this package most of its time goes to numpy calls on tiny
@@ -461,11 +462,12 @@ def solve_ivp(
     when ``a - hi <= 0 <= b - hi``, for a and b its ``y[0]`` at start and
     end; an infinite level never passes that test.  So a start beyond a
     level does not stop the solve, and a start on a level that moves past it
-    stops at its start.  The root is located on the step's interpolant, as
-    ``_segment_at(...)[0]``, by ``brentq`` with ``xtol = rtol = 4 eps``, the
-    earlier root wins when one step crosses both levels, and the root is
-    the last entry of ``t``.  Only that step's interpolant is built during
-    the solve; the returned ``sol`` builds the others on first use.
+    stops at its start.  A step crosses both levels only when
+    ``lo == hi == a == b``, and then stops with status 1 at its start.  The
+    root is located on the step's interpolant, as ``_segment_at(...)[0]``,
+    by ``brentq`` with ``xtol = rtol = 4 eps``, and is the last entry of
+    ``t``.  Only that step's interpolant is built during the solve; the
+    returned ``sol`` builds the others on first use.
 
     The step controller is scipy's, with its ``min`` and ``max`` written out
     as comparisons that keep their rules: a nan error estimate shrinks the
@@ -550,11 +552,9 @@ def solve_ivp(
             F = extra(args, *step)
             nfev += 3
             segment = (*step[:3], F)
-            t, status = min(
-                (brentq(lambda s, level=level: _segment_at(segment, s)[0] - level,
-                        t_old, t, xtol=4 * EPS, rtol=4 * EPS), code)
-                for level, code, crossed in ((lo, 1, falls), (hi, 2, rises)) if crossed
-            )
+            level, status = (lo, 1) if falls else (hi, 2)  # both only when lo == hi == a == b
+            t = brentq(lambda s: _segment_at(segment, s)[0] - level,
+                       t_old, t, xtol=4 * EPS, rtol=4 * EPS)
             if len(ts) > 1 and ts[-1] == t:
                 continue  # a root on the previous step end adds no segment
         ts.append(t)

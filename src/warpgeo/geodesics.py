@@ -544,8 +544,7 @@ class FlatGeodesic:
         any one geodesic of this family never reaches a half turn.
         """
         s = np.asarray(s, dtype=float)
-        beta = np.maximum(self.r0 * self.r0 - self.a * self.a, 0.0)
-        return np.arctan2(s * np.sqrt(beta), self.r0 * self.r0 + self.a * s)
+        return np.arctan2(s * math.sqrt(self.beta), self.r0 * self.r0 + self.a * s)
 
     def point(self, s):
         """Position (r, t) at arc length s (s may be an array)."""
@@ -611,22 +610,21 @@ class Neg2Geodesic:
         return ((psi0 - math.pi) / self.b, psi0 / self.b)
 
     def _phase(self, s):
-        return self.sign * self.b * np.asarray(s, dtype=float) + self.phase0
+        """The arc lengths ``s`` as a float array, and the phase psi(s) there.
 
-    def _require_arch(self, s):
+        Raises :class:`DomainError`, naming ``s`` as the caller passed it,
+        where an arc length lies outside the positive arch."""
         lo, hi = self.arch()
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= lo) or np.any(s_arr >= hi):
             raise DomainError(f"arc length {s!r} outside the positive arch ({lo}, {hi})")
+        return s_arr, self.sign * self.b * s_arr + self.phase0
 
     def radius(self, s):
-        self._require_arch(s)
-        return np.sin(self._phase(s)) / self.b
+        return np.sin(self._phase(s)[1]) / self.b
 
     def transverse(self, s):
-        self._require_arch(s)
-        s_arr = np.asarray(s, dtype=float)
-        psi = self._phase(s_arr)
+        s_arr, psi = self._phase(s)
         b = self.b
         return self.t0 + s_arr / (2.0 * b) - self.sign * (
             np.sin(2.0 * psi) - math.sin(2.0 * self.phase0)
@@ -637,14 +635,8 @@ class Neg2Geodesic:
 
     def state(self, s: float) -> GeodesicState:
         s = float(s)
-        psi = float(self._phase(s))
-        r = float(self.radius(s))
-        return GeodesicState(
-            r,
-            float(self.transverse(s)),
-            self.sign * math.cos(psi),
-            self.b * r,
-        )
+        p, psi = self.point(s), float(self._phase(s)[1])
+        return GeodesicState(p.r, p.t, self.sign * math.cos(psi), self.b * p.r)
 
     def initial_state(self) -> GeodesicState:
         return self.state(0.0)

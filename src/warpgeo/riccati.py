@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from ._dop853 import TOO_SMALL_STEP, Derivative, solve_ivp
@@ -135,50 +134,48 @@ def _integrate_side(f, r0, H0, r_end, atol):
     fx = on_float64(f)
     # u can overflow before r_end (h underflows), and f can divide by zero
     # where r * r underflows: the solve's failure is raised, and the dense
-    # reads below build steps from the same system.
-    quiet = partial(np.errstate, all="ignore")
-    with quiet():
+    # reads below build steps from the same system, so one errstate covers
+    # the solve and every read.
+    with np.errstate(all="ignore"):
         # u starts at 1, so its first zero is crossed falling.
         sol = solve_ivp(_SIDE, (sign, fx), (sign * r0, sign * r_end), (1.0, -H0),
                         rtol=RTOL, atol=atol, stops=(0.0, math.inf))
-    if sol.status < 0:
-        # Only the start's derivative can be reported as not finite: name it r0.
-        message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
-        if message == TOO_SMALL_STEP:
-            # Where: the last accepted step's end, or the start.  u is the
-            # state the solve accepted; the interpolant there may read nan.
-            r, u = (sign * sol.t[-1], sol.sol.end[0]) if len(sol.t) > 1 else (float(r0), 1.0)
-            message += f" It stopped at r = {r!r}, where u = {u!r}."
-        raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
-    blow = sign * sol.t[-1] if sol.status == 1 else None
+        if sol.status < 0:
+            # Only the start's derivative can be reported as not finite: name it r0.
+            message = sol.message.replace(f"t = {sign * float(r0)!r}.", f"t = {float(r0)!r}.")
+            if message == TOO_SMALL_STEP:
+                # Where: the last accepted step's end, or the start.  u is the
+                # state the solve accepted; the interpolant there may read nan.
+                r, u = (sign * sol.t[-1], sol.sol.end[0]) if len(sol.t) > 1 else (float(r0), 1.0)
+                message += f" It stopped at r = {r!r}, where u = {u!r}."
+            raise ValueError(f"u'' + f u = 0 not integrable from {r0} to {r_end}: {message}")
+        blow = sign * sol.t[-1] if sol.status == 1 else None
 
-    # One row of _REFINE + 1 samples per step; unique sorts and drops the
-    # repeats of a step shorter than _REFINE floating-point spacings.
-    ts = np.array(sol.t)
-    r = np.unique(sign * np.linspace(ts[:-1], ts[1:], _REFINE + 1, axis=1))
-    with quiet():
+        # One row of _REFINE + 1 samples per step; unique sorts and drops the
+        # repeats of a step shorter than _REFINE floating-point spacings.
+        ts = np.array(sol.t)
+        r = np.unique(sign * np.linspace(ts[:-1], ts[1:], _REFINE + 1, axis=1))
         rows = [np.concatenate([r[None], sol.sol(sign * r)])]
-    left, right = rows[0][:, :-1], rows[0][:, 1:]
-    while True:
-        # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
-        # a blow-up node.  A midpoint that rounds to an end is no split, nor
-        # is an interval whose ends both have u <= atol, which are dropped:
-        # at a zero of u on the range end r = 0 the relative criterion
-        # would otherwise split without bound.
-        (a, ua, dua), (b, ub, dub) = left, right
-        dr, mid = b - a, 0.5 * (a + b)
-        split = ((np.abs(dua) * dr > _MAX_H_STEP * np.abs(ua))
-                 | (np.abs(dub) * dr > _MAX_H_STEP * np.abs(ub)))
-        split &= (mid != a) & (mid != b)
-        split &= (ua > atol) | (ub > atol)
-        if not split.any():
-            break
-        mid = mid[split]
-        with quiet():
+        left, right = rows[0][:, :-1], rows[0][:, 1:]
+        while True:
+            # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
+            # a blow-up node.  A midpoint that rounds to an end is no split, nor
+            # is an interval whose ends both have u <= atol, which are dropped:
+            # at a zero of u on the range end r = 0 the relative criterion
+            # would otherwise split without bound.
+            (a, ua, dua), (b, ub, dub) = left, right
+            dr, mid = b - a, 0.5 * (a + b)
+            split = ((np.abs(dua) * dr > _MAX_H_STEP * np.abs(ua))
+                     | (np.abs(dub) * dr > _MAX_H_STEP * np.abs(ub)))
+            split &= (mid != a) & (mid != b)
+            split &= (ua > atol) | (ub > atol)
+            if not split.any():
+                break
+            mid = mid[split]
             new = np.concatenate([mid[None], sol.sol(sign * mid)])
-        rows.append(new)
-        left = np.concatenate([left[:, split], new], axis=1)
-        right = np.concatenate([new, right[:, split]], axis=1)
+            rows.append(new)
+            left = np.concatenate([left[:, split], new], axis=1)
+            right = np.concatenate([new, right[:, split]], axis=1)
     # Every midpoint lies strictly inside its interval, so the radii are
     # distinct and one sort orders them.  Where u falls to atol, next to a
     # zero, H keeps no digit the solver controls.

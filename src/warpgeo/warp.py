@@ -83,14 +83,14 @@ class Domain:
             raise ValueError(f"invalid domain ({self.lo}, {self.hi})")
 
     def contains(self, r):
-        """Strict membership, ``DOMAIN_MARGIN`` off both endpoints."""
+        """Strict membership, ``DOMAIN_MARGIN`` off both endpoints.
+
+        NaN fails both comparisons, -inf the lower one and +inf the upper
+        one, also where ``hi`` is infinite."""
         if isinstance(r, float):
-            # NaN and infinities fail the chained comparison.
             return bool(self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN)
         r = np.asarray(r, dtype=float)
-        inside = (r > self.lo + DOMAIN_MARGIN) & np.isfinite(r)
-        if math.isfinite(self.hi):
-            inside &= r < self.hi - DOMAIN_MARGIN
+        inside = (r > self.lo + DOMAIN_MARGIN) & (r < self.hi - DOMAIN_MARGIN)
         return bool(inside) if inside.ndim == 0 else inside
 
     def require(self, r) -> None:
@@ -429,13 +429,14 @@ def warp_custom(
     distance to the nearer domain edge.  The logarithmic derivative is
     dh(r)/h(r).  The domain must be an explicit open subinterval of
     (0, inf).  Positivity and finiteness of h and of dh/h are checked on
-    the domain's ``SAMPLE_SIZE``-point grid.  A supplied dh (and d2h) is
-    compared with the central difference of h (of dh) at relative tolerance
-    ``CONSISTENCY_TOL``, at the samples where the step ``FD_STEP_SCALE *
-    max(1, r)`` is at most ``RESOLVED_STEP`` (about 0.2 %) of the distance
-    to the nearer domain edge; nearer an edge a difference may straddle a
-    pole.  A non-finite comparison fails, and so does a domain too narrow
-    to hold any such sample.  A failed check raises ``ValueError``.
+    the domain's ``SAMPLE_SIZE``-point grid, and a domain too narrow for
+    that grid to lie ``DOMAIN_MARGIN`` inside it is refused.  A supplied dh
+    (and d2h) is compared with the central difference of h (of dh) at
+    relative tolerance ``CONSISTENCY_TOL``, at the samples where the step
+    ``FD_STEP_SCALE * max(1, r)`` is at most ``RESOLVED_STEP`` (about 0.2 %)
+    of the distance to the nearer domain edge; nearer an edge a difference
+    may straddle a pole.  A non-finite comparison fails, and so does a domain
+    too narrow to hold any such sample.  A failed check raises ``ValueError``.
 
     A d2h is accepted only with its dh, against which it is checked: a
     second difference of h is too coarse to check it by (correct d2h's of
@@ -514,7 +515,13 @@ def _validate(w: WarpFunction, check_dh: bool = False, check_d2h: bool = False) 
                 f"warp {w.kind!r} is not strictly positive on its domain "
                 f"({w.domain.lo}, {w.domain.hi})"
             )
-        Hv = np.asarray(w.log_deriv(grid), dtype=float)
+        try:
+            Hv = np.asarray(w.log_deriv(grid), dtype=float)
+        except DomainError:
+            # The grid's pad, 1e-3 of the width, lies within DOMAIN_MARGIN of
+            # an edge for widths up to about 1e-9.
+            raise ValueError(f"warp {w.kind!r}: domain ({w.domain.lo}, {w.domain.hi}) is too "
+                             "narrow for its validation grid") from None
         if not np.all(np.isfinite(Hv)):
             raise ValueError(f"warp {w.kind!r} has a non-finite logarithmic derivative")
         if not check_dh:
@@ -557,7 +564,8 @@ def make_warp(spec: WarpSpec | str) -> WarpFunction:
     ------
     ValueError
         If the parameters leave no open interval with h > 0, or h is not
-        finite and positive, or H not finite, on the sample grid.
+        finite and positive, or H not finite, on the sample grid, or the
+        domain is too narrow for that grid to lie ``DOMAIN_MARGIN`` inside.
     """
     if isinstance(spec, str):
         spec = WarpSpec.from_string(spec)

@@ -79,6 +79,14 @@ class TestCurvature:
         assert res.stdout == ""
         assert res.stderr == "warpgeo: error: radius 7.0 outside open domain (0.0, 5.0)\n"
 
+    def test_domain_too_narrow_for_its_grid(self):
+        # The refusal names the domain, not a radius of make_warp's grid.
+        res = run_cli("--warp", "flat:1,1e-10", "curvature", "2e-11", "8e-11", "3")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == ("warpgeo: error: warp 'flat': domain (0.0, 1e-10) is too narrow "
+                              "for its validation grid\n")
+
 
 class TestGeodesic:
     def test_inward_ray_summary(self):

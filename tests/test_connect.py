@@ -765,6 +765,25 @@ class TestOneBracket:
                 assert res.length == res.s
         assert found >= 400
 
+    @pytest.mark.parametrize("solver, p0, p1, lower_end_finite", [
+        # Only one node's gain is finite: the lower end walks inward to it,
+        # and the upper end down to the node next to it.
+        (connect_neg2, Point(1.0, 0.0), Point(1e300, 1.0), False),
+        # The lower end is finite and the upper end walks down to node 1.
+        (connect_flat, Point(1e200, 0.0), Point(2e200, 1.0), True),
+    ], ids=["neg2", "flat"])
+    def test_non_finite_bracket_is_exhausted(self, monkeypatch, solver, p0, p1,
+                                             lower_end_finite):
+        calls = recorded_shots(monkeypatch)
+        res = solver(p0, p1)
+        assert (res.variant, res.reason) == ("no_geodesic", "search_exhausted")
+        ((shot, nodes, target),) = calls
+        misses = [shot(x)[1] - target for x in nodes]
+        assert math.isfinite(misses[0]) is lower_end_finite
+        assert sum(map(math.isfinite, misses)) == 1
+        # The two walks meet, and every node's miss is evaluated once.
+        assert res.iterations == len(nodes)
+
 
 class TestTranslationInvariance:
     def test_flat_connect_invariant(self, rng):

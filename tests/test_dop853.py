@@ -294,6 +294,33 @@ def test_stops_are_scipys_directed_terminal_events(monkeypatch, name):
     assert sol.t[-1] == pytest.approx(root, abs=1e-9)
 
 
+def test_step_on_both_levels_stops_at_its_start():
+    # y[0] stays on lo == hi, so the first step both falls and rises
+    # through the one level: it stops at its start, with status 1.
+    sol = _dop853.solve_ivp(_dop853.CALL, lambda t, y: (0.0, 1.0), (0.0, 1.0), (0.5, 0.0),
+                            rtol=1e-10, atol=1e-12, stops=(0.5, 0.5))
+    assert sol.status == 1
+    assert sol.t == [0.0, 0.0]
+
+
+def test_root_on_the_previous_step_end_adds_no_segment():
+    # u = -cos t rises to its largest step end v and falls after it.  With
+    # v as the lower stop, the step after it falls through v at its start,
+    # which is the last entry of t already.
+    def solve(stops):
+        return _dop853.solve_ivp(_dop853.CALL, lambda t, y: (y[1], -y[0]), (0.0, 6.0),
+                                 (-1.0, 0.0), rtol=1e-10, atol=1e-12, stops=stops)
+
+    free = solve((-math.inf, math.inf))
+    ends = [step[3][0] for step in free.sol._steps]
+    k = max(range(len(ends)), key=ends.__getitem__)
+    assert 0 < k < len(ends) - 1
+    sol = solve((ends[k], math.inf))
+    assert sol.status == 1
+    assert sol.t == free.t[:k + 2]  # no repeated t
+    assert sol.t[-1] == free.t[k + 1]
+
+
 def _kernel_solutions(monkeypatch, module, run) -> list:
     """Run ``run()``; return the kernel's solution of each solver call in ``module``."""
     sols = []

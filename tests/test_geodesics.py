@@ -64,6 +64,16 @@ class TestIntegrate:
         assert end.r == pytest.approx(4.0, abs=1e-10)
         assert end.t == 0.0
 
+    @pytest.mark.parametrize("components, message", [
+        ((0.0, 0.0, 1.0, 0.0), "geodesic state requires r > 0, got 0.0"),
+        ((math.inf, 0.0, 1.0, 0.0), "geodesic state requires r > 0, got inf"),
+        ((1.0, math.nan, 1.0, 0.0), "geodesic state components must be finite"),
+        ((1.0, 0.0, 1.0, -math.inf), "geodesic state components must be finite"),
+    ])
+    def test_invalid_state_rejected(self, components, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeodesicState(*components)
+
     def test_rejects_non_unit_speed(self, flat_warp):
         with pytest.raises(ValueError, match="unit speed"):
             integrate(flat_warp, GeodesicState(1.0, 0.0, 1.0, 0.5), 1.0)
@@ -568,6 +578,13 @@ class TestPathLength:
         )
         assert path_length(path) == 0.0
 
+    def test_empty_path_rejected(self):
+        empty = np.array([])
+        path = GeodesicPath(s=empty, r=empty, t=empty, f=empty, g=empty, escaped=False,
+                            total_length=0.0)
+        with pytest.raises(ValueError, match="^empty path$"):
+            path_length(path)
+
     def test_quadrature_cross_check(self, flat_warp):
         geo = FlatGeodesic(r0=1.0, t0=0.0, a=0.0, sign=1.0)
         path = integrate(flat_warp, geo.initial_state(), 2.0, n_samples=257)
@@ -604,6 +621,15 @@ class TestFlatGeodesic:
     def test_family_parameter_bounds(self):
         with pytest.raises(ValueError):
             FlatGeodesic(r0=1.0, t0=0.0, a=1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r0": 0.0, "a": 0.0}, "r0 must be positive"),
+        ({"r0": 1.0, "a": 0.0, "sign": 0.5}, "sign must be +1 or -1"),
+    ])
+    def test_invalid_parameters_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            FlatGeodesic(t0=0.0, **kwargs)
+        assert str(err.value) == message
 
     def test_matches_integration(self, flat_warp, rng):
         for _ in range(10):
@@ -694,11 +720,33 @@ class TestNeg2Geodesic:
         with pytest.raises(DomainError):
             geo.point(lo - 1e-6)
 
+    # b = 1/2 from r0 = 1: the arch is (-pi/3, 5 pi/3).
+    OUTSIDE_ARCH = [(method, s) for method in ("radius", "transverse", "point")
+                    for s in (6.0, [0.0, 6.0], np.array([-2.0, 0.0]))] + [("state", -2.0)]
+
+    @pytest.mark.parametrize("method, s", OUTSIDE_ARCH)
+    def test_outside_the_arch_names_the_callers_arc_length(self, method, s):
+        geo = Neg2Geodesic(r0=1.0, t0=0.0, b=0.5, sign=1.0)
+        lo, hi = geo.arch()
+        message = f"arc length {s!r} outside the positive arch ({lo}, {hi})"
+        with pytest.raises(DomainError) as err:
+            getattr(geo, method)(s)
+        assert str(err.value) == message
+
     def test_momentum_bounds(self):
         with pytest.raises(ValueError):
             Neg2Geodesic(r0=2.0, t0=0.0, b=0.6)  # b > 1/r0
         with pytest.raises(ValueError):
             Neg2Geodesic(r0=2.0, t0=0.0, b=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r0": -1.0, "b": 0.5}, "r0 must be positive"),
+        ({"r0": 1.0, "b": 0.5, "sign": 2.0}, "sign must be +1 or -1"),
+    ])
+    def test_invalid_parameters_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            Neg2Geodesic(t0=0.0, **kwargs)
+        assert str(err.value) == message
 
     def test_unit_b_form_exact_only_at_unit_momentum(self):
         ss = np.linspace(0.0, 1.2, 13)

@@ -19,6 +19,7 @@ from warpgeo import (
     sectional_curvature,
     transitivity_witness,
     warp_custom,
+    warp_exp,
     warp_flat,
     warp_one_over_r,
     warp_r,
@@ -243,6 +244,14 @@ class TestClassify:
         assert d["map"] == {"k": 1.0, "l": 1.0}
         assert d["grid"]["shape"] == [20, 20]
         assert "seed" not in d
+
+    @pytest.mark.parametrize("warp, k, message", [
+        (warp_r, 1e308, "point coordinates must be finite"),  # k t overflows
+        (warp_exp, 1e307, "tangent vector components must be finite"),  # k h(r) overflows
+    ])
+    def test_non_finite_image_refused(self, warp, k, message):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+            classify(warp(), AffineMap(k, 0.0))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, neg2_warp, tol):

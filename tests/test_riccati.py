@@ -258,6 +258,15 @@ class TestVerifyField:
         assert report.passed and report.blowup_location == 1.0
         assert report.max_residual == pytest.approx(2.3631100531607753e-4, rel=1e-6)
 
+    def test_report_dict_carries_the_blow_up(self):
+        # H' = H^2 from H(1) = 1 blows up at r = 2.
+        field = solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 3.0))
+        d = verify_field(field, constant_profile(0.0), 1e-3).to_dict()
+        assert d["blowup_location"] == field.blowup == pytest.approx(2.0, abs=1e-9)
+        no_blowup = solve_prescribed(constant_profile(0.0), 1.0, 0.0, (0.5, 3.0))
+        assert "blowup_location" not in verify_field(no_blowup, constant_profile(0.0),
+                                                     1e-3).to_dict()
+
     def test_subnormal_grid_spacing_stays_silent(self):
         # From r0 = 1e-300 the grid's first steps are subnormal, and
         # np.gradient divides by zero in the excluded margin.

@@ -56,6 +56,17 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(3.0, 2.0)
 
+    @pytest.mark.parametrize("hi", [5.0, math.inf])
+    def test_non_finite_radii_are_outside(self, hi):
+        # NaN fails both comparisons, -inf the lower and +inf the upper,
+        # also against an infinite hi.
+        d = Domain(0.0, hi)
+        r = np.array([[1.0, math.nan], [-math.inf, math.inf]])
+        assert d.contains(r).tolist() == [[True, False], [False, False]]
+        assert d.contains(np.array(math.inf)) is False
+        with pytest.raises(DomainError, match="^radius inf outside open domain"):
+            d.require(np.array([1.0, math.inf]))
+
 
 class TestWarpSpec:
     def test_from_string_with_params(self):
@@ -151,6 +162,10 @@ class TestBuiltinFamilies:
         with pytest.raises(ValueError):
             warp_neg2(1.0, 0.0, 0.0)
 
+    def test_neg2_zero_amplitude_rejected(self):
+        with pytest.raises(ValueError, match=r"^neg2 warp requires c0 != 0"):
+            warp_neg2(0.0, 1.0, 1.0)
+
 
 class TestMakeWarp:
     @pytest.mark.parametrize(
@@ -164,8 +179,11 @@ class TestMakeWarp:
     # Valid parameters whose narrow domain or large scale defeats a
     # finite-difference check of h' and h'' (flat:1,0.001's probes would
     # hit its pole): make_warp must build them without a warning.
+    # flat:1,1.01e-9 is about the narrowest domain whose validation grid
+    # lies DOMAIN_MARGIN inside it.
     @pytest.mark.parametrize(
-        "text", ["flat:1,1e-6", "neg2:1e8,1,1e-6", "neg2:1,1e-6,-1e-12", "flat:1,0.001"]
+        "text", ["flat:1,1e-6", "neg2:1e8,1,1e-6", "neg2:1,1e-6,-1e-12", "flat:1,0.001",
+                 "flat:1,1.01e-9"]
     )
     def test_narrow_and_rescaled_warps_build_quietly(self, text):
         with warnings.catch_warnings():
@@ -174,6 +192,20 @@ class TestMakeWarp:
             grid = w.domain.sample()
             assert np.all(np.isfinite(w.h(grid))) and np.all(np.asarray(w.h(grid)) > 0)
             assert np.all(np.isfinite(w.log_deriv(grid)))
+
+    # Domain.sample pads by 1e-3 of the width, which lies within
+    # DOMAIN_MARGIN of an edge for widths up to about 1e-9: the refusal
+    # names the domain, not a radius of the validation grid.
+    @pytest.mark.parametrize("build, domain", [
+        (lambda: make_warp("flat:1,1e-9"), "(0.0, 1e-09)"),
+        (lambda: make_warp("flat:1,1e-10"), "(0.0, 1e-10)"),
+        (lambda: warp_custom(lambda r: r, domain=(1.0, 1.0 + 1e-10)), "(1.0, 1.0000000001)"),
+    ], ids=["flat-1e-9", "flat-1e-10", "custom"])
+    def test_domain_too_narrow_for_its_grid_refused(self, build, domain):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value).endswith(f": domain {domain} is too narrow for its validation grid")
 
     def test_overflowing_h_is_rejected_quietly(self):
         with warnings.catch_warnings():
@@ -276,6 +308,12 @@ class TestCustomWarp:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             warp_custom(lambda r: np.sin(r), domain=(0.0, 20.0))
+
+    def test_non_finite_log_derivative_rejected(self):
+        with pytest.raises(ValueError, match="^warp 'custom' has a non-finite logarithmic "
+                                             "derivative$"):
+            warp_custom(lambda r: 1.0 + r, lambda r: np.where(r > 1.5, np.inf, 1.0),
+                        domain=(1.0, 2.0))
 
     def test_unit_warp(self):
         w = warp_custom(

@@ -323,9 +323,6 @@ def parse_args(argv=None):
     parser.add_argument("--claimed", metavar="W:METRIC", help="the metric a gain is claimed on")
     parser.add_argument("--target", default="", help="the claimed gain, in words")
     parser.add_argument("--what", default="", help="what the change is")
-    parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
-                        help="names of the two sides (default: each checkout's short commit, "
-                             "or its directory name outside git)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     for flag, specs in (("--held-out", args.held_out), ("--control", args.control)):
@@ -340,11 +337,10 @@ def main(argv=None) -> int:
     dirs = {"parent": args.parent, "change": args.change}
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     e2e, seconds = bench["end_to_end"], bench["run_seconds"]
-    labels = args.labels or [label(args.parent), label(args.change)]
     report = {
         "what": args.what,
-        "parent": labels[0],
-        "change": labels[1],
+        "parent": label(args.parent),
+        "change": label(args.change),
         "command": RUN_COMMAND.format(seconds=seconds),
         "method": METHOD,
         **environment(),
