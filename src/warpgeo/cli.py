@@ -26,8 +26,7 @@ import math
 import os
 import sys
 
-from ._np import np
-from .connect import DEFAULT_TOL, _linspace, connect_flat, connect_neg2, connect_neg2_same_r
+from .connect import DEFAULT_TOL, connect_flat, connect_neg2, connect_neg2_same_r
 from .geodesics import GeodesicState, integrate
 from .geometry import curvature_oracle, sectional_curvature
 from .isometry import AffineMap, classify
@@ -37,7 +36,7 @@ from .riccati import (
     solve_prescribed,
     verify_field,
 )
-from .warp import DomainError, Point, WarpSpec, make_warp
+from .warp import _FLOAT_KINDS, DomainError, Point, WarpSpec, _linspace, _quiet, make_warp
 
 __all__ = ["main", "RunConfig"]
 
@@ -170,12 +169,14 @@ def cmd_curvature(cfg: RunConfig, args) -> int:
     if not (0.0 < args.r_min < args.r_max) or args.n < 2:
         raise UsageError("curvature requires 0 < r_min < r_max and n >= 2")
     w = cfg.warp()
-    rs = np.linspace(args.r_min, args.r_max, args.n)
-    ks = sectional_curvature(w, rs)
+    rs = _linspace(args.r_min, args.r_max, args.n)
+    # Every radius is checked before the first oracle call.
+    ks = [sectional_curvature(w, r) for r in rs]
     rows = []
-    # The oracle's 1/h may overflow (e^r past r = 709.78): refused by name.
-    with np.errstate(all="ignore"):
-        for r, k in zip(rs.tolist(), ks.tolist()):
+    # The oracle's 1/h may overflow (e^r past r = 709.78), and h itself
+    # (flat:1e305,5 next to its pole): refused by name.
+    with _quiet(w):
+        for r, k in zip(rs, ks):
             ko = curvature_oracle(w, r, args.step)
             if not math.isfinite(ko):
                 raise ValueError(f"curvature oracle is not finite at r = {r!r}")
@@ -189,7 +190,11 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
         raise UsageError("--plot-script needs --out so the script can reference the CSV")
     w = cfg.warp()
     init = GeodesicState.from_angle(args.r0, args.t0, args.angle)
-    path = integrate(w, init, args.s_max, n_samples=args.samples)
+    # The solve is sampled at 2 points, then its rows at --samples: on Python
+    # floats for a plain-arithmetic family, so that no numpy is loaded.
+    # integrate checks the count: below 2 it is passed as it is.
+    path = integrate(w, init, args.s_max, n_samples=min(args.samples, 2))
+    path = path._resample(args.samples, w.kind in _FLOAT_KINDS)
     csv_text = path.to_csv_string()
     summary = f"# escaped={str(path.escaped).lower()} length={_fmt(path.total_length)}\n"
     _emit(cfg, csv_text + summary)
@@ -300,7 +305,7 @@ def cmd_isometry(cfg: RunConfig, args) -> int:
         raise UsageError("isometry requires k > 0")
     w = cfg.warp()
     # A residual that overflows is refused by _json, without a warning.
-    with np.errstate(all="ignore"):
+    with _quiet(w):
         report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol)
     _emit(cfg, _json(report.to_dict()))
     return EXIT_OK

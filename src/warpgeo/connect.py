@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
 from .geodesics import (ESCAPE_MARGIN, FlatGeodesic, GeodesicPath, GeodesicState, _flat_param,
                         integrate)
-from .warp import Point, WarpFunction, _check_tol, warp_one_over_r, warp_r
+from .warp import Point, WarpFunction, _check_tol, _linspace, warp_one_over_r, warp_r
 
 __all__ = [
     "ConnectResult",
@@ -62,21 +62,6 @@ DEFAULT_TOL = 1e-9
 MAX_SAME_R_CANDIDATES = 100_000
 
 _SCAN_SEEDS = 64
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """``np.linspace(lo, hi, n)`` on Python floats, bit for bit: numpy's
-    operations, in its order, and its error for a negative ``n``."""
-    if n < 0:
-        raise ValueError(f"Number of samples, {n}, must be non-negative.")
-    delta = hi - lo
-    if n < 2:
-        return [0.0 * delta + lo][:n]
-    div = n - 1
-    step = delta / div
-    if step == 0:  # numpy's route for a step that underflows
-        return [i / div * delta + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
 
 
 @cache

@@ -34,7 +34,6 @@ Closed-form families are provided for the two featured warps:
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from typing import Callable
 
 from ._dop853 import Derivative, solve_ivp
 from ._np import np, on_float64
-from .warp import DomainError, Point, WarpFunction
+from .warp import _FLOAT_KINDS, DomainError, Point, WarpFunction, _linspace, _quiet
 
 __all__ = [
     "GeodesicState",
@@ -96,10 +95,11 @@ def _derivative(params: str, *warp: str) -> Derivative:
     ]))
 
 
-# The warp families whose h and h' are plain + - * / on their argument, so a
-# Python float in gives a Python float out (see integrate).  Each evaluates
-# them inline, by warp.py's operations in warp.py's order, with the family's
-# WarpFunction.params as kernel params: one kernel per family and process.
+# The warp families whose h and h' are plain + - * / on their argument
+# (warp._FLOAT_KINDS), so a Python float in gives a Python float out (see
+# integrate).  Each evaluates them inline, by warp.py's operations in
+# warp.py's order, with the family's WarpFunction.params as kernel params:
+# one kernel per family and process.
 _DERIVATIVES = {
     "one_over_r": _derivative("", "hr = 1.0 / r", "dhr = -1.0 / (r * r)"),
     "r": _derivative("", "hr = r", "dhr = 1.0"),
@@ -109,7 +109,6 @@ _DERIVATIVES = {
                         "q = const + cube * r * r * r",
                         "dhr = scale * (const - 2.0 * cube * r * r * r) / (q * q)"),
 }
-_FLOAT_KINDS = frozenset(_DERIVATIVES)
 
 # Any other warp calls its evaluators hf and dhf, or hf alone where h' is h
 # (e^r): see integrate.
@@ -196,9 +195,10 @@ class IntegrationStats:
 class _Column:
     """A sample column of :class:`GeodesicPath`, a float array when read.
 
-    :func:`integrate` gives a 2-sample path its columns as lists of Python
-    floats, so a caller that reads only ``endpoint`` needs no numpy; the
-    first read of a column converts it, once.
+    A path sampled on Python floats (see :func:`_sample`) holds its columns
+    as lists, so a caller that reads only ``endpoint`` or
+    ``to_csv_string()`` needs no numpy; the first read of a column converts
+    it, once.
     """
 
     def __set_name__(self, owner, name):
@@ -230,7 +230,8 @@ class GeodesicPath:
     ``total_length`` is the stop's root rather than the requested span.
     ``stats`` is set on paths returned by :func:`integrate`.  A path that
     :func:`integrate` sampled at fewer than its default 129 points keeps
-    its solve, and ``_resample()`` samples that solve again at 129.
+    its solve, and ``_resample(n_samples=129, floats=False)`` samples that
+    solve again (see :func:`_sample`).
     """
 
     s: np.ndarray = _Column()
@@ -247,7 +248,7 @@ class GeodesicPath:
 
     @property
     def endpoint(self) -> GeodesicState:
-        columns = vars(self)  # as stored: the end of a 2-sample path stays a float
+        columns = vars(self)  # as stored: the end of a float-sampled path stays a float
         return GeodesicState(*(float(columns[name][-1]) for name in "rtfg"))
 
     def to_csv(self, path) -> None:
@@ -261,7 +262,8 @@ class GeodesicPath:
         Values carry 17 significant digits so a double round-trips
         losslessly.
         """
-        rows = zip(self.s, self.r, self.t, self.f, self.g)
+        columns = vars(self)  # as stored: lists of floats are written without numpy
+        rows = zip(*(columns[name] for name in "srtfg"))
         return "s,r,t,f,g\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows
         )
@@ -355,12 +357,6 @@ def integrate(
     # array: e^r keeps np.exp (math.exp differs in the last bit), and
     # r**1.5 at r < 0 is nan, not a complex.
     hf, dhf = (h, dh) if floats else (on_float64(h), on_float64(dh))
-    # Evaluations on and past the boundary may divide by zero or take the
-    # root of a negative number; the clamp replaces those values, so numpy's
-    # warnings carry no information.  A float kind's solve makes no numpy
-    # call at all.
-    quiet = contextlib.nullcontext() if floats else np.errstate(all="ignore")
-
     def pair(r: float) -> tuple:
         # (h, h') at r.  A division by zero reads as nan, as in the kernel's
         # own lines: inside the domain a Python float divides by zero only
@@ -373,7 +369,11 @@ def integrate(
     def clamped(r: float) -> tuple:
         return pair(min(max(r, inner_lo), inner_hi))
 
-    with quiet:
+    # Evaluations on and past the boundary may divide by zero or take the
+    # root of a negative number; the clamp replaces those values, so numpy's
+    # warnings carry no information.  A float kind's solve makes no numpy
+    # call at all.
+    with _quiet(w):
         b = float(init.g / w.h(init.r))
         # An edge extends the range where h h' is finite on it.
         lo = -math.inf if math.isfinite(math.prod(pair(d_lo))) else inner_lo
@@ -393,7 +393,7 @@ def integrate(
         raise ValueError(f"geodesic integration failed: {sol.message}")
 
     stop = ("s_max", "escaped_lower", "escaped_upper")[sol.status]
-    return _sample(sol, b, h, (clip_lo, clip_hi), stop, n, floats)
+    return _sample(sol, b, h, (clip_lo, clip_hi), stop, n, floats and n == 2)
 
 
 def _sample(
@@ -402,24 +402,33 @@ def _sample(
     """The path of a finished :func:`integrate` solve at ``n_samples``
     points evenly spaced in arc length; g = b h(r) with ``h`` the raw warp.
 
-    With ``floats`` (h is plain arithmetic) a 2-sample path is evaluated
-    on Python floats, to the doubles of the array route: the two samples
-    fall in the same steps, whose interpolants are built either way.
+    With ``floats``, which a caller passes only for a warp of
+    ``_FLOAT_KINDS`` (h is plain arithmetic), the path is evaluated on
+    Python floats, one sample at a time through ``DenseSolution.at``, to the
+    doubles of the array route, and its columns are lists.  That route
+    reads no numpy, but each sample costs a few microseconds more: it
+    serves :func:`integrate`'s 2-sample paths and the rows a command writes,
+    while in-process sampling keeps the arrays.
     """
     s_end = float(sol.t[-1])
-    if floats and n_samples == 2:
-        s = [0.0, s_end]  # np.linspace(0.0, s_end, 2)
-        (r0, t0, f0), (r1, t1, f1) = sol.sol.at(0.0), sol.sol.at(s_end)
+    if floats:
+        s = _linspace(0.0, s_end, n_samples)
         # The stop is located the margin inside the boundary; interpolation
         # noise may put the final sample a hair past it.  Clamp to keep
         # states constructible and h inside its domain.
         lo, hi = clip
-        r_v = [min(max(r0, lo), hi), min(max(r1, lo), hi)]
-        t_v, f_v = [t0, t1], [f0, f1]
-        g_v = [b * h(r_v[0]), b * h(r_v[1])]
-        d0 = abs(f0 * f0 + g_v[0] * g_v[0] - 1.0)
-        d1 = abs(f1 * f1 + g_v[1] * g_v[1] - 1.0)
-        drift = math.nan if math.isnan(d0) or math.isnan(d1) else max(d0, d1)  # as np.max
+        r_v, t_v, f_v, g_v, drift = [], [], [], [], 0.0
+        for x in s:
+            r, t, f = sol.sol.at(x)
+            r = min(max(r, lo), hi)
+            g = b * h(r)
+            d = abs(f * f + g * g - 1.0)
+            if d > drift or d != d:  # a nan stays, as np.max keeps it
+                drift = d
+            r_v.append(r)
+            t_v.append(t)
+            f_v.append(f)
+            g_v.append(g)
     else:
         s = np.linspace(0.0, s_end, n_samples)
         with np.errstate(all="ignore"):  # the steps it builds evaluate h as the solve did
@@ -487,6 +496,14 @@ def _flat_param(s, r0: float, r1: float):
     return (r1 * r1 - r0 * r0 - s * s) / (2.0 * s)
 
 
+def _require_finite(**params: float) -> None:
+    """Raise ``ValueError`` naming the first of a closed form's ``params``
+    that is not finite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _point(s, r, t):
     """A closed form's position at arc length s: a :class:`Point` at a
     scalar s, else the arrays (r, t)."""
@@ -500,7 +517,8 @@ class FlatGeodesic:
     The family parameter ``a`` in (-r0, r0) fixes the initial radial speed
     f(0) = a/r0; ``sign`` picks the transverse direction.  The squared
     turning radius ``beta = r0^2 - a^2`` stays positive, so these geodesics
-    never reach the boundary r = 0.
+    never reach the boundary r = 0.  A non-finite ``r0``, ``t0`` or ``a`` is
+    refused by name.
     """
 
     r0: float
@@ -509,6 +527,7 @@ class FlatGeodesic:
     sign: float = 1.0
 
     def __post_init__(self):
+        _require_finite(r0=self.r0, t0=self.t0, a=self.a)
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")
         if not abs(self.a) < self.r0:
@@ -580,6 +599,7 @@ class Neg2Geodesic:
     where t is the exact antiderivative of t' = h g = b r^2.  Both
     expressions are valid on the single arch where r > 0; the arch ends at
     finite arc length with r -> 0, an inextendible finite-length geodesic.
+    A non-finite ``r0``, ``t0`` or ``b`` is refused by name.
     """
 
     r0: float
@@ -588,6 +608,7 @@ class Neg2Geodesic:
     sign: float = 1.0
 
     def __post_init__(self):
+        _require_finite(r0=self.r0, t0=self.t0, b=self.b)
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")
         if not (0.0 < self.b <= 1.0 / self.r0):

@@ -172,6 +172,10 @@ def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
     (fourth-order accurate), so the stencil requires ``r +- 2 step`` inside
     the domain.  This route never consults h' or h'', which makes it an
     independent cross-check of :func:`sectional_curvature`.
+
+    Where 1/h is not a finite nonzero double in the stencil (h overflows,
+    or vanishes), the value is not finite: nan where Python float
+    arithmetic divides by zero, inf or nan as numpy reads it at np.float64.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -185,12 +189,15 @@ def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
                 f"leaves domain ({w.domain.lo}, {w.domain.hi})"
             )
     width = lambda x: 1.0 / w.h_unchecked(x)  # noqa: E731
-    w0 = width(r)
-    wpp = (
-        -width(r + 2 * step)
-        + 16.0 * width(r + step)
-        - 30.0 * w0
-        + 16.0 * width(r - step)
-        - width(r - 2 * step)
-    ) / (12.0 * step * step)
-    return -wpp / w0
+    try:
+        w0 = width(r)
+        wpp = (
+            -width(r + 2 * step)
+            + 16.0 * width(r + step)
+            - 30.0 * w0
+            + 16.0 * width(r - step)
+            - width(r - 2 * step)
+        ) / (12.0 * step * step)
+        return -wpp / w0
+    except ZeroDivisionError:
+        return math.nan

@@ -17,7 +17,7 @@ map may or may not preserve are measured separately:
 For the featured warps h = r and h = 1/r both residuals vanish exactly when
 k = 1 (pure transverse translations) and only then, which
 :func:`classify` witnesses over a sample grid.  :func:`classify` evaluates
-both residuals as array expressions over the whole grid; the pointwise
+both residuals on Python floats, once per radius of the grid; the pointwise
 :func:`cr_residual` and :func:`pullback_residual` are the reference it
 matches bit for bit.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ._np import np
 from .geometry import TangentVector, metric_at
-from .warp import DomainError, Point, WarpFunction, _check_tol
+from .warp import DomainError, Point, WarpFunction, _check_tol, _linspace, _values
 
 __all__ = [
     "AffineMap",
@@ -168,6 +168,13 @@ class IsometryReport:
         }
 
 
+def _nan_max(values: list):
+    """``max(values)`` of values that are absolute values or nan, or nan
+    where one is nan, as ``np.max`` reads it: no value is negative, so their
+    sum is nan exactly when one of them is."""
+    return math.nan if math.isnan(sum(values)) else max(values)
+
+
 def classify(
     w: WarpFunction,
     m: AffineMap,
@@ -191,12 +198,15 @@ def classify(
 
     Translations in t are isometries of every warped metric, so both
     residuals at a grid point depend on its radius alone: h is evaluated
-    once on the array of the grid's 20 radii and once on their images, and
-    the transverse coordinates enter only the check that k t + l is finite.
-    The warp's evaluator must accept arrays (as every warp checked by
-    ``make_warp`` or ``warp_custom`` does).  The residuals equal
-    ``max(cr_residual(w, m, p))`` and ``pullback_residual(w, m, points)``
-    over the whole lattice.
+    once at each of the grid's 20 radii and once at each of their images,
+    and the transverse coordinates enter only the check that k t + l is
+    finite.  The warp's evaluator is called with one Python float at a
+    time, so it must accept a float; it need not accept arrays.  Where float
+    arithmetic divides by zero or overflows, h's value is numpy's (inf or
+    nan), and so is every residual's: a zero or nan h makes its radius's
+    isometry residual nan.  The residuals equal ``max(cr_residual(w, m, p))``
+    and ``pullback_residual(w, m, points)`` over the whole lattice, nan
+    included.
 
     Raises
     ------
@@ -214,28 +224,38 @@ def classify(
         raise DomainError("sample grid does not intersect the warp domain")
     # The residuals depend on r alone (see above).  The lattice's row-major
     # order, that of the pointwise reference, meets the radii in this order,
-    # so a DomainError names the same first radius.
-    r = np.linspace(lo, hi, GRID_SHAPE[0])
-    t = np.linspace(*T_RANGE, GRID_SHAPE[1])
-    # broadcast_to keeps a warp whose h returns one scalar for a constant.
-    hr = np.broadcast_to(w.h(r), r.shape)
-    if not np.all(np.isfinite(m.k * t + m.l)):
+    # and both the radii and their images increase, so checking the ends of
+    # each decides the domain, and a DomainError names the same first radius.
+    k, l = m.k, m.l
+    r = _linspace(lo, hi, GRID_SHAPE[0])
+    w.domain._require_sorted(r)
+    hr = _values(w._h, r)
+    # k t + l increases with t: finite at both ends of T_RANGE, it is finite
+    # on the whole grid.
+    if not (math.isfinite(k * T_RANGE[0] + l) and math.isfinite(k * T_RANGE[1] + l)):
         raise ValueError("point coordinates must be finite")
-    hu = np.broadcast_to(w.h(m.k * r), r.shape)
-
-    holo = float(np.max(np.abs(m.k * hr - m.k * hu)))
+    image = [k * x for x in r]
+    w.domain._require_sorted(image)
+    hu = _values(w._h, image)
 
     # pullback_residual's frame, e1 = (1, 0) and e2 = (0, h(r)), pushed to
     # (k, 0) and (0, k h(r)); k h(r) is finite only where h(r) is.
-    kh = m.k * hr
-    if not np.all(np.isfinite(kh)):
+    kh = [k * x for x in hr]
+    if not all(map(math.isfinite, kh)):
         raise ValueError("tangent vector components must be finite")
+    holo = _nan_max([abs(x - k * y) for x, y in zip(kh, hu)])
+
     # The operations of metric_at, in its order, with the zero products
-    # written as 0.0: a zero or NaN h still makes its term NaN.
-    hr2, hu2 = hr * hr, hu * hu
-    e1 = np.abs((m.k * m.k + 0.0 / hu2) - (1.0 + 0.0 / hr2))
-    e2 = np.abs(kh * kh / hu2 - hr2 / hr2)
-    iso = float(np.max(np.maximum(e1, e2)))
+    # written as 0.0.  A zero square of h makes 0/0, which numpy reads as
+    # nan, in the e1 term; a nan h makes that term nan by itself.
+    kk, terms = k * k, []
+    for x, y, z in zip(kh, hr, hu):
+        y2, z2 = y * y, z * z
+        if y2 and z2:
+            terms += (abs((kk + 0.0 / z2) - (1.0 + 0.0 / y2)), abs(x * x / z2 - y2 / y2))
+        else:
+            terms.append(math.nan)
+    iso = _nan_max(terms)
 
     if not holo < tol:
         verdict = "neither"
@@ -244,12 +264,12 @@ def classify(
     else:
         verdict = "holomorphic_only"
     return IsometryReport(
-        holomorphy_residual=holo,
-        isometry_residual=iso,
+        holomorphy_residual=float(holo),
+        isometry_residual=float(iso),
         verdict=verdict,
         tol=tol,
-        k=m.k,
-        l=m.l,
+        k=k,
+        l=l,
         r_range=(lo, hi),
         t_range=T_RANGE,
         grid_shape=GRID_SHAPE,

@@ -25,6 +25,7 @@ automatically.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -65,6 +66,45 @@ RESOLVED_STEP = math.sqrt(CONSISTENCY_TOL / 2.0)
 
 # Size of Domain.sample's grid, on which make_warp and warp_custom validate.
 SAMPLE_SIZE = 33
+
+# The families whose h, h', h'' and H are plain + - * / on their argument, so
+# that a Python float in gives a Python float out and reads no numpy.
+_FLOAT_KINDS = frozenset({"one_over_r", "r", "flat", "neg2"})
+
+
+def _quiet(w: WarpFunction):
+    """The context in which to evaluate ``w`` where a value may overflow or
+    divide by zero and the caller reads that value itself: numpy's warnings
+    off, except for a family of ``_FLOAT_KINDS``, which reads no numpy."""
+    return contextlib.nullcontext() if w.kind in _FLOAT_KINDS else np.errstate(all="ignore")
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` on Python floats, bit for bit: numpy's
+    operations, in its order, and its error for a negative ``n``."""
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    delta = hi - lo
+    if n < 2:
+        return [0.0 * delta + lo][:n]
+    div = n - 1
+    step = delta / div
+    if step == 0:  # numpy's route for a step that underflows
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
+def _values(fn: Callable, rs: list) -> list:
+    """``fn`` at each Python float of ``rs``.  Where float arithmetic raises
+    and numpy's reads inf or nan (a division by zero, a power that
+    overflows), every radius is evaluated again at np.float64, with numpy's
+    warnings off, and read back as a Python float: numpy's values."""
+    try:
+        return [fn(r) for r in rs]
+    except (ZeroDivisionError, OverflowError):
+        float64 = np.float64
+        with np.errstate(all="ignore"):
+            return [float(fn(float64(r))) for r in rs]
 
 
 class DomainError(ValueError):
@@ -110,12 +150,22 @@ class Domain:
                 r = float(np.asarray(r, dtype=float)[~ok][0])
         raise DomainError(f"radius {r!r} outside open domain ({self.lo}, {self.hi})")
 
-    def sample(self) -> np.ndarray:
-        """Interior grid of ``SAMPLE_SIZE`` radii, used for validation sweeps."""
+    def _require_sorted(self, rs: list) -> None:
+        """:meth:`require` for a non-decreasing list of Python floats, which
+        lies inside exactly when its two ends do: only they are compared,
+        and where one is outside, :meth:`require` names the first radius
+        outside."""
+        if not (self.lo + DOMAIN_MARGIN < rs[0] and rs[-1] < self.hi - DOMAIN_MARGIN):
+            for r in rs:
+                self.require(r)
+
+    def sample(self) -> list[float]:
+        """Interior grid of ``SAMPLE_SIZE`` radii, Python floats in
+        increasing order, used for validation sweeps."""
         lo = self.lo
         hi = self.hi if math.isfinite(self.hi) else max(10.0, 4.0 * lo + 10.0)
         pad = (hi - lo) * 1e-3
-        return np.linspace(lo + pad, hi - pad, SAMPLE_SIZE)
+        return _linspace(lo + pad, hi - pad, SAMPLE_SIZE)
 
 
 @dataclass(frozen=True, init=False)
@@ -429,7 +479,8 @@ def warp_custom(
     distance to the nearer domain edge.  The logarithmic derivative is
     dh(r)/h(r).  The domain must be an explicit open subinterval of
     (0, inf).  Positivity and finiteness of h and of dh/h are checked on
-    the domain's ``SAMPLE_SIZE``-point grid, and a domain too narrow for
+    the domain's ``SAMPLE_SIZE``-point grid (each evaluator is called with
+    one Python float at a time), and a domain too narrow for
     that grid to lie ``DOMAIN_MARGIN`` inside it is refused.  A supplied dh
     (and d2h) is compared with the central difference of h (of dh) at
     relative tolerance ``CONSISTENCY_TOL``, at the samples where the step
@@ -450,9 +501,10 @@ def warp_custom(
     supplied = (dh is not None, d2h is not None)
 
     def step(r, scale):
-        # Both probes stay inside the domain: the step is at most half the
-        # distance to the nearer edge.
-        return np.minimum(_fd_step(r, scale), 0.5 * np.minimum(r - dom.lo, dom.hi - r))
+        # scale * max(1, |r|), cut so that both probes stay inside the
+        # domain: the step is at most half the distance to the nearer edge.
+        return np.minimum(scale * np.maximum(1.0, np.abs(r)),
+                          0.5 * np.minimum(r - dom.lo, dom.hi - r))
 
     if dh is None:
         def dh(r, _h=h):  # closure over the raw h
@@ -495,53 +547,51 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _fd_step(r, scale: float):
-    """Central-difference step ``scale * max(1, |r|)`` at a scalar or array r."""
-    return scale * np.maximum(1.0, np.abs(r))
-
-
 def _validate(w: WarpFunction, check_dh: bool = False, check_d2h: bool = False) -> WarpFunction:
     """Reject an h that is not finite and positive, or an H that is not
     finite, on the domain's sample grid; and, where asked, derivative
     evaluators that differ from central differences by more than
     ``CONSISTENCY_TOL`` (relative) at the resolved samples (see
-    :func:`warp_custom`)."""
+    :func:`warp_custom`).  Each evaluator runs on the grid's Python floats,
+    and a value that float arithmetic cannot give is numpy's (see
+    :func:`_values`)."""
     grid = w.domain.sample()
+    lo, hi = w.domain.lo, w.domain.hi
     # A value that overflows or divides by zero is rejected by name below.
-    with np.errstate(all="ignore"):
-        hv = np.asarray(w._h(grid), dtype=float)
-        if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):
+    with _quiet(w):
+        if not all(0.0 < v < math.inf for v in _values(w._h, grid)):
             raise ValueError(
-                f"warp {w.kind!r} is not strictly positive on its domain "
-                f"({w.domain.lo}, {w.domain.hi})"
+                f"warp {w.kind!r} is not strictly positive on its domain ({lo}, {hi})"
             )
         try:
-            Hv = np.asarray(w.log_deriv(grid), dtype=float)
+            w.domain._require_sorted(grid)
         except DomainError:
             # The grid's pad, 1e-3 of the width, lies within DOMAIN_MARGIN of
             # an edge for widths up to about 1e-9.
-            raise ValueError(f"warp {w.kind!r}: domain ({w.domain.lo}, {w.domain.hi}) is too "
+            raise ValueError(f"warp {w.kind!r}: domain ({lo}, {hi}) is too "
                              "narrow for its validation grid") from None
-        if not np.all(np.isfinite(Hv)):
+        if not all(math.isfinite(v) for v in _values(w._logderiv, grid)):
             raise ValueError(f"warp {w.kind!r} has a non-finite logarithmic derivative")
         if not check_dh:
             return w
-        # Central-difference cross-check of dh against h, and d2h against dh.
-        step = _fd_step(grid, FD_STEP_SCALE)
-        keep = step <= RESOLVED_STEP * np.minimum(grid - w.domain.lo, w.domain.hi - grid)
-        if not np.any(keep):
+        # Central-difference cross-check of dh against h, and d2h against dh,
+        # with the step scale * max(1, r).
+        xs = [x for x in grid if FD_STEP_SCALE * max(1.0, x) <= RESOLVED_STEP * min(x - lo, hi - x)]
+        if not xs:
             raise ValueError(f"warp {w.kind!r}: domain too narrow to check h' against h; "
                              "omit dh to difference h")
-        x, d = grid[keep], step[keep]
+        ds = [FD_STEP_SCALE * max(1.0, x) for x in xs]
         checks = [(w._dh, w._h, "h' evaluator inconsistent with h")]
         if check_d2h:
             checks.append((w._d2h, w._dh, "h'' evaluator inconsistent with h'"))
         for got, f, message in checks:
-            fd = (f(x + d) - f(x - d)) / (2.0 * d)
-            rel = np.abs(np.asarray(got(x), dtype=float) - fd) / np.maximum(1.0, np.abs(fd))
-            # A NaN fails here too.
-            if not np.max(rel) <= CONSISTENCY_TOL:
-                raise ValueError(f"warp {w.kind!r}: {message}")
+            ups = _values(f, [x + d for x, d in zip(xs, ds)])
+            downs = _values(f, [x - d for x, d in zip(xs, ds)])
+            for v, up, down, d in zip(_values(got, xs), ups, downs, ds):
+                fd = (up - down) / (2.0 * d)
+                # A NaN fails here too.
+                if not abs(v - fd) / max(1.0, abs(fd)) <= CONSISTENCY_TOL:
+                    raise ValueError(f"warp {w.kind!r}: {message}")
     return w
 
 
@@ -549,9 +599,9 @@ def make_warp(spec: WarpSpec | str) -> WarpFunction:
     """Build a warp function from a spec (or its string form).
 
     The warp keeps its family's natural domain (see the module docstring).
-    h and H are sampled on the domain's ``SAMPLE_SIZE``-point grid to
-    confirm that the parameters give a finite, positive h and a finite H
-    there.  The families' h', h'' and H are exact; the test suite checks
+    h and H are sampled on the domain's ``SAMPLE_SIZE``-point grid, on
+    Python floats, to confirm that the parameters give a finite, positive h
+    and a finite H there.  The families' h', h'' and H are exact; the test suite checks
     them against symbolic derivatives.
 
     Parameters

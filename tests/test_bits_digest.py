@@ -58,3 +58,32 @@ def test_types_and_errors_are_told_apart():
     assert outcome(fails, "x") == bits_digest.Error("ValueError", "x")
     with pytest.raises(TypeError):
         digest([object()])
+
+
+def test_run_cli_hashes_the_status_and_both_streams():
+    def main(argv):
+        print("rows", *argv)
+        print("warpgeo: error: note", file=sys.stderr)
+        return 1
+
+    assert bits_digest.run_cli(main, ["a", "b"]) == (1, "rows a b\n", "warpgeo: error: note\n")
+    crashed = bits_digest.run_cli(lambda argv: 1 / 0, [])
+    assert crashed == (bits_digest.Error("ZeroDivisionError", "division by zero"), "", "")
+
+
+def test_cli_layer_runs_each_command_on_each_builtin_warp():
+    import warpgeo
+
+    def layer():
+        return list(bits_digest.layer_cli(warpgeo, np.random.default_rng(6)))
+
+    results = layer()
+    ran = {(argv[0], argv[argv.index(command)])
+           for argv, (code, out, err) in results if code == 0 and out and not err
+           for command in ("curvature", "geodesic", "isometry") if command in argv}
+    assert ran == {(f"--warp={spec}", command) for spec in bits_digest.CLI_SPECS
+                   for command in ("curvature", "geodesic", "isometry")}
+    # Refusals are results too: one error line, nothing on stdout.
+    assert any(code == 1 and not out and err.startswith("warpgeo: error: ")
+               for _, (code, out, err) in results)
+    assert digest(results) == digest(layer())

@@ -68,6 +68,15 @@ class TestCurvature:
         assert res.stdout == ""
         assert res.stderr == "warpgeo: error: curvature oracle is not finite at r = 710.0\n"
 
+    def test_oracle_dividing_by_zero_is_one_error_line(self):
+        # h of flat:1e305,5 overflows next to its pole, so the oracle's 1/h
+        # is 0 and its quotient divides by zero on Python floats: refused by
+        # name like an overflow, with no traceback.
+        res = run_cli("--warp", "flat:1e305,5", "curvature", "4.9999", "4.99995", "2",
+                      "--step", "1e-6")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "warpgeo: error: curvature oracle is not finite at r = 4.9999\n"
+
     def test_bad_range(self):
         res = run_cli("curvature", "2", "1", "3")
         assert res.returncode == 1

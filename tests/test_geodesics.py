@@ -28,7 +28,7 @@ from warpgeo import (
     warp_one_over_r,
     warp_r,
 )
-from warpgeo import _dop853, geodesics
+from warpgeo import _dop853, geodesics, warp
 
 
 def child_stdout(code: str) -> str:
@@ -243,13 +243,33 @@ class TestTwoSamplePath:
                  for _ in range(12)]
         inits.append((GeodesicState(lo + 1.0, 0.0, -1.0, 0.0), 6.0))  # the inward ray escapes
         got = [integrate(w, init, s, n_samples=2) for init, s in inits]
-        monkeypatch.setattr(geodesics, "_FLOAT_KINDS", frozenset())
+        for module in (geodesics, warp):  # integrate's route and its warnings
+            monkeypatch.setattr(module, "_FLOAT_KINDS", frozenset())
         want = [integrate(w, init, s, n_samples=2) for init, s in inits]
         assert any(path.escaped for path in want) and not all(path.escaped for path in want)
         for a, b in zip(got, want):
             for col in "srtfg":
                 assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
             assert (a.escaped, a.total_length, a.stats) == (b.escaped, b.total_length, b.stats)
+
+    @pytest.mark.parametrize("name", ["one_over_r", "r", "flat(2,5)", "neg2(1,1,1)"])
+    def test_float_rows_give_the_array_routes_bits(self, warp_family, rng, name):
+        # A 2-sample solve sampled again on Python floats (the CLI's rows)
+        # gives the doubles and counts of a solve sampled as arrays.
+        w = warp_family[name]
+        lo, hi = w.domain.lo, min(w.domain.hi, 8.0)
+        for _ in range(6):
+            init = GeodesicState.from_angle(rng.uniform(lo + 0.2, hi - 0.2), 0.0,
+                                            rng.uniform(-math.pi, math.pi))
+            s_max = rng.uniform(0.1, 6.0)
+            for n in (3, 129, 300):
+                got = integrate(w, init, s_max, n_samples=2)._resample(n, True)
+                want = integrate(w, init, s_max, n_samples=n)
+                assert all(type(vars(got)[col]) is list for col in "srtfg")
+                for col in "srtfg":
+                    assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+                assert (got.escaped, got.total_length, got.stats) == (
+                    want.escaped, want.total_length, want.stats)
 
     def test_columns_become_arrays_when_read(self, flat_warp):
         path = integrate(flat_warp, GeodesicState(1.0, 0.0, -0.6, 0.8), 1.0, n_samples=2)
@@ -622,13 +642,18 @@ class TestFlatGeodesic:
         with pytest.raises(ValueError):
             FlatGeodesic(r0=1.0, t0=0.0, a=1.0)
 
+    # A non-finite parameter is refused by name when the geodesic is built.
     @pytest.mark.parametrize("kwargs, message", [
         ({"r0": 0.0, "a": 0.0}, "r0 must be positive"),
         ({"r0": 1.0, "a": 0.0, "sign": 0.5}, "sign must be +1 or -1"),
+        ({"r0": math.inf, "a": 0.0}, "r0 must be finite, got inf"),
+        ({"r0": math.nan, "a": 0.0}, "r0 must be finite, got nan"),
+        ({"r0": 1.0, "t0": math.inf, "a": 0.0}, "t0 must be finite, got inf"),
+        ({"r0": 1.0, "a": math.nan}, "a must be finite, got nan"),
     ])
     def test_invalid_parameters_rejected(self, kwargs, message):
         with pytest.raises(ValueError) as err:
-            FlatGeodesic(t0=0.0, **kwargs)
+            FlatGeodesic(**{"t0": 0.0, **kwargs})
         assert str(err.value) == message
 
     def test_matches_integration(self, flat_warp, rng):
@@ -742,10 +767,14 @@ class TestNeg2Geodesic:
     @pytest.mark.parametrize("kwargs, message", [
         ({"r0": -1.0, "b": 0.5}, "r0 must be positive"),
         ({"r0": 1.0, "b": 0.5, "sign": 2.0}, "sign must be +1 or -1"),
+        ({"r0": math.nan, "b": 0.5}, "r0 must be finite, got nan"),
+        ({"r0": math.inf, "b": 0.5}, "r0 must be finite, got inf"),
+        ({"r0": 1.0, "t0": -math.inf, "b": 0.5}, "t0 must be finite, got -inf"),
+        ({"r0": 1.0, "b": math.nan}, "b must be finite, got nan"),
     ])
     def test_invalid_parameters_rejected(self, kwargs, message):
         with pytest.raises(ValueError) as err:
-            Neg2Geodesic(t0=0.0, **kwargs)
+            Neg2Geodesic(**{"t0": 0.0, **kwargs})
         assert str(err.value) == message
 
     def test_unit_b_form_exact_only_at_unit_momentum(self):

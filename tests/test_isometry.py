@@ -21,6 +21,7 @@ from warpgeo import (
     warp_custom,
     warp_exp,
     warp_flat,
+    warp_neg2,
     warp_one_over_r,
     warp_r,
 )
@@ -252,6 +253,32 @@ class TestClassify:
     def test_non_finite_image_refused(self, warp, k, message):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
             classify(warp(), AffineMap(k, 0.0))
+
+    # The float route's edges, each pinned to the outcome numpy's arrays
+    # gave, and with no warning: a square of h that underflows (neg2 with
+    # c0 = 1e-300) or overflows (flat with a0 = -1e300) makes its radius's
+    # isometry term nan; h of neg2(1, 0, 1e-300) divides by zero at the
+    # small images of k = 1e-8, where numpy reads inf; k = 1e-300 maps every
+    # radius below the domain's margin, and k = 1e300 overflows k r, h or k h.
+    @pytest.mark.parametrize("w, k, want", [
+        (warp_neg2(1e-300, 1.0, 1.0), 1.0, (0.0, math.nan, "holomorphic_only")),
+        (warp_neg2(1e-300, 1.0, 1.0), 2.0, (5.6466232907055046e-301, math.nan, "holomorphic_only")),
+        (warp_flat(-1e300, 0.0), 1.0, (0.0, math.nan, "holomorphic_only")),
+        (warp_neg2(1.0, 0.0, 1e-300), 1e-8, (math.inf, math.nan, "neither")),
+        (warp_r(), 1e-300, "DomainError: radius 1e-301 outside open domain (0.0, inf)"),
+        (warp_r(), 1e300, (math.inf, math.nan, "neither")),
+        (warp_one_over_r(), 1e300, (1e301, math.nan, "neither")),
+        (warp_neg2(1.0, 0.0, 1e-300), 1e300, "ValueError: tangent vector components must be finite"),
+    ], ids=["neg2-underflow-k1", "neg2-underflow-k2", "flat-overflow", "neg2-divides",
+            "r-1e-300", "r-1e300", "one_over_r-1e300", "neg2-1e300"])
+    def test_float_edges_read_as_numpy(self, w, k, want):
+        try:
+            rep = classify(w, AffineMap(k, 0.5))
+        except ValueError as exc:  # DomainError is one
+            assert f"{type(exc).__name__}: {exc}" == want
+        else:
+            np.testing.assert_equal((rep.holomorphy_residual, rep.isometry_residual, rep.verdict),
+                                    want)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, neg2_warp, tol):

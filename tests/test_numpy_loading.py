@@ -1,14 +1,18 @@
-"""``warpgeo connect`` and ``sweep`` run without numpy.
+"""Which commands run without numpy.
 
 Each step runs in a fresh interpreter, which then reports whether numpy is
 in ``sys.modules``: importing the package or its CLI must not load it, and
 neither may ``connect`` (flat found, blocked and horizontal, and on
-``h = r``) or the flat and same-radius ``sweep``.  The package reads numpy
-only through the lazy binding ``warpgeo._np.np`` (``test_numpy_boundary.py``
-checks that), so the commands that build arrays load it at their first
-array, and their bytes are pinned by ``test_output_bytes.py``.  A
-tangent vector with integer components, and a geodesic solve whose clamp
-divides by zero, are checked without numpy too.
+``h = r``), the flat and same-radius ``sweep``, or ``make_warp``,
+``curvature``, ``geodesic`` (with and without ``--samples``) and
+``isometry`` on a family whose evaluators are plain arithmetic (``r``,
+``one_over_r``, ``flat`` and ``neg2``).  The same commands on ``exp``,
+which keeps ``np.exp`` for its bits, load numpy, and so does ``riccati``.
+The package reads numpy only through the lazy binding ``warpgeo._np.np``
+(``test_numpy_boundary.py`` checks that), so a command loads it at its
+first array, and every command's bytes are pinned by
+``test_output_bytes.py``.  A tangent vector with integer components, and a
+geodesic solve whose clamp divides by zero, are checked without numpy too.
 """
 
 import json
@@ -23,6 +27,10 @@ argv = shlex.split(sys.argv[1])
 out = io.StringIO()
 if argv[0] == "import":
     __import__(argv[1])
+    code = 0
+elif argv[0] == "make_warp":
+    import warpgeo
+    warpgeo.make_warp(argv[1])
     code = 0
 else:
     import warpgeo.cli
@@ -43,6 +51,17 @@ STEPS = {
     "sweep-same-r": ("warpgeo --format csv sweep --same-r --r0 1 --dt 0.5:7:14", 0),
 }
 
+# The steps that evaluate a warp, by name, with the warp left open.
+WARP_STEPS = {
+    "make_warp": "make_warp {}",
+    "curvature": "warpgeo --warp {} --format csv curvature 0.5 3 25",
+    "geodesic": "warpgeo --warp {} geodesic 1 0 0.3 2",
+    "geodesic-samples": "warpgeo --warp {} geodesic 1 0 0.3 2 --samples 7",
+    "isometry": "warpgeo --warp {} isometry 0.5 1.5",
+}
+for _warp in ("r", "one_over_r", "flat:2,5", "neg2:1,1,1"):
+    STEPS.update({f"{name}-{_warp}": (step.format(_warp), 0) for name, step in WARP_STEPS.items()})
+
 
 def _child(step: str) -> list:
     proc = run_child([sys.executable, "-c", CHILD, step], text=True, check=True)
@@ -54,7 +73,13 @@ def test_step_loads_no_numpy(name):
     step, code = STEPS[name]
     got_code, numpy_loaded, out = _child(step)
     assert (got_code, numpy_loaded) == (code, False)
-    assert out or step.startswith("import")
+    assert out or step.startswith(("import", "make_warp"))
+
+
+@pytest.mark.parametrize("name", WARP_STEPS)
+def test_exp_loads_numpy(name):
+    got_code, numpy_loaded, _ = _child(WARP_STEPS[name].format("exp"))
+    assert (got_code, numpy_loaded) == (0, True)
 
 
 def test_integer_tangent_vector_loads_no_numpy():
@@ -67,8 +92,7 @@ def test_integer_tangent_vector_loads_no_numpy():
 def test_clamp_dividing_by_zero_loads_no_numpy():
     # Next to the pole of h = r / (1e-155 r^3 - 1e-155), q * q underflows
     # and h' divides by zero, at the start and at the clamp: the failure
-    # is the solver's, read as nan by the float kernel's own rule.  The
-    # warp is built directly, as make_warp's validation loads numpy.
+    # is the solver's, read as nan by the float kernel's own rule.
     code = ("import sys; from warpgeo import GeodesicState, integrate, warp_neg2\n"
             "w = warp_neg2(1.0, -1e-155, 1e-155)\n"
             "try:\n"

@@ -183,7 +183,7 @@ class TestMakeWarp:
     # lies DOMAIN_MARGIN inside it.
     @pytest.mark.parametrize(
         "text", ["flat:1,1e-6", "neg2:1e8,1,1e-6", "neg2:1,1e-6,-1e-12", "flat:1,0.001",
-                 "flat:1,1.01e-9"]
+                 "flat:1,1.01e-9", "neg2:1e-300,1,1"]
     )
     def test_narrow_and_rescaled_warps_build_quietly(self, text):
         with warnings.catch_warnings():
@@ -213,6 +213,24 @@ class TestMakeWarp:
             with pytest.raises(ValueError, match="^warp 'flat' is not strictly positive on "
                                                  r"its domain \(0.0, 1e-06\)$"):
                 make_warp("flat:1e300,1e-6")
+
+    # h overflows on the grid (flat next to its pole, neg2 at small r), its
+    # denominator underflows to zero (neg2:1,0,1e-320: Python floats divide
+    # by zero where numpy reads inf), or h itself underflows to zero
+    # (neg2:1e-322,1,1 far out): each is refused by name, without a warning.
+    @pytest.mark.parametrize("spec, domain", [
+        ("flat:1e308,5", "(0.0, 5.0)"),
+        ("neg2:1e308,1e-10,1", "(0.0, inf)"),
+        ("neg2:1,0,1e-320", "(0.0, inf)"),
+        ("neg2:1e-322,1,1", "(0.0, inf)"),
+    ])
+    def test_non_finite_or_vanishing_h_is_rejected_quietly(self, spec, domain):
+        kind = spec.partition(":")[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as err:
+                make_warp(spec)
+        assert str(err.value) == f"warp {kind!r} is not strictly positive on its domain {domain}"
 
 
 class TestCustomWarp:

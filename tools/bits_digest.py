@@ -7,8 +7,11 @@ Usage (from the repository root)::
 ``warpgeo`` is imported from DIR, by default the ``src`` directory of this
 checkout, so one copy of this tool can digest two checkouts: a change keeps
 a layer's bits exactly when both give the layer the same digest.  One line
-per layer (warp, geometry, geodesics, connect, isometry, riccati) gives
-its name, its digest and how many results it hashed.
+per layer (warp, geometry, geodesics, connect, isometry, riccati, cli) gives
+its name, its digest and how many results it hashed.  The ``cli`` layer
+runs ``warpgeo.cli.main`` in this process on seeded ``curvature``,
+``geodesic`` and ``isometry`` command lines over the five built-in warps,
+and hashes each one's exit status, stdout and stderr.
 
 Each result is hashed in a canonical spelling: a number by its type and
 its hex digits (so one ulp or the sign of a zero changes the digest), an
@@ -23,8 +26,11 @@ warpgeo are imported.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import importlib
+import io
 import math
 import sys
 import warnings
@@ -37,6 +43,8 @@ DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
 # The warps of the geometry and geodesics layers, by spec string, and the
 # custom ones built in _warps.
 SPECS = ("one_over_r", "r", "exp", "flat:2,5", "flat:-1,0", "neg2:1,1,0", "neg2:1,-1,1")
+# The warps of the cli layer: the built-in ones of README and the benchmark.
+CLI_SPECS = ("one_over_r", "r", "exp", "flat:2,5", "neg2:1,1,1")
 TINY_NEG2 = "neg2:1,-1e-155,1e-155"  # h is about 1e160 next to its pole r = 1
 
 
@@ -240,6 +248,41 @@ def layer_riccati(wg, rng):
             yield name, r0, H0, lo, hi, field
 
 
+def run_cli(main, argv: list) -> tuple:
+    """``main(argv)`` with stdout and stderr captured: its exit status (or
+    the :class:`Error` it raised) and both streams' text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = outcome(main, argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_argv(rng, spec: str):
+    """Seeded command lines on the warp ``spec``, a few of each outside the
+    domain or with a count the command refuses."""
+    w = f"--warp={spec}"
+    for fmt, n in (("json", 5), ("csv", 25), ("csv", 2)):
+        lo, hi = sorted(rng.uniform(0.05, 4.9, 2).tolist())
+        yield [w, "--format", fmt, "curvature", repr(lo), repr(hi), str(n)]
+    yield [w, "curvature", repr(float(rng.uniform(0.1, 1.0))), "7.5", "4", "--step", "1e-4"]
+    yield [w, "curvature", "0.5", "2", "1"]
+    yield [w, "curvature", "0.001", "0.004", "3"]  # the oracle's stencil crosses r = 0
+    for samples in (None, 2, 7, 300, 1):
+        r0, t0 = float(rng.uniform(0.3, 4.5)), float(rng.uniform(-2.0, 2.0))
+        angle, s_max = float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.1, 6.0))
+        argv = [w, "geodesic", repr(r0), repr(t0), repr(angle), repr(s_max)]
+        yield argv if samples is None else argv + ["--samples", str(samples)]
+    for k in (0.5, 1.0, 1.0 + 2.0**-45, 2.0, float(rng.uniform(0.2, 3.0)), 1e-300, 1e300):
+        yield [w, "isometry", repr(k), repr(float(rng.uniform(-3.0, 3.0)))]
+
+
+def layer_cli(wg, rng):
+    main = importlib.import_module(wg.__name__ + ".cli").main
+    for spec in CLI_SPECS:
+        for argv in _cli_argv(rng, spec):
+            yield argv, run_cli(main, argv)
+
+
 LAYERS = {
     "warp": layer_warp,
     "geometry": layer_geometry,
@@ -247,6 +290,7 @@ LAYERS = {
     "connect": layer_connect,
     "isometry": layer_isometry,
     "riccati": layer_riccati,
+    "cli": layer_cli,
 }
 
 
