@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .warp import DomainError, Point, WarpFunction
+from ._np import np
+from .warp import DOMAIN_MARGIN, DomainError, Point, WarpFunction
 
 __all__ = [
     "TangentVector",
@@ -85,10 +86,16 @@ def metric_at(w: WarpFunction, u: TangentVector, v: TangentVector) -> float:
     """Inner product g(u, v) = u_r v_r + u_t v_t / h(r)^2.
 
     Both vectors must sit at the same base point, inside the warp's domain.
+    Where h*h underflows to zero on Python floats, the quotient is numpy's
+    (inf, or nan for 0/0), returned as a Python float.
     """
     p = _same_base(u, v)
     hr = w.h(p.r)
-    return u.dr * v.dr + (u.dt * v.dt) / (hr * hr)
+    try:
+        return u.dr * v.dr + (u.dt * v.dt) / (hr * hr)
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            return float(u.dr * v.dr + (u.dt * v.dt) / np.float64(hr * hr))
 
 
 def apply_J(w: WarpFunction, u: TangentVector) -> TangentVector:
@@ -151,6 +158,8 @@ def sectional_curvature(w: WarpFunction, r, *, method: str = "auto"):
         attached (the built-in families solve known prescribed-curvature
         equations, so their curvature is available in closed form free of
         cancellation); ``"generic"`` always evaluates the h-based formula.
+        Where that formula raises on Python floats (h*h underflows to zero,
+        or h'^2 overflows), its value is numpy's, as a Python float.
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}")
@@ -158,8 +167,13 @@ def sectional_curvature(w: WarpFunction, r, *, method: str = "auto"):
         exact = w.exact_curvature(r)
         if exact is not None:
             return exact
-    hv = w.h(r)
-    return (w.d2h(r) * hv - 2.0 * w.dh(r) ** 2) / (hv * hv)
+    hv, d2, d1 = w.h(r), w.d2h(r), w.dh(r)
+    try:
+        return (d2 * hv - 2.0 * d1**2) / (hv * hv)
+    except (ZeroDivisionError, OverflowError):
+        with np.errstate(all="ignore"):
+            hv, d1 = np.float64(hv), np.float64(d1)
+            return float((d2 * hv - 2.0 * d1**2) / (hv * hv))
 
 
 def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
@@ -176,27 +190,37 @@ def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
     Where 1/h is not a finite nonzero double in the stencil (h overflows,
     or vanishes), the value is not finite: nan where Python float
     arithmetic divides by zero, inf or nan as numpy reads it at np.float64.
+
+    The domain check is one comparison pair on the two outer stencil
+    points, which bound the other three: it is :meth:`Domain.contains` on
+    each of them.  The five values of h are then read from the raw
+    evaluator, unchecked.
+
+    Raises
+    ------
+    ValueError
+        If ``step`` is not positive and finite.
+    DomainError
+        If the stencil leaves the domain (also for a nan or infinite r).
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     r = float(r)
-    # The two outer stencil points bound the other three, so checking them
-    # is the whole domain check.
-    for probe in (r - 2 * step, r + 2 * step):
-        if not w.domain.contains(probe):
-            raise DomainError(
-                f"finite-difference stencil [{r - 2 * step}, {r + 2 * step}] "
-                f"leaves domain ({w.domain.lo}, {w.domain.hi})"
-            )
-    width = lambda x: 1.0 / w.h_unchecked(x)  # noqa: E731
+    lo, hi = w.domain.lo, w.domain.hi
+    if not (lo + DOMAIN_MARGIN < r - 2 * step and r + 2 * step < hi - DOMAIN_MARGIN):
+        raise DomainError(
+            f"finite-difference stencil [{r - 2 * step}, {r + 2 * step}] "
+            f"leaves domain ({lo}, {hi})"
+        )
+    h = w._h
     try:
-        w0 = width(r)
+        w0 = 1.0 / h(r)
         wpp = (
-            -width(r + 2 * step)
-            + 16.0 * width(r + step)
+            -(1.0 / h(r + 2 * step))
+            + 16.0 * (1.0 / h(r + step))
             - 30.0 * w0
-            + 16.0 * width(r - step)
-            - width(r - 2 * step)
+            + 16.0 * (1.0 / h(r - step))
+            - (1.0 / h(r - 2 * step))
         ) / (12.0 * step * step)
         return -wpp / w0
     except ZeroDivisionError:

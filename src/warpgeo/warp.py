@@ -284,10 +284,11 @@ class WarpFunction:
         """H(r) = h'(r)/h(r), the logarithmic derivative of the warp."""
         return self._checked(self._logderiv, r)
 
-    # Unchecked variants for callers that have checked the domain already.
-    # log_deriv_unchecked has no caller in the package since the geodesic
-    # integrator moved to (h, h'); it stays because perfbench/tracer.py
-    # wraps it by name, until the tracer reads solver counters instead.
+    # Unchecked variants.  Neither has a caller in the package:
+    # log_deriv_unchecked since the geodesic integrator moved to (h, h'),
+    # h_unchecked since curvature_oracle reads the raw _h.  Both stay only
+    # because perfbench/tracer.py wraps them by name, until the tracer
+    # reads solver counters instead.
     def h_unchecked(self, r):
         return self._h(r)
 

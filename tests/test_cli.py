@@ -77,6 +77,13 @@ class TestCurvature:
         assert (res.returncode, res.stdout) == (1, "")
         assert res.stderr == "warpgeo: error: curvature oracle is not finite at r = 4.9999\n"
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1e-3"])
+    def test_bad_step_is_named(self, step):
+        # Refused as a step, not as a stencil that leaves the domain.
+        res = run_cli("--warp", "r", "curvature", "1", "2", "2", f"--step={step}")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == f"warpgeo: error: step must be positive and finite, got {float(step)!r}\n"
+
     def test_bad_range(self):
         res = run_cli("curvature", "2", "1", "3")
         assert res.returncode == 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgeo import (
+    DOMAIN_MARGIN,
     Domain,
     DomainError,
     Point,
@@ -16,12 +17,14 @@ from warpgeo import (
     curvature_oracle,
     frame_components,
     kahler_form,
+    make_warp,
     metric_at,
     sectional_curvature,
     vector_from_frame,
     warp_custom,
     warp_exp,
     warp_flat,
+    warp_neg2,
     warp_one_over_r,
     warp_r,
 )
@@ -62,6 +65,17 @@ class TestMetric:
         u = _vec(w, 6.0, 0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             metric_at(w, u, u)
+
+    def test_underflowing_square_of_h_reads_as_numpy(self):
+        # h(1) = 5e-301 on neg2(1e-300, 1, 1), so h*h underflows to zero:
+        # each quotient is numpy's, with no ZeroDivisionError and no warning.
+        w = make_warp("neg2:1e-300,1,1")
+        p = Point(1.0, 0.0)
+        u, e1 = TangentVector(0.0, 1.0, p), TangentVector(1.0, 0.0, p)
+        assert metric_at(w, u, u) == math.inf
+        assert metric_at(w, TangentVector(0.0, -1.0, p), u) == -math.inf
+        assert math.isnan(metric_at(w, e1, e1))  # 1 + 0/0
+        assert all(type(metric_at(w, a, a)) is float for a in (u, e1))
 
     @given(r=radius, t=t_coord, a=coord, b=coord, c=coord, d=coord, lam=coord)
     @settings(max_examples=60, deadline=None)
@@ -231,6 +245,19 @@ class TestSectionalCurvature:
         with pytest.raises(ValueError):
             sectional_curvature(flat_warp, 1.0, method="magic")
 
+    # Where the generic formula raises on Python floats, its value is the
+    # array route's: h*h underflows to zero on neg2(1e-300, 1, 1) at r = 1,
+    # and h'^2 overflows on flat(1e200, 5) at r = 4.9.  Both read nan.
+    @pytest.mark.parametrize("spec, r", [("neg2:1e-300,1,1", 1.0), ("flat:1e200,5", 4.9)],
+                             ids=["h-squared-underflows", "dh-squared-overflows"])
+    def test_generic_formula_reads_as_numpy(self, spec, r):
+        w = make_warp(spec)
+        k = sectional_curvature(w, r, method="generic")
+        with np.errstate(all="ignore"):
+            (want,) = sectional_curvature(w, np.array([r]), method="generic")
+        assert type(k) is float
+        np.testing.assert_equal((k, want), (math.nan, math.nan))
+
 
 class TestCurvatureOracle:
     @pytest.mark.parametrize(
@@ -262,8 +289,82 @@ class TestCurvatureOracle:
             curvature_oracle(w, 4.9995, 1e-3)
 
     def test_rejects_bad_step(self, flat_warp):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^step must be positive and finite, got 0.0$"):
             curvature_oracle(flat_warp, 1.0, 0.0)
+
+    @pytest.mark.parametrize("step", [-1e-3, math.nan, math.inf, -math.inf])
+    def test_step_must_be_positive_and_finite(self, neg2_warp, step):
+        # A nan or infinite step is refused by name, not as a stencil that
+        # leaves the domain.
+        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step!r}$"):
+            curvature_oracle(neg2_warp, 1.0, step)
+
+    STENCIL_WARPS = {
+        "one_over_r": warp_one_over_r(),
+        "r": warp_r(),
+        "exp": warp_exp(),
+        "flat(2,5)": warp_flat(2.0, 5.0),
+        "neg2(1,1,1)": warp_neg2(1.0, 1.0, 1.0),
+        "custom r**1.5": warp_custom(lambda r: r**1.5, domain=(0.0, math.inf)),
+        "custom 1/(3-r)": warp_custom(lambda r: 1.0 / (3.0 - r),
+                                      lambda r: 1.0 / ((3.0 - r) * (3.0 - r)), domain=(0.0, 3.0)),
+    }
+
+    @staticmethod
+    def by_contains(w, r, step):
+        """The oracle on Domain.contains at each outer stencil point and five
+        widths ``1.0 / w.h_unchecked(x)``: the reference whose bits, type and
+        messages the one comparison pair and the raw h keep."""
+        if step <= 0.0:
+            raise ValueError("step must be positive")
+        r = float(r)
+        for probe in (r - 2 * step, r + 2 * step):
+            if not w.domain.contains(probe):
+                raise DomainError(f"finite-difference stencil [{r - 2 * step}, {r + 2 * step}] "
+                                  f"leaves domain ({w.domain.lo}, {w.domain.hi})")
+        width = lambda x: 1.0 / w.h_unchecked(x)  # noqa: E731
+        try:
+            w0 = width(r)
+            wpp = (-width(r + 2 * step) + 16.0 * width(r + step) - 30.0 * w0
+                   + 16.0 * width(r - step) - width(r - 2 * step)) / (12.0 * step * step)
+            return -wpp / w0
+        except ZeroDivisionError:
+            return math.nan
+
+    @staticmethod
+    def crossing(r, inside, outward):
+        """The last radius outside and the first inside, one ulp apart,
+        walked to from r, a few ulps from the crossing."""
+        while inside(r):
+            r = math.nextafter(r, outward)
+        while not inside(math.nextafter(r, -outward)):
+            r = math.nextafter(r, -outward)
+        return [r, math.nextafter(r, -outward)]
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-2])
+    @pytest.mark.parametrize("name", list(STENCIL_WARPS))
+    def test_bits_match_the_contains_route(self, name, step):
+        w = self.STENCIL_WARPS[name]
+        lo, hi = w.domain.lo + DOMAIN_MARGIN, w.domain.hi - DOMAIN_MARGIN
+        # Where the outer stencil point crosses each finite margin.
+        edges = self.crossing(lo + 2 * step, lambda r: lo < r - 2 * step, -math.inf)
+        if math.isfinite(hi):
+            edges += self.crossing(hi - 2 * step, lambda r: r + 2 * step < hi, math.inf)
+        radii = edges + [0.5, 1.5, np.float64(1.5), np.float64(2.25), 2, math.nan,
+                         math.inf, -math.inf]
+
+        def outcome(oracle, r):
+            try:
+                v = oracle(w, r, step)
+            except ValueError as exc:  # DomainError is one
+                return type(exc).__name__, str(exc)
+            return type(v).__name__, float(v).hex()
+
+        got = [outcome(curvature_oracle, r) for r in radii]
+        assert got == [outcome(self.by_contains, r) for r in radii]
+        # Each crossing pair is one refusal, then one value.
+        for i in range(0, len(edges), 2):
+            assert got[i][0] == "DomainError" and got[i + 1][0] != "DomainError", (i, got[i:i + 2])
 
 
 class TestConstruction:

@@ -147,6 +147,17 @@ class TestPullbackResidual:
         pts = [Point(0.5, 0.0), Point(2.0, 1.0)]
         assert pullback_residual(neg2_warp, AffineMap(1.0, -7.0), pts) <= 1e-12
 
+    # Where h*h underflows to zero, at h(1) = 5e-301 on neg2(1e-300, 1, 1)
+    # or at the images of k = 1e300 on h = 1/r, g(u, u) is numpy's 0/0 or
+    # x/0: the residual is nan, as classify reads it, with no
+    # ZeroDivisionError and no warning.
+    @pytest.mark.parametrize("w, k", [(make_warp("neg2:1e-300,1,1"), 1.0),
+                                      (warp_one_over_r(), 1e300)], ids=["neg2-1e-300", "k-1e300"])
+    def test_underflowing_square_of_h_reads_as_classify(self, w, k):
+        res = pullback_residual(w, AffineMap(k), [Point(1.0, 0.0)])
+        assert type(res) is float and math.isnan(res)
+        assert math.isnan(classify(w, AffineMap(k)).isometry_residual)
+
 
 class TestClassify:
     def test_translation_is_holomorphic_isometry(self, neg2_warp):

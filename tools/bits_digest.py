@@ -118,6 +118,26 @@ def _radii(rng, w, n: int) -> list[float]:
     return rng.uniform(lo + pad, hi - pad, n).tolist()
 
 
+def _crossing(r: float, inside, outward: float) -> list[float]:
+    """The last radius outside and the first inside, one ulp apart, walked
+    to from r, which lies a few ulps from the crossing."""
+    while inside(r):
+        r = math.nextafter(r, outward)
+    while not inside(math.nextafter(r, -outward)):
+        r = math.nextafter(r, -outward)
+    return [r, math.nextafter(r, -outward)]
+
+
+def _stencil_edges(wg, w, step: float) -> list[float]:
+    """Radii at which the oracle's outer stencil point at ``step`` crosses
+    each finite margin of w's domain: one ulp of r outside, one inside."""
+    lo, hi = w.domain.lo + wg.DOMAIN_MARGIN, w.domain.hi - wg.DOMAIN_MARGIN
+    rs = _crossing(lo + 2 * step, lambda r: lo < r - 2 * step, -math.inf)
+    if math.isfinite(hi):
+        rs += _crossing(hi - 2 * step, lambda r: r + 2 * step < hi, math.inf)
+    return rs
+
+
 def layer_warp(wg, rng):
     for kind, count in (("flat", 2), ("neg2", 3)):
         for _ in range(40):
@@ -145,6 +165,11 @@ def layer_geometry(wg, rng):
             yield name, method, outcome(wg.sectional_curvature, w, np.array(rs), method=method)
         yield name, [outcome(wg.curvature_oracle, w, r) for r in rs]
         yield name, [outcome(wg.curvature_oracle, w, r, step=1e-4) for r in rs[:3]]
+        yield name, [outcome(wg.curvature_oracle, w, r, step=1e-2) for r in rs[:3]]
+        yield name, [outcome(wg.curvature_oracle, w, np.float64(r)) for r in rs[:3]]
+        for step in (1e-3, 1e-4, 1e-2):
+            edges = _stencil_edges(wg, w, step)
+            yield name, step, [outcome(wg.curvature_oracle, w, r, step) for r in edges]
         for r in rs[:6]:
             p = wg.Point(r, float(rng.uniform(-3.0, 3.0)))
             u = wg.TangentVector(*rng.normal(size=2).tolist(), base=p)
