@@ -1,14 +1,14 @@
 """The package's one boundary with numpy.
 
-``import warpgeo`` loads no numpy, so the commands that build no array
-start and finish without it: ``connect`` and the flat and same-radius
+``import warpgeo`` loads no numpy (nor any layer module: see the package's
+``__getattr__``), so the commands that build no array start and finish
+without it: ``connect`` (``--path-out`` too) and the flat and same-radius
 ``sweep``, and ``curvature``, ``geodesic`` and ``isometry`` on a warp whose
 evaluators are plain float arithmetic (``one_over_r``, ``r``, ``flat``,
 ``neg2``; ``warp._FLOAT_KINDS``), which ``make_warp`` validates on floats
 too.  ``exp`` keeps ``np.exp``, so those commands load numpy on it, and so
-do ``riccati`` and ``connect --path-out``.  Every module reads numpy
-through :data:`np`, which imports numpy on the first read of one of its
-attributes.
+does ``riccati``.  Every module reads numpy through :data:`np`, which
+imports numpy on the first read of one of its attributes.
 """
 
 

@@ -26,17 +26,10 @@ import math
 import os
 import sys
 
-from .connect import DEFAULT_TOL, connect_flat, connect_neg2, connect_neg2_same_r
-from .geodesics import GeodesicState, integrate
-from .geometry import curvature_oracle, sectional_curvature
-from .isometry import AffineMap, classify
-from .riccati import (
-    constant_profile,
-    inverse_square_profile,
-    solve_prescribed,
-    verify_field,
-)
-from .warp import _FLOAT_KINDS, DomainError, Point, WarpSpec, _linspace, _quiet, make_warp
+# Every command reads a warp, a point or a spec; each imports the layer it
+# calls in its own body, so a cold start compiles only what it runs.
+from .warp import (_FLOAT_KINDS, DEFAULT_TOL, DomainError, Point, WarpSpec, _linspace, _quiet,
+                   make_warp)
 
 __all__ = ["main", "RunConfig"]
 
@@ -166,6 +159,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 
 def cmd_curvature(cfg: RunConfig, args) -> int:
+    from .geometry import curvature_oracle, sectional_curvature
+
     if not (0.0 < args.r_min < args.r_max) or args.n < 2:
         raise UsageError("curvature requires 0 < r_min < r_max and n >= 2")
     w = cfg.warp()
@@ -186,6 +181,8 @@ def cmd_curvature(cfg: RunConfig, args) -> int:
 
 
 def cmd_geodesic(cfg: RunConfig, args) -> int:
+    from .geodesics import GeodesicState, integrate
+
     if args.plot_script and not cfg.out:
         raise UsageError("--plot-script needs --out so the script can reference the CSV")
     w = cfg.warp()
@@ -211,6 +208,8 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
 
 def _metric(cfg: RunConfig, flag: str | None):
     """The metric tag (``--metric``, else inferred from the warp) and its solver."""
+    from .connect import connect_flat, connect_neg2
+
     if flag is None:
         flag = "neg2" if cfg.warp_spec.kind == "r" else "flat"
     return flag, connect_flat if flag == "flat" else connect_neg2
@@ -223,14 +222,18 @@ def cmd_connect(cfg: RunConfig, args) -> int:
     res = solver(p0, p1, cfg.tol)
     doc = res.to_dict()
     doc["metric"] = metric
-    if args.path_out and res.path is not None:
-        res.path.to_csv(args.path_out)
+    if args.path_out and res._replay is not None:
+        # Both solvers replay on a warp of _FLOAT_KINDS: the rows are sampled
+        # on Python floats, as res.path's are on arrays, to the same doubles.
+        res._replay._resample(floats=True).to_csv(args.path_out)
         doc["path_file"] = args.path_out
     _emit(cfg, _json(doc))
     return EXIT_OK if res.found else EXIT_NO_GEODESIC
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    from .connect import connect_neg2_same_r
+
     header = ["r0", "t0", "r1", "t1", "exists", "length", "iterations"]
     if args.same_r:
         if args.dt is None:
@@ -271,23 +274,23 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-_PROFILES = {
-    "zero": lambda: constant_profile(0.0),
-    "neg2_over_r2": lambda: inverse_square_profile(-2.0),
-}
-
-
 def _parse_profile(text: str):
+    from .riccati import constant_profile, inverse_square_profile
+
     if text.startswith("const:"):
         return constant_profile(float(text.split(":", 1)[1]))
-    if text in _PROFILES:
-        return _PROFILES[text]()
+    if text == "zero":
+        return constant_profile(0.0)
+    if text == "neg2_over_r2":
+        return inverse_square_profile(-2.0)
     raise UsageError(
         f"unknown profile {text!r}; expected 'zero', 'neg2_over_r2' or 'const:VALUE'"
     )
 
 
 def cmd_riccati(cfg: RunConfig, args) -> int:
+    from .riccati import solve_prescribed, verify_field
+
     _require_positive(args.report_tol, "--report-tol")
     profile = _parse_profile(args.profile)
     r_range = (args.r_lo, args.r_hi)
@@ -301,6 +304,8 @@ def cmd_riccati(cfg: RunConfig, args) -> int:
 
 
 def cmd_isometry(cfg: RunConfig, args) -> int:
+    from .isometry import AffineMap, classify
+
     if args.k <= 0.0:
         raise UsageError("isometry requires k > 0")
     w = cfg.warp()

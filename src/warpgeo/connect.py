@@ -37,7 +37,8 @@ from functools import cache, cached_property
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
 from .geodesics import (ESCAPE_MARGIN, FlatGeodesic, GeodesicPath, GeodesicState, _flat_param,
                         integrate)
-from .warp import Point, WarpFunction, _check_tol, _linspace, warp_one_over_r, warp_r
+from .warp import (DEFAULT_TOL, Point, WarpFunction, _check_tol, _linspace, warp_one_over_r,
+                   warp_r)
 
 __all__ = [
     "ConnectResult",
@@ -54,8 +55,6 @@ __all__ = [
     "same_r_candidates",
     "DEFAULT_TOL",
 ]
-
-DEFAULT_TOL = 1e-9
 
 # same_r_candidates refuses to list more candidates than this (about 30 MB
 # of them); connect_neg2_same_r counts any number without a list.

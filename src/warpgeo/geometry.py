@@ -159,7 +159,9 @@ def sectional_curvature(w: WarpFunction, r, *, method: str = "auto"):
         equations, so their curvature is available in closed form free of
         cancellation); ``"generic"`` always evaluates the h-based formula.
         Where that formula raises on Python floats (h*h underflows to zero,
-        or h'^2 overflows), its value is numpy's, as a Python float.
+        or h'^2 overflows), its value is numpy's, as a Python float.  On
+        numpy values it is evaluated with numpy's warnings off: the same
+        inf or nan, with no ``RuntimeWarning``.
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}")
@@ -168,6 +170,9 @@ def sectional_curvature(w: WarpFunction, r, *, method: str = "auto"):
         if exact is not None:
             return exact
     hv, d2, d1 = w.h(r), w.d2h(r), w.dh(r)
+    if hasattr(hv, "dtype"):  # an array or a numpy scalar: numpy is loaded
+        with np.errstate(all="ignore"):
+            return (d2 * hv - 2.0 * d1**2) / (hv * hv)
     try:
         return (d2 * hv - 2.0 * d1**2) / (hv * hv)
     except (ZeroDivisionError, OverflowError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ._np import np
 from .geometry import TangentVector, metric_at
-from .warp import DomainError, Point, WarpFunction, _check_tol, _linspace, _values
+from .warp import DEFAULT_TOL, DomainError, Point, WarpFunction, _check_tol, _linspace, _values
 
 __all__ = [
     "AffineMap",
@@ -179,7 +179,7 @@ def classify(
     w: WarpFunction,
     m: AffineMap,
     *,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     seed=None,
 ) -> IsometryReport:
     """Classify an affine map by its residual maxima over a sample grid.

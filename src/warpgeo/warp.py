@@ -541,6 +541,11 @@ _FAMILIES = {
 }
 
 
+# The solvers' default tolerance: connect's replay check and classify's
+# holomorphy verdict (re-exported by connect).
+DEFAULT_TOL = 1e-9
+
+
 def _check_tol(tol: float) -> None:
     """A residual below ``tol`` decides: nan, zero or a negative ``tol``
     would accept nothing, and an infinite one anything."""

@@ -2,6 +2,7 @@
 checkouts, outside the suite."""
 
 import importlib.util
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -71,6 +72,16 @@ def test_run_cli_hashes_the_status_and_both_streams():
     assert crashed == (bits_digest.Error("ZeroDivisionError", "division by zero"), "", "")
 
 
+def test_run_cli_path_out_hashes_the_file_it_writes(tmp_path):
+    def main(argv):
+        with open(argv[-1], "w", encoding="utf-8") as fh:
+            fh.write("s,r\n")
+        return 0
+
+    assert bits_digest.run_cli_path_out(main, ["connect"]) == ((0, "", ""), "s,r\n")
+    assert bits_digest.run_cli_path_out(lambda argv: 2, []) == ((2, "", ""), None)
+
+
 def test_cli_layer_runs_each_command_on_each_builtin_warp():
     import warpgeo
 
@@ -78,12 +89,27 @@ def test_cli_layer_runs_each_command_on_each_builtin_warp():
         return list(bits_digest.layer_cli(warpgeo, np.random.default_rng(6)))
 
     results = layer()
+    runs = [(argv, result) for argv, result in results if len(result) == 3]
     ran = {(argv[0], argv[argv.index(command)])
-           for argv, (code, out, err) in results if code == 0 and out and not err
+           for argv, (code, out, err) in runs if code == 0 and out and not err
            for command in ("curvature", "geodesic", "isometry") if command in argv}
     assert ran == {(f"--warp={spec}", command) for spec in bits_digest.CLI_SPECS
                    for command in ("curvature", "geodesic", "isometry")}
     # Refusals are results too: one error line, nothing on stdout.
     assert any(code == 1 and not out and err.startswith("warpgeo: error: ")
-               for _, (code, out, err) in results)
+               for _, (code, out, err) in runs)
+    # connect: found, blocked and horizontal on the flat metric, found and
+    # horizontal on h = r; a sweep on each, and one --same-r sweep.
+    variants = {(argv[0], json.loads(out)["variant"])
+                for argv, (code, out, err) in runs if "connect" in argv}
+    assert variants == {("--warp=one_over_r", "found"), ("--warp=one_over_r", "no_geodesic"),
+                        ("--warp=one_over_r", "horizontal"), ("--warp=r", "found"),
+                        ("--warp=r", "horizontal")}
+    swept = [argv[0] for argv, (code, out, err) in runs
+             if "sweep" in argv and code == 0 and len(out.splitlines()) == 10]
+    assert swept == ["--warp=one_over_r", "--warp=r", "--format"]
+    # Each --path-out line wrote its 129 rows under a header.
+    written = [(argv[0], json.loads(result[0][1])["path_file"], len(result[1].splitlines()))
+               for argv, result in results if len(result) == 2]
+    assert written == [("--warp=one_over_r", "p.csv", 130), ("--warp=r", "p.csv", 130)]
     assert digest(results) == digest(layer())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,16 +248,19 @@ class TestSectionalCurvature:
 
     # Where the generic formula raises on Python floats, its value is the
     # array route's: h*h underflows to zero on neg2(1e-300, 1, 1) at r = 1,
-    # and h'^2 overflows on flat(1e200, 5) at r = 4.9.  Both read nan.
+    # and h'^2 overflows on flat(1e200, 5) at r = 4.9.  Both read nan, and
+    # on numpy values with no RuntimeWarning.
     @pytest.mark.parametrize("spec, r", [("neg2:1e-300,1,1", 1.0), ("flat:1e200,5", 4.9)],
                              ids=["h-squared-underflows", "dh-squared-overflows"])
     def test_generic_formula_reads_as_numpy(self, spec, r):
         w = make_warp(spec)
         k = sectional_curvature(w, r, method="generic")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             (want,) = sectional_curvature(w, np.array([r]), method="generic")
+            k64 = sectional_curvature(w, np.float64(r), method="generic")
         assert type(k) is float
-        np.testing.assert_equal((k, want), (math.nan, math.nan))
+        np.testing.assert_equal((k, want, k64), (math.nan, math.nan, math.nan))
 
 
 class TestCurvatureOracle:

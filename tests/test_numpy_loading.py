@@ -1,9 +1,11 @@
-"""Which commands run without numpy.
+"""Which commands run without numpy, and which of the package's modules
+each one loads.
 
 Each step runs in a fresh interpreter, which then reports whether numpy is
-in ``sys.modules``: importing the package or its CLI must not load it, and
-neither may ``connect`` (flat found, blocked and horizontal, and on
-``h = r``), the flat and same-radius ``sweep``, or ``make_warp``,
+in ``sys.modules``, and which ``warpgeo`` modules are: importing the package
+or its CLI must not load numpy, and neither may ``connect`` (flat found,
+blocked and horizontal, on ``h = r``, and with ``--path-out``), the flat
+and same-radius ``sweep``, or ``make_warp``,
 ``curvature``, ``geodesic`` (with and without ``--samples``) and
 ``isometry`` on a family whose evaluators are plain arithmetic (``r``,
 ``one_over_r``, ``flat`` and ``neg2``).  The same commands on ``exp``,
@@ -13,6 +15,11 @@ The package reads numpy only through the lazy binding ``warpgeo._np.np``
 first array, and every command's bytes are pinned by
 ``test_output_bytes.py``.  A tangent vector with integer components, and a
 geodesic solve whose clamp divides by zero, are checked without numpy too.
+
+``import warpgeo`` loads no layer module, and ``import warpgeo.cli`` only
+``warp`` (and ``_np``); each command then loads the layer it calls and the
+modules that layer imports (:data:`LOADED_BY`), while ``make_warp`` read
+from the package loads every layer.
 """
 
 import json
@@ -36,7 +43,8 @@ else:
     import warpgeo.cli
     with contextlib.redirect_stdout(out):
         code = warpgeo.cli.main(argv[1:])
-print(json.dumps([code, "numpy" in sys.modules, out.getvalue()]))
+modules = sorted(name for name in sys.modules if name.split(".")[0] == "warpgeo")
+print(json.dumps([code, "numpy" in sys.modules, out.getvalue(), modules]))
 """
 
 # name: (step, its exit status)
@@ -47,6 +55,7 @@ STEPS = {
     "connect-blocked": ("warpgeo connect 1,0 1,3.14159265358979", 2),
     "connect-horizontal": ("warpgeo connect 1,0 2,0", 0),
     "connect-neg2": ("warpgeo --warp r connect 1,0 2,0.5", 0),
+    "connect-path-out": ("warpgeo connect 1,0 1,1.5707963267948966 --path-out p.csv", 0),
     "sweep-flat": ("warpgeo --format csv sweep --metric flat --p0 1,0 --r1 1 --t1=-3.5:3.5:57", 0),
     "sweep-same-r": ("warpgeo --format csv sweep --same-r --r0 1 --dt 0.5:7:14", 0),
 }
@@ -63,23 +72,60 @@ for _warp in ("r", "one_over_r", "flat:2,5", "neg2:1,1,1"):
     STEPS.update({f"{name}-{_warp}": (step.format(_warp), 0) for name, step in WARP_STEPS.items()})
 
 
-def _child(step: str) -> list:
-    proc = run_child([sys.executable, "-c", CHILD, step], text=True, check=True)
+RICCATI_STEP = "warpgeo riccati zero 1 0.5 0.5 2"
+
+# The warpgeo modules each step loads: by the module an import step imports,
+# else by the first word of the step's name.
+_CLI = {"warpgeo", "warpgeo._np", "warpgeo.warp", "warpgeo.cli"}
+_SOLVER = {"warpgeo._dop853", "warpgeo._brentq"}
+_LAYERS = {f"warpgeo.{layer}"
+           for layer in ("warp", "geometry", "riccati", "geodesics", "connect", "isometry")}
+_CONNECT = _CLI | _SOLVER | {"warpgeo.connect", "warpgeo.geodesics"}
+LOADED_BY_IMPORT = {"import warpgeo": {"warpgeo"}, "import warpgeo.cli": _CLI}
+LOADED_BY = {
+    "make_warp": {"warpgeo", "warpgeo._np"} | _SOLVER | _LAYERS,
+    "connect": _CONNECT,
+    "sweep": _CONNECT,
+    "geodesic": _CLI | _SOLVER | {"warpgeo.geodesics"},
+    "curvature": _CLI | {"warpgeo.geometry"},
+    "isometry": _CLI | {"warpgeo.isometry", "warpgeo.geometry"},
+    "riccati": _CLI | _SOLVER | {"warpgeo.riccati", "warpgeo.geometry"},
+}
+
+
+def _loaded(name: str, step: str) -> set:
+    return LOADED_BY_IMPORT.get(step) or LOADED_BY[name.split("-")[0]]
+
+
+def _child(step: str, cwd) -> list:
+    proc = run_child([sys.executable, "-c", CHILD, step], text=True, check=True, cwd=cwd)
     return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("name", STEPS)
-def test_step_loads_no_numpy(name):
+def test_step_loads_no_numpy(name, tmp_path):
     step, code = STEPS[name]
-    got_code, numpy_loaded, out = _child(step)
+    got_code, numpy_loaded, out, modules = _child(step, tmp_path)
     assert (got_code, numpy_loaded) == (code, False)
     assert out or step.startswith(("import", "make_warp"))
+    assert set(modules) == _loaded(name, step)
+    if "--path-out" in step:  # the path's 129 rows under their header
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 1 + 129
 
 
 @pytest.mark.parametrize("name", WARP_STEPS)
-def test_exp_loads_numpy(name):
-    got_code, numpy_loaded, _ = _child(WARP_STEPS[name].format("exp"))
+def test_exp_loads_numpy(name, tmp_path):
+    step = WARP_STEPS[name].format("exp")
+    got_code, numpy_loaded, _, modules = _child(step, tmp_path)
     assert (got_code, numpy_loaded) == (0, True)
+    assert set(modules) == _loaded(name, step)
+
+
+def test_riccati_loads_numpy_and_its_layer(tmp_path):
+    got_code, numpy_loaded, out, modules = _child(RICCATI_STEP, tmp_path)
+    assert (got_code, numpy_loaded) == (0, True)
+    assert out.startswith("r,H,h\n")
+    assert set(modules) == LOADED_BY["riccati"]
 
 
 def test_integer_tangent_vector_loads_no_numpy():

@@ -11,7 +11,11 @@ per layer (warp, geometry, geodesics, connect, isometry, riccati, cli) gives
 its name, its digest and how many results it hashed.  The ``cli`` layer
 runs ``warpgeo.cli.main`` in this process on seeded ``curvature``,
 ``geodesic`` and ``isometry`` command lines over the five built-in warps,
-and hashes each one's exit status, stdout and stderr.
+on seeded ``connect`` lines (found, blocked and horizontal pairs) and a
+``sweep`` line on the flat metric and on ``--warp r``, and on one
+``sweep --same-r`` line, and hashes each one's exit status, stdout and
+stderr.  A ``connect --path-out`` line on each metric also hashes the file
+it writes, in a fresh working directory.
 
 Each result is hashed in a canonical spelling: a number by its type and
 its hex digits (so one ulp or the sign of a zero changes the digest), an
@@ -32,7 +36,9 @@ import hashlib
 import importlib
 import io
 import math
+import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -301,11 +307,54 @@ def _cli_argv(rng, spec: str):
         yield [w, "isometry", repr(k), repr(float(rng.uniform(-3.0, 3.0)))]
 
 
+def _pair(rng, gap: float) -> tuple[str, str]:
+    """Two seeded points 'r,t' whose t differ by ``gap``."""
+    r0, r1 = rng.uniform(0.2, 4.0, 2).tolist()
+    t0 = float(rng.uniform(-2.0, 2.0))
+    return f"{r0!r},{t0!r}", f"{r1!r},{t0 + gap!r}"
+
+
+def _connect_argv(rng, spec: str):
+    """Seeded connect lines on the metric of the warp ``spec``, with gaps
+    below pi (found), past pi (blocked on the flat metric) and zero
+    (horizontal), and a sweep to targets at one radius."""
+    w = f"--warp={spec}"
+    for gap in (rng.uniform(0.05, 3.0), -rng.uniform(0.05, 3.0), rng.uniform(3.2, 6.0), 0.0):
+        yield [w, "connect", *_pair(rng, float(gap))]
+    p0, _ = _pair(rng, 0.0)
+    lo, hi = sorted(rng.uniform(-4.0, 4.0, 2).tolist())
+    yield [w, "--format", "csv", "sweep", "--p0", p0, "--r1", repr(float(rng.uniform(0.2, 4.0))),
+           f"--t1={lo!r}:{hi!r}:9"]
+
+
+def run_cli_path_out(main, argv: list) -> tuple:
+    """:func:`run_cli` on ``argv --path-out p.csv`` in a fresh working
+    directory, and the text of the p.csv it wrote (None if none)."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            result = run_cli(main, argv + ["--path-out", "p.csv"])
+            text = Path("p.csv").read_text() if Path("p.csv").exists() else None
+        finally:
+            os.chdir(cwd)
+    return result, text
+
+
 def layer_cli(wg, rng):
     main = importlib.import_module(wg.__name__ + ".cli").main
     for spec in CLI_SPECS:
         for argv in _cli_argv(rng, spec):
             yield argv, run_cli(main, argv)
+    for spec in ("one_over_r", "r"):
+        for argv in _connect_argv(rng, spec):
+            yield argv, run_cli(main, argv)
+        argv = [f"--warp={spec}", "connect", *_pair(rng, float(rng.uniform(0.05, 3.0)))]
+        yield argv, run_cli_path_out(main, argv)
+    r0 = float(rng.uniform(0.3, 2.0))
+    argv = ["--format", "csv", "sweep", "--same-r", "--r0", repr(r0),
+            f"--dt=0.1:{float(rng.uniform(4.0, 8.0)) * r0!r}:9"]
+    yield argv, run_cli(main, argv)
 
 
 LAYERS = {
