@@ -168,11 +168,11 @@ class Derivative:
     the body reads besides, which the kernel's functions take as one
     argument: one name takes the value itself (``CALL`` takes ``fun``),
     several names a tuple of as many, and an empty string none.  The body
-    may call ``isfinite`` (``math.isfinite``) and read ``nan``
-    (``math.nan``).  Its own names must not clash with the kernel's: ``p``,
-    ``t``, ``h``, ``y``, ``f``, ``ks``, ``out``, ``err``, ``denom``,
-    ``rtol``, ``atol``, ``sqrt``, ``nan`` and names with an underscore or a
-    digit.
+    may call ``isfinite`` (``math.isfinite``) and ``exp`` (``math.exp``)
+    and read ``nan`` (``math.nan``).  Its own names must not clash with the
+    kernel's: ``p``, ``t``, ``h``, ``y``, ``f``, ``ks``, ``out``, ``err``,
+    ``denom``, ``rtol``, ``atol``, ``sqrt``, ``exp``, ``nan`` and names with
+    an underscore or a digit.
     """
 
     params: str
@@ -378,7 +378,7 @@ def _kernel(derivative: Derivative, n: int) -> tuple:
             f"return [{rows}]",
         ]
         src = "\n".join(ln if ln.startswith("def ") else "    " + ln for ln in lines)
-        namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan}
+        namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "exp": math.exp, "nan": math.nan}
         exec(compile(src, f"<DOP853 kernel, n={n}>", "exec"), namespace)
         _KERNELS[key] = namespace["call"], namespace["stages"], namespace["extra"]
     return _KERNELS[key]

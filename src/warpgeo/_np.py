@@ -3,12 +3,12 @@
 ``import warpgeo`` loads no numpy (nor any layer module: see the package's
 ``__getattr__``), so the commands that build no array start and finish
 without it: ``connect`` (``--path-out`` too) and the flat and same-radius
-``sweep``, and ``curvature``, ``geodesic`` and ``isometry`` on a warp whose
-evaluators are plain float arithmetic (``one_over_r``, ``r``, ``flat``,
-``neg2``; ``warp._FLOAT_KINDS``), which ``make_warp`` validates on floats
-too.  ``exp`` keeps ``np.exp``, so those commands load numpy on it, and so
-does ``riccati``.  Every module reads numpy through :data:`np`, which
-imports numpy on the first read of one of its attributes.
+``sweep``, and ``curvature``, ``geodesic`` and ``isometry`` on every
+built-in warp, whose evaluators take a Python float to a Python float
+(plain float arithmetic, and ``math.exp`` for ``exp``) and which
+``make_warp`` validates on floats too.  ``riccati`` loads numpy.  Every
+module reads numpy through :data:`np`, which imports numpy on the first
+read of one of its attributes.
 """
 
 

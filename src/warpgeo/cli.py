@@ -28,8 +28,7 @@ import sys
 
 # Every command reads a warp, a point or a spec; each imports the layer it
 # calls in its own body, so a cold start compiles only what it runs.
-from .warp import (_FLOAT_KINDS, DEFAULT_TOL, DomainError, Point, WarpSpec, _linspace, _quiet,
-                   make_warp)
+from .warp import DEFAULT_TOL, DomainError, Point, WarpSpec, _linspace, make_warp
 
 __all__ = ["main", "RunConfig"]
 
@@ -168,14 +167,13 @@ def cmd_curvature(cfg: RunConfig, args) -> int:
     # Every radius is checked before the first oracle call.
     ks = [sectional_curvature(w, r) for r in rs]
     rows = []
-    # The oracle's 1/h may overflow (e^r past r = 709.78), and h itself
-    # (flat:1e305,5 next to its pole): refused by name.
-    with _quiet(w):
-        for r, k in zip(rs, ks):
-            ko = curvature_oracle(w, r, args.step)
-            if not math.isfinite(ko):
-                raise ValueError(f"curvature oracle is not finite at r = {r!r}")
-            rows.append((r, k, ko, abs(k - ko)))
+    # h may overflow (e^r past r = 709.78, flat:1e305,5 next to its pole),
+    # and the oracle with it: refused by name.
+    for r, k in zip(rs, ks):
+        ko = curvature_oracle(w, r, args.step)
+        if not math.isfinite(ko):
+            raise ValueError(f"curvature oracle is not finite at r = {r!r}")
+        rows.append((r, k, ko, abs(k - ko)))
     _table(cfg, ["r", "K", "K_oracle", "abs_diff"], rows)
     return EXIT_OK
 
@@ -187,11 +185,11 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
         raise UsageError("--plot-script needs --out so the script can reference the CSV")
     w = cfg.warp()
     init = GeodesicState.from_angle(args.r0, args.t0, args.angle)
-    # The solve is sampled at 2 points, then its rows at --samples: on Python
-    # floats for a plain-arithmetic family, so that no numpy is loaded.
-    # integrate checks the count: below 2 it is passed as it is.
+    # The solve is sampled at 2 points, then its rows at --samples, on
+    # Python floats (every --warp is a built-in family), so that no numpy is
+    # loaded.  integrate checks the count: below 2 it is passed as it is.
     path = integrate(w, init, args.s_max, n_samples=min(args.samples, 2))
-    path = path._resample(args.samples, w.kind in _FLOAT_KINDS)
+    path = path._resample(args.samples, floats=True)
     csv_text = path.to_csv_string()
     summary = f"# escaped={str(path.escaped).lower()} length={_fmt(path.total_length)}\n"
     _emit(cfg, csv_text + summary)
@@ -223,7 +221,7 @@ def cmd_connect(cfg: RunConfig, args) -> int:
     doc = res.to_dict()
     doc["metric"] = metric
     if args.path_out and res._replay is not None:
-        # Both solvers replay on a warp of _FLOAT_KINDS: the rows are sampled
+        # Both solvers replay on a built-in warp: the rows are sampled
         # on Python floats, as res.path's are on arrays, to the same doubles.
         res._replay._resample(floats=True).to_csv(args.path_out)
         doc["path_file"] = args.path_out
@@ -309,9 +307,8 @@ def cmd_isometry(cfg: RunConfig, args) -> int:
     if args.k <= 0.0:
         raise UsageError("isometry requires k > 0")
     w = cfg.warp()
-    # A residual that overflows is refused by _json, without a warning.
-    with _quiet(w):
-        report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol)
+    # A residual that overflows is refused by _json.
+    report = classify(w, AffineMap(args.k, args.l), tol=cfg.tol)
     _emit(cfg, _json(report.to_dict()))
     return EXIT_OK
 

@@ -42,7 +42,7 @@ from typing import Callable
 
 from ._dop853 import Derivative, solve_ivp
 from ._np import np, on_float64
-from .warp import _FLOAT_KINDS, DomainError, Point, WarpFunction, _linspace, _quiet
+from .warp import DomainError, Point, WarpFunction, _linspace, _quiet
 
 __all__ = [
     "GeodesicState",
@@ -79,15 +79,16 @@ def _derivative(params: str, *warp: str) -> Derivative:
     f = y[2].  In the range lo <= r <= hi the lines ``warp`` assign h and h'
     at r to hr and dhr, reading the ``params`` that follow b, lo and hi.
     Both start as nan, so a radius outside the range or a line that divides
-    by zero leaves h h' nan; wherever h h' is not finite, both are taken
-    from clamped(r), the one clamp entry (see integrate)."""
+    by zero or overflows (``exp``, ``math.exp``, past r = 709.78) leaves
+    h h' nan; wherever h h' is not finite, both are taken from clamped(r),
+    the one clamp entry (see integrate)."""
     return Derivative(f"b, lo, hi, {params}clamped", "\n".join([
         "r = {y[0]}",
         "hr = dhr = nan",
         "try:",
         "    if lo <= r <= hi:",
         *("        " + line for line in warp),
-        "except ZeroDivisionError:",
+        "except (ZeroDivisionError, OverflowError):",
         "    pass",
         "if not isfinite(hr * dhr):",
         "    hr, dhr = clamped(r)",
@@ -95,14 +96,14 @@ def _derivative(params: str, *warp: str) -> Derivative:
     ]))
 
 
-# The warp families whose h and h' are plain + - * / on their argument
-# (warp._FLOAT_KINDS), so a Python float in gives a Python float out (see
-# integrate).  Each evaluates them inline, by warp.py's operations in
-# warp.py's order, with the family's WarpFunction.params as kernel params:
-# one kernel per family and process.
+# Every built-in warp family, whose h and h' take a Python float to a Python
+# float (see integrate).  Each evaluates them inline, by warp.py's
+# operations in warp.py's order, with the family's WarpFunction.params as
+# kernel params: one kernel per family and process.
 _DERIVATIVES = {
     "one_over_r": _derivative("", "hr = 1.0 / r", "dhr = -1.0 / (r * r)"),
     "r": _derivative("", "hr = r", "dhr = 1.0"),
+    "exp": _derivative("", "hr = dhr = exp(r)"),
     "flat": _derivative("num, pole, ", "hr = num / (pole - r)", "dr = pole - r",
                         "dhr = num / (dr * dr)"),
     "neg2": _derivative("scale, const, cube, ", "hr = scale * r / (const + cube * r * r * r)",
@@ -110,10 +111,8 @@ _DERIVATIVES = {
                         "dhr = scale * (const - 2.0 * cube * r * r * r) / (q * q)"),
 }
 
-# Any other warp calls its evaluators hf and dhf, or hf alone where h' is h
-# (e^r): see integrate.
+# A custom warp calls its evaluators hf and dhf: see integrate.
 _CALLED = _derivative("hf, dhf, ", "hr, dhr = hf(r), dhf(r)")
-_CALLED_ONCE = _derivative("hf, ", "hr = dhr = hf(r)")
 
 
 def _margin(edge: float) -> float:
@@ -306,8 +305,8 @@ def integrate(
     nan is rejected as one that holds inf would be; the first step's probe
     is not, since its nan leaves the first step to the start's derivative
     alone (scipy's rule), where an inf would shrink it to the least step.
-    The solve of a warp family whose h and h' are plain arithmetic (1/r,
-    r, flat, neg2) is float arithmetic throughout and makes no numpy call.
+    The solve of a built-in warp family is float arithmetic throughout and
+    makes no numpy call.
 
     Raises
     ------
@@ -347,15 +346,14 @@ def integrate(
     # it.  The clamp engages beyond the stop level, so no state the solver
     # keeps depends on it.
     h, dh = w._h, w._dh  # raw evaluators: the probes leave the domain on purpose
-    floats = w.kind in _FLOAT_KINDS
+    floats = w.kind in _DERIVATIVES
 
     # The solver's state and the derivative it takes are Python floats.
-    # The plain-arithmetic families (_FLOAT_KINDS) evaluate h and h' inline
-    # on the radius as it is: on a float, + - * / give the bits np.float64
-    # arithmetic gives, and a division by zero, numpy's inf or nan, raises
-    # instead.  e^r and caller code see np.float64, as they would from an
-    # array: e^r keeps np.exp (math.exp differs in the last bit), and
-    # r**1.5 at r < 0 is nan, not a complex.
+    # The built-in families evaluate h and h' inline on the radius as it
+    # is: on a float, + - * / give the bits np.float64 arithmetic gives,
+    # and a division by zero, numpy's inf or nan, raises instead.  Caller
+    # code sees np.float64, as it would from an array: r**1.5 at r < 0 is
+    # nan, not a complex.
     hf, dhf = (h, dh) if floats else (on_float64(h), on_float64(dh))
     def pair(r: float) -> tuple:
         # (h, h') at r.  A division by zero reads as nan, as in the kernel's
@@ -371,8 +369,8 @@ def integrate(
 
     # Evaluations on and past the boundary may divide by zero or take the
     # root of a negative number; the clamp replaces those values, so numpy's
-    # warnings carry no information.  A float kind's solve makes no numpy
-    # call at all.
+    # warnings carry no information.  A built-in family's solve makes no
+    # numpy call at all.
     with _quiet(w):
         b = float(init.g / w.h(init.r))
         # An edge extends the range where h h' is finite on it.
@@ -381,8 +379,6 @@ def integrate(
 
         if floats:
             derivative, args = _DERIVATIVES[w.kind], (b, lo, hi, *w.params, clamped)
-        elif dh is h:
-            derivative, args = _CALLED_ONCE, (b, lo, hi, hf, clamped)
         else:
             derivative, args = _CALLED, (b, lo, hi, hf, dhf, clamped)
         sol = solve_ivp(
@@ -402,8 +398,8 @@ def _sample(
     """The path of a finished :func:`integrate` solve at ``n_samples``
     points evenly spaced in arc length; g = b h(r) with ``h`` the raw warp.
 
-    With ``floats``, which a caller passes only for a warp of
-    ``_FLOAT_KINDS`` (h is plain arithmetic), the path is evaluated on
+    With ``floats``, which a caller passes only for a built-in warp
+    family (h takes a Python float to one), the path is evaluated on
     Python floats, one sample at a time through ``DenseSolution.at``, to the
     doubles of the array route, and its columns are lists.  That route
     reads no numpy, but each sample costs a few microseconds more: it

@@ -67,16 +67,13 @@ RESOLVED_STEP = math.sqrt(CONSISTENCY_TOL / 2.0)
 # Size of Domain.sample's grid, on which make_warp and warp_custom validate.
 SAMPLE_SIZE = 33
 
-# The families whose h, h', h'' and H are plain + - * / on their argument, so
-# that a Python float in gives a Python float out and reads no numpy.
-_FLOAT_KINDS = frozenset({"one_over_r", "r", "flat", "neg2"})
-
 
 def _quiet(w: WarpFunction):
     """The context in which to evaluate ``w`` where a value may overflow or
     divide by zero and the caller reads that value itself: numpy's warnings
-    off, except for a family of ``_FLOAT_KINDS``, which reads no numpy."""
-    return contextlib.nullcontext() if w.kind in _FLOAT_KINDS else np.errstate(all="ignore")
+    off for a custom warp, whose evaluators may call numpy.  A built-in
+    family reads no numpy: a Python float in gives a Python float out."""
+    return np.errstate(all="ignore") if w.kind == "custom" else contextlib.nullcontext()
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -127,7 +124,7 @@ class Domain:
 
         NaN fails both comparisons, -inf the lower one and +inf the upper
         one, also where ``hi`` is infinite."""
-        if isinstance(r, float):
+        if isinstance(r, (int, float)):
             return bool(self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN)
         r = np.asarray(r, dtype=float)
         inside = (r > self.lo + DOMAIN_MARGIN) & (r < self.hi - DOMAIN_MARGIN)
@@ -136,7 +133,7 @@ class Domain:
     def require(self, r) -> None:
         """Raise :class:`DomainError`, naming the first radius outside,
         unless every radius of ``r`` is inside."""
-        if isinstance(r, float):
+        if isinstance(r, (int, float)):
             # contains' float test, inline: each checked scalar evaluation
             # makes this one call.
             if self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN:
@@ -264,10 +261,11 @@ class WarpFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    # The checked evaluators: the domain check, then fn at a float or float array.
+    # The checked evaluators: the domain check, then fn at a float or float
+    # array.  An int radius is read as its float, without numpy.
     def _checked(self, fn: Callable, r):
         self.domain.require(r)
-        if isinstance(r, float) or _scalar(r):
+        if isinstance(r, (int, float)) or _scalar(r):
             return fn(float(r))
         return fn(np.asarray(r, dtype=float))
 
@@ -356,15 +354,27 @@ def warp_r() -> WarpFunction:
     )
 
 
+def _exp(r):
+    """e^r by ``math.exp``: inf past r = 709.782712893384, the largest
+    double with a finite e^r, where ``math.exp`` raises ``OverflowError``
+    and numpy reads inf; nan at nan.  On an array, the same function element
+    by element, so a float and an array give the same bits, whatever CPU
+    code numpy dispatches to."""
+    if isinstance(r, float):
+        return math.inf if r > 709.782712893384 else math.exp(r)
+    a = np.asarray(r, dtype=float)
+    return np.array([_exp(x) for x in a.ravel().tolist()]).reshape(a.shape)
+
+
 def warp_exp() -> WarpFunction:
     """h(r) = e^r on (0, inf); constant curvature -1."""
     return WarpFunction(
         kind="exp",
         params=(),
         domain=Domain(0.0),
-        _h=np.exp,
-        _dh=np.exp,
-        _d2h=np.exp,
+        _h=_exp,
+        _dh=_exp,
+        _d2h=_exp,
         _logderiv=_constant(1.0),
         _curvature=_constant(-1.0),
     )
@@ -494,6 +504,11 @@ def warp_custom(
     second difference of h is too coarse to check it by (correct d2h's of
     2 + sin r or e^r miss ``CONSISTENCY_TOL`` against it), so a d2h given
     alone raises ``ValueError``.
+
+    The evaluators see Python floats in this validation, np.float64 in
+    :func:`warpgeo.geodesics.integrate`'s solve (so ``r**1.5`` at r < 0 is
+    nan there, not a complex), and float arrays wherever an array is
+    evaluated.
     """
     if d2h is not None and dh is None:
         raise ValueError("warp_custom: d2h is checked against dh; pass dh as well, or omit d2h")

@@ -754,10 +754,9 @@ def test_one_flat_connect_compiles_one_kernel():
 
 
 def test_each_family_compiles_one_kernel():
-    # The plain-arithmetic families take their parameters as kernel params
-    # and e^r has its own derivative, so integrating every built-in family,
-    # with two parameter sets where it has parameters, in three directions
-    # compiles one kernel per family and no other.
+    # The built-in families take their parameters as kernel params, so
+    # integrating each, with two parameter sets where it has parameters, in
+    # three directions compiles one kernel per family and no other.
     code = (
         "from warpgeo import GeodesicState, _dop853, geodesics, integrate, make_warp\n"
         "for spec in ('one_over_r', 'r', 'exp', 'flat:2,5', 'flat:-1,0', 'neg2:1,1,1',\n"
@@ -766,7 +765,6 @@ def test_each_family_compiles_one_kernel():
         "    for angle in (0.5, 2.0, 3.5):\n"
         "        integrate(w, GeodesicState.from_angle(1.0, 0.0, angle), 2.0)\n"
         "names = {d: kind for kind, d in geodesics._DERIVATIVES.items()}\n"
-        "names[geodesics._CALLED_ONCE] = 'exp'\n"
         "print(sorted((names.get(d, 'other'), n) for d, n in _dop853._KERNELS))"
     )
     assert child_stdout(code) == (

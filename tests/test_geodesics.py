@@ -28,7 +28,7 @@ from warpgeo import (
     warp_one_over_r,
     warp_r,
 )
-from warpgeo import _dop853, geodesics, warp
+from warpgeo import _dop853, geodesics
 
 
 def child_stdout(code: str) -> str:
@@ -231,11 +231,13 @@ class TestIntegrationStats:
 
 
 class TestTwoSamplePath:
-    @pytest.mark.parametrize("name", ["one_over_r", "r", "flat(2,5)", "neg2(1,1,1)"])
+    @pytest.mark.parametrize("name", ["one_over_r", "r", "exp", "flat(2,5)", "neg2(1,1,1)"])
     def test_floats_give_the_array_routes_bits(self, monkeypatch, warp_family, rng, name):
-        # A 2-sample path of a plain-arithmetic warp is solved and sampled on
-        # Python floats.  With _FLOAT_KINDS emptied, the same solves run
-        # through np.float64 and the array route, to the same bits and counts.
+        # A 2-sample path of a built-in warp is solved and sampled on Python
+        # floats.  With _DERIVATIVES emptied, the same solves run through
+        # np.float64 and the array route, a custom warp's, to the same bits
+        # and counts.  That route divides by zero on np.float64 at a pole,
+        # which _quiet silences only for a custom warp: here errstate does.
         w = warp_family[name]
         lo, hi = w.domain.lo, min(w.domain.hi, 8.0)
         inits = [(GeodesicState.from_angle(rng.uniform(lo + 0.2, hi - 0.2), 0.0,
@@ -243,16 +245,16 @@ class TestTwoSamplePath:
                  for _ in range(12)]
         inits.append((GeodesicState(lo + 1.0, 0.0, -1.0, 0.0), 6.0))  # the inward ray escapes
         got = [integrate(w, init, s, n_samples=2) for init, s in inits]
-        for module in (geodesics, warp):  # integrate's route and its warnings
-            monkeypatch.setattr(module, "_FLOAT_KINDS", frozenset())
-        want = [integrate(w, init, s, n_samples=2) for init, s in inits]
+        monkeypatch.setattr(geodesics, "_DERIVATIVES", {})
+        with np.errstate(all="ignore"):
+            want = [integrate(w, init, s, n_samples=2) for init, s in inits]
         assert any(path.escaped for path in want) and not all(path.escaped for path in want)
         for a, b in zip(got, want):
             for col in "srtfg":
                 assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
             assert (a.escaped, a.total_length, a.stats) == (b.escaped, b.total_length, b.stats)
 
-    @pytest.mark.parametrize("name", ["one_over_r", "r", "flat(2,5)", "neg2(1,1,1)"])
+    @pytest.mark.parametrize("name", ["one_over_r", "r", "exp", "flat(2,5)", "neg2(1,1,1)"])
     def test_float_rows_give_the_array_routes_bits(self, warp_family, rng, name):
         # A 2-sample solve sampled again on Python floats (the CLI's rows)
         # gives the doubles and counts of a solve sampled as arrays.
@@ -352,27 +354,24 @@ def test_right_hand_side_stays_finite(monkeypatch, name):
     assert min(probes[2 * len(radii):]) < 0.0
 
 
-def test_exp_evaluates_h_once_per_stage(monkeypatch):
-    # e^r is its own derivative, so every right-hand-side evaluation of the
-    # solve and of its interpolants calls the evaluator once.  The only
-    # other calls are the edge probes before the solve, h and h' at r = 0
-    # and at r = inf; no stage is clamped.
-    calls = []
-    wrap = geodesics.on_float64
-
-    def counting(fn):
-        evaluate = wrap(fn)
-
-        def spy(r):
-            calls.append(r)
-            return evaluate(r)
-
-        return spy
-
-    monkeypatch.setattr(geodesics, "on_float64", counting)
-    path = integrate(warp_exp(), GeodesicState.from_angle(1.0, 0.0, 2.0), 1.5)
-    assert calls[:4] == [0.0, 0.0, math.inf, math.inf]
-    assert len(calls) == path.stats.rhs_evals + 4
+def test_exp_evaluates_h_once_per_stage():
+    # e^r is its own derivative, so its kernel line calls math.exp once for
+    # h and h': every right-hand-side evaluation of the solve and of its
+    # interpolants calls it once.  The only other calls are h at the start
+    # (for b), the edge probes h and h' at r = 0 (at r = inf both are inf
+    # without a call) and h at the two samples; no stage is clamped.  The
+    # kernel binds math.exp when it is compiled, so a fresh child replaces
+    # it first.
+    code = (
+        "import math\n"
+        "calls, exp = [], math.exp\n"
+        "math.exp = lambda r: calls.append(r) or exp(r)\n"
+        "from warpgeo import GeodesicState, integrate, warp_exp\n"
+        "init = GeodesicState.from_angle(1.0, 0.0, 2.0)\n"
+        "path = integrate(warp_exp(), init, 1.5, n_samples=2)\n"
+        "print(calls[:3], calls[-2:] == path.r.tolist(), len(calls) - path.stats.rhs_evals)"
+    )
+    assert child_stdout(code) == "[1.0, 0.0, 0.0] True 5\n"
 
 
 def test_division_by_zero_at_the_clamp_reads_as_nan(monkeypatch):
@@ -418,10 +417,11 @@ def test_first_step_ignores_a_probe_dividing_by_zero(monkeypatch):
     assert step.value.args[0] == 0.01
 
 
-# One escaping ray per warp family whose h and h' are plain arithmetic.
+# One escaping ray per built-in warp family.
 FLOAT_KIND_RAYS = {
     "one_over_r": (warp_one_over_r(), GeodesicState(1.0, 0.0, -1.0, 0.0)),
     "r": (warp_r(), GeodesicState.from_angle(1.0, 0.0, 1.0)),
+    "exp": (warp_exp(), GeodesicState(1.0, 0.0, -1.0, 0.0)),
     "flat(2,5)": (warp_flat(2.0, 5.0), GeodesicState(4.0, 0.0, 1.0, 0.0)),
     "neg2(1,1,1)": (warp_neg2(1.0, 1.0, 1.0), GeodesicState.from_angle(1.0, 0.0, 2.0)),
 }
@@ -430,11 +430,11 @@ FLOAT_KIND_RAYS = {
 @pytest.mark.parametrize("n_samples", [2, 129])
 @pytest.mark.parametrize("name", sorted(FLOAT_KIND_RAYS))
 def test_float_kind_solve_needs_no_errstate(name, n_samples):
-    # A float kind's solve is Python float arithmetic, so integrate holds no
-    # errstate for it: under one that raises on every numpy error, with
-    # numpy loaded, the escaping ray gives the same path.
+    # A built-in family's solve is Python float arithmetic, so integrate
+    # holds no errstate for it: under one that raises on every numpy error,
+    # with numpy loaded, the escaping ray gives the same path.
     w, init = FLOAT_KIND_RAYS[name]
-    assert w.kind in geodesics._FLOAT_KINDS
+    assert w.kind in geodesics._DERIVATIVES
     want = integrate(w, init, 5.0, n_samples=n_samples)
     with np.errstate(all="raise"):
         got = integrate(w, init, 5.0, n_samples=n_samples)

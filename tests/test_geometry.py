@@ -462,7 +462,8 @@ class TestConstruction:
             TangentVector(np.array([1.0, 2.0]), 0.0, Point(1.0, 0.0))
 
     def test_one_counted_domain_check_per_evaluation(self, monkeypatch, neg2_warp):
-        # require answers a float itself and asks contains only otherwise.
+        # require answers a float or an int itself and asks contains only
+        # otherwise.
         calls = {"require": 0, "contains": 0}
         for name in calls:
             def counted(self, r, name=name, orig=getattr(Domain, name)):
@@ -477,4 +478,4 @@ class TestConstruction:
         assert calls == {"require": 3, "contains": 0}
         neg2_warp.h(np.array([1.0, 2.0]))
         neg2_warp.log_deriv(2)
-        assert calls == {"require": 5, "contains": 2}
+        assert calls == {"require": 5, "contains": 1}

@@ -7,14 +7,14 @@ or its CLI must not load numpy, and neither may ``connect`` (flat found,
 blocked and horizontal, on ``h = r``, and with ``--path-out``), the flat
 and same-radius ``sweep``, or ``make_warp``,
 ``curvature``, ``geodesic`` (with and without ``--samples``) and
-``isometry`` on a family whose evaluators are plain arithmetic (``r``,
-``one_over_r``, ``flat`` and ``neg2``).  The same commands on ``exp``,
-which keeps ``np.exp`` for its bits, load numpy, and so does ``riccati``.
-The package reads numpy only through the lazy binding ``warpgeo._np.np``
-(``test_numpy_boundary.py`` checks that), so a command loads it at its
-first array, and every command's bytes are pinned by
-``test_output_bytes.py``.  A tangent vector with integer components, and a
-geodesic solve whose clamp divides by zero, are checked without numpy too.
+``isometry`` on any built-in family (``r``, ``one_over_r``, ``exp``,
+``flat`` and ``neg2``), whose evaluators take a Python float to a Python
+float.  ``riccati`` loads numpy.  The package reads numpy only through the
+lazy binding ``warpgeo._np.np`` (``test_numpy_boundary.py`` checks that),
+so a command loads it at its first array, and every command's bytes are
+pinned by ``test_output_bytes.py``.  A tangent vector with integer
+components, the evaluators at an integer radius, and a geodesic solve whose
+clamp divides by zero, are checked without numpy too.
 
 ``import warpgeo`` loads no layer module, and ``import warpgeo.cli`` only
 ``warp`` (and ``_np``); each command then loads the layer it calls and the
@@ -68,7 +68,7 @@ WARP_STEPS = {
     "geodesic-samples": "warpgeo --warp {} geodesic 1 0 0.3 2 --samples 7",
     "isometry": "warpgeo --warp {} isometry 0.5 1.5",
 }
-for _warp in ("r", "one_over_r", "flat:2,5", "neg2:1,1,1"):
+for _warp in ("r", "one_over_r", "exp", "flat:2,5", "neg2:1,1,1"):
     STEPS.update({f"{name}-{_warp}": (step.format(_warp), 0) for name, step in WARP_STEPS.items()})
 
 
@@ -113,14 +113,6 @@ def test_step_loads_no_numpy(name, tmp_path):
         assert len((tmp_path / "p.csv").read_text().splitlines()) == 1 + 129
 
 
-@pytest.mark.parametrize("name", WARP_STEPS)
-def test_exp_loads_numpy(name, tmp_path):
-    step = WARP_STEPS[name].format("exp")
-    got_code, numpy_loaded, _, modules = _child(step, tmp_path)
-    assert (got_code, numpy_loaded) == (0, True)
-    assert set(modules) == _loaded(name, step)
-
-
 def test_riccati_loads_numpy_and_its_layer(tmp_path):
     got_code, numpy_loaded, out, modules = _child(RICCATI_STEP, tmp_path)
     assert (got_code, numpy_loaded) == (0, True)
@@ -131,6 +123,22 @@ def test_riccati_loads_numpy_and_its_layer(tmp_path):
 def test_integer_tangent_vector_loads_no_numpy():
     code = ("import sys; from warpgeo import Point, TangentVector; "
             "TangentVector(1, 2, Point(1.0, 0.0)); print('numpy' in sys.modules)")
+    proc = run_child([sys.executable, "-c", code], text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_integer_radius_loads_no_numpy():
+    # An int radius takes the float route: the bits of its float, no numpy.
+    code = (
+        "import sys\n"
+        "from warpgeo import make_warp, sectional_curvature\n"
+        "w = make_warp('flat:2,5')\n"
+        "for f in (w.h, w.dh, w.log_deriv, w.exact_curvature,\n"
+        "          lambda r: sectional_curvature(w, r, method='generic')):\n"
+        "    got, want = f(2), f(2.0)\n"
+        "    assert type(got) is float and got.hex() == want.hex(), (got, want)\n"
+        "print('numpy' in sys.modules)"
+    )
     proc = run_child([sys.executable, "-c", code], text=True, check=True)
     assert proc.stdout == "False\n"
 

@@ -2,8 +2,9 @@
 
 Every README command, plus two commands whose bytes depend on the order in
 which the solver sums its stages and one whose error message names the
-start of a backward Riccati side, two that write a connecting path and
-the h = r sweep, runs in a fresh process.  The exit code and the digests of
+start of a backward Riccati side, two that write a connecting path, the
+h = r sweep and the ``geodesic``, ``curvature`` and ``isometry`` commands
+on the exp warp, runs in a fresh process.  The exit code and the digests of
 stdout and stderr must equal the ones recorded here, as must the digests of the
 ``field.csv`` that README's ``riccati zero`` line writes and of each
 ``--path-out`` file.  A change that moves one output bit fails this test; to record a
@@ -68,6 +69,15 @@ PINNED = {
     "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-3:3:25": (
         0, "5fb1d05f13c3f02da3a7a357c346085fb01ba3da875e8904c6012422d60eace9",
         EMPTY),
+    "warpgeo --warp exp geodesic 1 0 1 5": (
+        0, "c83a659a81ab0c8fc30ca040b2693c775d79fb2f2da0072fbd01602cdc67b56d",
+        EMPTY),
+    "warpgeo --warp exp --format csv curvature 0.5 3 9": (
+        0, "abde9524c7a5920cdbbcbc751e7262279f2675cc249571527b6c6508b2c9ed32",
+        EMPTY),
+    "warpgeo --warp exp isometry 0.5 1.5": (
+        0, "9a6b760ea196f9b6e0caa9b54ad287621dbe1fa26c105daeac5a1761eba66dbc",
+        EMPTY),
 }
 FIELD_CSV = "8168f9c58bf5c6db9974fc4738c6d9c68afa724cf51753d21d8820cafa1f8f67"
 # The p.csv that each --path-out line writes.
@@ -78,6 +88,12 @@ PATH_CSV = {
         "a9b1ce03bd837ab6b7bd9722382ada6f5d525a84d1c5f8d990384e332667a0ec",
 }
 
+EXP_COMMANDS = [
+    "warpgeo --warp exp geodesic 1 0 1 5",
+    "warpgeo --warp exp --format csv curvature 0.5 3 9",
+    "warpgeo --warp exp isometry 0.5 1.5",
+]
+
 EXTRA_COMMANDS = [
     "warpgeo --warp r geodesic 1 0 1 5",
     "warpgeo riccati const:1 1 0 0.5 3",
@@ -87,6 +103,8 @@ EXTRA_COMMANDS = [
     # Its iterations column counts the h = r bisection's and brentq's
     # evaluations.
     "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-3:3:25",
+    # e^r on each command that evaluates a warp.
+    *EXP_COMMANDS,
 ]
 
 
@@ -151,17 +169,19 @@ def test_bytes_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
 
 
 # connect_neg2 scans phases asin(x) with x = 10.0 ** e from libm
-# (connect._phases), not from np.geomspace, whose last bit depends on the
-# SIMD code numpy dispatches to.  The outputs must not change with numpy's
-# dispatched CPU features off.
+# (connect._phases), not from np.geomspace, and the exp warp evaluates e^r
+# by math.exp, not np.exp: the last bit of both numpy functions depends on
+# the SIMD code numpy dispatches to.  The outputs must not change with
+# numpy's dispatched CPU features off.
 SIMD_COMMANDS = [
     "warpgeo --warp r connect 1,0 2,1 --path-out p.csv",
     "warpgeo --warp r --format csv sweep --metric neg2 --p0 1,0 --r1 2 --t1=-3:3:25",
+    *EXP_COMMANDS,
 ]
 
 
 @pytest.mark.parametrize("line", SIMD_COMMANDS)
-def test_neg2_bytes_do_not_depend_on_simd_dispatch(line, tmp_path):
+def test_bytes_do_not_depend_on_simd_dispatch(line, tmp_path):
     umath = _umath()
     found = " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
     runs = []

@@ -12,6 +12,7 @@ from warpgeo import (
     make_warp,
     sectional_curvature,
     warp_custom,
+    warp_exp,
     warp_flat,
     warp_neg2,
     warp_one_over_r,
@@ -115,6 +116,25 @@ class TestBuiltinFamilies:
         w = warp_r()
         assert w.h(3.0) == 3.0
         assert w.log_deriv(3.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_exp_evaluators_are_math_exp(self, rng):
+        # h, h' and h'' are math.exp on floats and element by element on
+        # arrays, to the bit; past the largest double with a finite e^r they
+        # give inf, as numpy does, and nan at nan, with no error or warning.
+        w = warp_exp()
+        xs = rng.uniform(0.0, 50.0, 200).tolist()
+        past = math.nextafter(709.782712893384, math.inf)
+        for fn in (w._h, w._dh, w._d2h):
+            got = [fn(x) for x in xs]
+            assert all(type(v) is float for v in got)
+            assert got == [math.exp(x) for x in xs]
+            assert fn(np.array(xs).reshape(10, 20)).ravel().tolist() == got
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert fn(709.782712893384) == math.exp(709.782712893384)
+                assert fn(past) == math.inf and math.isnan(fn(math.nan))
+                edge = fn(np.array([past, math.nan]))
+            assert edge[0] == math.inf and math.isnan(edge[1])
 
     def test_flat_minus1_0_equals_one_over_r(self):
         w = warp_flat(-1.0, 0.0)
