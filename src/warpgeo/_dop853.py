@@ -223,7 +223,8 @@ class DenseSolution:
     or last step).  A call evaluates all its samples in one vectorised pass
     of the DOP853 interpolation polynomial, with the operations of scipy's
     ``Dop853DenseOutput``; :meth:`at` evaluates one sample by the same
-    operations on floats, to the same doubles.  The first call stacks the
+    operations on floats, to the same doubles, and so does the stop search
+    of :func:`solve_ivp` on ``y[0]`` alone.  The first call stacks the
     steps into arrays.  Until every step's rows are in them, a call copies
     in the rows of the steps its samples fall in; after that, a call only
     picks the segments and evaluates.
@@ -259,7 +260,10 @@ class DenseSolution:
     def at(self, t: float) -> list:
         """The state at the one sample ``t``, as a list of floats."""
         i = min(max(bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
-        return _segment_at((*self._steps[i][:3], self._rows(i)), t)
+        t_old, h, y_old = self._steps[i][:3]
+        F, n = self._rows(i), len(y_old)
+        x = (t - t_old) / h
+        return [_interpolate(x, 1 - x, y0, F[j::n]) for j, y0 in enumerate(y_old)]
 
     def __call__(self, t) -> np.ndarray:
         """States at the 1-D array of samples ``t``, shape (n, len(t)).
@@ -395,15 +399,6 @@ def _interpolate(x, x1, y_old, rows):
     return y + y_old
 
 
-def _segment_at(segment: tuple, t: float) -> list:
-    """State at ``t`` on one step's interpolant."""
-    t_old, h, y_old, F = segment
-    x = (t - t_old) / h
-    x1 = 1 - x
-    n = len(y_old)
-    return [_interpolate(x, x1, y0, F[j::n]) for j, y0 in enumerate(y_old)]
-
-
 def _rms(v) -> float:
     total = 0.0
     for x in v:
@@ -464,10 +459,11 @@ def solve_ivp(
     level does not stop the solve, and a start on a level that moves past it
     stops at its start.  A step crosses both levels only when
     ``lo == hi == a == b``, and then stops with status 1 at its start.  The
-    root is located on the step's interpolant, as ``_segment_at(...)[0]``,
-    by ``brentq`` with ``xtol = rtol = 4 eps``, and is the last entry of
-    ``t``.  Only that step's interpolant is built during the solve; the
-    returned ``sol`` builds the others on first use.
+    root is located on ``y[0]`` of the step's interpolant alone (the doubles
+    that :meth:`DenseSolution.at` gives there), by ``brentq`` with
+    ``xtol = rtol = 4 eps``, and is the last entry of ``t``.  Only that
+    step's interpolant is built during the solve; the returned ``sol``
+    builds the others on first use.
 
     The step controller is scipy's, with its ``min`` and ``max`` written out
     as comparisons that keep their rules: a nan error estimate shrinks the
@@ -551,10 +547,14 @@ def solve_ivp(
         if falls or rises:
             F = extra(args, *step)
             nfev += 3
-            segment = (*step[:3], F)
+            rows = F[::len(y)]  # y[0]'s coefficient rows
             level, status = (lo, 1) if falls else (hi, 2)  # both only when lo == hi == a == b
-            t = brentq(lambda s: _segment_at(segment, s)[0] - level,
-                       t_old, t, xtol=4 * EPS, rtol=4 * EPS)
+
+            def y0(s):  # y[0] on the step's interpolant, minus the level
+                x = (s - t_old) / h
+                return _interpolate(x, 1 - x, a, rows) - level
+
+            t = brentq(y0, t_old, t, xtol=4 * EPS, rtol=4 * EPS)
             if len(ts) > 1 and ts[-1] == t:
                 continue  # a root on the previous step end adds no segment
         ts.append(t)

@@ -28,7 +28,7 @@ import sys
 
 # Every command reads a warp, a point or a spec; each imports the layer it
 # calls in its own body, so a cold start compiles only what it runs.
-from .warp import DEFAULT_TOL, DomainError, Point, WarpSpec, _linspace, make_warp
+from .warp import DEFAULT_TOL, Point, WarpSpec, _linspace, make_warp
 
 __all__ = ["main", "RunConfig"]
 
@@ -102,7 +102,7 @@ class RunConfig:
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown output format {self.format!r}")
         self.out = args.out if args.out is not None else out_cfg.get("path")
-        self.tol = args.tol if args.tol is not None else DEFAULT_TOL
+        self.tol = args.tol
         _require_positive(self.tol, "--tol")
 
     def warp(self):
@@ -319,7 +319,8 @@ def cmd_isometry(cfg: RunConfig, args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="warpgeo", description=__doc__.splitlines()[0])
     parser.add_argument("--warp", help="warp kind, e.g. one_over_r, r, exp, flat:2,5")
-    parser.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="solver tolerance (default 1e-9)")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--out", default=None, help="output file (stdout when omitted)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = RunConfig(args)
         return args.func(cfg, args)
-    except (UsageError, DomainError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # a DomainError is a ValueError
         print(f"warpgeo: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,7 +37,7 @@ from functools import cache, cached_property
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
 from .geodesics import (ESCAPE_MARGIN, FlatGeodesic, GeodesicPath, GeodesicState, _flat_param,
                         integrate)
-from .warp import (DEFAULT_TOL, Point, WarpFunction, _check_tol, _linspace, warp_one_over_r,
+from .warp import (DEFAULT_TOL, Point, WarpFunction, _check_positive, _linspace, warp_one_over_r,
                    warp_r)
 
 __all__ = [
@@ -138,7 +138,7 @@ def _horizontal(p0: Point, p1: Point, tol: float) -> ConnectResult | None:
     """The two solvers' common start: check ``tol``, then that the points are
     distinct.  Two points of equal t lie on the horizontal segment, which is
     returned; any other pair gives None."""
-    _check_tol(tol)
+    _check_positive("tol", tol)
     _check_distinct(p0, p1)
     if p1.t != p0.t:
         return None
@@ -524,7 +524,7 @@ def same_r_candidates(r0: float, dt: float, tol: float = DEFAULT_TOL) -> list[Sa
         :data:`MAX_SAME_R_CANDIDATES` candidates (about |dt|/(pi r0)), or
         there is one and its length 2 |dt| overflows.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     adt = _same_r_span(r0, dt)
     n = _same_r_count(r0, adt)
     if n > MAX_SAME_R_CANDIDATES:
@@ -557,7 +557,7 @@ def connect_neg2_same_r(r0: float, dt: float, tol: float = DEFAULT_TOL) -> Conne
         2 |dt| overflows (|dt| above half the largest float), which no
         verdict could report.
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     adt = _same_r_span(r0, dt)
     if math.pi * r0 > adt:
         return ConnectResult(variant="no_geodesic", reason="threshold_violated")

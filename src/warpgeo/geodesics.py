@@ -42,7 +42,7 @@ from typing import Callable
 
 from ._dop853 import Derivative, solve_ivp
 from ._np import np, on_float64
-from .warp import DomainError, Point, WarpFunction, _linspace, _quiet
+from .warp import DomainError, Point, WarpFunction, _linspace, _nan_max, _quiet
 
 __all__ = [
     "GeodesicState",
@@ -118,28 +118,29 @@ _CALLED = _derivative("hf, dhf, ", "hr, dhr = hf(r), dhf(r)")
 def _margin(edge: float) -> float:
     """Escape distance from a domain edge: ESCAPE_MARGIN, or 8 spacings of
     doubles at a finite edge of 65,536 or more, where ESCAPE_MARGIN would
-    round the stop level, the clamp and the final clip onto the edge."""
+    round the stop level and the clamp onto the edge."""
     return max(ESCAPE_MARGIN, 8.0 * math.ulp(edge)) if math.isfinite(edge) else ESCAPE_MARGIN
 
 
 def _levels(edge: float, start: float) -> tuple:
-    """The stop level, the clip and the clamp next to a domain ``edge`` for
-    a solve from ``start``: the edge's :func:`_margin`, half of it and a
-    quarter of it inside the edge.  A stop is a crossing, which a start past
-    its level would never make, so a start that lies the margin or nearer
-    to the edge takes half its distance to it as the margin.  Where that
-    would round the clamp onto the edge (a start a few spacings of doubles
-    from a large edge), all three lie on the start instead, and the solve
-    stops there, with length 0, unless its first step moves r at least a
-    spacing away from the edge.  Each level lies strictly inside a finite
-    edge."""
+    """The stop level and the clamp next to a domain ``edge`` for a solve
+    from ``start``: the edge's :func:`_margin` and a quarter of it inside
+    the edge.  The solve stops where r crosses the stop level; the clamp
+    bounds the radius at which a stage past the edge reads h, and the
+    radius of every sample.  A stop is a crossing, which a start past its
+    level would never make, so a start that lies the margin or nearer to
+    the edge takes half its distance to it as the margin.  Where that would
+    round the clamp onto the edge (a start a few spacings of doubles from a
+    large edge), both lie on the start instead, and the solve stops there,
+    with length 0, unless its first step moves r at least a spacing away
+    from the edge.  Each level lies strictly inside a finite edge."""
     margin, distance = _margin(edge), abs(start - edge)
     near = distance <= margin
     if near:
         margin = 0.5 * distance
     inward = margin if start > edge else -margin
-    levels = edge + inward, edge + 0.5 * inward, edge + 0.25 * inward
-    return (start,) * 3 if near and levels[2] == edge else levels
+    clamp = edge + 0.25 * inward
+    return (start, start) if near and clamp == edge else (edge + inward, clamp)
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,8 @@ class GeodesicPath:
     halted because the radius reached the domain boundary (within
     :data:`ESCAPE_MARGIN`; see :func:`integrate`), in which case
     ``total_length`` is the stop's root rather than the requested span.
+    Every sampled radius lies between the two clamps of :func:`_levels`,
+    strictly inside the domain.
     ``stats`` is set on paths returned by :func:`integrate`.  A path that
     :func:`integrate` sampled at fewer than its default 129 points keeps
     its solve, and ``_resample(n_samples=129, floats=False)`` samples that
@@ -297,7 +300,10 @@ def integrate(
     distance from it instead, and one a few spacings of doubles from a large
     edge on itself (see :func:`_levels`).  The solver stops where r crosses
     that level, located by its root finder on the dense output, and
-    ``total_length`` is the arc length there.
+    ``total_length`` is the arc length there.  Each edge has two levels:
+    that stop level, and a clamp a quarter of the margin inside the edge,
+    which bounds every sample's radius and the radius at which a stage past
+    the edge reads h (see below).
 
     h and h' are read by one rule, on and past the domain's edges too: a
     division by zero reads as nan, in the solver's stages, in the test of
@@ -331,8 +337,8 @@ def integrate(
             f"initial state is not unit speed: f^2+g^2 = {init.speed_sq!r}"
         )
     d_lo, d_hi = w.domain.lo, w.domain.hi
-    stop_lo, clip_lo, inner_lo = _levels(d_lo, init.r)
-    stop_hi, clip_hi, inner_hi = _levels(d_hi, init.r)
+    stop_lo, clamp_lo = _levels(d_lo, init.r)
+    stop_hi, clamp_hi = _levels(d_hi, init.r)
 
     # Trial stages of the step that crosses a stop level probe past the
     # boundary.  Where h h' is finite on the boundary (h = r or e^r at
@@ -365,7 +371,7 @@ def integrate(
             return math.nan, math.nan
 
     def clamped(r: float) -> tuple:
-        return pair(min(max(r, inner_lo), inner_hi))
+        return pair(min(max(r, clamp_lo), clamp_hi))
 
     # Evaluations on and past the boundary may divide by zero or take the
     # root of a negative number; the clamp replaces those values, so numpy's
@@ -374,8 +380,8 @@ def integrate(
     with _quiet(w):
         b = float(init.g / w.h(init.r))
         # An edge extends the range where h h' is finite on it.
-        lo = -math.inf if math.isfinite(math.prod(pair(d_lo))) else inner_lo
-        hi = math.inf if math.isfinite(math.prod(pair(d_hi))) else inner_hi
+        lo = -math.inf if math.isfinite(math.prod(pair(d_lo))) else clamp_lo
+        hi = math.inf if math.isfinite(math.prod(pair(d_hi))) else clamp_hi
 
         if floats:
             derivative, args = _DERIVATIVES[w.kind], (b, lo, hi, *w.params, clamped)
@@ -389,14 +395,15 @@ def integrate(
         raise ValueError(f"geodesic integration failed: {sol.message}")
 
     stop = ("s_max", "escaped_lower", "escaped_upper")[sol.status]
-    return _sample(sol, b, h, (clip_lo, clip_hi), stop, n, floats and n == 2)
+    return _sample(sol, b, h, (clamp_lo, clamp_hi), stop, n, floats and n == 2)
 
 
 def _sample(
-    sol, b: float, h, clip: tuple, stop: str, n_samples: int = _SAMPLES, floats: bool = False
+    sol, b: float, h, clamp: tuple, stop: str, n_samples: int = _SAMPLES, floats: bool = False
 ) -> GeodesicPath:
     """The path of a finished :func:`integrate` solve at ``n_samples``
-    points evenly spaced in arc length; g = b h(r) with ``h`` the raw warp.
+    points evenly spaced in arc length, each radius held between the two
+    ``clamp`` levels; g = b h(r) with ``h`` the raw warp.
 
     With ``floats``, which a caller passes only for a built-in warp
     family (h takes a Python float to one), the path is evaluated on
@@ -410,26 +417,25 @@ def _sample(
     if floats:
         s = _linspace(0.0, s_end, n_samples)
         # The stop is located the margin inside the boundary; interpolation
-        # noise may put the final sample a hair past it.  Clamp to keep
+        # noise may put the final sample a hair past it.  The clamp keeps
         # states constructible and h inside its domain.
-        lo, hi = clip
-        r_v, t_v, f_v, g_v, drift = [], [], [], [], 0.0
+        lo, hi = clamp
+        r_v, t_v, f_v, g_v, drifts = [], [], [], [], []
         for x in s:
             r, t, f = sol.sol.at(x)
             r = min(max(r, lo), hi)
             g = b * h(r)
-            d = abs(f * f + g * g - 1.0)
-            if d > drift or d != d:  # a nan stays, as np.max keeps it
-                drift = d
+            drifts.append(abs(f * f + g * g - 1.0))
             r_v.append(r)
             t_v.append(t)
             f_v.append(f)
             g_v.append(g)
+        drift = _nan_max(drifts)  # a nan stays, as np.max keeps it
     else:
         s = np.linspace(0.0, s_end, n_samples)
         with np.errstate(all="ignore"):  # the steps it builds evaluate h as the solve did
             r_v, t_v, f_v = sol.sol(s)
-        r_v = np.clip(r_v, *clip)  # as above
+        r_v = np.clip(r_v, *clamp)  # as above
         g_v = b * np.asarray(h(r_v), dtype=float)
         drift = float(np.max(np.abs(f_v * f_v + g_v * g_v - 1.0)))
     stats = IntegrationStats(
@@ -448,7 +454,7 @@ def _sample(
         escaped=sol.status > 0,
         total_length=s_end,
         stats=stats,
-        _resample=partial(_sample, sol, b, h, clip, stop) if n_samples < _SAMPLES else None,
+        _resample=partial(_sample, sol, b, h, clamp, stop) if n_samples < _SAMPLES else None,
     )
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
-from .warp import DOMAIN_MARGIN, DomainError, Point, WarpFunction
+from .warp import DomainError, Point, WarpFunction, _check_positive
 
 __all__ = [
     "TangentVector",
@@ -194,12 +194,13 @@ def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
 
     Where 1/h is not a finite nonzero double in the stencil (h overflows,
     or vanishes), the value is not finite: nan where Python float
-    arithmetic divides by zero, inf or nan as numpy reads it at np.float64.
+    arithmetic divides by zero or h raises ``OverflowError`` (a float power
+    that overflows), inf or nan as numpy reads it at np.float64.
 
-    The domain check is one comparison pair on the two outer stencil
-    points, which bound the other three: it is :meth:`Domain.contains` on
-    each of them.  The five values of h are then read from the raw
-    evaluator, unchecked.
+    The domain check is one comparison pair of the two outer stencil
+    points, which bound the other three, with the domain's ``interior``:
+    it is :meth:`Domain.contains` on each of them.  The five values of h
+    are then read from the raw evaluator, unchecked.
 
     Raises
     ------
@@ -208,14 +209,13 @@ def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
     DomainError
         If the stencil leaves the domain (also for a nan or infinite r).
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    _check_positive("step", step)
     r = float(r)
-    lo, hi = w.domain.lo, w.domain.hi
-    if not (lo + DOMAIN_MARGIN < r - 2 * step and r + 2 * step < hi - DOMAIN_MARGIN):
+    lo, hi = w.domain.interior
+    if not (lo < r - 2 * step and r + 2 * step < hi):
         raise DomainError(
             f"finite-difference stencil [{r - 2 * step}, {r + 2 * step}] "
-            f"leaves domain ({lo}, {hi})"
+            f"leaves domain ({w.domain.lo}, {w.domain.hi})"
         )
     h = w._h
     try:
@@ -228,5 +228,5 @@ def curvature_oracle(w: WarpFunction, r: float, step: float = 1e-3) -> float:
             - (1.0 / h(r - 2 * step))
         ) / (12.0 * step * step)
         return -wpp / w0
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         return math.nan

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 from ._np import np
 from .geometry import TangentVector, metric_at
-from .warp import DEFAULT_TOL, DomainError, Point, WarpFunction, _check_tol, _linspace, _values
+from .warp import (DEFAULT_TOL, DomainError, Point, WarpFunction, _check_positive, _linspace,
+                   _nan_max, _values)
 
 __all__ = [
     "AffineMap",
@@ -168,13 +169,6 @@ class IsometryReport:
         }
 
 
-def _nan_max(values: list):
-    """``max(values)`` of values that are absolute values or nan, or nan
-    where one is nan, as ``np.max`` reads it: no value is negative, so their
-    sum is nan exactly when one of them is."""
-    return math.nan if math.isnan(sum(values)) else max(values)
-
-
 def classify(
     w: WarpFunction,
     m: AffineMap,
@@ -217,18 +211,19 @@ def classify(
         frame vector is not finite.
     """
     # seed is ignored; it stays because perfbench/workloads.py passes it.
-    _check_tol(tol)
+    _check_positive("tol", tol)
     lo = max(R_RANGE[0], w.domain.lo * (1.0 + 1e-9) + 1e-9)
     hi = min(R_RANGE[1], w.domain.hi * (1.0 - 1e-9))
     if not lo < hi:
         raise DomainError("sample grid does not intersect the warp domain")
-    # The residuals depend on r alone (see above).  The lattice's row-major
-    # order, that of the pointwise reference, meets the radii in this order,
-    # and both the radii and their images increase, so checking the ends of
-    # each decides the domain, and a DomainError names the same first radius.
+    # The residuals depend on r alone (see above).  The 1e-9 clip puts both
+    # ends of the grid more than DOMAIN_MARGIN inside every domain that
+    # passes the test above, so the radii need no check.  The lattice's
+    # row-major order, that of the pointwise reference, meets the radii in
+    # this order, and the images increase, so checking their ends decides
+    # the domain, and a DomainError names the same first image.
     k, l = m.k, m.l
     r = _linspace(lo, hi, GRID_SHAPE[0])
-    w.domain._require_sorted(r)
     hr = _values(w._h, r)
     # k t + l increases with t: finite at both ends of T_RANGE, it is finite
     # on the whole grid.

@@ -25,7 +25,7 @@ from typing import Callable
 from ._dop853 import TOO_SMALL_STEP, Derivative, solve_ivp
 from ._np import np, on_float64
 from .geometry import sectional_curvature
-from .warp import DOMAIN_MARGIN, WarpFunction, _constant, warp_flat, warp_neg2
+from .warp import Domain, WarpFunction, _check_positive, _constant, warp_flat, warp_neg2
 
 __all__ = [
     "CurvatureProfile",
@@ -206,18 +206,19 @@ def solve_prescribed(
     ValueError
         If r0, H0 or an endpoint of ``r_range`` is not finite, r0 lies
         outside ``r_range``, the range leaves the profile's domain r > 0
-        (an endpoint may be 0 itself, but not within ``DOMAIN_MARGIN``
-        above it), ``atol`` is not positive and finite, or u overflows.
+        (an endpoint may be 0 itself, but not at or below the lower bound
+        of that domain's ``interior``), ``atol`` is not positive and
+        finite, or u overflows.
     """
     lo, hi = float(r_range[0]), float(r_range[1])
     if not np.isfinite([r0, H0, lo, hi]).all():
         raise ValueError(f"r0={r0}, H0={H0} and range ({lo}, {hi}) must be finite")
     if not (lo <= r0 <= hi) or lo >= hi:
         raise ValueError(f"r0={r0} not inside range ({lo}, {hi})")
-    if not (lo == 0.0 or lo > DOMAIN_MARGIN) or not hi > DOMAIN_MARGIN:
+    inner = Domain(0.0).interior[0]  # the profile's domain is r > 0
+    if not (lo == 0.0 or lo > inner) or not hi > inner:
         raise ValueError("range must lie inside the profile domain")
-    if not 0.0 < atol < math.inf:
-        raise ValueError(f"atol must be positive and finite, got {atol!r}")
+    _check_positive("atol", atol)
 
     back, blow_b = _integrate_side(profile.f, r0, H0, lo, atol)
     fwd, blow_f = _integrate_side(profile.f, r0, H0, hi, atol)

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ._np import np
+from ._np import np, on_float64
 
 __all__ = [
     "DomainError",
@@ -91,6 +91,13 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [i * step + lo for i in range(div)] + [hi]
 
 
+def _nan_max(values: list):
+    """``max(values)`` of values that are absolute values or nan, or nan
+    where one is nan, as ``np.max`` reads it: no value is negative, so their
+    sum is nan exactly when one of them is."""
+    return math.nan if math.isnan(sum(values)) else max(values)
+
+
 def _values(fn: Callable, rs: list) -> list:
     """``fn`` at each Python float of ``rs``.  Where float arithmetic raises
     and numpy's reads inf or nan (a division by zero, a power that
@@ -99,9 +106,8 @@ def _values(fn: Callable, rs: list) -> list:
     try:
         return [fn(r) for r in rs]
     except (ZeroDivisionError, OverflowError):
-        float64 = np.float64
         with np.errstate(all="ignore"):
-            return [float(fn(float64(r))) for r in rs]
+            return list(map(on_float64(fn), rs))
 
 
 class DomainError(ValueError):
@@ -110,7 +116,12 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class Domain:
-    """Open interval (lo, hi) of valid radii, 0 <= lo < hi <= inf."""
+    """Open interval (lo, hi) of valid radii, 0 <= lo < hi <= inf.
+
+    A radius is inside when it lies strictly between the two bounds of
+    ``interior``, ``(lo + DOMAIN_MARGIN, hi - DOMAIN_MARGIN)``, which
+    ``__post_init__`` computes once: every membership test of the package
+    compares with them."""
 
     lo: float
     hi: float = math.inf
@@ -118,16 +129,18 @@ class Domain:
     def __post_init__(self):
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"invalid domain ({self.lo}, {self.hi})")
+        object.__setattr__(self, "interior", (self.lo + DOMAIN_MARGIN, self.hi - DOMAIN_MARGIN))
 
     def contains(self, r):
-        """Strict membership, ``DOMAIN_MARGIN`` off both endpoints.
+        """Strict membership: ``r`` lies between the bounds of ``interior``.
 
         NaN fails both comparisons, -inf the lower one and +inf the upper
         one, also where ``hi`` is infinite."""
+        lo, hi = self.interior
         if isinstance(r, (int, float)):
-            return bool(self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN)
+            return bool(lo < r < hi)
         r = np.asarray(r, dtype=float)
-        inside = (r > self.lo + DOMAIN_MARGIN) & (r < self.hi - DOMAIN_MARGIN)
+        inside = (r > lo) & (r < hi)
         return bool(inside) if inside.ndim == 0 else inside
 
     def require(self, r) -> None:
@@ -136,7 +149,8 @@ class Domain:
         if isinstance(r, (int, float)):
             # contains' float test, inline: each checked scalar evaluation
             # makes this one call.
-            if self.lo + DOMAIN_MARGIN < r < self.hi - DOMAIN_MARGIN:
+            lo, hi = self.interior
+            if lo < r < hi:
                 return
         else:
             ok = np.asarray(self.contains(r))
@@ -152,7 +166,7 @@ class Domain:
         lies inside exactly when its two ends do: only they are compared,
         and where one is outside, :meth:`require` names the first radius
         outside."""
-        if not (self.lo + DOMAIN_MARGIN < rs[0] and rs[-1] < self.hi - DOMAIN_MARGIN):
+        if not (self.interior[0] < rs[0] and rs[-1] < self.interior[1]):
             for r in rs:
                 self.require(r)
 
@@ -561,11 +575,12 @@ _FAMILIES = {
 DEFAULT_TOL = 1e-9
 
 
-def _check_tol(tol: float) -> None:
-    """A residual below ``tol`` decides: nan, zero or a negative ``tol``
-    would accept nothing, and an infinite one anything."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+def _check_positive(name: str, value: float) -> None:
+    """Refuse, by ``name``, a tolerance or step that is not positive and
+    finite: a residual below a nan, zero or negative ``tol`` would accept
+    nothing, and below an infinite one anything."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _validate(w: WarpFunction, check_dh: bool = False, check_d2h: bool = False) -> WarpFunction:
@@ -584,13 +599,12 @@ def _validate(w: WarpFunction, check_dh: bool = False, check_d2h: bool = False) 
             raise ValueError(
                 f"warp {w.kind!r} is not strictly positive on its domain ({lo}, {hi})"
             )
-        try:
-            w.domain._require_sorted(grid)
-        except DomainError:
-            # The grid's pad, 1e-3 of the width, lies within DOMAIN_MARGIN of
-            # an edge for widths up to about 1e-9.
+        # The grid increases, so it lies inside when its ends do.  Its pad,
+        # 1e-3 of the width, lies within DOMAIN_MARGIN of an edge for widths
+        # up to about 1e-9.
+        if not (w.domain.interior[0] < grid[0] and grid[-1] < w.domain.interior[1]):
             raise ValueError(f"warp {w.kind!r}: domain ({lo}, {hi}) is too "
-                             "narrow for its validation grid") from None
+                             "narrow for its validation grid")
         if not all(math.isfinite(v) for v in _values(w._logderiv, grid)):
             raise ValueError(f"warp {w.kind!r} has a non-finite logarithmic derivative")
         if not check_dh:

@@ -587,3 +587,28 @@ class TestReadme:
         res = run_cli("curvature", "1", "2", "3", env_extra={"WARPGEO_CONFIG": str(cfg)})
         assert res.returncode == 0, res.stderr
         assert [row["K"] for row in json.loads(res.stdout)] == [0.0, 0.0, 0.0]
+
+
+class TestCopiedDefaults:
+    # The CLI imports no layer at parse time (each command imports the one
+    # it calls), so it spells these library defaults out again.
+    def test_samples_is_the_path_default(self):
+        from warpgeo import geodesics
+
+        args = cli.build_parser().parse_args(["geodesic", "1", "0", "0.5", "1"])
+        assert args.samples == geodesics._SAMPLES == 129
+
+    def test_step_is_the_oracle_default(self):
+        import inspect
+
+        from warpgeo.geometry import curvature_oracle
+
+        args = cli.build_parser().parse_args(["curvature", "0.5", "3", "9"])
+        default = inspect.signature(curvature_oracle).parameters["step"].default
+        assert args.step == default == 1e-3
+
+    def test_tol_is_the_solvers_default(self):
+        from warpgeo.warp import DEFAULT_TOL
+
+        args = cli.build_parser().parse_args(["isometry", "1", "0"])
+        assert args.tol == DEFAULT_TOL == 1e-9

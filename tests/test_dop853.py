@@ -192,18 +192,26 @@ def test_escaping_ray(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(ESCAPING))
 def test_event_location_and_dense_output_share_the_interpolant(monkeypatch, name):
-    # The root finder evaluates a step's interpolant on floats, the samples
-    # on arrays; both must give the same doubles, or an event root would
-    # not be where the returned path crosses the boundary.
+    # The root finder evaluates y[0] of the stop's step on floats, and
+    # DenseSolution.at and the samples evaluate the whole state; all must
+    # give the same doubles, or an event root would not be where the
+    # returned path crosses the boundary.
     w, init = ESCAPING[name]
+    level = geodesics._levels(w.domain.lo, init.r)[0]
+    iterates, brentq = [], _dop853.brentq
+
+    def recording(f, a, b, **kwargs):
+        def g(s):
+            iterates.append((s, f(s)))
+            return iterates[-1][1]
+        return brentq(g, a, b, **kwargs)
+
+    monkeypatch.setattr(_dop853, "brentq", recording)
     (sol,) = _kernel_solutions(monkeypatch, geodesics, lambda: integrate(w, init, 5.0))
-    assert sol.status == 1
-    n, dense = len(sol.t) - 1, sol.sol
-    for k in sorted({0, n // 2, n - 1}):
-        segment = (*dense._steps[k][:3], dense._rows(k))
-        t_old, h = segment[:2]
-        for t in (t_old + x * h for x in (0.125, 0.5, 0.875)):
-            assert _dop853._segment_at(segment, t) == sol.sol(np.array([t]))[:, 0].tolist()
+    assert sol.status == 1 and len(iterates) > 2
+    for s, value in iterates:
+        assert value == sol.sol.at(s)[0] - level
+        assert value == sol.sol(np.array([s]))[0, 0] - level
 
 
 @pytest.mark.parametrize("name", sorted(ESCAPING))

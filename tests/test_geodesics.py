@@ -542,17 +542,17 @@ class TestStartInsideEscapeMargin:
     @pytest.mark.parametrize("edge", [0.0, 5.0, 65536.0, 1e9, 2.0**30])
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_levels_lie_strictly_inside_the_edge(self, edge, side):
-        # The start, stop level, clip and clamp run toward the edge, for
-        # starts from one spacing of doubles to beyond the margin.
+        # The start, stop level and clamp run toward the edge, for starts
+        # from one spacing of doubles to beyond the margin.
         starts, r = [], edge
         for _ in range(12):
             r = math.nextafter(r, side * math.inf)
             starts.append(r)
         starts += [edge + side * geodesics._margin(edge) * x for x in (0.5, 1.0, 3.0)]
         for start in starts:
-            stop, clip, clamp = geodesics._levels(edge, start)
-            assert side * (start - stop) >= 0 and side * (stop - clip) >= 0
-            assert side * (clip - clamp) >= 0 and side * (clamp - edge) > 0
+            stop, clamp = geodesics._levels(edge, start)
+            assert side * (start - stop) >= 0 and side * (stop - clamp) >= 0
+            assert side * (clamp - edge) > 0
 
 
 def test_samples_increase_unless_the_span_is_a_few_doubles():

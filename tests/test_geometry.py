@@ -292,6 +292,14 @@ class TestCurvatureOracle:
         with pytest.raises(DomainError):
             curvature_oracle(w, 4.9995, 1e-3)
 
+    def test_overflowing_h_reads_as_not_finite(self):
+        # A float power that overflows raises OverflowError in the raw h; the
+        # oracle reads it as it reads a division by zero, as nan.
+        w = warp_custom(lambda r: 1.0 + (r > 2.9985) * 10.0 ** (1e6 * (r - 2.9985)),
+                        domain=(0.5, 3.0))
+        assert math.isnan(curvature_oracle(w, 2.9987, 1e-4))
+        assert math.isfinite(curvature_oracle(w, 2.0, 1e-4))
+
     def test_rejects_bad_step(self, flat_warp):
         with pytest.raises(ValueError, match="^step must be positive and finite, got 0.0$"):
             curvature_oracle(flat_warp, 1.0, 0.0)

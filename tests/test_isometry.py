@@ -303,6 +303,45 @@ def log_periodic_warp():
                        domain=(0.0, math.inf))
 
 
+class TestGridInsideDomain:
+    """classify checks none of its grid radii: its 1e-9 clip puts both ends
+    of the grid strictly inside the domain's interior, for every domain that
+    the grid meets."""
+
+    @staticmethod
+    def domains(rng):
+        # Tiny lower edges, huge upper ones, and edges next to poles near the
+        # grid's range ends 0.1 and 5, on either side of each.
+        tiny = [0.0, 5e-324, 1e-300, 1e-12, 1e-9] + (10.0 ** rng.uniform(-320, 0, 30)).tolist()
+        huge = [math.inf, 1e308, 1e12] + (10.0 ** rng.uniform(0, 308, 30)).tolist()
+        for lo in tiny:
+            for hi in huge:
+                if lo < hi:
+                    yield Domain(lo, hi)
+        for pole in (0.1, 5.0):
+            near = [math.nextafter(pole, -1.0), pole, math.nextafter(pole, 10.0)]
+            near += (pole * (1.0 + rng.choice([-1.0, 1.0], 400)
+                             * 10.0 ** rng.uniform(-17, 0, 400))).tolist()
+            for edge in near:
+                yield from (Domain(0.0, edge), Domain(edge, math.inf))
+                yield from (Domain(min(tiny[5:]), edge), Domain(edge, max(huge[3:])))
+
+    def test_grid_ends_lie_strictly_inside(self, rng):
+        one = lambda r: 1.0  # noqa: E731
+        accepted = 0
+        for d in self.domains(rng):
+            w = WarpFunction("custom", (), d, one, one, one, one)
+            try:
+                report = classify(w, AffineMap(1.0))
+            except DomainError as err:
+                assert str(err) == "sample grid does not intersect the warp domain"
+                continue
+            lo, hi = report.r_range
+            assert d.interior[0] < lo and hi < d.interior[1], d
+            accepted += 1
+        assert accepted > 2000
+
+
 class TestVerdictNearUnitScale:
     """No k != 1 is an isometry, however close to 1: the e1 term |k^2 - 1| of
     the isometry residual is not 0 for any double k != 1."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from warpgeo import (
+    DOMAIN_MARGIN,
     Domain,
     DomainError,
     Point,
@@ -56,6 +57,17 @@ class TestDomain:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             Domain(3.0, 2.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (1.0, 2.0), (5e-324, 1e308), (1e9, 1e9 + 1)])
+    def test_interior_is_the_margin_inside_each_edge(self, lo, hi):
+        # Every membership test compares with these two bounds, computed once.
+        d = Domain(lo, hi)
+        assert d.interior == (lo + DOMAIN_MARGIN, hi - DOMAIN_MARGIN)
+        for r in d.interior:
+            assert not d.contains(r)
+            with pytest.raises(DomainError):
+                d.require(r)
+        assert d == Domain(lo, hi) and repr(d) == f"Domain(lo={lo!r}, hi={hi!r})"
 
     @pytest.mark.parametrize("hi", [5.0, math.inf])
     def test_non_finite_radii_are_outside(self, hi):
