@@ -6,7 +6,10 @@ without it: ``connect`` (``--path-out`` too) and the flat and same-radius
 ``sweep``, and ``curvature``, ``geodesic`` and ``isometry`` on every
 built-in warp, whose evaluators take a Python float to a Python float
 (plain float arithmetic, and ``math.exp`` for ``exp``) and which
-``make_warp`` validates on floats too.  ``riccati`` loads numpy.  Every
+``make_warp`` validates on floats too.  ``riccati`` loads numpy; its
+solver steps on Python floats, and evaluates the built-in profiles
+(``constant_profile``, ``inverse_square_profile``) on them too, while a
+custom profile sees np.float64 radii through :func:`on_float64`.  Every
 module reads numpy through :data:`np`, which imports numpy on the first
 read of one of its attributes.
 """

@@ -37,8 +37,8 @@ from functools import cache, cached_property
 from ._brentq import brentq  # a module attribute: perfbench's tracer patches it
 from .geodesics import (ESCAPE_MARGIN, FlatGeodesic, GeodesicPath, GeodesicState, _flat_param,
                         integrate)
-from .warp import (DEFAULT_TOL, Point, WarpFunction, _check_positive, _linspace, warp_one_over_r,
-                   warp_r)
+from .warp import (DEFAULT_TOL, Point, WarpFunction, _check_positive, _isfinite, _linspace,
+                   warp_one_over_r, warp_r)
 
 __all__ = [
     "ConnectResult",
@@ -467,7 +467,7 @@ class SameRCandidate:
 def _same_r_span(r0: float, dt: float) -> float:
     """|dt|, once r0 and dt are checked."""
     for name, value in (("r0", r0), ("dt", dt)):
-        if not math.isfinite(value):
+        if not _isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")

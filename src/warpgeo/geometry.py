@@ -76,10 +76,11 @@ def vector_from_frame(w: WarpFunction, p: Point, f: float, g: float) -> TangentV
     return TangentVector(dr=f, dt=g * w.h(p.r), base=p)
 
 
-def _same_base(u: TangentVector, v: TangentVector) -> Point:
-    if u.base is not v.base and u.base != v.base:
+def _same_base(u: TangentVector, v: TangentVector) -> None:
+    """Refuse two vectors at unequal base points; :func:`metric_at` and
+    :func:`kahler_form` call it only for two distinct base objects."""
+    if u.base != v.base:
         raise ValueError(f"base-point mismatch: {u.base} vs {v.base}")
-    return u.base
 
 
 def metric_at(w: WarpFunction, u: TangentVector, v: TangentVector) -> float:
@@ -89,8 +90,9 @@ def metric_at(w: WarpFunction, u: TangentVector, v: TangentVector) -> float:
     Where h*h underflows to zero on Python floats, the quotient is numpy's
     (inf, or nan for 0/0), returned as a Python float.
     """
-    p = _same_base(u, v)
-    hr = w.h(p.r)
+    if v.base is not u.base:
+        _same_base(u, v)
+    hr = w.h(u.base.r)
     try:
         return u.dr * v.dr + (u.dt * v.dt) / (hr * hr)
     except ZeroDivisionError:
@@ -104,7 +106,7 @@ def apply_J(w: WarpFunction, u: TangentVector) -> TangentVector:
     Applying twice returns the negated vector exactly.
     """
     hr = w.h(u.base.r)
-    return TangentVector(dr=-u.dt / hr, dt=hr * u.dr, base=u.base)
+    return TangentVector(-u.dt / hr, hr * u.dr, u.base)
 
 
 def kahler_form(w: WarpFunction, u: TangentVector, v: TangentVector) -> float:
@@ -112,8 +114,9 @@ def kahler_form(w: WarpFunction, u: TangentVector, v: TangentVector) -> float:
 
     Antisymmetric, and equal to g(J u, v) for every pair at the same point.
     """
-    p = _same_base(u, v)
-    return (u.dr * v.dt - u.dt * v.dr) / w.h(p.r)
+    if v.base is not u.base:
+        _same_base(u, v)
+    return (u.dr * v.dt - u.dt * v.dr) / w.h(u.base.r)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,14 @@ a finite-radius blow-up of H is a simple zero of the smooth u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ._dop853 import TOO_SMALL_STEP, Derivative, solve_ivp
 from ._np import np, on_float64
 from .geometry import sectional_curvature
-from .warp import Domain, WarpFunction, _check_positive, _constant, warp_flat, warp_neg2
+from .warp import (Domain, WarpFunction, _check_positive, _constant, _isfinite, warp_flat,
+                   warp_neg2)
 
 __all__ = [
     "CurvatureProfile",
@@ -43,18 +44,39 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CurvatureProfile:
-    """Target curvature r -> f(r) on the half line r > 0."""
+    """Target curvature r -> f(r) on the half line r > 0.
+
+    ``f`` is evaluated on float arrays, and :func:`solve_prescribed`'s solve
+    calls it with np.float64 radii, as it would be from an array: ``r**1.5``
+    at r < 0 is nan there, not a complex.  The built-in profiles of
+    :func:`constant_profile` and :func:`inverse_square_profile` carry
+    ``_on_floats`` as well, their values on Python floats, which the solve
+    calls instead.
+    """
 
     f: Callable
+    _on_floats: Callable | None = field(default=None, repr=False)
 
 
 def constant_profile(value: float) -> CurvatureProfile:
-    return CurvatureProfile(f=_constant(float(value)))
+    """The constant curvature ``value``, which the solve reads as a Python float."""
+    v = float(value)
+    return CurvatureProfile(f=_constant(v), _on_floats=lambda r: v)
 
 
 def inverse_square_profile(coeff: float = -2.0) -> CurvatureProfile:
+    """The curvature ``coeff / r^2``, on float arrays and on Python floats
+    alike: where a float r * r underflows to 0, its value is numpy's (±inf,
+    or nan for a zero ``coeff``), where float division would raise."""
     c = float(coeff)
-    return CurvatureProfile(f=lambda r: c / (r * r))
+
+    def f(r):
+        try:
+            return c / (r * r)
+        except ZeroDivisionError:
+            return on_float64(f)(r)
+
+    return CurvatureProfile(f=f, _on_floats=f)
 
 
 @dataclass(frozen=True)
@@ -101,44 +123,69 @@ RTOL = 1e-10
 _SIDE = Derivative("sign, fx", "{out} = sign * {y[1]}, -sign * fx(sign * {t}) * {y[0]}")
 
 
+def _halved(left, right, atol):
+    """Which of the intervals between the sample rows ``left`` and
+    ``right`` (x, u, u') are halved, and their midpoints.
+
+    |H| dx > _MAX_H_STEP as |u'| dx > _MAX_H_STEP |u|: u vanishes at a
+    blow-up node.  A midpoint that rounds to an end is no split, nor is an
+    interval whose ends both have u <= atol, which are dropped: at a zero of
+    u on the range end r = 0 the relative criterion would otherwise split
+    without bound.
+    """
+    (a, ua, dua), (b, ub, dub) = left, right
+    dx, mid = b - a, 0.5 * (a + b)
+    split = ((np.abs(dua) * dx > _MAX_H_STEP * np.abs(ua))
+             | (np.abs(dub) * dx > _MAX_H_STEP * np.abs(ub)))
+    split &= (mid != a) & (mid != b)
+    split &= (ua > atol) | (ub > atol)
+    return split, mid
+
+
 def _integrate_side(f, r0, H0, r_end, atol):
     """One-directional DOP853 integration of u'' + f u = 0 from u = 1,
-    u' = -H0, backward where ``r_end`` < r0.
+    u' = -H0, backward where ``r_end`` < r0, with f the profile on Python
+    floats.
 
     Returns the rows r, u, u' of the ascending samples from r0 to ``r_end``
     and the first zero of u between them (the blow-up of H = -u'/u) or
     None.  The samples stop short of that zero, where u falls to atol.
 
     The samples cut each solver step into _REFINE intervals, and then halve
-    intervals in rounds.  An interval that is not halved keeps its end
-    values, so it is never halved later: each round tests only the halves
-    that the last round made and reads only their midpoints, in one call of
-    the dense output.  A midpoint's value does not depend on the other
-    samples of its call, so the rows, sorted once at the end, are those of
-    re-testing the whole grid every round.
+    intervals in rounds (see :func:`_halved`).  An interval that is not
+    halved keeps its end values, so it is never halved later: each round
+    tests only the halves that the last round made and reads only their
+    midpoints, in one call of the dense output.  A midpoint's value does not
+    depend on the other samples of its call, so the rows, sorted once at the
+    end, are those of re-testing the whole grid every round.
+
+    At a zero of u the interval next to it is halved toward it once per
+    round, over some 30 to 40 rounds: the nested midpoints toward the zero
+    are known in advance, so they are read in one call, and the rounds start
+    from the siblings the chain leaves.  Elsewhere the halves of one round
+    are known only from the last round's values: each round is one call for
+    all of them.
 
     The solver runs forward only, so a backward side is solved in x = -r
-    for (v, w)(x) = (u, u')(-x): v' = -w, w' = f(-x) v.  Round-to-nearest
-    is symmetric under negation: against the backward solve, x, each step
-    and each derivative only change sign, and the state keeps its bits.
-    The exception, an exact zero (x + (-x) is +0 either way), does not
-    reach the samples: u' itself is carried, not -u', and a step that
-    lands on the end r = 0 ends there, at x = -0.0.
+    for (v, w)(x) = (u, u')(-x): v' = -w, w' = f(-x) v, and sampled in x.
+    Round-to-nearest is symmetric under negation: against the backward
+    solve, x, each step, each midpoint and each derivative only change
+    sign, and the state keeps its bits.  The exception, an exact zero
+    (x + (-x) is +0 either way), does not reach the samples: u' itself is
+    carried, not -u', and a step that lands on the end r = 0 ends there, at
+    x = -0.0.
     """
     if r_end == r0:  # the start alone; 0.0 - H0 is +0.0 for H0 = 0.0
         y = np.array([[r0], [1.0], [0.0 - H0]], dtype=float)
         return y[:, y[1] > atol], None
     sign = 1.0 if r_end > r0 else -1.0  # x = sign * r runs forward
-    # The profile sees np.float64 radii, as it would from an array; the
-    # solver takes Python floats, so its value is converted (same bits).
-    fx = on_float64(f)
     # u can overflow before r_end (h underflows), and f can divide by zero
     # where r * r underflows: the solve's failure is raised, and the dense
     # reads below build steps from the same system, so one errstate covers
     # the solve and every read.
     with np.errstate(all="ignore"):
         # u starts at 1, so its first zero is crossed falling.
-        sol = solve_ivp(_SIDE, (sign, fx), (sign * r0, sign * r_end), (1.0, -H0),
+        sol = solve_ivp(_SIDE, (sign, f), (sign * r0, sign * r_end), (1.0, -H0),
                         rtol=RTOL, atol=atol, stops=(0.0, math.inf))
         if sol.status < 0:
             # Only the start's derivative can be reported as not finite: name it r0.
@@ -154,25 +201,30 @@ def _integrate_side(f, r0, H0, r_end, atol):
         # One row of _REFINE + 1 samples per step; unique sorts and drops the
         # repeats of a step shorter than _REFINE floating-point spacings.
         ts = np.array(sol.t)
-        r = np.unique(sign * np.linspace(ts[:-1], ts[1:], _REFINE + 1, axis=1))
-        rows = [np.concatenate([r[None], sol.sol(sign * r)])]
-        left, right = rows[0][:, :-1], rows[0][:, 1:]
+        x = np.unique(np.linspace(ts[:-1], ts[1:], _REFINE + 1, axis=1))
+        grid = np.concatenate([x[None], sol.sol(x)])
+        rows, left, right = [grid], grid[:, :-1], grid[:, 1:]
+        if blow is not None and len(x) > 1:
+            # The zero of u is the last sample in x.  Round after round, the
+            # interval next to it is halved toward it: [ck, zero], with
+            # ck = (c(k-1) + zero) / 2 from c0 = x[-2].  The chain runs to a
+            # midpoint that rounds onto an end, whose interval is not halved;
+            # the halved prefix is kept, and its siblings [c(k-1), ck] go to
+            # the rounds.  (A solve that stops at its start has one sample.)
+            chain, zero = [float(x[-2])], float(x[-1])
+            while (c := 0.5 * (chain[-1] + zero)) not in (chain[-1], zero):
+                chain.append(c)
+            cs = np.concatenate([[chain], sol.sol(chain)])
+            k = int(np.argmin(_halved(cs, grid[:, -1:], atol)[0]))
+            rows.append(cs[:, 1:k + 1])
+            left = np.concatenate([left[:, :-1], cs[:, :k]], axis=1)
+            right = np.concatenate([right[:, :-1], cs[:, 1:k + 1]], axis=1)
         while True:
-            # |H| dr > _MAX_H_STEP as |u'| dr > _MAX_H_STEP |u|: u vanishes at
-            # a blow-up node.  A midpoint that rounds to an end is no split, nor
-            # is an interval whose ends both have u <= atol, which are dropped:
-            # at a zero of u on the range end r = 0 the relative criterion
-            # would otherwise split without bound.
-            (a, ua, dua), (b, ub, dub) = left, right
-            dr, mid = b - a, 0.5 * (a + b)
-            split = ((np.abs(dua) * dr > _MAX_H_STEP * np.abs(ua))
-                     | (np.abs(dub) * dr > _MAX_H_STEP * np.abs(ub)))
-            split &= (mid != a) & (mid != b)
-            split &= (ua > atol) | (ub > atol)
+            split, mid = _halved(left, right, atol)
             if not split.any():
                 break
             mid = mid[split]
-            new = np.concatenate([mid[None], sol.sol(sign * mid)])
+            new = np.concatenate([mid[None], sol.sol(mid)])
             rows.append(new)
             left = np.concatenate([left[:, split], new], axis=1)
             right = np.concatenate([new, right[:, split]], axis=1)
@@ -180,6 +232,7 @@ def _integrate_side(f, r0, H0, r_end, atol):
     # distinct and one sort orders them.  Where u falls to atol, next to a
     # zero, H keeps no digit the solver controls.
     y = np.concatenate(rows, axis=1)
+    y[0] *= sign
     y = y[:, np.argsort(y[0])]
     return y[:, y[1] > atol], blow
 
@@ -210,9 +263,10 @@ def solve_prescribed(
         of that domain's ``interior``), ``atol`` is not positive and
         finite, or u overflows.
     """
-    lo, hi = float(r_range[0]), float(r_range[1])
-    if not np.isfinite([r0, H0, lo, hi]).all():
+    lo, hi = r_range[0], r_range[1]
+    if not all(map(_isfinite, (r0, H0, lo, hi))):
         raise ValueError(f"r0={r0}, H0={H0} and range ({lo}, {hi}) must be finite")
+    lo, hi = float(lo), float(hi)
     if not (lo <= r0 <= hi) or lo >= hi:
         raise ValueError(f"r0={r0} not inside range ({lo}, {hi})")
     inner = Domain(0.0).interior[0]  # the profile's domain is r > 0
@@ -220,8 +274,11 @@ def solve_prescribed(
         raise ValueError("range must lie inside the profile domain")
     _check_positive("atol", atol)
 
-    back, blow_b = _integrate_side(profile.f, r0, H0, lo, atol)
-    fwd, blow_f = _integrate_side(profile.f, r0, H0, hi, atol)
+    # The solver takes Python floats.  A profile without an evaluator on
+    # them sees np.float64 radii, and its value is converted (same bits).
+    f = profile._on_floats or on_float64(profile.f)
+    back, blow_b = _integrate_side(f, r0, H0, lo, atol)
+    fwd, blow_f = _integrate_side(f, r0, H0, hi, atol)
     grid, u, du = np.hstack([back[:, back[0] < r0], fwd])
 
     # Report the forward blow-up when both directions have one.

@@ -275,26 +275,25 @@ class WarpFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    # The checked evaluators: the domain check, then fn at a float or float
-    # array.  An int radius is read as its float, without numpy.
-    def _checked(self, fn: Callable, r):
-        self.domain.require(r)
-        if isinstance(r, (int, float)) or _scalar(r):
-            return fn(float(r))
-        return fn(np.asarray(r, dtype=float))
-
+    # The checked evaluators: the domain check, then the evaluator at the
+    # radius, an int or a float (np.float64 too) as a Python float, without
+    # numpy, and any other radius as _radius reads it.
     def h(self, r):
-        return self._checked(self._h, r)
+        self.domain.require(r)
+        return self._h(float(r) if isinstance(r, (int, float)) else _radius(r))
 
     def dh(self, r):
-        return self._checked(self._dh, r)
+        self.domain.require(r)
+        return self._dh(float(r) if isinstance(r, (int, float)) else _radius(r))
 
     def d2h(self, r):
-        return self._checked(self._d2h, r)
+        self.domain.require(r)
+        return self._d2h(float(r) if isinstance(r, (int, float)) else _radius(r))
 
     def log_deriv(self, r):
         """H(r) = h'(r)/h(r), the logarithmic derivative of the warp."""
-        return self._checked(self._logderiv, r)
+        self.domain.require(r)
+        return self._logderiv(float(r) if isinstance(r, (int, float)) else _radius(r))
 
     # Unchecked variants.  Neither has a caller in the package:
     # log_deriv_unchecked since the geodesic integrator moved to (h, h'),
@@ -311,13 +310,21 @@ class WarpFunction:
         """Family-exact curvature evaluator, or None if not available."""
         if self._curvature is None:
             return None
-        return self._checked(self._curvature, r)
+        self.domain.require(r)
+        return self._curvature(float(r) if isinstance(r, (int, float)) else _radius(r))
 
     def require_point(self, p: Point) -> None:
         self.domain.require(p.r)
 
 
 # -- family constructors ------------------------------------------------------
+
+
+def _radius(r):
+    """A radius that is neither an int nor a float, as the evaluators take
+    it: a numpy scalar or 0-d array as its Python float, anything else as a
+    float array."""
+    return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
 
 
 def _scalar(r) -> bool:
@@ -575,11 +582,19 @@ _FAMILIES = {
 DEFAULT_TOL = 1e-9
 
 
+def _isfinite(x) -> bool:
+    """``math.isfinite(x)``, and False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_positive(name: str, value: float) -> None:
     """Refuse, by ``name``, a tolerance or step that is not positive and
     finite: a residual below a nan, zero or negative ``tol`` would accept
     nothing, and below an infinite one anything."""
-    if not (math.isfinite(value) and value > 0.0):
+    if not (_isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

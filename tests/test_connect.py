@@ -473,6 +473,8 @@ class TestSameRadius:
     @pytest.mark.parametrize("r0, dt, name", [
         (1.0, math.inf, "dt"), (1.0, -math.inf, "dt"), (1.0, math.nan, "dt"),
         (math.nan, 1.0, "r0"), (math.inf, 1.0, "r0"),
+        pytest.param(10**400, 1.0, "r0", id="r0=10**400"),  # ints too large for a float
+        pytest.param(1.0, -10**400, "dt", id="dt=-10**400"),
     ])
     def test_non_finite_input_is_named(self, r0, dt, name):
         for solve in (connect_neg2_same_r, same_r_candidates):

@@ -57,6 +57,42 @@ class TestSolvePrescribed:
         assert np.max(np.abs(field.H[sel] - exact)) < 1e-7
         assert field.grid[-1] < 2.0
 
+    @pytest.mark.parametrize("atol", [1e-10, 1e-12])
+    def test_blow_up_halving_is_read_at_once(self, monkeypatch, atol):
+        # The intervals halved toward the zero of u at r = 2 are read in one
+        # dense-output call: round by round, the solve made 38 reads at
+        # atol 1e-10 and 44 at 1e-12.
+        reads = []
+
+        def spy(self, t, orig=_dop853.DenseSolution.__call__):
+            reads.append(len(t))
+            return orig(self, t)
+
+        monkeypatch.setattr(_dop853.DenseSolution, "__call__", spy)
+        field = solve_prescribed(constant_profile(0.0), 1.0, 1.0, (0.5, 3.0), atol=atol)
+        assert field.blowup == pytest.approx(2.0, abs=1e-12)
+        assert len(reads) <= 12
+
+    def test_custom_profile_sees_float64_radii(self):
+        # As from an array: r**1.5 at r < 0 is nan there, not a complex.
+        seen = set()
+
+        def f(r):
+            seen.add(type(r))
+            return -1.0
+
+        solve_prescribed(CurvatureProfile(f=f), 1.0, 0.5, (0.0, 2.0))
+        assert seen == {np.float64}
+
+    @pytest.mark.parametrize("coeff, want", [(-2.0, -math.inf), (3.0, math.inf), (0.0, math.nan)])
+    def test_inverse_square_on_an_underflowing_float_reads_as_numpy(self, coeff, want):
+        # r * r underflows to 0, where float division would raise.
+        with np.errstate(all="ignore"):
+            got = inverse_square_profile(coeff).f(1e-170)
+            assert type(got) is float
+            np.testing.assert_equal(got, np.float64(coeff) / np.float64(1e-170) ** 2)
+        np.testing.assert_equal(got, want)
+
     def test_inverse_square_profile_reproduces_radial_warp(self):
         # h = r solves the -2/r^2 profile, so H = 1/r.
         field = solve_prescribed(inverse_square_profile(-2.0), 1.0, 1.0, (0.3, 5.0))
@@ -147,6 +183,8 @@ class TestSolvePrescribed:
             (1.0, -math.inf, (0.5, 3.0)),
             (1.0, 1.0, (-math.inf, 3.0)),
             (1.0, 1.0, (0.5, math.inf)),
+            pytest.param(1.0, 10**400, (0.5, 3.0), id="H0=10**400"),  # ints too large for a float
+            pytest.param(1.0, 1.0, (0.5, 10**400), id="hi=10**400"),
         ],
     )
     def test_non_finite_input_rejected(self, r0, H0, r_range):

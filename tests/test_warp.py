@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,12 +7,21 @@ import pytest
 
 from warpgeo import (
     DOMAIN_MARGIN,
+    AffineMap,
     Domain,
     DomainError,
     Point,
     WarpSpec,
+    classify,
+    connect_flat,
+    connect_neg2,
+    connect_neg2_same_r,
+    constant_profile,
+    curvature_oracle,
     make_warp,
+    same_r_candidates,
     sectional_curvature,
+    solve_prescribed,
     warp_custom,
     warp_exp,
     warp_flat,
@@ -372,3 +382,26 @@ class TestCustomWarp:
         )
         assert w.h(3.0) == 1.0
         assert w.log_deriv(3.0) == pytest.approx(0.0, abs=1e-12)
+
+
+# Every caller of warp._check_positive, by the name it refuses.
+CHECKED_POSITIVE = {
+    "connect_flat": ("tol", lambda x: connect_flat(Point(1.0, 0.0), Point(2.0, 1.0), x)),
+    "connect_neg2": ("tol", lambda x: connect_neg2(Point(1.0, 0.0), Point(2.0, 1.0), x)),
+    "same_r_candidates": ("tol", lambda x: same_r_candidates(1.0, 2.0, x)),
+    "connect_neg2_same_r": ("tol", lambda x: connect_neg2_same_r(1.0, 2.0, x)),
+    "classify": ("tol", lambda x: classify(warp_r(), AffineMap(1.0, 0.0), tol=x)),
+    "curvature_oracle": ("step", lambda x: curvature_oracle(warp_r(), 1.0, x)),
+    "solve_prescribed": ("atol", lambda x: solve_prescribed(constant_profile(0.0), 1.0, 1.0,
+                                                            (0.5, 3.0), atol=x)),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("caller", sorted(CHECKED_POSITIVE))
+def test_int_too_large_for_a_float_is_refused_by_name(caller, value):
+    # math.isfinite raises OverflowError on such an int; the check names it.
+    name, call = CHECKED_POSITIVE[caller]
+    message = f"{name} must be positive and finite, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)

@@ -277,6 +277,15 @@ def layer_riccati(wg, rng):
             if not isinstance(field, Error):
                 field = field, outcome(wg.verify_field, field, profile, 1e-3)
             yield name, r0, H0, lo, hi, field
+    # Blow-ups ahead of r0 (H0 > 0) and behind it (H0 < 0) at the CLI's atol,
+    # where the halving toward the zero of u runs about 40 octaves deep.
+    for name, profile in profiles.items():
+        for sign in (1.0, -1.0, 1.0, -1.0):
+            r0, H0 = float(rng.uniform(0.8, 1.5)), sign * float(rng.uniform(3.0, 8.0))
+            field = outcome(wg.solve_prescribed, profile, r0, H0, (0.05, 6.0), atol=1e-12)
+            if not isinstance(field, Error):
+                field = field, outcome(wg.verify_field, field, profile, 1e-3)
+            yield name, r0, H0, 1e-12, field
 
 
 def run_cli(main, argv: list) -> tuple:
